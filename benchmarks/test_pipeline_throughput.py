@@ -69,9 +69,8 @@ def test_dpi_throughput(zoom_kept_records, benchmark):
 def test_dpi_sweep_vs_fastpath(zoom_kept_records):
     """Datagrams/second with the flow-sticky fast path off vs on.
 
-    Fresh engines per run (best of two) so neither mode benefits from a
-    warm payload-dedup cache; the fast path must beat the full sweep by
-    the acceptance margin on this single-stream-heavy trace.
+    Fresh engines per run (best of two); the fast path must beat the full
+    sweep by the acceptance margin on this single-stream-heavy trace.
     """
     records = zoom_kept_records
 
@@ -99,7 +98,6 @@ def test_dpi_sweep_vs_fastpath(zoom_kept_records):
         ),
         "speedup": round(speedup, 3),
         "fastpath_hit_rate": round(fast_stats.fastpath_hit_rate, 4),
-        "cache_hit_rate": round(fast_stats.cache_hit_rate, 4),
         "fastpath_fallbacks": fast_stats.fastpath_fallbacks,
         "fastpath_redos": fast_stats.fastpath_redos,
     }
@@ -346,12 +344,11 @@ def _rotating_flow_records(flows, packets_per_flow):
 def _pipeline_peak(mode, flows, packets_per_flow=24):
     """tracemalloc peak (bytes), wall seconds, and the finished summary.
 
-    ``cache_size=0`` and ``fastpath=False`` on both sides so neither the
-    payload-dedup cache nor the fast path's per-flow sticky state (both
-    deliberately O(flows)) muddies the measurement; the only variable is
-    whether the run materializes the capture or streams it.
+    ``fastpath=False`` on both sides so the fast path's per-flow sticky
+    state (deliberately O(flows)) does not muddy the measurement; the only
+    variable is whether the run materializes the capture or streams it.
     """
-    engine = DpiEngine(cache_size=0, fastpath=False)
+    engine = DpiEngine(fastpath=False)
     checker = ComplianceChecker()
     gc.collect()
     tracemalloc.start()

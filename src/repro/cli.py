@@ -590,10 +590,8 @@ def cmd_dissect(args: argparse.Namespace) -> int:
 def _print_dpi_stats(label: str, stats) -> None:
     print(f"{label}:")
     print(f"  datagrams          {stats.datagrams}")
-    print(f"  cache hits         {stats.cache_hits} "
-          f"({stats.cache_hit_rate * 100:.1f}%)")
     print(f"  fast-path hits     {stats.fastpath_hits} "
-          f"({stats.fastpath_hit_rate * 100:.1f}% of uncached)")
+          f"({stats.fastpath_hit_rate * 100:.1f}% of datagrams)")
     print(f"  fast-path misses   {stats.fastpath_fallbacks}")
     print(f"  full sweeps        {stats.sweeps}")
     print(f"  stream re-sweeps   {stats.fastpath_redos}")

@@ -6,8 +6,9 @@ silent behavior drift:
 - :mod:`repro.conformance.golden` records every (app × network) cell's
   verdicts, datagram classes, and metrics as versioned golden JSON;
 - :mod:`repro.conformance.differ` replays the corpus through sweep,
-  fast-path, and cached engine configurations and demands bit-identical
-  output, reporting the first divergent message otherwise;
+  fast-path, streaming, sharded and columnar engine configurations and
+  demands bit-identical output, reporting the first divergent message
+  otherwise;
 - :mod:`repro.conformance.fuzzer` mutates well-formed messages one
   violation at a time and asserts the checker attributes each mutation
   to exactly the violated criterion.

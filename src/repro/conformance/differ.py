@@ -3,14 +3,13 @@
 The recorded corpus (see :mod:`repro.conformance.golden`) defines ground
 truth under the reference sweep engine.  This module replays the exact
 same filtered records through every interesting engine configuration —
-plain sweep, flow-sticky fast path, dedup cache, a cached fast-path
-engine *shared* across all cells (the ``run_matrix`` serial production
-shape), the streaming pipeline core (chunked feed, incremental checker),
-and the flow-sharded parallel streaming executor (hash-partitioned
-flows, per-shard engines, deterministic merge) — and demands
-bit-identical verdicts, datagram classes, and metrics from each.  On mismatch it renders a drift report that names the
-first divergent message: its index, timestamp, protocol, byte offset,
-and the ``(criterion, code)`` pairs on each side.
+plain sweep, flow-sticky fast path, the streaming pipeline core (chunked
+feed, incremental checker), the flow-sharded parallel streaming executor
+(hash-partitioned flows, per-shard engines, deterministic merge), and the
+columnar batch scanner — and demands bit-identical verdicts, datagram
+classes, and metrics from each.  On mismatch it renders a drift report
+that names the first divergent message: its index, timestamp, protocol,
+byte offset, and the ``(criterion, code)`` pairs on each side.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.apps import NetworkCondition
 from repro.core import ComplianceChecker
 from repro.dpi import DpiEngine
-from repro.dpi.engine import DEFAULT_CACHE_SIZE
 from repro.conformance.golden import (
     IMPAIRED_CORPORA,
     RERECORD_HINT,
@@ -49,10 +47,6 @@ _VERDICT_KEYS = (
 class EngineSpec:
     """One engine configuration the differ exercises.
 
-    ``shared=True`` reuses a single engine instance across every cell of
-    the run, mirroring how ``run_matrix`` keeps caches warm between
-    cells — the configuration most likely to leak state.
-
     ``streaming=True`` drives the engine through the streaming pipeline
     core (``repro.pipeline.run_streaming``: per-record DPI session feed,
     incremental checker) instead of the batch
@@ -70,8 +64,6 @@ class EngineSpec:
 
     name: str
     fastpath: bool
-    cache_size: int
-    shared: bool = False
     streaming: bool = False
     shards: int = 1
     backend: str = "scalar"
@@ -79,7 +71,6 @@ class EngineSpec:
     def build(self, max_offset: int) -> DpiEngine:
         return DpiEngine(
             max_offset=max_offset,
-            cache_size=self.cache_size,
             fastpath=self.fastpath,
             backend=self.backend,
         )
@@ -88,31 +79,13 @@ class EngineSpec:
 #: ``sweep`` is the reference configuration the corpus was recorded with;
 #: its DpiStats must match the golden exactly, not just its verdicts.
 ENGINE_SPECS: Tuple[EngineSpec, ...] = (
-    EngineSpec("sweep", fastpath=False, cache_size=0),
-    EngineSpec("fastpath", fastpath=True, cache_size=0),
-    EngineSpec("cached", fastpath=False, cache_size=DEFAULT_CACHE_SIZE),
-    EngineSpec(
-        "fastpath-cached-shared",
-        fastpath=True,
-        cache_size=DEFAULT_CACHE_SIZE,
-        shared=True,
-    ),
-    EngineSpec(
-        "streaming",
-        fastpath=True,
-        cache_size=DEFAULT_CACHE_SIZE,
-        streaming=True,
-    ),
-    EngineSpec(
-        "sharded-streaming",
-        fastpath=True,
-        cache_size=DEFAULT_CACHE_SIZE,
-        streaming=True,
-        shards=2,
-    ),
-    # Batch stage-one scanner under the same cacheless-sweep conditions as
-    # the reference spec, so its DpiStats are also held to exact equality.
-    EngineSpec("columnar", fastpath=False, cache_size=0, backend="columnar"),
+    EngineSpec("sweep", fastpath=False),
+    EngineSpec("fastpath", fastpath=True),
+    EngineSpec("streaming", fastpath=True, streaming=True),
+    EngineSpec("sharded-streaming", fastpath=True, streaming=True, shards=2),
+    # Batch stage-one scanner under the same sweep-only conditions as the
+    # reference spec, so its DpiStats are also held to exact equality.
+    EngineSpec("columnar", fastpath=False, backend="columnar"),
 )
 
 
@@ -233,9 +206,6 @@ def check_corpus(
     report = DriftReport(engines=tuple(spec.name for spec in specs))
     manifest = load_manifest(directory)
     config = CorpusConfig.from_dict(manifest["config"])
-    shared_engines = {
-        spec.name: spec.build(config.max_offset) for spec in specs if spec.shared
-    }
     checker = ComplianceChecker()
     for app, network in corpus_cells(manifest, apps, networks):
         name = cell_name(app, network)
@@ -255,7 +225,7 @@ def check_corpus(
         report.cells_checked += 1
         records = cell_records(app, network, config)
         for spec in specs:
-            engine = shared_engines.get(spec.name) or spec.build(config.max_offset)
+            engine = spec.build(config.max_offset)
             if spec.shards > 1:
                 from functools import partial
 
@@ -266,7 +236,6 @@ def check_corpus(
                     engine_factory=partial(
                         DpiEngine,
                         max_offset=config.max_offset,
-                        cache_size=spec.cache_size,
                         fastpath=spec.fastpath,
                         backend=spec.backend,
                     ),
@@ -283,9 +252,9 @@ def check_corpus(
                 dpi = engine.analyze_records(records)
                 verdicts = checker.check(dpi.messages())
             actual = build_facts(app, network, dpi, verdicts)
-            # Both cacheless sweep configurations — scalar reference and
+            # Both sweep-only configurations — scalar reference and
             # columnar — must reproduce the recorded counters exactly.
-            exact_stats = spec.name in ("sweep", "columnar") and not spec.shared
+            exact_stats = spec.name in ("sweep", "columnar")
             for kind, detail in _compare_facts(golden, actual, exact_stats):
                 report.drifts.append(Drift(name, spec.name, kind, detail))
             for problem in dpi.stats.invariant_violations():

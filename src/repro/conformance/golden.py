@@ -2,7 +2,7 @@
 
 A *golden cell* captures everything the pipeline concludes about one
 (app, network) emulator cell under the **reference engine** — a plain
-0..k sweep with no dedup cache and no flow-sticky fast path:
+0..k sweep with no flow-sticky fast path:
 
 - the datagram class of every analyzed datagram, in timestamp order;
 - every extracted message (timestamp, protocol, byte offset, length,
@@ -105,8 +105,8 @@ def cell_name(app: str, network: NetworkCondition) -> str:
 
 
 def reference_engine(config: CorpusConfig) -> DpiEngine:
-    """The engine whose output defines ground truth: sweep-only, uncached."""
-    return DpiEngine(max_offset=config.max_offset, cache_size=0, fastpath=False)
+    """The engine whose output defines ground truth: sweep-only."""
+    return DpiEngine(max_offset=config.max_offset, fastpath=False)
 
 
 def experiment_config(config: CorpusConfig) -> "ExperimentConfig":

@@ -14,9 +14,7 @@ from repro.dpi.columnar import (
     ColumnarStats,
 )
 from repro.dpi.engine import (
-    DEFAULT_CACHE_SIZE,
     DEFAULT_MAX_OFFSET,
-    CandidateCache,
     DpiEngine,
     DpiResult,
     DpiStats,
@@ -35,11 +33,9 @@ from repro.dpi.messages import (
 )
 
 __all__ = [
-    "DEFAULT_CACHE_SIZE",
     "DEFAULT_MAX_OFFSET",
     "DEFAULT_SIGNATURE_K",
     "HAVE_NUMPY",
-    "CandidateCache",
     "ColumnarScanner",
     "ColumnarStats",
     "DpiEngine",

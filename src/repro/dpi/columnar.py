@@ -2,7 +2,7 @@
 
 The scalar sweep (:meth:`repro.dpi.engine.DpiEngine._sweep`) runs four
 anchored matchers per payload; per-payload Python call overhead dominates
-once the fast path and cache have removed the redundant work.  This module
+once the fast path has removed the redundant work.  This module
 scans a whole chunk of payloads (the pipeline's 256-record unit) at once:
 
 * the payloads are joined into one buffer with an offset index, so each

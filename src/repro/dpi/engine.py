@@ -9,8 +9,7 @@ transaction request/response pairing, and QUIC connection-ID consistency.
 from __future__ import annotations
 
 import copy
-import hashlib
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -34,10 +33,6 @@ from repro.protocols.stun.message import ChannelData, StunMessage
 from repro.streams.flow import FlowKey, Stream
 
 DEFAULT_MAX_OFFSET = 200
-#: Entries kept by the payload-dedup candidate cache.  Call traces are
-#: dominated by repeated keepalive/probe datagrams (STUN binding requests,
-#: RTCP receiver reports), so a modest LRU collapses their stage-one scans.
-DEFAULT_CACHE_SIZE = 4096
 
 #: Columnar look-ahead while a fast-path learner is still unlocked: large
 #: enough to batch the pre-lock sweeps, small enough that the scans wasted
@@ -52,129 +47,24 @@ MIN_CONTINUITY = 0.5
 _MAX_SEQ_STEP = 512
 
 
-class CandidateCache:
-    """Bounded LRU from a payload digest to its stage-one candidate list.
-
-    Candidate extraction is pure in ``(payload, max_offset, protocols)``;
-    the latter two are fixed per engine, so the payload alone keys the
-    cache.  Keys are length-prefixed 128-bit BLAKE2b digests rather than
-    the payload bytes themselves, which bounds the key memory of a warm
-    cache at ``maxsize × 20`` bytes instead of pinning ``maxsize`` full
-    media datagrams (~1200 bytes each) alive in the dict.  A digest
-    collision would serve the wrong candidate list, but at 2^-128 per pair
-    that is far below any hardware error rate.  Stored candidates are
-    pristine copies — overlap resolution mutates ``Candidate.length`` in
-    place (the RTP-continuation rule), so lookups hand out shallow copies
-    rather than the cached objects.
-    """
-
-    __slots__ = ("_store", "_maxsize", "hits", "misses")
-
-    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE):
-        if maxsize < 0:
-            raise ValueError("maxsize must be non-negative")
-        self._store: "OrderedDict[bytes, Tuple[Candidate, ...]]" = OrderedDict()
-        self._maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def _key(payload: bytes) -> bytes:
-        return len(payload).to_bytes(4, "big") + hashlib.blake2b(
-            payload, digest_size=16
-        ).digest()
-
-    @staticmethod
-    def digest_many(payloads: Sequence[bytes]) -> List[bytes]:
-        """Cache keys for a whole batch of payloads in one pass.
-
-        The columnar path keys each stream's payloads exactly once and
-        then uses the keyed accessors below, instead of digesting every
-        payload twice (once in ``get``, again in ``put``).
-        """
-        blake2b = hashlib.blake2b
-        return [
-            len(payload).to_bytes(4, "big")
-            + blake2b(payload, digest_size=16).digest()
-            for payload in payloads
-        ]
-
-    def contains_key(self, key: bytes) -> bool:
-        """Presence probe that counts nothing and touches no LRU order —
-        a scheduling heuristic, not a lookup."""
-        return key in self._store
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def maxsize(self) -> int:
-        return self._maxsize
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def get(self, payload: bytes) -> Optional[List[Candidate]]:
-        return self.get_keyed(self._key(payload))
-
-    def get_keyed(self, key: bytes) -> Optional[List[Candidate]]:
-        """``get`` for a pre-computed key: identical hit/miss and LRU
-        semantics, no digest."""
-        cached = self._store.get(key)
-        if cached is None:
-            self.misses += 1
-            return None
-        self._store.move_to_end(key)
-        self.hits += 1
-        return [copy.copy(c) for c in cached]
-
-    def put(self, payload: bytes, candidates: Sequence[Candidate]) -> None:
-        if self._maxsize == 0:
-            return
-        self.put_keyed(self._key(payload), candidates)
-
-    def put_keyed(self, key: bytes, candidates: Sequence[Candidate]) -> None:
-        if self._maxsize == 0:
-            return
-        self._store[key] = tuple(copy.copy(c) for c in candidates)
-        self._store.move_to_end(key)
-        while len(self._store) > self._maxsize:
-            self._store.popitem(last=False)
-
-    def get_many(
-        self, payloads: Sequence[bytes]
-    ) -> Tuple[List[bytes], List[Optional[List[Candidate]]]]:
-        """Digest-once batch lookup: the keys plus per-payload results,
-        counting hits/misses exactly as sequential ``get`` calls would."""
-        keys = self.digest_many(payloads)
-        return keys, [self.get_keyed(key) for key in keys]
-
-    def put_many(
-        self, entries: Iterable[Tuple[bytes, Sequence[Candidate]]]
-    ) -> None:
-        """Store ``(key, candidates)`` pairs in order (later wins), with
-        the same eviction behaviour as sequential ``put`` calls."""
-        if self._maxsize == 0:
-            return
-        for key, candidates in entries:
-            self.put_keyed(key, candidates)
-
-
 @dataclass
 class DpiStats:
     """Instrumentation counters for the extraction layer.
 
-    Per datagram, exactly one of three things happens: its candidates come
-    from the dedup cache (``cache_hits``), from a locked-signature fast-path
-    probe (``fastpath_hits``), or from a full 0..k sweep (``sweeps``).  A
-    ``fastpath_fallbacks`` datagram additionally counted one failed probe
-    before its sweep, and a ``fastpath_redos`` stream re-swept all of its
-    datagrams after stage two rejected a predicted message (those redo
-    sweeps are included in ``sweeps``).  ``matcher_calls`` counts actual
-    matcher-function invocations per protocol, including targeted fast-path
-    probes — so it reflects work really done, not work scheduled.
+    Per datagram, exactly one of two things happens: its candidates come
+    from a locked-signature fast-path probe (``fastpath_hits``) or from a
+    full 0..k sweep (``sweeps``).  A ``fastpath_fallbacks`` datagram
+    additionally counted one failed probe before its sweep, and a
+    ``fastpath_redos`` stream re-swept all of its datagrams after stage two
+    rejected a predicted message (those redo sweeps are included in
+    ``sweeps``).  ``matcher_calls`` counts actual matcher-function
+    invocations per protocol, including targeted fast-path probes — so it
+    reflects work really done, not work scheduled.
+
+    ``cache_hits`` and ``cache_misses`` are retired: the engine no longer
+    has a payload-dedup cache, so both always read zero.  They stay in the
+    counter schema (:meth:`as_dict`) because recorded golden corpora and
+    benchmark ledgers carry them.
     """
 
     datagrams: int = 0
@@ -188,12 +78,13 @@ class DpiStats:
 
     @property
     def cache_hit_rate(self) -> float:
+        """Retired; always 0.0 (see the class docstring)."""
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
     @property
     def cache_lookups(self) -> int:
-        """Total dedup-cache probes (each datagram probes at most once)."""
+        """Retired; always 0 (see the class docstring)."""
         return self.cache_hits + self.cache_misses
 
     @property
@@ -205,35 +96,34 @@ class DpiStats:
         """Internal-consistency checks over the counters; empty when sound.
 
         Every analyzed datagram gets its candidates from exactly one of
-        three sources — the dedup cache, a locked-signature probe, or a
-        full sweep — so those three must cover ``datagrams`` exactly,
-        except that a stream redo re-sweeps datagrams already counted
-        (making the sum strictly larger).  Each datagram probes the cache
-        at most once, and every fast-path fallback is followed by a sweep.
+        two sources — a locked-signature probe or a full sweep — so those
+        two must cover ``datagrams`` exactly, except that a stream redo
+        re-sweeps datagrams already counted (making the sum strictly
+        larger).  Every fast-path fallback is followed by a sweep, and the
+        retired cache counters must read zero.
         """
         problems: List[str] = []
         for name in ("datagrams", "sweeps", "fastpath_hits",
-                     "fastpath_fallbacks", "fastpath_redos",
-                     "cache_hits", "cache_misses"):
+                     "fastpath_fallbacks", "fastpath_redos"):
             if getattr(self, name) < 0:
                 problems.append(f"{name} is negative: {getattr(self, name)}")
         if any(count < 0 for count in self.matcher_calls.values()):
             problems.append(f"negative matcher call count: {self.matcher_calls}")
-        if self.cache_lookups > self.datagrams:
-            problems.append(
-                f"cache hits + misses ({self.cache_lookups}) exceed "
-                f"datagrams ({self.datagrams})"
-            )
-        covered = self.cache_hits + self.fastpath_hits + self.sweeps
+        for name in ("cache_hits", "cache_misses"):
+            if getattr(self, name):
+                problems.append(
+                    f"retired counter {name} is nonzero: {getattr(self, name)}"
+                )
+        covered = self.fastpath_hits + self.sweeps
         if covered < self.datagrams:
             problems.append(
-                f"cache hits + fast-path hits + sweeps ({covered}) do not "
-                f"cover all {self.datagrams} datagrams"
+                f"fast-path hits + sweeps ({covered}) do not cover all "
+                f"{self.datagrams} datagrams"
             )
         if self.fastpath_redos == 0 and covered != self.datagrams:
             problems.append(
-                f"without redos, cache hits + fast-path hits + sweeps "
-                f"({covered}) must equal datagrams ({self.datagrams})"
+                f"without redos, fast-path hits + sweeps ({covered}) must "
+                f"equal datagrams ({self.datagrams})"
             )
         if self.sweeps < self.fastpath_fallbacks:
             problems.append(
@@ -273,8 +163,6 @@ class DpiStats:
             fastpath_hits=self.fastpath_hits - before.fastpath_hits,
             fastpath_fallbacks=self.fastpath_fallbacks - before.fastpath_fallbacks,
             fastpath_redos=self.fastpath_redos - before.fastpath_redos,
-            cache_hits=self.cache_hits - before.cache_hits,
-            cache_misses=self.cache_misses - before.cache_misses,
             matcher_calls=calls,
         )
 
@@ -284,8 +172,6 @@ class DpiStats:
         self.fastpath_hits += other.fastpath_hits
         self.fastpath_fallbacks += other.fastpath_fallbacks
         self.fastpath_redos += other.fastpath_redos
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
         for protocol, count in other.matcher_calls.items():
             self.matcher_calls[protocol] = (
                 self.matcher_calls.get(protocol, 0) + count
@@ -297,19 +183,11 @@ class DpiResult:
     """All datagram analyses plus convenience aggregations.
 
     ``stats`` carries the extraction counters for the ``analyze_records``
-    call that produced this result; ``cache_hits``/``cache_misses`` mirror
-    the cache counters within it for backward compatibility.
+    call that produced this result.
     """
 
     analyses: List[DatagramAnalysis] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
     stats: DpiStats = field(default_factory=DpiStats)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
 
     def messages(self) -> List[ExtractedMessage]:
         out: List[ExtractedMessage] = []
@@ -338,26 +216,32 @@ class DpiEngine:
     datagrams, later datagrams skip the RTP offset sweep and probe only the
     learned offsets, with per-datagram and per-stream fallbacks keeping the
     output bit-identical to the sweep (see :mod:`repro.dpi.fastpath`).
+
+    ``cache_size`` is retired: the payload-dedup cache it sized cost more
+    than it saved, so only ``0`` (the old "no cache" spelling) is still
+    accepted, as a no-op.
     """
 
     def __init__(
         self,
         max_offset: int = DEFAULT_MAX_OFFSET,
         protocols: Iterable[Protocol] = tuple(Protocol),
-        cache_size: int = DEFAULT_CACHE_SIZE,
+        cache_size: int = 0,
         fastpath: bool = True,
         fastpath_k: int = DEFAULT_SIGNATURE_K,
         backend: str = "scalar",
     ):
         if max_offset < 0:
             raise ValueError("max_offset must be non-negative")
-        if cache_size < 0:
-            raise ValueError("cache_size must be non-negative")
+        if cache_size != 0:
+            raise ValueError(
+                "cache_size is retired (the payload-dedup cache was "
+                "removed); omit it or pass 0"
+            )
         if backend not in ("scalar", "columnar"):
             raise ValueError(f"unknown DPI backend: {backend!r}")
         self._max_offset = max_offset
         self._protocols = tuple(protocols)
-        self._cache = CandidateCache(cache_size) if cache_size else None
         # The fast path only skips work for RTP sweeps; without RTP in the
         # protocol set there is nothing to learn.
         self._fastpath = bool(fastpath) and Protocol.RTP in self._protocols
@@ -397,24 +281,6 @@ class DpiEngine:
         """Lifetime fast-path prediction misses (each fell back to a sweep)."""
         return self.stats.fastpath_fallbacks
 
-    @property
-    def cache_hits(self) -> int:
-        """Lifetime cache hits across every analysis this engine ran."""
-        return self._cache.hits if self._cache else 0
-
-    @property
-    def cache_misses(self) -> int:
-        """Lifetime cache misses across every analysis this engine ran."""
-        return self._cache.misses if self._cache else 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return self._cache.hit_rate if self._cache else 0.0
-
-    @property
-    def cache_len(self) -> int:
-        return len(self._cache) if self._cache else 0
-
     # -- public API --------------------------------------------------------------
 
     def analyze_records(self, records: Sequence[PacketRecord]) -> DpiResult:
@@ -452,9 +318,9 @@ class DpiEngine:
     def stream_session(self) -> "DpiStreamSession":
         """An incremental analysis session bound to this engine.
 
-        Sessions share the engine's candidate cache and lifetime stats;
-        a session's stats delta is only meaningful while sessions on one
-        engine do not interleave.
+        Sessions share the engine's lifetime stats; a session's stats
+        delta is only meaningful while sessions on one engine do not
+        interleave.
         """
         return DpiStreamSession(self)
 
@@ -473,7 +339,7 @@ class DpiEngine:
                 per_datagram = self._resweep_stream(stream)
             else:
                 per_datagram = [
-                    (record, self._resweep(record.payload))
+                    (record, self._sweep(record.payload))
                     for record in stream.packets
                 ]
             accepted, rtp_scores = self._validate_stream(per_datagram)
@@ -510,15 +376,6 @@ class DpiEngine:
         for record in stream.packets:
             payload = record.payload
             stats.datagrams += 1
-            if self._cache is not None:
-                cached = self._cache.get(payload)
-                if cached is not None:
-                    stats.cache_hits += 1
-                    if learner is not None:
-                        learner.observe(cached)
-                    per_datagram.append((record, cached))
-                    continue
-                stats.cache_misses += 1
             if learner is not None and learner.locked:
                 candidates = self._extract_predicted(payload, learner)
                 if candidates is not None:
@@ -530,8 +387,6 @@ class DpiEngine:
                         if c.protocol is Protocol.RTP
                     )
                     predicted.append((len(per_datagram), spans))
-                    if self._cache is not None:
-                        self._cache.put(payload, candidates)
                     per_datagram.append((record, candidates))
                     continue
                 stats.fastpath_fallbacks += 1
@@ -539,8 +394,6 @@ class DpiEngine:
             candidates = self._sweep(payload)
             if learner is not None:
                 learner.observe(candidates)
-            if self._cache is not None:
-                self._cache.put(payload, candidates)
             per_datagram.append((record, candidates))
         return per_datagram, predicted
 
@@ -552,37 +405,23 @@ class DpiEngine:
     ]:
         """``_extract_stream`` with sweeps served by the batch scanner.
 
-        The per-record control flow (cache probe, fast-path probe, stats
-        accounting) is kept byte-for-byte: only the *source* of a sweep's
-        candidate list changes, and the batch scan is pure in the payload,
-        so computing it ahead of time cannot alter any observable state.
-        Payloads are keyed once up front (``digest_many``) and the keyed
-        cache accessors replace the digesting ones.
+        The per-record control flow (fast-path probe, stats accounting) is
+        kept byte-for-byte: only the *source* of a sweep's candidate list
+        changes, and the batch scan is pure in the payload, so computing it
+        ahead of time cannot alter any observable state.
         """
         stats = self.stats
         learner = (
             SignatureLearner(self._fastpath_k) if self._fastpath else None
         )
-        cache = self._cache
-        payloads = [record.payload for record in stream.packets]
-        keys = (
-            CandidateCache.digest_many(payloads) if cache is not None else None
+        sweeper = _StreamSweeper(
+            self, [record.payload for record in stream.packets]
         )
-        sweeper = _StreamSweeper(self, payloads, keys)
         per_datagram: List[Tuple[PacketRecord, List[Candidate]]] = []
         predicted: List[Tuple[int, Tuple[Tuple[int, int, int], ...]]] = []
         for index, record in enumerate(stream.packets):
             payload = record.payload
             stats.datagrams += 1
-            if cache is not None:
-                cached = cache.get_keyed(keys[index])
-                if cached is not None:
-                    stats.cache_hits += 1
-                    if learner is not None:
-                        learner.observe(cached)
-                    per_datagram.append((record, cached))
-                    continue
-                stats.cache_misses += 1
             locked = False
             if learner is not None and learner.locked:
                 locked = True
@@ -596,8 +435,6 @@ class DpiEngine:
                         if c.protocol is Protocol.RTP
                     )
                     predicted.append((len(per_datagram), spans))
-                    if cache is not None:
-                        cache.put_keyed(keys[index], candidates)
                     per_datagram.append((record, candidates))
                     continue
                 stats.fastpath_fallbacks += 1
@@ -616,8 +453,6 @@ class DpiEngine:
             candidates = sweeper.sweep(index, budget)
             if learner is not None:
                 learner.observe(candidates)
-            if cache is not None:
-                cache.put_keyed(keys[index], candidates)
             per_datagram.append((record, candidates))
         return per_datagram, predicted
 
@@ -647,35 +482,12 @@ class DpiEngine:
         candidates.sort(key=lambda c: (c.offset, -c.length))
         return candidates
 
-    def _resweep(self, payload: bytes) -> List[Candidate]:
-        """Redo sweep that must not read the cache.
-
-        The first pass cached the fast path's (possibly wrong) candidate
-        lists for this stream's payloads; reading them back would replay
-        the mistake.  Writing the fresh sweep results corrects those
-        entries instead.
-        """
-        candidates = self._sweep(payload)
-        if self._cache is not None:
-            self._cache.put(payload, candidates)
-        return candidates
-
     def _resweep_stream(
         self, stream: Stream
     ) -> List[Tuple[PacketRecord, List[Candidate]]]:
-        """Batched redo: unconditional sweeps for a whole stream.
-
-        Like ``_resweep`` this must not read the cache (the first pass
-        cached the fast path's possibly-wrong lists) but does write the
-        fresh results back over them, in record order.
-        """
+        """Batched redo: unconditional sweeps for a whole stream."""
         scanner = self._columnar
         payloads = [record.payload for record in stream.packets]
-        keys = (
-            CandidateCache.digest_many(payloads)
-            if self._cache is not None
-            else None
-        )
         out: List[Tuple[PacketRecord, List[Candidate]]] = []
         for base in range(0, len(payloads), scanner.batch_size):
             results = scanner.scan_batch(payloads[base:base + scanner.batch_size])
@@ -685,8 +497,6 @@ class DpiEngine:
                 candidates = (
                     scanned if scanned is not None else self._scan(payloads[index])
                 )
-                if self._cache is not None:
-                    self._cache.put_keyed(keys[index], candidates)
                 out.append((stream.packets[index], candidates))
         return out
 
@@ -720,19 +530,6 @@ class DpiEngine:
             calls[protocol.value] = calls.get(protocol.value, 0) + 1
             candidates.extend(MATCHERS[protocol](payload, self._max_offset))
         candidates.sort(key=lambda c: (c.offset, -c.length))
-        return candidates
-
-    def _extract_candidates(self, payload: bytes) -> List[Candidate]:
-        """Cache-wrapped single-payload sweep (kept for direct callers)."""
-        if self._cache is not None:
-            cached = self._cache.get(payload)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                return cached
-            self.stats.cache_misses += 1
-        candidates = self._sweep(payload)
-        if self._cache is not None:
-            self._cache.put(payload, candidates)
         return candidates
 
     @staticmethod
@@ -989,29 +786,21 @@ class _StreamSweeper:
     """Serves one stream's sweeps from look-ahead columnar batches.
 
     When a sweep is requested for record *i*, the sweeper batch-scans *i*
-    together with upcoming payloads likely to need a sweep themselves —
-    skipping those whose key is already cached (they will almost surely
-    hit).  The skip is only a scheduling heuristic: a wrong guess just
-    means a payload is scanned in a later batch (or scanned and never
-    consumed), never a behaviour change, because the scan is pure and all
-    stats/cache accounting happens at consumption time in the caller.
+    together with the upcoming payloads.  Scanning ahead never changes
+    behaviour: a pre-scanned payload the fast path ends up serving is
+    simply discarded, because the scan is pure and all stats accounting
+    happens at consumption time in the caller.
 
     Once the fast-path learner locks, sweeps become rare fallbacks, so
     look-ahead would mostly scan payloads the fast path will serve;
     the sweeper then scans just the requested payload.
     """
 
-    __slots__ = ("_engine", "_payloads", "_keys", "_ready", "_cursor")
+    __slots__ = ("_engine", "_payloads", "_ready", "_cursor")
 
-    def __init__(
-        self,
-        engine: DpiEngine,
-        payloads: Sequence[bytes],
-        keys: Optional[Sequence[bytes]],
-    ):
+    def __init__(self, engine: DpiEngine, payloads: Sequence[bytes]):
         self._engine = engine
         self._payloads = payloads
-        self._keys = keys
         self._ready: Dict[int, List[Candidate]] = {}
         self._cursor = 0
 
@@ -1029,23 +818,13 @@ class _StreamSweeper:
     def _fill(self, index: int, budget: int) -> None:
         if self._ready:
             # Entries behind the current record were pre-scanned but then
-            # served by the cache or fast path; they can never be consumed.
+            # served by the fast path; they can never be consumed.
             for stale in [i for i in self._ready if i < index]:
                 del self._ready[stale]
-        take = [index]
-        cache = self._engine._cache
-        keys = self._keys
-        total = len(self._payloads)
         cursor = max(self._cursor, index + 1)
-        while len(take) < budget and cursor < total:
-            if (
-                cache is None
-                or keys is None
-                or not cache.contains_key(keys[cursor])
-            ):
-                take.append(cursor)
-            cursor += 1
-        self._cursor = cursor
+        end = min(cursor + budget - 1, len(self._payloads))
+        take = [index, *range(cursor, end)]
+        self._cursor = max(cursor, end)
         results = self._engine._columnar.scan_batch(
             [self._payloads[i] for i in take]
         )
@@ -1205,8 +984,4 @@ class DpiStreamSession:
 
     def result(self) -> DpiResult:
         """Flush and package everything as a batch-shaped ``DpiResult``."""
-        result = DpiResult(analyses=self.flush())
-        result.stats = self.stats()
-        result.cache_hits = result.stats.cache_hits
-        result.cache_misses = result.stats.cache_misses
-        return result
+        return DpiResult(analyses=self.flush(), stats=self.stats())

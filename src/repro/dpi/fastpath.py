@@ -90,7 +90,7 @@ class StreamSignature:
 class SignatureLearner:
     """Per-stream ``(offset, SSRC)`` recurrence tracker.
 
-    Feed it the RTP candidates of every fully swept (or cached) datagram
+    Feed it the RTP candidates of every fully swept datagram
     via :meth:`observe`; ``signature`` is non-None (the stream is *locked*)
     once at least one dynamic pair is trusted.  While locked, the engine
     reports prediction outcomes via :meth:`record_hit` /

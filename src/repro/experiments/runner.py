@@ -40,8 +40,9 @@ def default_engine(
 ) -> DpiEngine:
     """Process-wide ``DpiEngine`` per ``(max_offset, fastpath, backend)``.
 
-    Reusing one engine across cells keeps its payload-dedup cache warm, so
-    repeated keepalive/probe datagrams are only scanned once per process.
+    Cells share one engine so it (and, on the columnar backend, its batch
+    scanner) is built once per process; it carries no per-cell state
+    besides its lifetime ``DpiStats`` counters.
     """
     return DpiEngine(max_offset=max_offset, fastpath=fastpath, backend=backend)
 
@@ -354,9 +355,9 @@ def run_cell_pipeline(
     if engine is None:
         if plan is not None:
             # A planned cell reuses the process-wide engine keyed by its
-            # chosen backend — the same warm-cache semantics the fixed
-            # path gets from ``run_experiment`` — so ``--plan auto`` pays
-            # no per-cell engine construction the fixed path avoids.
+            # chosen backend — the same sharing the fixed path gets from
+            # ``run_experiment`` — so ``--plan auto`` pays no per-cell
+            # engine construction the fixed path avoids.
             engine = default_engine(config.max_offset, config.fastpath, dpi_backend)
         else:
             engine = DpiEngine(

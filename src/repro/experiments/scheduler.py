@@ -23,12 +23,11 @@ This module owns both halves of "how should this run execute":
 
 The pool ``initializer`` pre-builds the process-wide default engine and
 checker (:func:`repro.experiments.runner.default_engine` /
-``default_checker``), so cell workers start with a warm payload-dedup
-cache holder instead of paying construction cost on their first cell.  It
-also marks the process as a pool worker: code that could otherwise nest a
-second pool (a sharded cell running *inside* a cell worker) checks
-:func:`in_pool_worker` and degrades to in-process shard execution instead
-of spawning grandchildren.
+``default_checker``), so cell workers do not pay construction cost on
+their first cell.  It also marks the process as a pool worker: code that
+could otherwise nest a second pool (a sharded cell running *inside* a
+cell worker) checks :func:`in_pool_worker` and degrades to in-process
+shard execution instead of spawning grandchildren.
 
 ``POOL_FALLBACK_ERRORS`` is the shared contract for "the environment, not
 the code, refused to parallelize": unpicklable payloads, broken pools,

@@ -350,16 +350,6 @@ def _merge_outcomes(
     return analyses, verdicts, stats, list(merged.values())
 
 
-def _merged_dpi_result(
-    analyses: List[DatagramAnalysis], stats: DpiStats
-) -> DpiResult:
-    result = DpiResult(analyses=analyses)
-    result.stats = stats
-    result.cache_hits = stats.cache_hits
-    result.cache_misses = stats.cache_misses
-    return result
-
-
 def _merge_filter_results(
     outcomes: Sequence[_ShardOutcome], first_arrival: Dict[FlowKey, int]
 ) -> FilterResult:
@@ -432,10 +422,6 @@ def run_streaming_sharded(
     every shard in-process (still exercising the partition/merge path),
     and unpicklable factories or a pool-hostile environment degrade to
     in-process execution with identical output.
-
-    Merged ``DpiStats`` cache counters can differ from a single shared
-    engine's (each shard deduplicates payloads only within its own
-    cache); classification results are unaffected by design.
     """
     records = list(records)
     shard_records, shard_arrivals, _first_arrival, _o, _p = _partition(
@@ -447,7 +433,7 @@ def run_streaming_sharded(
     )
     outcomes = _execute_tasks(tasks, workers)
     analyses, verdicts, stats, stage_stats = _merge_outcomes(outcomes)
-    return _merged_dpi_result(analyses, stats), verdicts, stage_stats
+    return DpiResult(analyses=analyses, stats=stats), verdicts, stage_stats
 
 
 def run_cell_sharded(
@@ -481,7 +467,7 @@ def run_cell_sharded(
     analyses, verdicts, stats, stage_stats = _merge_outcomes(outcomes)
     return ShardedCellRun(
         filter_result=_merge_filter_results(outcomes, first_arrival),
-        dpi=_merged_dpi_result(analyses, stats),
+        dpi=DpiResult(analyses=analyses, stats=stats),
         verdicts=verdicts,
         stage_stats=stage_stats,
     )

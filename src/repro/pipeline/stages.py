@@ -190,11 +190,7 @@ class DpiStage(Stage):
         """The flushed analyses as a batch-shaped ``DpiResult``."""
         if self._analyses is None:
             raise RuntimeError("result() requires collect=True and a flush")
-        result = DpiResult(analyses=self._analyses)
-        result.stats = self._session.stats()
-        result.cache_hits = result.stats.cache_hits
-        result.cache_misses = result.stats.cache_misses
-        return result
+        return DpiResult(analyses=self._analyses, stats=self._session.stats())
 
 
 class CheckStage(Stage):

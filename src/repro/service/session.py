@@ -149,7 +149,8 @@ class AnalysisSession:
     produces a :class:`FilterResult`; without one it assumes the caller
     feeds pre-filtered records and runs DPI → checker only.  ``engine``
     and ``checker`` default to fresh instances so sessions are isolated
-    unless a caller deliberately shares warm engine caches.
+    unless a caller deliberately shares them (a shared engine also
+    accumulates lifetime ``DpiStats`` across sessions).
     """
 
     def __init__(
@@ -301,10 +302,7 @@ class AnalysisSession:
         self._indexed.extend(self._back.flush())
 
         verdicts, analyses = self._restore_batch_order()
-        dpi = DpiResult(analyses=analyses)
-        dpi.stats = self._dpi_stage.stats()
-        dpi.cache_hits = dpi.stats.cache_hits
-        dpi.cache_misses = dpi.stats.cache_misses
+        dpi = DpiResult(analyses=analyses, stats=self._dpi_stage.stats())
 
         stage_stats: Dict[str, StageStats] = {}
         if self._front is not None:

@@ -4,8 +4,8 @@ The columnar scanner's whole contract is that its candidate lists are
 bit-identical to the scalar matchers for every payload — golden traffic,
 adversarial edge cases, any batch split — on both the numpy and the
 pure-Python path.  These tests pin that contract, plus the pieces riding
-along: engine-level backend parity (verdicts *and* DpiStats), the
-digest-once CandidateCache batch API, and the CLI flag.
+along: engine-level backend parity (verdicts *and* DpiStats) and the CLI
+flag.
 """
 
 from functools import partial
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.apps import CallConfig, NetworkCondition, get_simulator
 from repro.dpi import HAVE_NUMPY, ColumnarScanner, DpiEngine
-from repro.dpi.engine import CandidateCache
 from repro.dpi.messages import Protocol
 from repro.filtering import TwoStageFilter
 
@@ -160,16 +159,13 @@ class TestScannerParity:
 
 class TestEngineBackendParity:
     @pytest.mark.parametrize("fastpath", [False, True])
-    @pytest.mark.parametrize("cache_size", [0, 4096])
-    def test_backend_bit_identical(self, kept_records, fastpath, cache_size):
-        scalar = DpiEngine(fastpath=fastpath, cache_size=cache_size)
-        columnar = DpiEngine(
-            fastpath=fastpath, cache_size=cache_size, backend="columnar"
-        )
+    def test_backend_bit_identical(self, kept_records, fastpath):
+        scalar = DpiEngine(fastpath=fastpath)
+        columnar = DpiEngine(fastpath=fastpath, backend="columnar")
         a = scalar.analyze_records(kept_records)
         b = columnar.analyze_records(kept_records)
         assert a.analyses == b.analyses
-        # DpiStats — sweeps, matcher calls, cache and fast-path counters —
+        # DpiStats — sweeps, matcher calls and fast-path counters —
         # must match exactly, not just the verdicts.
         assert a.stats.as_dict() == b.stats.as_dict()
         assert columnar.columnar_stats.fallbacks == 0
@@ -192,66 +188,6 @@ class TestEngineBackendParity:
         assert engine.columnar_stats is not None
         with pytest.raises(ValueError):
             DpiEngine(backend="simd")
-
-
-class TestCandidateCacheBatchApi:
-    def test_digest_many_matches_scalar_key(self):
-        payloads = [b"", b"a", b"\x80" * 40, b"a"]
-        assert CandidateCache.digest_many(payloads) == [
-            CandidateCache._key(p) for p in payloads
-        ]
-
-    def test_batch_api_equivalent_to_scalar(self):
-        # Same op sequence through the payload API and the keyed batch
-        # API: identical hits, misses, contents, and eviction order.
-        scanner = ColumnarScanner(200, use_numpy=False)
-        payloads = [bytes([i]) * (i + 1) for i in range(6)]
-        ops = payloads + payloads[:3] + payloads[4:] + [b"\x80" * 20]
-        a = CandidateCache(maxsize=4)
-        b = CandidateCache(maxsize=4)
-        for payload in ops:
-            got_a = a.get(payload)
-            if got_a is None:
-                a.put(payload, scanner.scan_payload(payload))
-        keys, results = b.get_many(ops)
-        misses = [
-            (key, scanner.scan_payload(payload))
-            for key, payload, got in zip(keys, ops, results)
-            if got is None
-        ]
-        b.put_many(misses)
-        assert (a.hits, a.misses) == (b.hits, b.misses)
-        assert list(a._store) == list(b._store)
-
-    def test_get_many_hits_within_one_batch_after_put(self):
-        cache = CandidateCache(maxsize=8)
-        payload = b"\x80" * 16
-        keys, results = cache.get_many([payload, payload])
-        assert results == [None, None]
-        assert keys[0] == keys[1]
-        cache.put_many([(keys[0], [])])
-        _, results = cache.get_many([payload])
-        assert results == [[]]
-
-    def test_contains_key_is_pure(self):
-        cache = CandidateCache(maxsize=2)
-        key_a, key_b = CandidateCache.digest_many([b"a", b"b"])
-        cache.put_keyed(key_a, [])
-        cache.put_keyed(key_b, [])
-        hits, misses = cache.hits, cache.misses
-        assert cache.contains_key(key_a)
-        assert not cache.contains_key(b"\x00" * 20)
-        # No counter moved and no LRU touch: "a" is still the eviction
-        # victim even though it was just probed.
-        assert (cache.hits, cache.misses) == (hits, misses)
-        cache.put_keyed(CandidateCache._key(b"c"), [])
-        assert not cache.contains_key(key_a)
-        assert cache.contains_key(key_b)
-
-    def test_zero_capacity_put_many_is_noop(self):
-        cache = CandidateCache(maxsize=0)
-        cache.put_many([(CandidateCache._key(b"a"), [])])
-        assert not cache.contains_key(CandidateCache._key(b"a"))
 
 
 class TestCliBackendFlag:

@@ -25,7 +25,6 @@ from repro.conformance import (
 )
 from repro.conformance.golden import cell_records, corpus_cells
 from repro.dpi import DpiEngine
-from repro.dpi.engine import DEFAULT_CACHE_SIZE
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +53,6 @@ class TestDifferentialCheck:
         assert {
             "sweep",
             "fastpath",
-            "cached",
-            "fastpath-cached-shared",
             "streaming",
             "sharded-streaming",
             "columnar",
@@ -108,31 +105,25 @@ class TestSchemaStability:
 
 class TestDpiStatsInvariants:
     def test_counters_consistent_across_all_cells(self, corpus_dir):
-        """Cache + fast path never lose or double-count a datagram.
+        """The fast path never loses or double-counts a datagram.
 
-        One shared fastpath+cached engine (the production ``run_matrix``
-        shape) replays all 18 cells; per-cell counter deltas must satisfy
-        every internal identity — hits + misses == lookups <= datagrams,
-        and cache hits + fast-path hits + sweeps covering every datagram.
+        One shared fast-path engine (the production ``run_matrix`` shape)
+        replays all 18 cells; per-cell counter deltas must satisfy every
+        internal identity — fast-path hits + sweeps covering every
+        datagram, and the retired cache counters staying at zero.
         """
         manifest = load_manifest(corpus_dir)
         config = CorpusConfig.from_dict(manifest["config"])
         cells = corpus_cells(manifest)
         assert len(cells) == 18
-        engine = DpiEngine(
-            max_offset=config.max_offset,
-            cache_size=DEFAULT_CACHE_SIZE,
-            fastpath=True,
-        )
+        engine = DpiEngine(max_offset=config.max_offset, fastpath=True)
         for app, network in cells:
             before = engine.stats.copy()
             dpi = engine.analyze_records(cell_records(app, network, config))
             delta = engine.stats.since(before)
             assert delta.invariant_violations() == [], (app, network)
             assert delta.datagrams == len(dpi.analyses)
-            assert delta.cache_hits + delta.cache_misses == delta.cache_lookups
-            assert delta.cache_lookups <= delta.datagrams
-            covered = delta.cache_hits + delta.fastpath_hits + delta.sweeps
+            covered = delta.fastpath_hits + delta.sweeps
             assert covered >= delta.datagrams
             if delta.fastpath_redos == 0:
                 assert covered == delta.datagrams

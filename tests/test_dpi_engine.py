@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dpi import DatagramClass, DpiEngine, Protocol
+from repro.dpi import DatagramClass, DpiEngine, DpiStats, Protocol
 from repro.packets.packet import PacketRecord
 from repro.protocols.rtp.header import RtpPacket
 from repro.protocols.stun.attributes import StunAttribute
@@ -136,6 +136,26 @@ class TestEngineMisc:
     def test_negative_offset_rejected(self):
         with pytest.raises(ValueError):
             DpiEngine(max_offset=-1)
+
+    def test_retired_cache_size(self):
+        # ``cache_size=0`` is the old "no cache" spelling and still builds
+        # an engine; sizing the removed payload-dedup cache is an error.
+        records = rtp_stream_records()
+        retired = DpiEngine(fastpath=False, cache_size=0)
+        assert retired.analyze_records(records).analyses == \
+            DpiEngine(fastpath=False).analyze_records(records).analyses
+        assert retired.stats.cache_lookups == 0
+        with pytest.raises(ValueError):
+            DpiEngine(cache_size=4096)
+
+    def test_invariants_flag_retired_cache_counters(self):
+        sound = DpiStats(datagrams=3, sweeps=2, fastpath_hits=1)
+        assert sound.invariant_violations() == []
+        stale = DpiStats(datagrams=3, sweeps=2, fastpath_hits=1, cache_hits=1)
+        assert any("cache_hits" in p for p in stale.invariant_violations())
+        # Hits + sweeps must cover every datagram.
+        short = DpiStats(datagrams=3, sweeps=1, fastpath_hits=1)
+        assert short.invariant_violations()
 
     def test_tcp_records_ignored(self):
         record = PacketRecord(

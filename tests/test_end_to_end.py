@@ -3,6 +3,10 @@
 These run the full pipeline per app (shared via the session cache) and check
 the qualitative claims of §5: which protocols/applications are compliant,
 the type-level table rows, and the orderings in Figures 4-5.
+
+The Table 3 rows are pinned exactly at the fixture scale (15 s calls,
+media scale 0.3, seed 1), so a change that moves any paper result fails
+here first.
 """
 
 import pytest
@@ -69,37 +73,55 @@ class TestPaperFindings:
         assert compliant == 0
         assert total == 9
 
-    def test_whatsapp_table3_row(self, summaries):
-        summary = summaries["whatsapp"]
-        assert summary.type_ratio("stun_turn") == (1, 10)
-        assert summary.type_ratio("rtp") == (5, 5)
-        assert summary.type_ratio("rtcp") == (4, 4)
-
-    def test_messenger_table3_row(self, summaries):
-        summary = summaries["messenger"]
-        assert summary.type_ratio("stun_turn") == (11, 18)
-        assert summary.type_ratio("rtp") == (5, 5)
-        assert summary.type_ratio("rtcp") == (4, 4)
+    @staticmethod
+    def _assert_table3_row(summary, stun, rtp, rtcp, quic, row=None):
+        """Compliant/total type counts per protocol; (0, 0) is an absent
+        protocol (a dash in Table 3)."""
+        assert summary.type_ratio("stun_turn") == stun
+        assert summary.type_ratio("rtp") == rtp
+        assert summary.type_ratio("rtcp") == rtcp
+        assert summary.type_ratio("quic") == quic
+        if row is not None:
+            assert summary.type_ratio() == row
 
     def test_facetime_table3_row(self, summaries):
-        summary = summaries["facetime"]
-        assert summary.type_ratio("stun_turn") == (0, 4)
-        assert summary.type_ratio("rtp") == (0, 5)
-        assert summary.type_ratio("quic")[0] == summary.type_ratio("quic")[1] > 0
+        self._assert_table3_row(
+            summaries["facetime"],
+            stun=(0, 4), rtp=(0, 5), rtcp=(0, 0), quic=(4, 4), row=(4, 13),
+        )
+
+    def test_whatsapp_table3_row(self, summaries):
+        self._assert_table3_row(
+            summaries["whatsapp"],
+            stun=(1, 10), rtp=(5, 5), rtcp=(4, 4), quic=(0, 0), row=(10, 19),
+        )
+
+    def test_messenger_table3_row(self, summaries):
+        self._assert_table3_row(
+            summaries["messenger"],
+            stun=(11, 18), rtp=(5, 5), rtcp=(4, 4), quic=(0, 0), row=(20, 27),
+        )
+
+    def test_discord_table3_row(self, summaries):
+        self._assert_table3_row(
+            summaries["discord"],
+            stun=(0, 0), rtp=(0, 4), rtcp=(0, 5), quic=(0, 0), row=(0, 9),
+        )
 
     def test_meet_table3_row(self, summaries):
-        summary = summaries["meet"]
-        assert summary.type_ratio("stun_turn") == (15, 16)
-        rtp_compliant, rtp_total = summary.type_ratio("rtp")
-        assert rtp_compliant == rtp_total > 0
-        assert summary.type_ratio("rtcp") == (0, 7)
+        self._assert_table3_row(
+            summaries["meet"],
+            stun=(15, 16), rtp=(11, 11), rtcp=(0, 7), quic=(0, 0), row=(26, 34),
+        )
 
     def test_zoom_table3_row(self, summaries):
-        summary = summaries["zoom"]
-        assert summary.type_ratio("stun_turn") == (0, 2)
-        rtp_compliant, rtp_total = summary.type_ratio("rtp")
-        assert rtp_compliant == rtp_total > 0
-        assert summary.type_ratio("rtcp") == (2, 2)
+        # Zoom's RTP type count grows with call length: the paper says
+        # 50/50 and the EXPERIMENTS.md footnote gives 52/52 at bench
+        # scale, so the row total is left unpinned.
+        self._assert_table3_row(
+            summaries["zoom"],
+            stun=(0, 2), rtp=(25, 25), rtcp=(2, 2), quic=(0, 0),
+        )
 
     def test_table5_rows(self, summaries):
         facetime_rtp = set(summaries["facetime"].observed_types("rtp"))

@@ -225,7 +225,7 @@ class TestCollideRebindMidLock:
     def test_fastpath_output_matches_sweep_across_rebind(self):
         _records, impaired = self._collision_records()
         fast = DpiEngine(max_offset=200, fastpath=True)
-        slow = DpiEngine(max_offset=200, fastpath=False, cache_size=0)
+        slow = DpiEngine(max_offset=200, fastpath=False)
         checker = ComplianceChecker()
 
         def facts(engine):

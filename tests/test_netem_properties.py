@@ -135,7 +135,7 @@ def _facts_digest(dpi, verdicts):
 
 
 def _reference_digest(records):
-    engine = DpiEngine(max_offset=MAX_OFFSET, cache_size=0, fastpath=False)
+    engine = DpiEngine(max_offset=MAX_OFFSET, fastpath=False)
     dpi = engine.analyze_records(records)
     verdicts = ComplianceChecker().check(dpi.messages())
     return _facts_digest(dpi, verdicts)

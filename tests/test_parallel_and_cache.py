@@ -1,11 +1,10 @@
-"""Tests for the parallel matrix executor and the DPI payload-dedup cache."""
+"""Tests for the parallel matrix executor and summary merging."""
 
 import pytest
 
-from repro.apps import CallConfig, NetworkCondition, get_simulator
+from repro.apps import NetworkCondition
 from repro.core.metrics import TypeComplianceEntry, VolumeCompliance
 from repro.core import ComplianceSummary
-from repro.dpi import CandidateCache, DpiEngine
 from repro.experiments import (
     ExperimentConfig,
     matrix_cells,
@@ -13,20 +12,10 @@ from repro.experiments import (
     run_matrix_parallel,
 )
 from repro.experiments.runner import MAX_EXAMPLE_VIOLATIONS, merge_summaries
-from repro.filtering import TwoStageFilter
-from repro.protocols.rtp.header import RtpPacket
-from repro.packets.packet import PacketRecord
 
 CONFIG = ExperimentConfig(call_duration=6.0, media_scale=0.25, seed=7)
 APPS = ("whatsapp", "discord")
 NETWORKS = (NetworkCondition.WIFI_RELAY, NetworkCondition.CELLULAR)
-
-
-def udp(t, payload, sport=50000, dport=3478):
-    return PacketRecord(
-        timestamp=t, src_ip="10.0.0.1", src_port=sport,
-        dst_ip="20.0.0.2", dst_port=dport, transport="UDP", payload=payload,
-    )
 
 
 class TestParallelParity:
@@ -65,90 +54,6 @@ class TestParallelParity:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
             run_matrix_parallel(APPS, NETWORKS, CONFIG, workers=0)
-
-
-class TestCandidateCache:
-    def test_hit_miss_accounting(self):
-        engine = DpiEngine()
-        keepalive = bytes.fromhex("000100002112a442") + bytes(12)
-        records = [udp(1.0 + i * 0.5, keepalive) for i in range(10)]
-        result = engine.analyze_records(records)
-        assert result.cache_misses == 1
-        assert result.cache_hits == 9
-        assert result.cache_hit_rate == pytest.approx(0.9)
-        assert engine.cache_hits == 9 and engine.cache_misses == 1
-
-    def test_unique_payloads_all_miss(self):
-        engine = DpiEngine()
-        records = [udp(1.0 + i, bytes([i]) * 20) for i in range(5)]
-        result = engine.analyze_records(records)
-        assert result.cache_hits == 0
-        assert result.cache_misses == 5
-
-    def test_lru_eviction_bound(self):
-        cache = CandidateCache(maxsize=2)
-        cache.put(b"a", [])
-        cache.put(b"b", [])
-        cache.put(b"c", [])  # evicts "a"
-        assert len(cache) == 2
-        assert cache.get(b"a") is None  # miss: evicted
-        assert cache.get(b"b") is not None
-        assert cache.get(b"c") is not None
-        assert cache.misses == 1 and cache.hits == 2
-
-    def test_lru_recency_order(self):
-        cache = CandidateCache(maxsize=2)
-        cache.put(b"a", [])
-        cache.put(b"b", [])
-        assert cache.get(b"a") is not None  # refresh "a"
-        cache.put(b"c", [])  # now evicts "b", not "a"
-        assert cache.get(b"a") is not None
-        assert cache.get(b"b") is None
-
-    def test_cache_disabled(self):
-        engine = DpiEngine(cache_size=0)
-        keepalive = bytes.fromhex("000100002112a442") + bytes(12)
-        result = engine.analyze_records([udp(1.0, keepalive),
-                                         udp(2.0, keepalive)])
-        assert result.cache_hits == 0 and result.cache_misses == 0
-        assert engine.cache_len == 0
-
-    def test_cached_results_identical(self):
-        # The RTP-continuation rule mutates Candidate.length in place; the
-        # cache must hand out copies so a truncated candidate from one
-        # datagram never leaks into the next identical datagram.
-        first = RtpPacket(payload_type=96, sequence_number=10, timestamp=0,
-                          ssrc=0xAB, payload=bytes(20)).build()
-        second = RtpPacket(payload_type=96, sequence_number=11, timestamp=160,
-                           ssrc=0xAB, payload=bytes(20)).build()
-        dual = first + second
-        records = []
-        for i in range(6):
-            records.append(udp(1.0 + i * 0.02, dual))
-        engine = DpiEngine()
-        once = engine.analyze_records(records)
-        again = engine.analyze_records(records)
-        assert again.cache_hits > 0
-        assert [len(a.messages) for a in once.analyses] == \
-               [len(a.messages) for a in again.analyses]
-        for a, b in zip(once.analyses, again.analyses):
-            assert [(m.offset, m.length) for m in a.messages] == \
-                   [(m.offset, m.length) for m in b.messages]
-
-    def test_whatsapp_relay_hit_rate(self):
-        # Engines persist across analyses (module-level factories), so the
-        # recurring keepalives/probes of successive identical scans hit.
-        trace = get_simulator("whatsapp").simulate(
-            CallConfig(network=NetworkCondition.WIFI_RELAY, seed=0,
-                       call_duration=6.0, media_scale=0.25)
-        )
-        kept = TwoStageFilter(trace.window).apply(trace.records).kept_records
-        engine = DpiEngine()
-        engine.analyze_records(kept)
-        for _ in range(2):
-            rescan = engine.analyze_records(kept)
-            assert rescan.cache_hit_rate > 0.5
-        assert engine.cache_hit_rate > 0.5
 
 
 class TestMergeSummaryCap:

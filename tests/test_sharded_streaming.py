@@ -112,6 +112,34 @@ class TestShardInvariance:
                 assert stat.records_in == single_by_name[name].records_in
                 assert stat.records_out == single_by_name[name].records_out
 
+    def test_dpi_stats_exact_on_golden_cells(self):
+        # Engines keep no cross-stream state, so partitioning flows across
+        # shards must not move a single DPI counter.
+        from repro.conformance import (
+            CorpusConfig,
+            default_corpus_dir,
+            load_manifest,
+        )
+        from repro.conformance.golden import cell_records, corpus_cells
+
+        manifest = load_manifest(default_corpus_dir())
+        config = CorpusConfig.from_dict(manifest["config"])
+        factory = partial(DpiEngine, max_offset=config.max_offset)
+        cells = corpus_cells(manifest)
+        assert len(cells) == 18
+        for app, network in cells:
+            records = cell_records(app, network, config)
+            single, _verdicts, _stats = run_streaming(
+                records, factory(), ComplianceChecker()
+            )
+            for shards in (2, 3):
+                dpi, _verdicts, _stats = run_streaming_sharded(
+                    records, engine_factory=factory, shards=shards, workers=0,
+                )
+                assert dpi.stats.as_dict() == single.stats.as_dict(), (
+                    app, network.value, shards,
+                )
+
     def test_pool_path_matches_in_process(self, kept_records):
         reference = run_streaming_sharded(
             kept_records, engine_factory=partial(DpiEngine),

@@ -204,8 +204,8 @@ class TestPipelineInstrumentation:
 
 class TestDpiStreamSession:
     def test_session_result_equals_batch(self, kept_records):
-        batch = DpiEngine(cache_size=0).analyze_records(kept_records)
-        session = DpiEngine(cache_size=0).stream_session()
+        batch = DpiEngine().analyze_records(kept_records)
+        session = DpiEngine().stream_session()
         for rec in kept_records:
             session.feed(rec)
         streamed = session.result()
@@ -222,8 +222,8 @@ class TestDpiStreamSession:
         assert streamed.stats.as_dict() == batch.stats.as_dict()
 
     def test_analyze_iter_matches_analyze_records(self, kept_records):
-        batch = DpiEngine(cache_size=0).analyze_records(kept_records)
-        iterated = list(DpiEngine(cache_size=0).analyze_iter(kept_records))
+        batch = DpiEngine().analyze_records(kept_records)
+        iterated = list(DpiEngine().analyze_iter(kept_records))
         assert [(a.record.timestamp, a.classification) for a in iterated] == [
             (a.record.timestamp, a.classification) for a in batch.analyses
         ]
@@ -235,7 +235,7 @@ class TestDpiStreamSession:
         rest = [r for r in udp if r.flow_key != first_key]
         assert first_flow and rest
 
-        session = DpiEngine(cache_size=0).stream_session()
+        session = DpiEngine().stream_session()
         for rec in first_flow:
             session.feed(rec)
         high_water = session.buffered
@@ -249,7 +249,7 @@ class TestDpiStreamSession:
 
         # Early release changes emission order, never per-stream verdicts:
         # streams are independent, so the union matches the batch run.
-        batch = DpiEngine(cache_size=0).analyze_records(udp)
+        batch = DpiEngine().analyze_records(udp)
         combined = sorted(
             early + late, key=lambda a: a.record.timestamp
         )
@@ -259,7 +259,7 @@ class TestDpiStreamSession:
         assert high_water == len(first_flow)
 
     def test_feed_after_flush_raises(self, kept_records):
-        session = DpiEngine(cache_size=0).stream_session()
+        session = DpiEngine().stream_session()
         session.feed(kept_records[0])
         session.flush()
         with pytest.raises(RuntimeError):
@@ -269,7 +269,7 @@ class TestDpiStreamSession:
 class TestCheckerStreamParity:
     @pytest.mark.parametrize("strict_compound", [False, True])
     def test_stream_matches_batch(self, kept_records, strict_compound):
-        dpi = DpiEngine(cache_size=0).analyze_records(kept_records)
+        dpi = DpiEngine().analyze_records(kept_records)
         checker = ComplianceChecker(strict_compound=strict_compound)
         batch = checker.check(dpi.messages())
 
@@ -295,7 +295,7 @@ class TestCheckerStreamParity:
 
 class TestStreamingSummaryParity:
     def test_out_of_order_add_reproduces_batch_summary(self, kept_records):
-        dpi = DpiEngine(cache_size=0).analyze_records(kept_records)
+        dpi = DpiEngine().analyze_records(kept_records)
         verdicts = ComplianceChecker().check(dpi.messages())
         batch = ComplianceSummary.from_verdicts("meet", verdicts)
 
@@ -328,10 +328,10 @@ class TestCellPipelineParity:
             "meet",
             NetworkCondition.CELLULAR,
             self.CONFIG,
-            engine=DpiEngine(cache_size=0),
+            engine=DpiEngine(),
             checker=ComplianceChecker(),
         )
-        batch_dpi = DpiEngine(cache_size=0).analyze_records(kept_records)
+        batch_dpi = DpiEngine().analyze_records(kept_records)
         batch_verdicts = ComplianceChecker().check(batch_dpi.messages())
 
         assert run.filter_result.kept_records == kept_records
@@ -361,9 +361,9 @@ class TestCellPipelineParity:
 
     def test_run_streaming_helper(self, kept_records):
         dpi, verdicts, stats = run_streaming(
-            kept_records, DpiEngine(cache_size=0), ComplianceChecker()
+            kept_records, DpiEngine(), ComplianceChecker()
         )
-        batch_dpi = DpiEngine(cache_size=0).analyze_records(kept_records)
+        batch_dpi = DpiEngine().analyze_records(kept_records)
         assert len(verdicts) == len(batch_dpi.messages())
         assert [s.name for s in stats] == ["dpi", "check"]
 
@@ -372,9 +372,7 @@ class TestDifferStreamingSpec:
     def test_streaming_sweep_matches_all_golden_cells(self):
         # The committed corpus ships with the repo; replay every cell
         # through a sweep-configured engine driven by the streaming core.
-        spec = EngineSpec(
-            "streaming-sweep", fastpath=False, cache_size=0, streaming=True
-        )
+        spec = EngineSpec("streaming-sweep", fastpath=False, streaming=True)
         report = check_corpus(default_corpus_dir(), specs=(spec,))
         drifts = "\n".join(d.render() for d in report.drifts)
         assert report.ok, f"streaming engine drifted from goldens:\n{drifts}"
