@@ -525,109 +525,11 @@ def test_sharded_parallel_throughput():
         assert shard_dgs[4] >= 2.0 * shard_dgs[1], RESULTS["parallel"]
 
 
-def test_planner_auto_vs_fixed(tmp_path):
-    """Acceptance bench for the adaptive execution planner.
-
-    Runs the small bench matrix under three hand-picked fixed
-    configurations (naive defaults, columnar backend, the 4-shard request
-    the old bench documented as a 0.81x cliff) and under ``--plan auto``
-    with a fresh calibration cache.  Auto must stay within the acceptance
-    envelope of the best fixed configuration, and on a machine whose
-    shard plan *refuses* 4 shards it must strictly beat that clamped
-    configuration — that is the scenario the planner exists to avoid.
-    Auto results must also stay bit-identical to the fixed-default run.
-    """
-    from repro.experiments import costmodel
-
-    apps = ("whatsapp", "discord", "meet")
-    networks = (NetworkCondition.WIFI_RELAY, NetworkCondition.CELLULAR)
-    base = ExperimentConfig(call_duration=8.0, media_scale=0.25, seed=3)
-
-    costmodel.reset_stores()
-    configs = {
-        name: dataclasses.replace(
-            config, calibration_file=str(tmp_path / f"{name}.json")
-        )
-        for name, config in {
-            "defaults": base,
-            "columnar": dataclasses.replace(base, dpi_backend="columnar"),
-            "shards4": dataclasses.replace(base, shard_workers=4),
-            "auto": dataclasses.replace(base, plan="auto"),
-        }.items()
-    }
-
-    def run_once(config):
-        start = time.perf_counter()
-        result = run_matrix(apps, networks, config=config, workers=1)
-        return time.perf_counter() - start, result
-
-    # Warm-up repetition of every config (auto's probes each cell and
-    # seeds its calibration cache, exactly like the first repetition of
-    # any real sweep), then interleaved best-of-3 timed rounds — the
-    # matrix differences at stake (a few percent) are smaller than the
-    # drift between non-interleaved measurement blocks.
-    results = {}
-    for name, config in configs.items():
-        _, results[name] = run_once(config)
-    best = {}
-    for _ in range(3):
-        for name, config in configs.items():
-            elapsed, _ = run_once(config)
-            best[name] = min(best.get(name, elapsed), elapsed)
-
-    reference, auto_result = results["defaults"], results["auto"]
-    for app in apps:
-        assert auto_result.per_app[app].summary == reference.per_app[app].summary
-        assert (auto_result.per_app[app].class_counts
-                == reference.per_app[app].class_counts)
-
-    auto_seconds = best.pop("auto")
-    fixed_seconds = best
-    best_name = min(fixed_seconds, key=fixed_seconds.__getitem__)
-    ratio = auto_seconds / fixed_seconds[best_name]
-    plan_4 = plan_shard_workers(4, 4)
-    RESULTS["planner"] = {
-        "matrix": {
-            "apps": list(apps),
-            "networks": [n.value for n in networks],
-            "call_duration": base.call_duration,
-            "media_scale": base.media_scale,
-            "seed": base.seed,
-        },
-        "cpu_count": os.cpu_count() or 1,
-        "auto_seconds": round(auto_seconds, 3),
-        "fixed_seconds": {
-            name: round(seconds, 3) for name, seconds in fixed_seconds.items()
-        },
-        "best_fixed": best_name,
-        "auto_vs_best_fixed": round(ratio, 3),
-        "target_ratio": 1.05,
-        "within_target": ratio <= 1.05,
-        "clamped_case": {
-            "config": "shard_workers=4",
-            "plan": plan_4.as_dict(),
-            "refused": plan_4.in_process,
-            "seconds": round(fixed_seconds["shards4"], 3),
-            "auto_beats_clamped": auto_seconds < fixed_seconds["shards4"],
-        },
-        "sample_plans": {
-            app: auto_result.per_app[app].plans[0] for app in apps
-        },
-    }
-    # Hard bar with measurement slack; the 1.05 target itself is recorded
-    # in the JSON so the trajectory shows how close auto actually runs.
-    assert ratio <= 1.25, RESULTS["planner"]
-    if plan_4.in_process:
-        # The clamped-CPU scenario the old bench mis-read as a regression:
-        # auto refuses the sharding and must win outright.
-        assert auto_seconds < fixed_seconds["shards4"], RESULTS["planner"]
-
-
 def test_emit_bench_json():
     """Flush the numbers gathered above to ``BENCH_pipeline.json``."""
     assert "dpi" in RESULTS and "matrix_serial" in RESULTS and "memory" in RESULTS
     assert "parallel" in RESULTS and "columnar" in RESULTS
-    assert "planner" in RESULTS and "ingest" in RESULTS
+    assert "ingest" in RESULTS
     payload = dict(RESULTS)
     payload["trace"] = {
         "app": "zoom", "network": "wifi_relay",

@@ -57,16 +57,15 @@ def add_execution_flags(
     parser: argparse.ArgumentParser,
     workers: bool = False,
     sharding: bool = False,
-    plan: bool = False,
+    chunking: bool = False,
     backend: bool = False,
     impairment: bool = False,
 ) -> None:
     """Attach the shared execution-matrix flags to *parser*.
 
     One definition per flag — ``--workers``, ``--shard-workers``,
-    ``--chunk-size``, ``--plan``, ``--calibration-file``,
-    ``--dpi-backend``, ``--impairment`` — so every subcommand (including
-    ``serve``) wires the same names, types, defaults, and help text, and
+    ``--chunk-size``, ``--dpi-backend``, ``--impairment`` — so every
+    subcommand wires the same names, types, defaults, and help text, and
     :func:`config_from_args` can rebuild an :class:`ExperimentConfig`
     from any of them.
     """
@@ -79,20 +78,10 @@ def add_execution_flags(
                             help="flow-shard each cell's streaming pipeline "
                                  "across N worker processes (default: 1, "
                                  "unsharded; results are identical)")
+    if chunking:
         parser.add_argument("--chunk-size", type=_chunk_size, default=None,
                             help="records per pipeline stage dispatch "
                                  "(default: 256; 1 = per-record feeding)")
-    if plan:
-        parser.add_argument("--plan", choices=("auto", "fixed"), default="fixed",
-                            help="execution planning mode: auto lets the "
-                                 "adaptive planner pick shard workers, chunk "
-                                 "size and DPI backend per cell from "
-                                 "calibrated stage rates (default: fixed, "
-                                 "use the flags as given)")
-        parser.add_argument("--calibration-file", default=None,
-                            help="planner calibration cache path (default: "
-                                 "$RTC_COMPLIANCE_CALIBRATION or "
-                                 "~/.cache/rtc-compliance/calibration.json)")
     if backend:
         parser.add_argument("--dpi-backend", choices=("scalar", "columnar"),
                             default="scalar",
@@ -125,8 +114,6 @@ def config_from_args(args: argparse.Namespace, **overrides) -> ExperimentConfig:
         "repeats": getattr(args, "repeats", 1),
         "shard_workers": getattr(args, "shard_workers", 1),
         "dpi_backend": getattr(args, "dpi_backend", "scalar"),
-        "plan": getattr(args, "plan", "fixed"),
-        "calibration_file": getattr(args, "calibration_file", None),
         "impairment": getattr(args, "impairment", "none"),
     }
     chunk_size = getattr(args, "chunk_size", None)
@@ -167,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_p.add_argument("--repeats", type=int, default=1)
     matrix_p.add_argument("--seed", type=int, default=0)
     add_execution_flags(matrix_p, workers=True, sharding=True,
-                        plan=True, backend=True, impairment=True)
+                        chunking=True, backend=True, impairment=True)
 
     synth_p = sub.add_parser("synthesize", help="write a synthetic call trace to pcap")
     synth_p.add_argument("--app", choices=APP_NAMES, required=True)
@@ -181,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     pcap_p = sub.add_parser("pcap", help="analyze an existing pcap capture")
     pcap_p.add_argument("path")
     pcap_p.add_argument("--max-offset", type=int, default=200)
-    add_execution_flags(pcap_p, plan=True, backend=True)
+    add_execution_flags(pcap_p, backend=True)
 
     report_p = sub.add_parser("report", help="write a markdown compliance report")
     report_p.add_argument("--app", choices=APP_NAMES)
@@ -191,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--seed", type=int, default=0)
     report_p.add_argument("--out", help="output file (default: stdout)")
     add_execution_flags(report_p, workers=True, sharding=True,
-                        plan=True, backend=True, impairment=True)
+                        chunking=True, backend=True, impairment=True)
 
     dataset_p = sub.add_parser(
         "dataset", help="synthesize a pcap dataset with ground-truth manifest"
@@ -251,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     pstats_p.add_argument("--seed", type=int, default=0)
     pstats_p.add_argument("--json", action="store_true",
                           help="emit machine-readable JSON instead of a table")
-    add_execution_flags(pstats_p, sharding=True, plan=True,
+    add_execution_flags(pstats_p, sharding=True, chunking=True,
                         backend=True, impairment=True)
 
     serve_p = sub.add_parser(
@@ -260,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=8787,
                          help="listen port (0 = pick a free port)")
-    add_execution_flags(serve_p, sharding=True, plan=True,
-                        backend=True, impairment=True)
+    add_execution_flags(serve_p, chunking=True, impairment=True)
 
     conf_p = sub.add_parser(
         "conformance",
@@ -396,83 +382,39 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 def cmd_pcap(args: argparse.Namespace) -> int:
     """Analyze a capture by streaming it off disk chunk by chunk.
 
-    The mmap batch decoder indexes the file up front (so the planner can
-    see the frame count before a single record is decoded), then records
+    The mmap batch decoder indexes the file up front, then records
     flow straight into the streaming pipeline — peak memory is one chunk,
     not the capture.  Output is bit-identical to the historical
     read-everything-then-analyze path.
     """
     import time as _time
 
-    from repro.experiments import costmodel
-    from repro.experiments.scheduler import PlanSignals, plan_execution
     from repro.packets.batch import BatchPcapReader
     from repro.pipeline import DEFAULT_CHUNK_SIZE, run_streaming
-    from repro.pipeline.stage import StageStats
 
-    backend = args.dpi_backend
-    chunk_size = DEFAULT_CHUNK_SIZE
-    plan_mode = getattr(args, "plan", "fixed")
+    decode_seconds = 0.0
     with BatchPcapReader(args.path) as reader:
-        if plan_mode == "auto":
-            store = costmodel.get_store(getattr(args, "calibration_file", None))
-            calibration = store.calibration
-            sample = reader.decode_sample()
-            workload = costmodel.workload_signals(sample)
-            scale = (
-                reader.frame_count / len(sample) if sample else 1.0
-            )
-            signals = PlanSignals(
-                records=reader.frame_count,
-                kept_records=reader.frame_count,
-                flows=workload.flows,
-                max_flow_records=int(workload.max_flow_records * scale),
-                # run_streaming is single-process; one visible CPU keeps
-                # the model from suggesting shards this path cannot use.
-                cpu_count=1,
-                rates=calibration.effective_rates(),
-                columnar_available=True,
-                cells=1,
-                rate_source=(
-                    "calibration" if calibration.calibrated else "default"
-                ),
-                decode_records=reader.frame_count,
-            )
-            plan = plan_execution(signals)
-            backend = plan.dpi_backend
-            chunk_size = plan.chunk_size
-            print(f"plan: {plan.describe()}")
-
-        decode_stats = StageStats(name="decode")
 
         def timed_records():
-            chunk_iter = reader.chunks(chunk_size)
+            nonlocal decode_seconds
+            chunk_iter = reader.chunks(DEFAULT_CHUNK_SIZE)
             while True:
                 start = _time.perf_counter()
-                try:
-                    batch = next(chunk_iter)
-                except StopIteration:
-                    decode_stats.wall_seconds += _time.perf_counter() - start
+                batch = next(chunk_iter, None)
+                decode_seconds += _time.perf_counter() - start
+                if batch is None:
                     return
-                decode_stats.wall_seconds += _time.perf_counter() - start
-                decode_stats.chunks += 1
                 yield from batch
 
-        engine = DpiEngine(max_offset=args.max_offset, backend=backend)
+        engine = DpiEngine(max_offset=args.max_offset, backend=args.dpi_backend)
         checker = ComplianceChecker()
-        result, verdicts, stage_stats = run_streaming(
-            timed_records(), engine, checker, chunk_size=chunk_size
+        result, verdicts, _ = run_streaming(
+            timed_records(), engine, checker, chunk_size=DEFAULT_CHUNK_SIZE
         )
         ingest = reader.stats
-        decode_stats.records_in = ingest.frames
-        decode_stats.records_out = ingest.records
     if ingest.records == 0:
         print("no decodable packets found", file=sys.stderr)
         return 1
-    if plan_mode == "auto":
-        stats_by_name = {stat.name: stat for stat in stage_stats}
-        stats_by_name["decode"] = decode_stats
-        store.update_from_run(stats_by_name, backend)
     summary = ComplianceSummary.from_verdicts(args.path, verdicts)
     _print_summary(summary)
     by_class = result.by_class()
@@ -481,14 +423,14 @@ def cmd_pcap(args: argparse.Namespace) -> int:
         print("Datagram classes:")
         for cls, count in by_class.items():
             print(f"  {cls.value:<20} {count} ({count / total * 100:.1f}%)")
-    if decode_stats.wall_seconds > 0:
-        rate = ingest.records / decode_stats.wall_seconds
+    if decode_seconds > 0:
+        rate = ingest.records / decode_seconds
         fast_pct = (
             ingest.fast_path / ingest.frames * 100 if ingest.frames else 0.0
         )
         print(
             f"Ingest: {ingest.frames} frames -> {ingest.records} records "
-            f"in {decode_stats.wall_seconds:.3f}s ({rate:.0f} rec/s, "
+            f"in {decode_seconds:.3f}s ({rate:.0f} rec/s, "
             f"fast-path {fast_pct:.1f}%, "
             f"fallback rate {ingest.fallback_rate:.4f})"
         )
@@ -634,17 +576,13 @@ def cmd_pipeline_stats(args: argparse.Namespace) -> int:
     apps = [args.app] if args.app else list(APP_NAMES)
     networks = [args.network] if args.network else list(NetworkCondition)
     per_app = {}
-    plans_by_app = {}
     totals = {}
     for app in apps:
         stats = {}
-        plans = []
         for network in networks:
             aggregate = run_experiment(app, network, config)
             merge_stage_stats(stats, aggregate.stage_stats.values())
-            plans.extend(aggregate.plans)
         per_app[app] = stats
-        plans_by_app[app] = plans
         merge_stage_stats(totals, stats.values())
     if args.json:
         payload = {
@@ -656,15 +594,9 @@ def cmd_pipeline_stats(args: argparse.Namespace) -> int:
                 "shard_plan": shard_plan.as_dict(),
                 "chunk_size": config.chunk_size,
                 "dpi_backend": config.dpi_backend,
-                "plan": config.plan,
-                "calibration_file": config.calibration_file,
                 "impairment": config.impairment,
                 "apps": apps,
                 "networks": [n.value for n in networks],
-            },
-            "planner": {
-                "mode": config.plan,
-                "per_app": plans_by_app,
             },
             "per_app": {
                 app: {name: stat.to_json() for name, stat in stats.items()}
@@ -684,20 +616,12 @@ def cmd_pipeline_stats(args: argparse.Namespace) -> int:
                   f"{stat.records_out:>12} {stat.wall_seconds:>10.4f} "
                   f"{stat.peak_buffered:>14} {stat.chunks:>8}")
 
-    if config.plan == "auto":
-        print("plan: auto (per-cell adaptive planner)")
-    else:
-        print(f"shard workers: {config.shard_workers} "
-              f"({shard_plan.describe()})  "
-              f"chunk size: {config.chunk_size}  "
-              f"dpi backend: {config.dpi_backend}")
+    print(f"shard workers: {config.shard_workers} "
+          f"({shard_plan.describe()})  "
+          f"chunk size: {config.chunk_size}  "
+          f"dpi backend: {config.dpi_backend}")
     for app, stats in per_app.items():
         print(f"{app}:")
-        for plan in plans_by_app[app]:
-            rationale = "; ".join(plan.get("rationale", []))
-            print(f"  plan: shard_workers={plan['shard_workers']} "
-                  f"chunk_size={plan['chunk_size']} "
-                  f"dpi_backend={plan['dpi_backend']} [{rationale}]")
         print_rows(stats)
     if len(per_app) > 1:
         print("total:")

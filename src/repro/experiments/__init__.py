@@ -15,59 +15,31 @@ from repro.experiments.parallel import (
     run_matrix_parallel,
 )
 from repro.experiments.scheduler import (
-    ExecutionPlan,
-    PlanSignals,
     PoolClosedError,
     ShardPlan,
-    fixed_plan,
-    plan_cell_execution,
-    plan_execution,
     plan_shard_workers,
     reopen_shared_pool,
     shared_pool,
     shutdown_shared_pool,
     submission_order,
 )
-from repro.experiments.costmodel import (
-    Calibration,
-    CalibrationStore,
-    WorkloadSignals,
-    default_calibration_path,
-    load_calibration,
-    probe_records,
-    save_calibration,
-    workload_signals,
-)
 
 __all__ = [
-    "Calibration",
-    "CalibrationStore",
-    "ExecutionPlan",
     "ExperimentAggregate",
     "ExperimentConfig",
     "MatrixResult",
-    "PlanSignals",
     "PoolClosedError",
     "ShardPlan",
-    "WorkloadSignals",
-    "default_calibration_path",
     "default_checker",
     "default_engine",
     "expected_cell_cost",
-    "fixed_plan",
-    "load_calibration",
     "matrix_cells",
-    "plan_cell_execution",
-    "plan_execution",
     "plan_shard_workers",
-    "probe_records",
     "reopen_shared_pool",
     "run_experiment",
     "run_matrix",
     "run_matrix_parallel",
-    "save_calibration",
     "shared_pool",
     "shutdown_shared_pool",
     "submission_order",
-    "workload_signals",
 ]

@@ -14,10 +14,11 @@ the public entry point; it delegates here.
 
 Scheduling: cells are submitted to the *shared* process pool (see
 :mod:`repro.experiments.scheduler`) largest-expected-cost-first — cost
-being the cell's call duration × media scale — so the most expensive
-cells start earliest and the pool tail does not idle behind one straggler
-submitted last.  The pool's initializer builds the process-wide default
-engine and checker once per worker process, not once per cell.
+being the cell's call duration × media scale × impairment volume
+factor — so the most expensive cells start earliest and the pool tail
+does not idle behind one straggler submitted last.  The pool's
+initializer builds the process-wide default engine and checker once per
+worker process, not once per cell.
 
 Fallbacks: ``workers=1`` (or a single-cell matrix) never spawns processes,
 and pool failures caused by the environment — unpicklable configs, a
@@ -72,36 +73,20 @@ def run_cell(cell: Cell, config: ExperimentConfig) -> ExperimentAggregate:
 def expected_cell_cost(cell: Cell, config: ExperimentConfig) -> float:
     """Expected cost of one cell, for largest-cost-first submission.
 
-    Prefers *measured* history: every completed :func:`run_experiment`
-    records its cell's wall seconds into the calibration cache
-    (:mod:`repro.experiments.costmodel`), keyed by ``(app, network)`` and
-    normalized per unit of configured work, so apps that are genuinely
-    heavier (more media streams, more background flows) rank above light
-    ones instead of tying.  Without history the static fallback — call
-    duration × media scale — preserves the old behavior: every cell of a
-    homogeneous matrix ties and submission stays in enumeration order.
-    Scheduling only needs a ranking; it never leaks into merge order.
-
-    Impaired cells scale their configured units by the profile's expected
-    volume factor (duplication and rebind-relearn churn inflate records,
-    loss and UDP blackout deflate them) and read their own measured
-    history key, so ``submission_order`` and ``--plan auto`` neither
-    under- nor over-model an impaired matrix.
+    A static estimate: call duration × media scale × the impairment
+    profile's expected volume factor (duplication and rebind-relearn
+    churn inflate records, loss and UDP blackout deflate them).  Every
+    cell of a homogeneous matrix ties, so submission stays in enumeration
+    order; scheduling only needs a ranking and never leaks into merge
+    order.
     """
-    from repro.experiments import costmodel
     from repro.netem import get_profile
 
-    app, network, _repeat = cell
-    units = (
+    return (
         config.call_duration
         * config.media_scale
         * get_profile(config.impairment).volume_factor()
     )
-    measured = costmodel.get_store(config.calibration_file).calibration
-    expected = measured.expected_cell_seconds(
-        costmodel.cell_key(app, network.value, config.impairment), units
-    )
-    return expected if expected is not None else units
 
 
 def run_matrix_parallel(

@@ -10,7 +10,6 @@ small in memory even for long calls.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -65,16 +64,6 @@ class ExperimentConfig:
     ``dpi_backend`` selects the stage-one sweep implementation
     (``"scalar"`` or ``"columnar"``); outputs are bit-identical.
 
-    ``plan="auto"`` hands ``shard_workers``/``chunk_size``/``dpi_backend``
-    to the adaptive execution planner
-    (:func:`repro.experiments.scheduler.plan_cell_execution`): the knobs
-    above become ignored defaults and each cell is planned from measured
-    signals — the calibration cache when one exists, a micro-probe on the
-    first records otherwise.  Outputs are bit-identical to any fixed
-    configuration by construction.  ``calibration_file`` overrides where
-    the calibration cache lives (default:
-    :func:`repro.experiments.costmodel.default_calibration_path`).
-
     ``impairment`` names a :mod:`repro.netem` profile applied to every
     cell's record stream post-synthesis — the fourth matrix axis next
     to app, network, and repeat.  Outputs under any profile remain
@@ -93,13 +82,9 @@ class ExperimentConfig:
     shard_workers: int = 1
     chunk_size: int = DEFAULT_CHUNK_SIZE
     dpi_backend: str = "scalar"
-    plan: str = "fixed"
-    calibration_file: Optional[str] = None
     impairment: str = "none"
 
     def __post_init__(self):
-        if self.plan not in ("fixed", "auto"):
-            raise ValueError(f"unknown plan mode: {self.plan!r}")
         from repro.netem import get_profile
 
         get_profile(self.impairment)
@@ -125,14 +110,8 @@ class ExperimentAggregate:
     #: Per-stage streaming instrumentation, keyed by stage name
     #: (records in/out, wall time, peak buffered); summed across cells.
     stage_stats: Dict[str, StageStats] = field(default_factory=dict)
-    #: Measured end-to-end wall seconds (simulate → verdicts), summed
-    #: across merged cells; feeds the calibration cache's cell history.
-    wall_seconds: float = 0.0
     #: Cells folded into this aggregate (divisor for per-cell averages).
     cells: int = 1
-    #: Execution-plan decision records (``ExecutionPlan.as_dict()``), one
-    #: per planned cell; empty under ``plan="fixed"``.
-    plans: List[Dict[str, object]] = field(default_factory=list)
 
     def merge(self, other: "ExperimentAggregate") -> None:
         self.raw = _add_counts(self.raw, other.raw)
@@ -154,9 +133,7 @@ class ExperimentAggregate:
         self.filter_recall = min(self.filter_recall, other.filter_recall)
         self.dpi_stats.merge(other.dpi_stats)
         merge_stage_stats(self.stage_stats, other.stage_stats.values())
-        self.wall_seconds += other.wall_seconds
         self.cells += other.cells
-        self.plans.extend(other.plans)
 
     def message_distribution(self) -> Dict[str, float]:
         """Table 2's row: per-protocol message share incl. fully proprietary."""
@@ -240,9 +217,6 @@ class PipelineRun:
     dpi: "DpiResult"
     verdicts: List["MessageVerdict"]
     stage_stats: Dict[str, StageStats] = field(default_factory=dict)
-    #: The adaptive planner's decision for this cell (``plan="auto"``
-    #: only); carries the chosen knobs, modeled costs, and rationale.
-    plan: Optional["ExecutionPlan"] = None
 
 
 def _cell_config(
@@ -300,13 +274,6 @@ def run_cell_pipeline(
     with the default (fresh) engine and checker, since a caller-supplied
     instance cannot be split across processes; passing one keeps the cell
     single-process.
-
-    Under ``config.plan == "auto"`` (and default engine/checker), the
-    adaptive planner overrides ``shard_workers``/``chunk_size`` and the
-    DPI backend from measured signals; the decision record rides on the
-    returned :attr:`PipelineRun.plan`.  A probed cell replays its full
-    record list through fresh engine state, so output is bit-identical
-    to an unprobed run of the same plan.
     """
     if shard_workers is None:
         shard_workers = config.shard_workers
@@ -316,28 +283,15 @@ def run_cell_pipeline(
         raise ValueError("shard_workers must be a positive integer")
     simulator = get_simulator(app)
     call_config = _cell_config(network, config, call_index)
-    dpi_backend = config.dpi_backend
-    records: Optional[List] = None
-    plan: Optional["ExecutionPlan"] = None
-    if config.plan == "auto" and engine is None and checker is None:
-        from repro.experiments.scheduler import plan_cell_execution
-
-        records = list(simulator.iter_records(call_config))
-        plan = plan_cell_execution(records, call_config.window(), config)
-        shard_workers = plan.shard_workers
-        chunk_size = plan.chunk_size
-        dpi_backend = plan.dpi_backend
     if shard_workers > 1 and engine is None and checker is None:
-        if records is None:
-            records = list(simulator.iter_records(call_config))
         sharded = run_cell_sharded(
-            records,
+            list(simulator.iter_records(call_config)),
             TwoStageFilter(call_config.window()),
             engine_factory=partial(
                 DpiEngine,
                 max_offset=config.max_offset,
                 fastpath=config.fastpath,
-                backend=dpi_backend,
+                backend=config.dpi_backend,
             ),
             shards=shard_workers,
             chunk_size=chunk_size,
@@ -350,32 +304,22 @@ def run_cell_pipeline(
             dpi=sharded.dpi,
             verdicts=sharded.verdicts,
             stage_stats={stat.name: stat for stat in sharded.stage_stats},
-            plan=plan,
         )
     if engine is None:
-        if plan is not None:
-            # A planned cell reuses the process-wide engine keyed by its
-            # chosen backend — the same sharing the fixed path gets from
-            # ``run_experiment`` — so ``--plan auto`` pays no per-cell
-            # engine construction the fixed path avoids.
-            engine = default_engine(config.max_offset, config.fastpath, dpi_backend)
-        else:
-            engine = DpiEngine(
-                max_offset=config.max_offset,
-                fastpath=config.fastpath,
-                backend=dpi_backend,
-            )
+        engine = DpiEngine(
+            max_offset=config.max_offset,
+            fastpath=config.fastpath,
+            backend=config.dpi_backend,
+        )
     if checker is None:
-        checker = default_checker() if plan is not None else ComplianceChecker()
+        checker = ComplianceChecker()
     session = AnalysisSession(
         window=call_config.window(),
         engine=engine,
         checker=checker,
         chunk_size=chunk_size,
     )
-    session.feed(
-        records if records is not None else simulator.iter_records(call_config)
-    )
+    session.feed(simulator.iter_records(call_config))
     result = session.close()
     assert result.filter_result is not None
     return PipelineRun(
@@ -385,7 +329,6 @@ def run_cell_pipeline(
         dpi=result.dpi,
         verdicts=result.verdicts,
         stage_stats=result.stage_stats,
-        plan=plan,
     )
 
 
@@ -395,20 +338,9 @@ def run_experiment(
     config: ExperimentConfig = ExperimentConfig(),
     call_index: int = 0,
 ) -> ExperimentAggregate:
-    """Run one (app, network, call) cell through the full pipeline.
-
-    Besides the verdict-level aggregates, every run measures its own
-    end-to-end wall seconds and feeds the per-stage rates plus the cell
-    cost back into the calibration cache
-    (:mod:`repro.experiments.costmodel`), so later runs — and the
-    largest-cost-first scheduler — plan from measured history.
-    """
-    start = time.perf_counter()
-    if config.shard_workers > 1 or config.plan == "auto":
-        # Sharded and planner-driven cells resolve their own engines: the
-        # backend is not known until the plan exists, and sharded cells
-        # build one engine per worker process.  Planned in-process cells
-        # still land on the process-wide cached engine for their backend.
+    """Run one (app, network, call) cell through the full pipeline."""
+    if config.shard_workers > 1:
+        # Sharded cells build one engine per worker process.
         run = run_cell_pipeline(app, network, config, call_index)
     else:
         run = run_cell_pipeline(
@@ -421,15 +353,10 @@ def run_experiment(
             ),
             checker=default_checker(),
         )
-    wall_seconds = time.perf_counter() - start
     filter_result = run.filter_result
     dpi = run.dpi
-    _record_calibration(app, network, config, run, wall_seconds)
 
     aggregate = ExperimentAggregate(app=app)
-    aggregate.wall_seconds = wall_seconds
-    if run.plan is not None:
-        aggregate.plans.append(run.plan.as_dict())
     aggregate.raw = filter_result.raw
     aggregate.stage1_removed = filter_result.stage1_removed
     aggregate.stage2_removed = filter_result.stage2_removed
@@ -443,40 +370,6 @@ def run_experiment(
         aggregate.filter_precision = filter_result.evaluation.precision
         aggregate.filter_recall = filter_result.evaluation.recall
     return aggregate
-
-
-def _record_calibration(
-    app: str,
-    network: NetworkCondition,
-    config: ExperimentConfig,
-    run: PipelineRun,
-    wall_seconds: float,
-) -> None:
-    """Fold one cell's measurements into the calibration cache.
-
-    Persistence is best-effort and atomic (see
-    :func:`repro.experiments.costmodel.save_calibration`); a refusing
-    filesystem degrades to in-memory history for this process only.
-    """
-    from repro.experiments import costmodel
-    from repro.netem import get_profile
-
-    backend = run.plan.dpi_backend if run.plan is not None else config.dpi_backend
-    # Units scale by the impairment's expected volume factor, and impaired
-    # cells key separately, so clean-cell history is never skewed by (and
-    # never mis-prices) impaired workloads.
-    units = (
-        config.call_duration
-        * config.media_scale
-        * get_profile(config.impairment).volume_factor()
-    )
-    costmodel.get_store(config.calibration_file).update_from_run(
-        run.stage_stats,
-        backend,
-        cell=costmodel.cell_key(app, network.value, config.impairment),
-        wall_seconds=wall_seconds,
-        units=units,
-    )
 
 
 @dataclass

@@ -11,7 +11,7 @@ path condition; :class:`~repro.netem.impair.Impairer` applies it as a
 pure, seeded ``records -> records`` transform.
 
 Profiles are plain frozen dataclasses so they pickle across process
-pools and hash into planner cache keys.  The named registry
+pools and hash.  The named registry
 (:data:`PROFILES`) backs the ``--impairment`` CLI axis; arbitrary custom
 profiles compose the same knobs freely (the hypothesis parity suite
 generates them at random).
@@ -27,7 +27,7 @@ from typing import Dict, Optional, Tuple
 #: fall back, re-sweep, and relearn its framing signature.
 REBIND_COST_FACTOR = 1.15
 
-#: Floor for the planner volume factor — even a near-total blackout
+#: Floor for the modeled volume factor — even a near-total blackout
 #: still pays filter/stream bookkeeping per surviving record.
 MIN_VOLUME_FACTOR = 0.05
 
@@ -96,7 +96,7 @@ class ImpairmentProfile:
     move, so reordering stays *bounded* — the tolerance the online
     filter and incremental checker are required to have.
 
-    ``cost_scale`` overrides the planner's modeled record-volume factor
+    ``cost_scale`` overrides the modeled record-volume factor
     (see :meth:`volume_factor`) for profiles whose cost is not a simple
     function of loss/duplication — e.g. ``udp_blocked`` halves DPI work
     because fallback traffic rides in TCP, which the UDP engine skips.
@@ -142,11 +142,10 @@ class ImpairmentProfile:
     def volume_factor(self) -> float:
         """Expected record-volume (and modeled cost) multiplier.
 
-        ``expected_cell_cost`` and the calibration cache multiply a
-        cell's configured work units by this factor, so impaired cells
-        are neither under-modeled (duplication, rebind relearn churn)
-        nor over-modeled (loss, UDP blackout) by ``submission_order``
-        and ``--plan auto``.
+        ``expected_cell_cost`` multiplies a cell's configured work units
+        by this factor, so impaired cells are neither under-ranked
+        (duplication, rebind relearn churn) nor over-ranked (loss, UDP
+        blackout) by ``submission_order``.
         """
         if self.cost_scale is not None:
             return self.cost_scale

@@ -440,16 +440,6 @@ class BatchPcapReader:
             append(record)
         return out
 
-    def decode_sample(self, limit: int = 512) -> List[PacketRecord]:
-        """Decode the first *limit* frames without touching the running
-        counters — the planner's workload probe."""
-        saved = self.stats
-        self.stats = IngestStats()
-        try:
-            return self.decode_slice(0, limit)
-        finally:
-            self.stats = saved
-
     def chunks(
         self,
         chunk_size: int = DEFAULT_CHUNK_SIZE,

@@ -5,8 +5,8 @@ The contract under test is absolute: for any pcap the mmap batch decoder
 scalar :class:`~repro.packets.pcap.PcapReader` produces — same fields,
 same payload bytes, same float timestamps, same skips, same exceptions —
 in both the numpy-vectorized and pure-Python index modes.  Everything
-else (streaming wrappers, the directory watcher, the planner's decode
-rate) layers on that guarantee.
+else (streaming wrappers, the directory watcher, the ``pcap`` command)
+layers on that guarantee.
 """
 
 from __future__ import annotations
@@ -507,105 +507,11 @@ class TestIngestWiring:
 
 
 # --------------------------------------------------------------------------
-# Planner decode rate
-# --------------------------------------------------------------------------
-
-
-class TestPlannerDecodeRate:
-    def test_decode_rate_key_exists(self):
-        from repro.experiments import costmodel
-
-        assert "decode" in costmodel.DEFAULT_RATES
-        assert "decode" in costmodel.RATE_KEYS
-
-    def test_rates_from_stage_stats_maps_decode(self):
-        from repro.experiments.costmodel import rates_from_stage_stats
-        from repro.pipeline.stage import StageStats
-
-        stats = {
-            "decode": StageStats(
-                name="decode", records_in=10_000, records_out=9_990,
-                wall_seconds=0.05,
-            )
-        }
-        rates = rates_from_stage_stats(stats, "scalar")
-        assert rates == {"decode": pytest.approx(200_000.0)}
-
-    def test_calibration_learns_decode_rate(self):
-        from repro.experiments.costmodel import Calibration
-
-        calibration = Calibration()
-        calibration.observe_rate("decode", 300_000.0)
-        assert calibration.rate("decode") == pytest.approx(300_000.0)
-        payload = calibration.as_dict()
-        assert Calibration.from_dict(payload).rates["decode"] == pytest.approx(
-            300_000.0
-        )
-
-    def test_plan_charges_decode_serially(self):
-        from repro.experiments.costmodel import DEFAULT_RATES
-        from repro.experiments.scheduler import PlanSignals, plan_execution
-
-        base = dict(
-            records=50_000, kept_records=40_000, flows=12,
-            max_flow_records=8_000, cpu_count=4, rates=DEFAULT_RATES,
-        )
-        without = plan_execution(PlanSignals(**base))
-        with_decode = plan_execution(
-            PlanSignals(**base, decode_records=50_000)
-        )
-        costs_without = dict(without.costs)
-        costs_with = dict(with_decode.costs)
-        expected = 50_000 / DEFAULT_RATES["decode"]
-        for option, seconds in costs_without.items():
-            assert costs_with[option] == pytest.approx(seconds + expected)
-        assert any("ingest:" in line for line in with_decode.rationale)
-        assert not any("ingest:" in line for line in without.rationale)
-        assert with_decode.signals.as_dict()["decode_records"] == 50_000
-
-    def test_zero_decode_records_changes_nothing(self):
-        from repro.experiments.costmodel import DEFAULT_RATES
-        from repro.experiments.scheduler import PlanSignals, plan_execution
-
-        base = dict(
-            records=5_000, kept_records=4_000, flows=6,
-            max_flow_records=900, cpu_count=2, rates=DEFAULT_RATES,
-        )
-        default = plan_execution(PlanSignals(**base))
-        explicit = plan_execution(PlanSignals(**base, decode_records=0))
-        assert default.costs == explicit.costs
-        assert default.rationale == explicit.rationale
-
-
-# --------------------------------------------------------------------------
-# CLI: streaming pcap analysis with --plan auto
+# CLI: streaming pcap analysis
 # --------------------------------------------------------------------------
 
 
 class TestPcapCli:
-    def test_pcap_plan_auto_streams_and_calibrates(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        import json
-
-        from repro import cli
-        from repro.experiments import costmodel
-
-        monkeypatch.setattr(costmodel, "_stores", {})
-        path, _records = _cell_pcap(tmp_path)
-        calibration_file = tmp_path / "calibration.json"
-        code = cli.main([
-            "pcap", str(path), "--plan", "auto",
-            "--calibration-file", str(calibration_file),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "plan: auto:" in out
-        assert "Ingest:" in out
-        assert "fallback rate" in out
-        payload = json.loads(calibration_file.read_text())
-        assert payload["rates"].get("decode", 0) > 0
-
     def test_pcap_fixed_mode_output_unchanged_shape(self, tmp_path, capsys):
         from repro import cli
 
@@ -614,4 +520,6 @@ class TestPcapCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "Datagram classes" in out
+        assert "Ingest:" in out
+        assert "fallback rate" in out
         assert "plan:" not in out

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -32,6 +34,32 @@ class TestParser:
         assert args.app == "meet"
         assert args.no_fastpath is True
         assert args.network is None
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--dpi-backend", "columnar"],
+        ["serve", "--shard-workers", "2"],
+    ])
+    def test_serve_rejects_flags_it_cannot_honor(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serve_execution_flags(self):
+        args = build_parser().parse_args(
+            ["serve", "--chunk-size", "64", "--impairment", "lossy"]
+        )
+        assert args.chunk_size == 64
+        assert args.impairment == "lossy"
+
+    @pytest.mark.parametrize("command", [
+        "matrix", "report", "pipeline-stats", "pcap x.pcap", "serve",
+    ])
+    def test_no_plan_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command.split() + ["--plan", "auto"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
 
 
 class TestCommands:
@@ -74,3 +102,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fast path: off" in out
         assert "fast-path hits     0" in out
+
+    def test_pipeline_stats_json_schema(self, capsys):
+        code = main(["pipeline-stats", "--app", "zoom", "--network",
+                     "wifi_relay", "--duration", "4", "--scale", "0.2",
+                     "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"config", "per_app", "total"}
+        assert set(payload["config"]) == {
+            "call_duration", "media_scale", "seed", "shard_workers",
+            "shard_plan", "chunk_size", "dpi_backend", "impairment",
+            "apps", "networks",
+        }
+        assert set(payload["per_app"]) == {"zoom"}
+        assert {"filter", "dpi", "check"} <= set(payload["total"])
+
+    def test_pipeline_stats_text(self, capsys):
+        code = main(["pipeline-stats", "--app", "zoom", "--network",
+                     "wifi_relay", "--duration", "4", "--scale", "0.2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("shard workers: 1")
+        assert "zoom:" in out
+        assert "plan:" not in out

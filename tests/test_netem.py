@@ -1,7 +1,7 @@
 """Unit and regression tests for the network-impairment layer.
 
 Complements the hypothesis suite (``test_netem_properties.py``) with
-pinned-behavior tests: profile validation and planner cost math, the
+pinned-behavior tests: profile validation and volume-factor cost math, the
 exact rewrite semantics of NAT rebinding and the UDP-blackout TCP
 fallback, the fast-path relearn regression for a mid-lock port
 collision, the ``netem-*`` fuzzer mutators, and a spot check of the

@@ -4,7 +4,8 @@ The sharded executor's whole contract is bit-identical output to the
 single-process streaming pipeline for every shard count, worker count,
 and failure-induced fallback.  These tests pin that contract, plus the
 supporting pieces: the stable flow-shard hash, chunked stage execution,
-the shared process pool's scheduling helpers, and the CLI flags.
+the shared process pool's scheduling helpers and finalization, the static
+cell-cost estimate, and the CLI flags.
 """
 
 from functools import partial
@@ -16,10 +17,17 @@ from repro.core import ComplianceChecker
 from repro.dpi import DpiEngine
 from repro.experiments import (
     ExperimentConfig,
+    PoolClosedError,
     expected_cell_cost,
     plan_shard_workers,
+    reopen_shared_pool,
+    run_experiment,
+    run_matrix,
+    shared_pool,
+    shutdown_shared_pool,
     submission_order,
 )
+from repro.experiments.scheduler import POOL_FALLBACK_ERRORS
 from repro.experiments.runner import run_cell_pipeline
 from repro.filtering import TwoStageFilter
 from repro.pipeline import (
@@ -283,10 +291,79 @@ class TestScheduler:
         assert expected_cell_cost(cell, large) > expected_cell_cost(cell, small)
 
     def test_shared_pool_rejects_bad_workers(self):
-        from repro.experiments import shared_pool
-
         with pytest.raises(ValueError):
             shared_pool(0)
+
+
+class TestCellCost:
+    def test_static_cost(self):
+        config = ExperimentConfig(call_duration=10.0, media_scale=0.5)
+        cell = ("zoom", NetworkCondition.WIFI_RELAY, 0)
+        assert expected_cell_cost(cell, config) == pytest.approx(5.0)
+
+    def test_static_cost_scales_with_volume_factor(self):
+        from repro.netem import PROFILES
+
+        cell = ("zoom", NetworkCondition.WIFI_RELAY, 0)
+
+        def cost(impairment):
+            config = ExperimentConfig(
+                call_duration=10.0, media_scale=0.5, impairment=impairment,
+            )
+            return expected_cell_cost(cell, config)
+
+        assert cost("none") == pytest.approx(5.0)
+        for name in ("lossy", "burst", "rebind", "udp_blocked"):
+            assert cost(name) == pytest.approx(
+                5.0 * PROFILES[name].volume_factor()
+            )
+        # udp_blocked's explicit cost_scale halves the modeled work.
+        assert cost("udp_blocked") == pytest.approx(2.5)
+
+
+class TestHermeticRuns:
+    def test_run_experiment_writes_nothing_under_home(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        config = ExperimentConfig(call_duration=2.0, media_scale=0.2, seed=1)
+        cell = ("zoom", NetworkCondition.WIFI_RELAY, 0)
+        aggregate = run_experiment("zoom", NetworkCondition.WIFI_RELAY, config)
+        assert aggregate.summary is not None
+        units = config.call_duration * config.media_scale
+        assert expected_cell_cost(cell, config) == pytest.approx(units)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestPoolFinalization:
+    def test_pool_not_recreated_after_final_shutdown(self):
+        try:
+            shutdown_shared_pool(final=True)
+            with pytest.raises(PoolClosedError):
+                shared_pool(2)
+            # Still closed on a second attempt — no silent re-creation.
+            with pytest.raises(PoolClosedError):
+                shared_pool(1)
+            assert PoolClosedError in POOL_FALLBACK_ERRORS
+        finally:
+            reopen_shared_pool()
+
+    def test_matrix_degrades_in_process_after_final_shutdown(self):
+        config = ExperimentConfig(call_duration=2.0, media_scale=0.2, seed=1)
+        try:
+            shutdown_shared_pool(final=True)
+            result = run_matrix(
+                apps=("zoom",),
+                networks=(NetworkCondition.WIFI_RELAY,
+                          NetworkCondition.CELLULAR),
+                config=config,
+                workers=2,
+            )
+            assert set(result.per_app) == {"zoom"}
+            assert result.per_app["zoom"].summary is not None
+        finally:
+            reopen_shared_pool()
 
 
 class TestShardPlan:
