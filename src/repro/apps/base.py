@@ -207,7 +207,7 @@ class AppSimulator(abc.ABC):
 
         ``config.impairment`` is applied *here*, between synthesis and
         the pipeline: per-app ``simulate`` stays clean-path, and every
-        consumer — batch, streaming, sharded — sees the
+        consumer — batch, streaming, service session — sees the
         same impaired sequence because they all source from this method.
         """
         records = self.simulate(config).records

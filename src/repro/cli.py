@@ -56,15 +56,14 @@ def _chunk_size(value: str) -> int:
 def add_execution_flags(
     parser: argparse.ArgumentParser,
     workers: bool = False,
-    sharding: bool = False,
     chunking: bool = False,
     backend: bool = False,
     impairment: bool = False,
 ) -> None:
     """Attach the shared execution-matrix flags to *parser*.
 
-    One definition per flag — ``--workers``, ``--shard-workers``,
-    ``--chunk-size``, ``--dpi-backend``, ``--impairment`` — so every
+    One definition per flag — ``--workers``, ``--chunk-size``,
+    ``--dpi-backend``, ``--impairment`` — so every
     subcommand wires the same names, types, defaults, and help text, and
     :func:`config_from_args` can rebuild an :class:`ExperimentConfig`
     from any of them.
@@ -73,11 +72,6 @@ def add_execution_flags(
         parser.add_argument("--workers", type=_workers, default=None,
                             help="worker processes for matrix cells "
                                  "(default: one per CPU core; 1 = serial)")
-    if sharding:
-        parser.add_argument("--shard-workers", type=_workers, default=1,
-                            help="flow-shard each cell's streaming pipeline "
-                                 "across N worker processes (default: 1, "
-                                 "unsharded; results are identical)")
     if chunking:
         parser.add_argument("--chunk-size", type=_chunk_size, default=None,
                             help="records per pipeline stage dispatch "
@@ -112,7 +106,6 @@ def config_from_args(args: argparse.Namespace, **overrides) -> ExperimentConfig:
         "media_scale": getattr(args, "scale", 0.5),
         "seed": getattr(args, "seed", 0),
         "repeats": getattr(args, "repeats", 1),
-        "shard_workers": getattr(args, "shard_workers", 1),
         "dpi_backend": getattr(args, "dpi_backend", "scalar"),
         "impairment": getattr(args, "impairment", "none"),
     }
@@ -153,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_p.add_argument("--scale", type=float, default=0.5)
     matrix_p.add_argument("--repeats", type=int, default=1)
     matrix_p.add_argument("--seed", type=int, default=0)
-    add_execution_flags(matrix_p, workers=True, sharding=True,
-                        chunking=True, backend=True, impairment=True)
+    add_execution_flags(matrix_p, workers=True, chunking=True, backend=True,
+                        impairment=True)
 
     synth_p = sub.add_parser("synthesize", help="write a synthetic call trace to pcap")
     synth_p.add_argument("--app", choices=APP_NAMES, required=True)
@@ -177,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--scale", type=float, default=0.5)
     report_p.add_argument("--seed", type=int, default=0)
     report_p.add_argument("--out", help="output file (default: stdout)")
-    add_execution_flags(report_p, workers=True, sharding=True,
-                        chunking=True, backend=True, impairment=True)
+    add_execution_flags(report_p, workers=True, chunking=True, backend=True,
+                        impairment=True)
 
     dataset_p = sub.add_parser(
         "dataset", help="synthesize a pcap dataset with ground-truth manifest"
@@ -238,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     pstats_p.add_argument("--seed", type=int, default=0)
     pstats_p.add_argument("--json", action="store_true",
                           help="emit machine-readable JSON instead of a table")
-    add_execution_flags(pstats_p, sharding=True, chunking=True,
-                        backend=True, impairment=True)
+    add_execution_flags(pstats_p, chunking=True, backend=True,
+                        impairment=True)
 
     serve_p = sub.add_parser(
         "serve", help="run the always-on compliance service (HTTP + SSE)"
@@ -566,13 +559,9 @@ def cmd_dpi_stats(args: argparse.Namespace) -> int:
 def cmd_pipeline_stats(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.experiments.scheduler import plan_shard_workers
     from repro.pipeline import merge_stage_stats
 
     config = config_from_args(args)
-    # The same resolution the sharded executor applies per cell (shards ==
-    # workers == shard_workers), surfaced so a clamped request is visible.
-    shard_plan = plan_shard_workers(config.shard_workers, config.shard_workers)
     apps = [args.app] if args.app else list(APP_NAMES)
     networks = [args.network] if args.network else list(NetworkCondition)
     per_app = {}
@@ -590,8 +579,6 @@ def cmd_pipeline_stats(args: argparse.Namespace) -> int:
                 "call_duration": config.call_duration,
                 "media_scale": config.media_scale,
                 "seed": config.seed,
-                "shard_workers": config.shard_workers,
-                "shard_plan": shard_plan.as_dict(),
                 "chunk_size": config.chunk_size,
                 "dpi_backend": config.dpi_backend,
                 "impairment": config.impairment,
@@ -616,9 +603,7 @@ def cmd_pipeline_stats(args: argparse.Namespace) -> int:
                   f"{stat.records_out:>12} {stat.wall_seconds:>10.4f} "
                   f"{stat.peak_buffered:>14} {stat.chunks:>8}")
 
-    print(f"shard workers: {config.shard_workers} "
-          f"({shard_plan.describe()})  "
-          f"chunk size: {config.chunk_size}  "
+    print(f"chunk size: {config.chunk_size}  "
           f"dpi backend: {config.dpi_backend}")
     for app, stats in per_app.items():
         print(f"{app}:")

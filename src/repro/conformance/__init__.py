@@ -6,7 +6,7 @@ silent behavior drift:
 - :mod:`repro.conformance.golden` records every (app × network) cell's
   verdicts, datagram classes, and metrics as versioned golden JSON;
 - :mod:`repro.conformance.differ` replays the corpus through sweep,
-  fast-path, streaming, sharded and columnar engine configurations and
+  fast-path, streaming and columnar engine configurations and
   demands bit-identical output, reporting the first divergent message
   otherwise;
 - :mod:`repro.conformance.fuzzer` mutates well-formed messages one

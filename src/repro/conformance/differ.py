@@ -4,10 +4,8 @@ The recorded corpus (see :mod:`repro.conformance.golden`) defines ground
 truth under the reference sweep engine.  This module replays the exact
 same filtered records through every interesting engine configuration —
 plain sweep, flow-sticky fast path, the streaming pipeline core (chunked
-feed, incremental checker), the flow-sharded parallel streaming executor
-(hash-partitioned flows, per-shard engines, deterministic merge), and the
-columnar batch scanner — and demands bit-identical verdicts, datagram
-classes, and metrics from each.  On mismatch it renders a drift report
+feed, incremental checker), and the columnar batch scanner — and demands
+bit-identical verdicts, datagram classes, and metrics from each.  On mismatch it renders a drift report
 that names the first divergent message: its index, timestamp, protocol,
 byte offset, and the ``(criterion, code)`` pairs on each side.
 """
@@ -52,20 +50,11 @@ class EngineSpec:
     incremental checker) instead of the batch
     ``analyze_records``/``check`` calls — the execution shape most likely
     to reorder or drop context.
-
-    ``shards > 1`` drives the flow-sharded parallel executor
-    (``repro.pipeline.run_streaming_sharded``): records hash-partitioned
-    by flow key, one engine/checker per shard, deterministic merge — the
-    execution shape most likely to renumber verdicts or interleave
-    analyses wrongly.  It runs in-process here so the differ stays
-    deterministic and cheap; pool and in-process shard execution share
-    one code path by construction.
     """
 
     name: str
     fastpath: bool
     streaming: bool = False
-    shards: int = 1
     backend: str = "scalar"
 
     def build(self, max_offset: int) -> DpiEngine:
@@ -82,7 +71,6 @@ ENGINE_SPECS: Tuple[EngineSpec, ...] = (
     EngineSpec("sweep", fastpath=False),
     EngineSpec("fastpath", fastpath=True),
     EngineSpec("streaming", fastpath=True, streaming=True),
-    EngineSpec("sharded-streaming", fastpath=True, streaming=True, shards=2),
     # Batch stage-one scanner under the same sweep-only conditions as the
     # reference spec, so its DpiStats are also held to exact equality.
     EngineSpec("columnar", fastpath=False, backend="columnar"),
@@ -226,23 +214,7 @@ def check_corpus(
         records = cell_records(app, network, config)
         for spec in specs:
             engine = spec.build(config.max_offset)
-            if spec.shards > 1:
-                from functools import partial
-
-                from repro.pipeline import run_streaming_sharded
-
-                dpi, verdicts, _stage_stats = run_streaming_sharded(
-                    records,
-                    engine_factory=partial(
-                        DpiEngine,
-                        max_offset=config.max_offset,
-                        fastpath=spec.fastpath,
-                        backend=spec.backend,
-                    ),
-                    shards=spec.shards,
-                    workers=0,
-                )
-            elif spec.streaming:
+            if spec.streaming:
                 from repro.pipeline import run_streaming
 
                 dpi, verdicts, _stage_stats = run_streaming(

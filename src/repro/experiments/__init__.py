@@ -16,8 +16,6 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.scheduler import (
     PoolClosedError,
-    ShardPlan,
-    plan_shard_workers,
     reopen_shared_pool,
     shared_pool,
     shutdown_shared_pool,
@@ -29,12 +27,10 @@ __all__ = [
     "ExperimentConfig",
     "MatrixResult",
     "PoolClosedError",
-    "ShardPlan",
     "default_checker",
     "default_engine",
     "expected_cell_cost",
     "matrix_cells",
-    "plan_shard_workers",
     "reopen_shared_pool",
     "run_experiment",
     "run_matrix",

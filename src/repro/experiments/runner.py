@@ -11,7 +11,7 @@ small in memory even for long calls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.apps import APP_NAMES, CallConfig, NetworkCondition, get_simulator
@@ -25,7 +25,6 @@ from repro.pipeline import (
     DEFAULT_CHUNK_SIZE,
     StageStats,
     merge_stage_stats,
-    run_cell_sharded,
 )
 from repro.service.session import AnalysisSession
 
@@ -56,9 +55,6 @@ def default_checker() -> ComplianceChecker:
 class ExperimentConfig:
     """Parameters for one experiment cell (or a whole matrix).
 
-    ``shard_workers`` > 1 flow-shards each cell's streaming pipeline
-    across that many worker processes (see :mod:`repro.pipeline.sharded`);
-    results are bit-identical to ``shard_workers=1`` by construction.
     ``chunk_size`` bounds the record batches the pipeline hands each
     stage per dispatch (``1`` = historical per-record feeding).
     ``dpi_backend`` selects the stage-one sweep implementation
@@ -67,7 +63,7 @@ class ExperimentConfig:
     ``impairment`` names a :mod:`repro.netem` profile applied to every
     cell's record stream post-synthesis — the fourth matrix axis next
     to app, network, and repeat.  Outputs under any profile remain
-    bit-identical across execution shapes (sharded, streaming, either
+    bit-identical across execution shapes (batch, streaming, either
     DPI backend), because the impaired records are produced once by
     ``AppSimulator.iter_records`` before the pipeline ever runs.
     """
@@ -79,7 +75,6 @@ class ExperimentConfig:
     max_offset: int = 200
     include_background: bool = True
     fastpath: bool = True
-    shard_workers: int = 1
     chunk_size: int = DEFAULT_CHUNK_SIZE
     dpi_backend: str = "scalar"
     impairment: str = "none"
@@ -253,7 +248,6 @@ def run_cell_pipeline(
     call_index: int = 0,
     engine: Optional[DpiEngine] = None,
     checker: Optional[ComplianceChecker] = None,
-    shard_workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
 ) -> PipelineRun:
     """Simulate one cell and stream it through filter → DPI → checker.
@@ -268,43 +262,14 @@ def run_cell_pipeline(
     need controlled engine configurations (the conformance differ) are not
     coupled to the process-wide cached engines ``run_experiment`` uses.
 
-    ``shard_workers``/``chunk_size`` default to the config's values.  With
-    ``shard_workers > 1`` the cell is flow-sharded across that many worker
-    processes (:func:`repro.pipeline.run_cell_sharded`) — available only
-    with the default (fresh) engine and checker, since a caller-supplied
-    instance cannot be split across processes; passing one keeps the cell
-    single-process.
+    ``chunk_size`` defaults to the config's value.  The whole cell runs
+    in one :class:`repro.service.AnalysisSession`; parallelism lives one
+    level up, across cells (:func:`run_matrix`).
     """
-    if shard_workers is None:
-        shard_workers = config.shard_workers
     if chunk_size is None:
         chunk_size = config.chunk_size
-    if shard_workers < 1:
-        raise ValueError("shard_workers must be a positive integer")
     simulator = get_simulator(app)
     call_config = _cell_config(network, config, call_index)
-    if shard_workers > 1 and engine is None and checker is None:
-        sharded = run_cell_sharded(
-            list(simulator.iter_records(call_config)),
-            TwoStageFilter(call_config.window()),
-            engine_factory=partial(
-                DpiEngine,
-                max_offset=config.max_offset,
-                fastpath=config.fastpath,
-                backend=config.dpi_backend,
-            ),
-            shards=shard_workers,
-            chunk_size=chunk_size,
-            workers=shard_workers,
-        )
-        return PipelineRun(
-            app=app,
-            network=network,
-            filter_result=sharded.filter_result,
-            dpi=sharded.dpi,
-            verdicts=sharded.verdicts,
-            stage_stats={stat.name: stat for stat in sharded.stage_stats},
-        )
     if engine is None:
         engine = DpiEngine(
             max_offset=config.max_offset,
@@ -339,20 +304,14 @@ def run_experiment(
     call_index: int = 0,
 ) -> ExperimentAggregate:
     """Run one (app, network, call) cell through the full pipeline."""
-    if config.shard_workers > 1:
-        # Sharded cells build one engine per worker process.
-        run = run_cell_pipeline(app, network, config, call_index)
-    else:
-        run = run_cell_pipeline(
-            app,
-            network,
-            config,
-            call_index,
-            engine=default_engine(
-                config.max_offset, config.fastpath, config.dpi_backend
-            ),
-            checker=default_checker(),
-        )
+    run = run_cell_pipeline(
+        app,
+        network,
+        config,
+        call_index,
+        engine=default_engine(config.max_offset, config.fastpath, config.dpi_backend),
+        checker=default_checker(),
+    )
     filter_result = run.filter_result
     dpi = run.dpi
 

@@ -1,24 +1,18 @@
 """The shared process pool and the scheduling helpers around it.
 
-Both parallelism levels — matrix cells
-(:mod:`repro.experiments.parallel`) and intra-cell flow shards
-(:mod:`repro.pipeline.sharded`) — schedule onto the single
-:class:`~concurrent.futures.ProcessPoolExecutor` owned here, so a run
-never oversubscribes the machine with one pool per axis and worker
+Matrix cells (:mod:`repro.experiments.parallel`) run on the single
+:class:`~concurrent.futures.ProcessPoolExecutor` owned here, so worker
 processes are spawned (and warmed) once per Python process, not once
-per call.  An ``atexit`` hook tears the pool down when the process
-exits, so pool workers can never outlive the CLI.  Execution knobs
-(``workers``, ``shard_workers``, ``chunk_size``, ``dpi_backend``) are
-taken from configuration as given; :func:`plan_shard_workers` only
-clamps a shard request to the machine.
+per call.  Each cell runs whole inside one worker, as one
+:class:`repro.service.AnalysisSession`.  An ``atexit`` hook tears the
+pool down when the process exits, so pool workers can never outlive
+the CLI.  Execution knobs (``workers``, ``chunk_size``,
+``dpi_backend``) are taken from configuration as given.
 
 The pool ``initializer`` pre-builds the process-wide default engine and
 checker (:func:`repro.experiments.runner.default_engine` /
 ``default_checker``), so cell workers do not pay construction cost on
-their first cell.  It also marks the process as a pool worker: code that
-could otherwise nest a second pool (a sharded cell running *inside* a
-cell worker) checks :func:`in_pool_worker` and degrades to in-process
-shard execution instead of spawning grandchildren.
+their first cell.
 
 ``POOL_FALLBACK_ERRORS`` is the shared contract for "the environment, not
 the code, refused to parallelize": unpicklable payloads, broken pools,
@@ -33,7 +27,6 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 
@@ -60,14 +53,11 @@ POOL_FALLBACK_ERRORS = (
 
 _pool: Optional[ProcessPoolExecutor] = None
 _pool_workers: int = 0
-_in_pool_worker: bool = False
 _pool_finalized: bool = False
 
 
 def _warm_worker(max_offset: int, fastpath: bool) -> None:
-    """Pool initializer: flag the process and pre-build engine/checker."""
-    global _in_pool_worker
-    _in_pool_worker = True
+    """Pool initializer: reset signal handlers and pre-build engine/checker."""
     # Forked workers inherit the CLI's SIGTERM/SIGINT handlers, which
     # tear down the *shared pool* — a parent-only action that deadlocks
     # in a child holding forked copies of the executor's locks.  Restore
@@ -83,11 +73,6 @@ def _warm_worker(max_offset: int, fastpath: bool) -> None:
 
     default_engine(max_offset, fastpath)
     default_checker()
-
-
-def in_pool_worker() -> bool:
-    """True inside a pool worker process (never nest a second pool there)."""
-    return _in_pool_worker
 
 
 def shared_pool(
@@ -192,68 +177,6 @@ def reopen_shared_pool() -> None:
 
 
 atexit.register(shutdown_shared_pool, final=True)
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """The resolved worker count for a sharded run, plus why.
-
-    ``effective`` is what actually runs: the requested count (or the CPU
-    count when unspecified), capped by the task count and by the CPU
-    count.  The CPU cap exists because process-parallel sharding *loses*
-    throughput once workers exceed cores — the PR 5 bench measured a
-    4-shard run at 0.087x on a 1-CPU box — so oversubscription is a cliff,
-    not a tradeoff.  ``in_process`` means no pool is used at all
-    (``effective <= 1``); results are bit-identical either way.
-    """
-
-    requested: Optional[int]
-    effective: int
-    cpu_count: int
-    clamped: bool
-    in_process: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "requested": self.requested,
-            "effective": self.effective,
-            "cpu_count": self.cpu_count,
-            "clamped": self.clamped,
-            "in_process": self.in_process,
-        }
-
-    def describe(self) -> str:
-        """One-line human rendering for CLI output."""
-        mode = "in-process" if self.in_process else f"{self.effective} workers"
-        note = f" (clamped to {self.cpu_count} cpu)" if self.clamped else ""
-        return f"{mode}{note}"
-
-
-def plan_shard_workers(
-    requested: Optional[int], tasks: int, cpu_count: Optional[int] = None
-) -> ShardPlan:
-    """Resolve a shard worker request against the machine and task count.
-
-    ``requested=None`` auto-sizes to the CPU count; ``0``/``1`` force
-    in-process execution.  Anything larger is capped at the task count
-    (idle workers are pointless) and then clamped to the CPU count (see
-    :class:`ShardPlan`).  ``cpu_count`` is injectable for tests.
-    """
-    if requested is not None and requested < 0:
-        raise ValueError("workers must be >= 0 or None")
-    cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    if cpus < 1:
-        raise ValueError("cpu_count must be positive")
-    want = cpus if requested is None else requested
-    capped = min(want, tasks)
-    effective = min(capped, cpus)
-    return ShardPlan(
-        requested=requested,
-        effective=effective,
-        cpu_count=cpus,
-        clamped=effective < capped,
-        in_process=effective <= 1,
-    )
 
 
 T = TypeVar("T")

@@ -120,8 +120,6 @@ class OnlineTwoStageFilter:
         excluded_ports: Iterable[int] = DEFAULT_EXCLUDED_PORTS,
         enabled_heuristics: Sequence[str] = ("3tuple", "sni", "local_ip", "port"),
         low_memory: bool = False,
-        seed_outside: Iterable[EndpointTuple] = (),
-        seed_precall: Iterable[FrozenSet[str]] = (),
     ):
         self._window = window
         self._sni_blocklist = frozenset(sni_blocklist)
@@ -130,13 +128,10 @@ class OnlineTwoStageFilter:
         self._low_memory = low_memory
         self._streams: Dict[FlowKey, object] = {}
         # The 3-tuple and local-IP heuristics need *capture-global* state
-        # (every endpoint outside the window, every pre-call IP pair).  A
-        # flow-sharded run observes only its own partition, so the sharded
-        # executor pre-collects both sets in its partitioning pass and
-        # seeds each shard's filter with them — making per-shard keep/drop
-        # decisions identical to a global run over the same capture.
-        self._outside: Set[EndpointTuple] = set(seed_outside)
-        self._precall: Set[FrozenSet[str]] = set(seed_precall)
+        # (every endpoint outside the window, every pre-call IP pair),
+        # collected as records arrive and consulted at finalize time.
+        self._outside: Set[EndpointTuple] = set()
+        self._precall: Set[FrozenSet[str]] = set()
         self._observed = 0
         self._finalized = False
 

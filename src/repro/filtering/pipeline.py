@@ -142,19 +142,8 @@ class TwoStageFilter:
             online.observe(record)
         return online.finalize()
 
-    def online(
-        self,
-        low_memory: bool = False,
-        seed_outside: Iterable = (),
-        seed_precall: Iterable = (),
-    ) -> "OnlineTwoStageFilter":
-        """An incremental filter session with this pipeline's configuration.
-
-        ``seed_outside``/``seed_precall`` pre-load the capture-global state
-        of the window heuristics — the flow-sharded executor uses them so
-        a session that observes only one shard still decides like one that
-        saw the whole capture (see :mod:`repro.pipeline.sharded`).
-        """
+    def online(self, low_memory: bool = False) -> "OnlineTwoStageFilter":
+        """An incremental filter session with this pipeline's configuration."""
         from repro.filtering.online import OnlineTwoStageFilter
 
         return OnlineTwoStageFilter(
@@ -163,8 +152,6 @@ class TwoStageFilter:
             excluded_ports=self._excluded_ports,
             enabled_heuristics=self._enabled,
             low_memory=low_memory,
-            seed_outside=seed_outside,
-            seed_precall=seed_precall,
         )
 
 

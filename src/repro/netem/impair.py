@@ -4,7 +4,7 @@ An :class:`Impairer` applies one :class:`~repro.netem.profiles.ImpairmentProfile
 to a list of :class:`~repro.packets.packet.PacketRecord` as a **pure
 transform**: the output is a function of (profile, seed, label, input
 records) and nothing else, so it composes with ``run_cell_pipeline``,
-the flow-sharded runner, and both DPI backends unchanged, and the same
+the streaming session, and both DPI backends unchanged, and the same
 seed always yields the same impaired sequence.
 
 Semantics, in application order:

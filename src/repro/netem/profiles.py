@@ -5,7 +5,7 @@ configurations (§3.1.1).  Real RTC traffic additionally survives loss,
 reordering, duplication, mid-call NAT rebinding, and networks that block
 UDP outright (forcing TURN-over-TCP fallback) — exactly where protocol
 behavior diverges from spec and where a compliance pipeline's own
-machinery (flow-sticky fast path, online filter, sharded merge) is most
+machinery (flow-sticky fast path, online filter, columnar scan) is most
 likely to be wrong.  An :class:`ImpairmentProfile` describes one such
 path condition; :class:`~repro.netem.impair.Impairer` applies it as a
 pure, seeded ``records -> records`` transform.

@@ -26,12 +26,6 @@ from repro.pipeline.stages import (
     FilterStage,
     ordered_verdicts,
 )
-from repro.pipeline.sharded import (
-    ShardedCellRun,
-    flow_shard,
-    run_cell_sharded,
-    run_streaming_sharded,
-)
 
 __all__ = [
     "CheckStage",
@@ -39,15 +33,11 @@ __all__ = [
     "DpiStage",
     "FilterStage",
     "Pipeline",
-    "ShardedCellRun",
     "Stage",
     "StageStats",
-    "flow_shard",
     "merge_stage_stats",
     "ordered_verdicts",
-    "run_cell_sharded",
     "run_streaming",
-    "run_streaming_sharded",
 ]
 
 

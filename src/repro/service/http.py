@@ -46,6 +46,11 @@ from repro.service.ingest import (
 from repro.service.session import AnalysisSession, EvictionPolicy, SessionResult
 
 
+#: Largest request body the daemon will read.  A session spec is a small
+#: JSON object; anything bigger is refused with 413 before it is buffered.
+MAX_REQUEST_BODY = 64 * 1024
+
+
 class ServiceError(ValueError):
     """A request the service understands but must refuse (HTTP 4xx)."""
 
@@ -399,11 +404,24 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_json(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            # The body is left unread, so the connection cannot be reused.
+            self.close_connection = True
+            raise ServiceError(400, f"invalid Content-Length: {declared!r}")
+        length = int(declared)
+        if length > MAX_REQUEST_BODY:
+            self.close_connection = True
+            raise ServiceError(
+                413,
+                f"request body of {length} bytes exceeds {MAX_REQUEST_BODY}",
+            )
         if not length:
             return {}
         try:

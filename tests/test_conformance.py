@@ -54,7 +54,6 @@ class TestDifferentialCheck:
             "sweep",
             "fastpath",
             "streaming",
-            "sharded-streaming",
             "columnar",
         } == set(corpus_report.engines)
 

@@ -7,8 +7,8 @@ Two families of invariants, driven by hypothesis-generated profiles:
   a different seed or label draws an independent one.
 - **Engine parity**: whatever a generated profile does to the record
   stream, every execution shape — plain sweep, flow-sticky fast path,
-  streaming pipeline, flow-sharded streaming, and the columnar backend
-  in both its vectorized and pure-Python modes — produces bit-identical
+  streaming pipeline, and the columnar backend in both its vectorized
+  and pure-Python modes — produces bit-identical
   verdicts, datagram classes, and metrics to the reference scalar sweep.
 
 The generated profiles deliberately exceed the named presets (loss up to
@@ -143,9 +143,7 @@ def _reference_digest(records):
 
 def _shape_digests(records):
     """Digest of every non-reference execution shape over *records*."""
-    from functools import partial
-
-    from repro.pipeline import run_streaming, run_streaming_sharded
+    from repro.pipeline import run_streaming
 
     checker = ComplianceChecker()
     digests = {}
@@ -162,14 +160,6 @@ def _shape_digests(records):
         records, DpiEngine(max_offset=MAX_OFFSET), ComplianceChecker()
     )
     digests["streaming"] = _facts_digest(dpi, verdicts)
-
-    dpi, verdicts, _stats = run_streaming_sharded(
-        records,
-        engine_factory=partial(DpiEngine, max_offset=MAX_OFFSET),
-        shards=2,
-        workers=0,
-    )
-    digests["sharded"] = _facts_digest(dpi, verdicts)
     return digests
 
 

@@ -6,10 +6,12 @@ pins the service's core guarantee: the SSE verdict stream for a replayed
 cell is bit-identical to the batch pipeline over the same records.
 """
 
+import http.client
 import json
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -352,6 +354,27 @@ def test_http_errors(daemon):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _delete(daemon, "/sessions/nope")
     assert excinfo.value.code == 404
+
+
+@pytest.mark.parametrize(
+    "content_length, status",
+    [("abc", 400), ("-1", 400), (str(1_000_000_000), 413)],
+)
+def test_untrusted_content_length_is_refused(daemon, content_length, status):
+    """A bad or oversized Content-Length gets an answer, not a hung handler."""
+    url = urllib.parse.urlsplit(daemon)
+    connection = http.client.HTTPConnection(url.hostname, url.port, timeout=1.0)
+    try:
+        connection.putrequest("POST", "/sessions")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders()
+        response = connection.getresponse()
+        assert response.status == status
+        assert "error" in json.loads(response.read())
+        assert response.getheader("Connection") == "close"
+    finally:
+        connection.close()
 
 
 def test_sse_verdict_stream_matches_batch(daemon):
