@@ -46,4 +46,4 @@ def zoom_kept_records(zoom_trace):
 
 @pytest.fixture(scope="session")
 def zoom_dpi(zoom_kept_records):
-    return DpiEngine().analyze_records(zoom_kept_records)
+    return DpiEngine(backend="columnar").analyze_records(zoom_kept_records)

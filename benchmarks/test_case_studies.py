@@ -32,7 +32,8 @@ def analyzed():
                            call_duration=40.0, media_scale=0.5)
             )
             kept = TwoStageFilter(trace.window).apply(trace.records).kept_records
-            cache[key] = (trace, DpiEngine().analyze_records(kept))
+            engine = DpiEngine(backend="columnar")
+            cache[key] = (trace, engine.analyze_records(kept))
         return cache[key]
 
     return get

@@ -15,7 +15,8 @@ def test_k_offset_sweep(zoom_kept_records, benchmark):
     print()
     for k in (0, 8, 16, 32, 64, 128, 200, 100000):
         started = time.perf_counter()
-        result = DpiEngine(max_offset=k).analyze_records(zoom_kept_records)
+        engine = DpiEngine(max_offset=k, backend="columnar")
+        result = engine.analyze_records(zoom_kept_records)
         elapsed = time.perf_counter() - started
         count = len(result.messages())
         sweep[k] = count
@@ -33,7 +34,7 @@ def test_k_offset_sweep(zoom_kept_records, benchmark):
     # And already k=64 suffices for Zoom's headers (24-39 bytes + wrapper).
     assert sweep[64] == sweep[200]
 
-    engine = DpiEngine(max_offset=200)
+    engine = DpiEngine(max_offset=200, backend="columnar")
     benchmark.pedantic(
         engine.analyze_records, args=(zoom_kept_records,), rounds=2, iterations=1
     )

@@ -34,6 +34,6 @@ def test_table2(matrix, zoom_kept_records, benchmark):
     assert meet["stun_turn"] > 0.1                    # paper: 19.8%
     assert meet["stun_turn"] > max(others) * 3        # far above everyone else
 
-    engine = DpiEngine()
+    engine = DpiEngine(backend="columnar")
     result = benchmark(engine.analyze_records, zoom_kept_records)
     assert result.messages()

@@ -6,7 +6,7 @@ Subcommands::
     rtc-compliance matrix --duration 30 --scale 0.5      # full matrix + tables
     rtc-compliance synthesize --app discord --out d.pcap # write a pcap trace
     rtc-compliance pcap capture.pcap                     # analyze a real pcap
-    rtc-compliance dpi-stats --app zoom                  # DPI fast-path counters
+    rtc-compliance dpi-stats --app zoom                  # DPI extraction counters
     rtc-compliance pipeline-stats --app zoom             # per-stage stream counters
     rtc-compliance conformance record                    # (re-)record goldens
     rtc-compliance conformance check                     # diff engines vs goldens
@@ -57,16 +57,14 @@ def add_execution_flags(
     parser: argparse.ArgumentParser,
     workers: bool = False,
     chunking: bool = False,
-    backend: bool = False,
     impairment: bool = False,
 ) -> None:
     """Attach the shared execution-matrix flags to *parser*.
 
     One definition per flag — ``--workers``, ``--chunk-size``,
-    ``--dpi-backend``, ``--impairment`` — so every
-    subcommand wires the same names, types, defaults, and help text, and
-    :func:`config_from_args` can rebuild an :class:`ExperimentConfig`
-    from any of them.
+    ``--impairment`` — so every subcommand wires the same names, types,
+    defaults, and help text, and :func:`config_from_args` can rebuild an
+    :class:`ExperimentConfig` from any of them.
     """
     if workers:
         parser.add_argument("--workers", type=_workers, default=None,
@@ -76,12 +74,6 @@ def add_execution_flags(
         parser.add_argument("--chunk-size", type=_chunk_size, default=None,
                             help="records per pipeline stage dispatch "
                                  "(default: 256; 1 = per-record feeding)")
-    if backend:
-        parser.add_argument("--dpi-backend", choices=("scalar", "columnar"),
-                            default="scalar",
-                            help="stage-one sweep implementation (columnar = "
-                                 "vectorized batch scan over whole chunks; "
-                                 "results are bit-identical)")
     if impairment:
         from repro.netem import PROFILE_NAMES
 
@@ -106,14 +98,11 @@ def config_from_args(args: argparse.Namespace, **overrides) -> ExperimentConfig:
         "media_scale": getattr(args, "scale", 0.5),
         "seed": getattr(args, "seed", 0),
         "repeats": getattr(args, "repeats", 1),
-        "dpi_backend": getattr(args, "dpi_backend", "scalar"),
         "impairment": getattr(args, "impairment", "none"),
     }
     chunk_size = getattr(args, "chunk_size", None)
     if chunk_size is not None:
         kwargs["chunk_size"] = chunk_size
-    if getattr(args, "no_fastpath", False):
-        kwargs["fastpath"] = False
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
 
@@ -139,15 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--duration", type=float, default=30.0)
     run_p.add_argument("--scale", type=float, default=0.5)
     run_p.add_argument("--seed", type=int, default=0)
-    add_execution_flags(run_p, backend=True, impairment=True)
+    add_execution_flags(run_p, impairment=True)
 
     matrix_p = sub.add_parser("matrix", help="run the full experiment matrix")
     matrix_p.add_argument("--duration", type=float, default=30.0)
     matrix_p.add_argument("--scale", type=float, default=0.5)
     matrix_p.add_argument("--repeats", type=int, default=1)
     matrix_p.add_argument("--seed", type=int, default=0)
-    add_execution_flags(matrix_p, workers=True, chunking=True, backend=True,
-                        impairment=True)
+    add_execution_flags(matrix_p, workers=True, chunking=True, impairment=True)
 
     synth_p = sub.add_parser("synthesize", help="write a synthetic call trace to pcap")
     synth_p.add_argument("--app", choices=APP_NAMES, required=True)
@@ -161,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     pcap_p = sub.add_parser("pcap", help="analyze an existing pcap capture")
     pcap_p.add_argument("path")
     pcap_p.add_argument("--max-offset", type=int, default=200)
-    add_execution_flags(pcap_p, backend=True)
 
     report_p = sub.add_parser("report", help="write a markdown compliance report")
     report_p.add_argument("--app", choices=APP_NAMES)
@@ -170,8 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--scale", type=float, default=0.5)
     report_p.add_argument("--seed", type=int, default=0)
     report_p.add_argument("--out", help="output file (default: stdout)")
-    add_execution_flags(report_p, workers=True, chunking=True, backend=True,
-                        impairment=True)
+    add_execution_flags(report_p, workers=True, chunking=True, impairment=True)
 
     dataset_p = sub.add_parser(
         "dataset", help="synthesize a pcap dataset with ground-truth manifest"
@@ -205,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="datagrams to print (default 20)")
 
     stats_p = sub.add_parser(
-        "dpi-stats", help="run experiments and print DPI fast-path counters"
+        "dpi-stats", help="run experiments and print DPI extraction counters"
     )
     stats_p.add_argument("--app", choices=APP_NAMES,
                          help="single app (default: full matrix)")
@@ -214,9 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats_p.add_argument("--duration", type=float, default=30.0)
     stats_p.add_argument("--scale", type=float, default=0.5)
     stats_p.add_argument("--seed", type=int, default=0)
-    stats_p.add_argument("--no-fastpath", action="store_true",
-                         help="disable the flow-sticky fast path (sweep only)")
-    add_execution_flags(stats_p, backend=True, impairment=True)
+    add_execution_flags(stats_p, impairment=True)
 
     pstats_p = sub.add_parser(
         "pipeline-stats",
@@ -231,8 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     pstats_p.add_argument("--seed", type=int, default=0)
     pstats_p.add_argument("--json", action="store_true",
                           help="emit machine-readable JSON instead of a table")
-    add_execution_flags(pstats_p, chunking=True, backend=True,
-                        impairment=True)
+    add_execution_flags(pstats_p, chunking=True, impairment=True)
 
     serve_p = sub.add_parser(
         "serve", help="run the always-on compliance service (HTTP + SSE)"
@@ -399,7 +382,7 @@ def cmd_pcap(args: argparse.Namespace) -> int:
                     return
                 yield from batch
 
-        engine = DpiEngine(max_offset=args.max_offset, backend=args.dpi_backend)
+        engine = DpiEngine(max_offset=args.max_offset, backend="columnar")
         checker = ComplianceChecker()
         result, verdicts, _ = run_streaming(
             timed_records(), engine, checker, chunk_size=DEFAULT_CHUNK_SIZE
@@ -525,11 +508,7 @@ def cmd_dissect(args: argparse.Namespace) -> int:
 def _print_dpi_stats(label: str, stats) -> None:
     print(f"{label}:")
     print(f"  datagrams          {stats.datagrams}")
-    print(f"  fast-path hits     {stats.fastpath_hits} "
-          f"({stats.fastpath_hit_rate * 100:.1f}% of datagrams)")
-    print(f"  fast-path misses   {stats.fastpath_fallbacks}")
     print(f"  full sweeps        {stats.sweeps}")
-    print(f"  stream re-sweeps   {stats.fastpath_redos}")
     if stats.matcher_calls:
         print("  matcher calls:")
         for protocol, count in sorted(stats.matcher_calls.items()):
@@ -551,8 +530,6 @@ def cmd_dpi_stats(args: argparse.Namespace) -> int:
         total.merge(per_app)
     if len(apps) > 1:
         _print_dpi_stats("total", total)
-    mode = "off" if args.no_fastpath else "on"
-    print(f"fast path: {mode}")
     return 0
 
 
@@ -580,7 +557,6 @@ def cmd_pipeline_stats(args: argparse.Namespace) -> int:
                 "media_scale": config.media_scale,
                 "seed": config.seed,
                 "chunk_size": config.chunk_size,
-                "dpi_backend": config.dpi_backend,
                 "impairment": config.impairment,
                 "apps": apps,
                 "networks": [n.value for n in networks],
@@ -603,8 +579,7 @@ def cmd_pipeline_stats(args: argparse.Namespace) -> int:
                   f"{stat.records_out:>12} {stat.wall_seconds:>10.4f} "
                   f"{stat.peak_buffered:>14} {stat.chunks:>8}")
 
-    print(f"chunk size: {config.chunk_size}  "
-          f"dpi backend: {config.dpi_backend}")
+    print(f"chunk size: {config.chunk_size}")
     for app, stats in per_app.items():
         print(f"{app}:")
         print_rows(stats)

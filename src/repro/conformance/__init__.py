@@ -5,8 +5,8 @@ silent behavior drift:
 
 - :mod:`repro.conformance.golden` records every (app × network) cell's
   verdicts, datagram classes, and metrics as versioned golden JSON;
-- :mod:`repro.conformance.differ` replays the corpus through sweep,
-  fast-path, streaming and columnar engine configurations and
+- :mod:`repro.conformance.differ` replays the corpus through the
+  reference sweep and the production engine (batch and streaming) and
   demands bit-identical output, reporting the first divergent message
   otherwise;
 - :mod:`repro.conformance.fuzzer` mutates well-formed messages one

@@ -2,12 +2,14 @@
 
 The recorded corpus (see :mod:`repro.conformance.golden`) defines ground
 truth under the reference sweep engine.  This module replays the exact
-same filtered records through every interesting engine configuration —
-plain sweep, flow-sticky fast path, the streaming pipeline core (chunked
-feed, incremental checker), and the columnar batch scanner — and demands
-bit-identical verdicts, datagram classes, and metrics from each.  On mismatch it renders a drift report
-that names the first divergent message: its index, timestamp, protocol,
-byte offset, and the ``(criterion, code)`` pairs on each side.
+same filtered records through every engine configuration — the scalar
+reference sweep, the production columnar batch sweep, and the production
+engine driven through the streaming pipeline core (chunked feed,
+incremental checker) — and demands bit-identical verdicts, datagram
+classes, metrics and ``DpiStats`` from each.  On mismatch it renders a
+drift report that names the first divergent message: its index,
+timestamp, protocol, byte offset, and the ``(criterion, code)`` pairs on
+each side.
 """
 
 from __future__ import annotations
@@ -53,27 +55,21 @@ class EngineSpec:
     """
 
     name: str
-    fastpath: bool
     streaming: bool = False
     backend: str = "scalar"
 
     def build(self, max_offset: int) -> DpiEngine:
-        return DpiEngine(
-            max_offset=max_offset,
-            fastpath=self.fastpath,
-            backend=self.backend,
-        )
+        return DpiEngine(max_offset=max_offset, backend=self.backend)
 
 
 #: ``sweep`` is the reference configuration the corpus was recorded with;
-#: its DpiStats must match the golden exactly, not just its verdicts.
+#: ``columnar`` and ``streaming`` are the production engine in its batch
+#: and streaming shapes.  Every datagram is swept once in all three, so
+#: each one's DpiStats must match the golden exactly, not just its verdicts.
 ENGINE_SPECS: Tuple[EngineSpec, ...] = (
-    EngineSpec("sweep", fastpath=False),
-    EngineSpec("fastpath", fastpath=True),
-    EngineSpec("streaming", fastpath=True, streaming=True),
-    # Batch stage-one scanner under the same sweep-only conditions as the
-    # reference spec, so its DpiStats are also held to exact equality.
-    EngineSpec("columnar", fastpath=False, backend="columnar"),
+    EngineSpec("sweep"),
+    EngineSpec("columnar", backend="columnar"),
+    EngineSpec("streaming", streaming=True, backend="columnar"),
 )
 
 
@@ -144,7 +140,7 @@ def _compare_messages(golden: List, actual: List) -> Optional[str]:
 
 
 def _compare_facts(
-    golden: Dict[str, object], actual: Dict[str, object], exact_stats: bool
+    golden: Dict[str, object], actual: Dict[str, object]
 ) -> List[Tuple[str, str]]:
     """(kind, detail) pairs for every way ``actual`` diverges from ``golden``."""
     problems: List[Tuple[str, str]] = []
@@ -175,10 +171,10 @@ def _compare_facts(
             f"datagram count: expected {golden_stats['datagrams']}, "
             f"got {actual_stats['datagrams']}",
         ))
-    elif exact_stats and golden_stats != actual_stats:
+    elif golden_stats != actual_stats:
         problems.append((
             "dpi-stats",
-            f"reference-engine counters drifted: expected {golden_stats}, "
+            f"extraction counters drifted: expected {golden_stats}, "
             f"got {actual_stats}",
         ))
     return problems
@@ -224,10 +220,7 @@ def check_corpus(
                 dpi = engine.analyze_records(records)
                 verdicts = checker.check(dpi.messages())
             actual = build_facts(app, network, dpi, verdicts)
-            # Both sweep-only configurations — scalar reference and
-            # columnar — must reproduce the recorded counters exactly.
-            exact_stats = spec.name in ("sweep", "columnar")
-            for kind, detail in _compare_facts(golden, actual, exact_stats):
+            for kind, detail in _compare_facts(golden, actual):
                 report.drifts.append(Drift(name, spec.name, kind, detail))
             for problem in dpi.stats.invariant_violations():
                 report.drifts.append(

@@ -1,8 +1,8 @@
 """Golden conformance corpus: record and load per-cell expected outputs.
 
 A *golden cell* captures everything the pipeline concludes about one
-(app, network) emulator cell under the **reference engine** — a plain
-0..k sweep with no flow-sticky fast path:
+(app, network) emulator cell under the **reference engine** — the plain
+scalar 0..k sweep of Algorithm 1 (``DpiEngine()``):
 
 - the datagram class of every analyzed datagram, in timestamp order;
 - every extracted message (timestamp, protocol, byte offset, length,
@@ -82,7 +82,7 @@ class CorpusConfig:
 #: The impaired golden corpora: profile -> the single network condition
 #: each one is recorded under.  ``lossy`` (random loss + reorder + dup)
 #: rides the TURN relay path; ``rebind`` (mid-call NAT port rotation)
-#: rides the P2P path where flow-sticky fast-path locks are longest-lived.
+#: rides the P2P path where media flows are longest-lived.
 IMPAIRED_CORPORA: Dict[str, NetworkCondition] = {
     "lossy": NetworkCondition.WIFI_RELAY,
     "rebind": NetworkCondition.WIFI_P2P,
@@ -105,8 +105,8 @@ def cell_name(app: str, network: NetworkCondition) -> str:
 
 
 def reference_engine(config: CorpusConfig) -> DpiEngine:
-    """The engine whose output defines ground truth: sweep-only."""
-    return DpiEngine(max_offset=config.max_offset, fastpath=False)
+    """The engine whose output defines ground truth: the scalar sweep."""
+    return DpiEngine(max_offset=config.max_offset)
 
 
 def experiment_config(config: CorpusConfig) -> "ExperimentConfig":

@@ -20,11 +20,6 @@ from repro.dpi.engine import (
     DpiStats,
     DpiStreamSession,
 )
-from repro.dpi.fastpath import (
-    DEFAULT_SIGNATURE_K,
-    SignatureLearner,
-    StreamSignature,
-)
 from repro.dpi.messages import (
     DatagramAnalysis,
     DatagramClass,
@@ -34,7 +29,6 @@ from repro.dpi.messages import (
 
 __all__ = [
     "DEFAULT_MAX_OFFSET",
-    "DEFAULT_SIGNATURE_K",
     "HAVE_NUMPY",
     "ColumnarScanner",
     "ColumnarStats",
@@ -42,8 +36,6 @@ __all__ = [
     "DpiResult",
     "DpiStats",
     "DpiStreamSession",
-    "SignatureLearner",
-    "StreamSignature",
     "DatagramAnalysis",
     "DatagramClass",
     "ExtractedMessage",

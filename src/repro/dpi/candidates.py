@@ -12,10 +12,6 @@ precompiled byte-class regexes, which scan at C speed — and parse at
 absolute offsets into the shared payload buffer instead of slicing a fresh
 ``payload[offset:]`` window per candidate.  This is behaviourally identical
 to Algorithm 1's 0..k sweep but linear in payload size and zero-copy.
-
-``stun_candidates`` and ``rtp_candidates`` additionally accept an
-``offsets`` allow-list so the flow-sticky fast path
-(:mod:`repro.dpi.fastpath`) can probe only a stream's learned offsets.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional
+from typing import Any, List
 
 from repro.dpi.messages import Protocol
 from repro.protocols.quic.header import (
@@ -107,30 +103,13 @@ class Candidate:
         return self.offset + self.length + len(self.trailer)
 
 
-def stun_candidates(
-    payload: bytes, max_offset: int, offsets: Optional[Iterable[int]] = None
-) -> List[Candidate]:
+def stun_candidates(payload: bytes, max_offset: int) -> List[Candidate]:
     """Modern STUN anywhere (cookie-anchored), classic STUN at offset 0,
-    ChannelData at offset 0.
-
-    ``offsets`` restricts the modern-STUN probe to an allow-list of offsets
-    (the fast path's learned positions); classic/ChannelData checks then run
-    only when offset 0 is in the list.
-    """
+    ChannelData at offset 0."""
     candidates: List[Candidate] = []
 
     # Modern STUN: anchor on the magic cookie at bytes 4..8 of the header.
-    if offsets is None:
-        positions = _cookie_offsets(payload, max_offset)
-        zero_allowed = True
-    else:
-        allowed = tuple(offsets)
-        positions = [
-            o for o in allowed
-            if 0 <= o <= max_offset and payload[o + 4:o + 8] == _COOKIE_BYTES
-        ]
-        zero_allowed = 0 in allowed
-    for offset in positions:
+    for offset in _cookie_offsets(payload, max_offset):
         if not looks_like_stun(payload, offset):
             continue
         try:
@@ -150,7 +129,7 @@ def stun_candidates(
 
     # Classic (RFC 3489) STUN: no cookie to anchor on, so only claim it at
     # offset 0 with an exact length fit — Zoom's usage.
-    if zero_allowed and looks_like_stun(payload):
+    if looks_like_stun(payload):
         try:
             message = StunMessage.parse(payload, strict=True)
         except StunParseError:
@@ -170,7 +149,7 @@ def stun_candidates(
     # the channel must be in the RFC 8656 client range 0x4000-0x4FFF and at
     # most 3 slack bytes may follow (kept as a trailer so the compliance
     # layer can flag the padding, which is illegal over UDP).
-    if zero_allowed and len(payload) >= 4 and 0x40 <= payload[0] <= 0x4F:
+    if len(payload) >= 4 and 0x40 <= payload[0] <= 0x4F:
         try:
             frame = ChannelData.parse(payload, strict=False)
         except StunParseError:
@@ -205,30 +184,20 @@ def _cookie_offsets(payload: bytes, max_offset: int) -> List[int]:
     return out
 
 
-def rtp_candidates(
-    payload: bytes, max_offset: int, offsets: Optional[Iterable[int]] = None
-) -> List[Candidate]:
+def rtp_candidates(payload: bytes, max_offset: int) -> List[Candidate]:
     """RTP at any offset whose first byte has version 2.
 
     An RTP message has no length field, so each candidate tentatively spans
     to the end of the datagram; overlap resolution may later truncate it
     when a continuation packet follows (Zoom's dual-RTP datagrams).
-
-    ``offsets`` restricts the probe to an allow-list of offsets (the fast
-    path's learned positions) instead of the full anchor scan.
     """
     candidates: List[Candidate] = []
     size = len(payload)
     if size < 12:
         return candidates
     limit = min(max_offset, size - 12)
-    if offsets is None:
-        positions: Iterable[int] = (
-            m.start() for m in _RTP_ANCHOR.finditer(payload, 0, limit + 1)
-        )
-    else:
-        positions = (o for o in offsets if 0 <= o <= limit)
-    for offset in positions:
+    for match in _RTP_ANCHOR.finditer(payload, 0, limit + 1):
+        offset = match.start()
         if not looks_like_rtp(payload, offset):
             continue
         seq, timestamp, ssrc = _RTP_FIELDS.unpack_from(payload, offset + 2)

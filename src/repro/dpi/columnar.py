@@ -1,17 +1,21 @@
-"""Columnar batch stage-one scanner: vectorized sweeps over payload chunks.
+"""Columnar batch stage-one scanner: the production 0..k sweep.
 
-The scalar sweep (:meth:`repro.dpi.engine.DpiEngine._sweep`) runs four
-anchored matchers per payload; per-payload Python call overhead dominates
-once the fast path has removed the redundant work.  This module
-scans a whole chunk of payloads (the pipeline's 256-record unit) at once:
+The reference sweep (:meth:`repro.dpi.engine.DpiEngine._scan`) runs four
+anchored matchers per payload, and per-payload Python call overhead
+dominates its cost.  This module computes the same sweep for a whole
+chunk of one stream's payloads (up to 256 at a time) at once; it is the
+stage one every production engine (``DpiEngine(backend="columnar")``)
+runs:
 
 * the payloads are joined into one buffer with an offset index, so each
   anchor pass is a single C-level scan whose global match positions are
   translated back to ``(payload, offset)`` pairs;
 * the RTP pass — the only matcher that yields candidates in bulk — is
-  fully vectorized behind a soft numpy import (byte-class masks, gathered
-  header fields, one ``searchsorted`` to slice per-payload runs), with a
-  mandatory pure-Python path that keeps the per-payload anchored scan;
+  fully vectorized with numpy (byte-class masks, gathered header fields,
+  one ``searchsorted`` to slice per-payload runs); a pure-Python path
+  keeps the per-payload anchored scan and serves batches below
+  ``_MIN_VECTOR_BATCH``, installs without numpy, and ``use_numpy=False``
+  parity checks;
 * the STUN/RTCP/QUIC matchers are *gated*: a cheap prefilter proves the
   matcher would return nothing for a payload, so it is simply skipped.
 
@@ -41,6 +45,7 @@ grows within one payload).
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -59,7 +64,7 @@ from repro.dpi.candidates import (
 from repro.dpi.messages import Protocol
 from repro.protocols.quic.header import QUIC_V1, QUIC_V2
 
-try:  # soft dependency — the pure-Python path below is always available
+try:  # a declared dependency; the pure-Python path below is always kept
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on numpy-less installs
     _np = None
@@ -71,11 +76,14 @@ DEFAULT_BATCH_SIZE = 256
 
 #: The three version strings a QUIC long-header anchor can carry at bytes
 #: ``o+1..o+5`` (see ``_QUIC_ANCHOR``): v1, v2, version negotiation.
+_QUIC_VN_NEEDLE = b"\x00\x00\x00\x00"
 _QUIC_VERSION_NEEDLES = (
     QUIC_V1.to_bytes(4, "big"),
     QUIC_V2.to_bytes(4, "big"),
-    b"\x00\x00\x00\x00",
+    _QUIC_VN_NEEDLE,
 )
+#: Finds the end of a zero run.
+_NONZERO = re.compile(rb"[^\x00]")
 
 #: Below this batch size the numpy fixed costs (buffer join, mask setup)
 #: exceed the vector win and the gated pure-Python path is faster.
@@ -447,6 +455,12 @@ class ColumnarScanner:
                     elif local >= 1 and joined[found - 1] >= 0xC0:
                         quic_flag.add(i)
                         search = starts_l[i + 1]
+                    elif needle == _QUIC_VN_NEEDLE:
+                        # The all-zero needle matches at every position of
+                        # a zero run, but only the run's first position can
+                        # follow an anchor byte: skip the rest of the run.
+                        run_end = _NONZERO.search(joined, found + 4)
+                        search = run_end.start() if run_end else total
                     else:
                         search = found + 1
 

@@ -9,17 +9,12 @@ transaction request/response pairing, and QUIC connection-ID consistency.
 from __future__ import annotations
 
 import copy
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.dpi.candidates import MATCHERS, Candidate, rtp_candidates
+from repro.dpi.candidates import MATCHERS, Candidate
 from repro.dpi.columnar import ColumnarScanner, ColumnarStats
-from repro.dpi.fastpath import (
-    DEFAULT_SIGNATURE_K,
-    SignatureLearner,
-    predicted_rtp_candidates,
-)
 from repro.dpi.messages import (
     DatagramAnalysis,
     DatagramClass,
@@ -34,11 +29,6 @@ from repro.streams.flow import FlowKey, Stream
 
 DEFAULT_MAX_OFFSET = 200
 
-#: Columnar look-ahead while a fast-path learner is still unlocked: large
-#: enough to batch the pre-lock sweeps, small enough that the scans wasted
-#: when the lock lands stay negligible.
-_PRELOCK_LOOKAHEAD = 32
-
 #: An RTP SSRC group must show this many packets with continuous sequence
 #: numbers before its candidates are believed.
 MIN_RTP_GROUP = 3
@@ -46,25 +36,28 @@ MIN_RTP_GROUP = 3
 MIN_CONTINUITY = 0.5
 _MAX_SEQ_STEP = 512
 
+#: ``DpiStats`` fields kept in the schema that always read zero.
+_RETIRED_COUNTERS = (
+    "fastpath_hits", "fastpath_fallbacks", "fastpath_redos",
+    "cache_hits", "cache_misses",
+)
+
 
 @dataclass
 class DpiStats:
     """Instrumentation counters for the extraction layer.
 
-    Per datagram, exactly one of two things happens: its candidates come
-    from a locked-signature fast-path probe (``fastpath_hits``) or from a
-    full 0..k sweep (``sweeps``).  A ``fastpath_fallbacks`` datagram
-    additionally counted one failed probe before its sweep, and a
-    ``fastpath_redos`` stream re-swept all of its datagrams after stage two
-    rejected a predicted message (those redo sweeps are included in
-    ``sweeps``).  ``matcher_calls`` counts actual matcher-function
-    invocations per protocol, including targeted fast-path probes — so it
-    reflects work really done, not work scheduled.
+    Every analyzed datagram gets exactly one full 0..k sweep, so
+    ``sweeps`` equals ``datagrams``.  ``matcher_calls`` counts matcher
+    invocations per protocol; a matcher the columnar scanner proves
+    empty and skips still counts as invoked, so the counters are
+    bit-identical across backends.
 
+    ``fastpath_hits``, ``fastpath_fallbacks``, ``fastpath_redos``,
     ``cache_hits`` and ``cache_misses`` are retired: the engine no longer
-    has a payload-dedup cache, so both always read zero.  They stay in the
-    counter schema (:meth:`as_dict`) because recorded golden corpora and
-    benchmark ledgers carry them.
+    has a flow-sticky fast path or a payload-dedup cache, so all five
+    always read zero.  They stay in the counter schema (:meth:`as_dict`)
+    because recorded golden corpora and benchmark ledgers carry them.
     """
 
     datagrams: int = 0
@@ -87,48 +80,27 @@ class DpiStats:
         """Retired; always 0 (see the class docstring)."""
         return self.cache_hits + self.cache_misses
 
-    @property
-    def fastpath_hit_rate(self) -> float:
-        """Fraction of analyzed datagrams served by the fast path."""
-        return self.fastpath_hits / self.datagrams if self.datagrams else 0.0
-
     def invariant_violations(self) -> List[str]:
         """Internal-consistency checks over the counters; empty when sound.
 
-        Every analyzed datagram gets its candidates from exactly one of
-        two sources — a locked-signature probe or a full sweep — so those
-        two must cover ``datagrams`` exactly, except that a stream redo
-        re-sweeps datagrams already counted (making the sum strictly
-        larger).  Every fast-path fallback is followed by a sweep, and the
-        retired cache counters must read zero.
+        Every analyzed datagram is swept exactly once, and the retired
+        counters must read zero.
         """
         problems: List[str] = []
-        for name in ("datagrams", "sweeps", "fastpath_hits",
-                     "fastpath_fallbacks", "fastpath_redos"):
+        for name in ("datagrams", "sweeps"):
             if getattr(self, name) < 0:
                 problems.append(f"{name} is negative: {getattr(self, name)}")
         if any(count < 0 for count in self.matcher_calls.values()):
             problems.append(f"negative matcher call count: {self.matcher_calls}")
-        for name in ("cache_hits", "cache_misses"):
+        for name in _RETIRED_COUNTERS:
             if getattr(self, name):
                 problems.append(
                     f"retired counter {name} is nonzero: {getattr(self, name)}"
                 )
-        covered = self.fastpath_hits + self.sweeps
-        if covered < self.datagrams:
+        if self.sweeps != self.datagrams:
             problems.append(
-                f"fast-path hits + sweeps ({covered}) do not cover all "
-                f"{self.datagrams} datagrams"
-            )
-        if self.fastpath_redos == 0 and covered != self.datagrams:
-            problems.append(
-                f"without redos, fast-path hits + sweeps ({covered}) must "
-                f"equal datagrams ({self.datagrams})"
-            )
-        if self.sweeps < self.fastpath_fallbacks:
-            problems.append(
-                f"sweeps ({self.sweeps}) fewer than fast-path fallbacks "
-                f"({self.fastpath_fallbacks}); every fallback must sweep"
+                f"sweeps ({self.sweeps}) must equal datagrams "
+                f"({self.datagrams}); every datagram is swept once"
             )
         return problems
 
@@ -160,18 +132,12 @@ class DpiStats:
         return DpiStats(
             datagrams=self.datagrams - before.datagrams,
             sweeps=self.sweeps - before.sweeps,
-            fastpath_hits=self.fastpath_hits - before.fastpath_hits,
-            fastpath_fallbacks=self.fastpath_fallbacks - before.fastpath_fallbacks,
-            fastpath_redos=self.fastpath_redos - before.fastpath_redos,
             matcher_calls=calls,
         )
 
     def merge(self, other: "DpiStats") -> None:
         self.datagrams += other.datagrams
         self.sweeps += other.sweeps
-        self.fastpath_hits += other.fastpath_hits
-        self.fastpath_fallbacks += other.fastpath_fallbacks
-        self.fastpath_redos += other.fastpath_redos
         for protocol, count in other.matcher_calls.items():
             self.matcher_calls[protocol] = (
                 self.matcher_calls.get(protocol, 0) + count
@@ -211,15 +177,23 @@ class DpiResult:
 class DpiEngine:
     """Offset-shifting DPI with protocol-specific validation.
 
-    ``fastpath`` enables the flow-sticky fast path (on by default): once a
-    stream's ``(offset, SSRC)`` framing has recurred across ``fastpath_k``
-    datagrams, later datagrams skip the RTP offset sweep and probe only the
-    learned offsets, with per-datagram and per-stream fallbacks keeping the
-    output bit-identical to the sweep (see :mod:`repro.dpi.fastpath`).
+    Stage one sweeps every matcher over offsets 0..k of every datagram
+    (Algorithm 1).  ``backend`` picks how that sweep is computed; the
+    candidate lists, verdicts and :class:`DpiStats` are bit-identical
+    either way:
 
-    ``cache_size`` is retired: the payload-dedup cache it sized cost more
-    than it saved, so only ``0`` (the old "no cache" spelling) is still
-    accepted, as a no-op.
+    * ``"scalar"`` (the default) is the paper's reference: every matcher
+      at every anchor, one payload at a time.  Golden corpora are
+      recorded with it and every other configuration is diffed against
+      it.
+    * ``"columnar"`` is the production path: a stream's payloads go
+      through :class:`~repro.dpi.columnar.ColumnarScanner` in chunks,
+      which vectorizes the RTP pass and skips matchers a byte-class
+      prefilter proves empty.
+
+    ``fastpath`` and ``cache_size`` are retired: the flow-sticky fast
+    path and the payload-dedup cache are gone, so only their old "off"
+    spellings (``False`` and ``0``) are still accepted, as no-ops.
     """
 
     def __init__(
@@ -227,8 +201,7 @@ class DpiEngine:
         max_offset: int = DEFAULT_MAX_OFFSET,
         protocols: Iterable[Protocol] = tuple(Protocol),
         cache_size: int = 0,
-        fastpath: bool = True,
-        fastpath_k: int = DEFAULT_SIGNATURE_K,
+        fastpath: bool = False,
         backend: str = "scalar",
     ):
         if max_offset < 0:
@@ -238,14 +211,15 @@ class DpiEngine:
                 "cache_size is retired (the payload-dedup cache was "
                 "removed); omit it or pass 0"
             )
+        if fastpath is not False:
+            raise ValueError(
+                "fastpath is retired (the flow-sticky fast path was "
+                "removed); omit it or pass False"
+            )
         if backend not in ("scalar", "columnar"):
             raise ValueError(f"unknown DPI backend: {backend!r}")
         self._max_offset = max_offset
         self._protocols = tuple(protocols)
-        # The fast path only skips work for RTP sweeps; without RTP in the
-        # protocol set there is nothing to learn.
-        self._fastpath = bool(fastpath) and Protocol.RTP in self._protocols
-        self._fastpath_k = fastpath_k
         self._backend = backend
         self._columnar = (
             ColumnarScanner(max_offset, self._protocols)
@@ -266,20 +240,6 @@ class DpiEngine:
     def columnar_stats(self) -> Optional[ColumnarStats]:
         """Batch-scanner counters, or None on the scalar backend."""
         return self._columnar.stats if self._columnar is not None else None
-
-    @property
-    def fastpath_enabled(self) -> bool:
-        return self._fastpath
-
-    @property
-    def fastpath_hits(self) -> int:
-        """Lifetime fast-path hits across every analysis this engine ran."""
-        return self.stats.fastpath_hits
-
-    @property
-    def fastpath_fallbacks(self) -> int:
-        """Lifetime fast-path prediction misses (each fell back to a sweep)."""
-        return self.stats.fastpath_fallbacks
 
     # -- public API --------------------------------------------------------------
 
@@ -326,24 +286,8 @@ class DpiEngine:
 
     def analyze_stream(self, stream: Stream) -> List[DatagramAnalysis]:
         """Run both DPI stages over one transport stream."""
-        per_datagram, predicted = self._extract_stream(stream)
-        accepted, rtp_scores = self._validate_stream(per_datagram)
-        if predicted and not self._predictions_accepted(
-            predicted, accepted, rtp_scores
-        ):
-            # Stage two rejected a message the fast path predicted: the
-            # signature was wrong in a way the per-datagram checks could not
-            # see, so redo the whole stream with unconditional sweeps.
-            self.stats.fastpath_redos += 1
-            if self._columnar is not None:
-                per_datagram = self._resweep_stream(stream)
-            else:
-                per_datagram = [
-                    (record, self._sweep(record.payload))
-                    for record in stream.packets
-                ]
-            accepted, rtp_scores = self._validate_stream(per_datagram)
-
+        per_datagram = self._extract_stream(stream)
+        accepted = self._validate_stream(per_datagram)
         analyses: List[DatagramAnalysis] = []
         for (record, _candidates), accepted_list in zip(per_datagram, accepted):
             messages = [self._materialize(c, record) for c in accepted_list]
@@ -355,249 +299,75 @@ class DpiEngine:
 
     def _extract_stream(
         self, stream: Stream
-    ) -> Tuple[
-        List[Tuple[PacketRecord, List[Candidate]]],
-        List[Tuple[int, Tuple[Tuple[int, int, int], ...]]],
-    ]:
-        """Extract candidates for every datagram, fast path included.
+    ) -> List[Tuple[PacketRecord, List[Candidate]]]:
+        """Sweep every datagram of *stream*: the full 0..k scan each.
 
-        Returns the per-datagram candidate lists plus, for each fast-path
-        hit, its index and the ``(offset, SSRC, end)`` spans it predicted —
-        stage two uses those to confirm the predictions after validation.
+        The columnar backend scans the stream's payloads in chunks of the
+        scanner's batch size; a payload the scanner refuses (anything not
+        ``bytes``) gets the scalar scan instead.
         """
-        if self._columnar is not None:
-            return self._extract_stream_columnar(stream)
-        stats = self.stats
-        learner = (
-            SignatureLearner(self._fastpath_k) if self._fastpath else None
-        )
-        per_datagram: List[Tuple[PacketRecord, List[Candidate]]] = []
-        predicted: List[Tuple[int, Tuple[Tuple[int, int, int], ...]]] = []
-        for record in stream.packets:
-            payload = record.payload
-            stats.datagrams += 1
-            if learner is not None and learner.locked:
-                candidates = self._extract_predicted(payload, learner)
-                if candidates is not None:
-                    stats.fastpath_hits += 1
-                    learner.record_hit()
-                    spans = tuple(
-                        (c.offset, c.rtp_ssrc, c.end)
-                        for c in candidates
-                        if c.protocol is Protocol.RTP
+        packets = stream.packets
+        payloads = [record.payload for record in packets]
+        scanner = self._columnar
+        if scanner is None:
+            candidates = [self._scan(payload) for payload in payloads]
+        else:
+            candidates = []
+            step = scanner.batch_size
+            for base in range(0, len(payloads), step):
+                chunk = payloads[base:base + step]
+                for payload, scanned in zip(chunk, scanner.scan_batch(chunk)):
+                    candidates.append(
+                        scanned if scanned is not None else self._scan(payload)
                     )
-                    predicted.append((len(per_datagram), spans))
-                    per_datagram.append((record, candidates))
-                    continue
-                stats.fastpath_fallbacks += 1
-                learner.record_miss()
-            candidates = self._sweep(payload)
-            if learner is not None:
-                learner.observe(candidates)
-            per_datagram.append((record, candidates))
-        return per_datagram, predicted
+        self._count_sweeps(len(payloads))
+        return list(zip(packets, candidates))
 
-    def _extract_stream_columnar(
-        self, stream: Stream
-    ) -> Tuple[
-        List[Tuple[PacketRecord, List[Candidate]]],
-        List[Tuple[int, Tuple[Tuple[int, int, int], ...]]],
-    ]:
-        """``_extract_stream`` with sweeps served by the batch scanner.
-
-        The per-record control flow (fast-path probe, stats accounting) is
-        kept byte-for-byte: only the *source* of a sweep's candidate list
-        changes, and the batch scan is pure in the payload, so computing it
-        ahead of time cannot alter any observable state.
-        """
-        stats = self.stats
-        learner = (
-            SignatureLearner(self._fastpath_k) if self._fastpath else None
-        )
-        sweeper = _StreamSweeper(
-            self, [record.payload for record in stream.packets]
-        )
-        per_datagram: List[Tuple[PacketRecord, List[Candidate]]] = []
-        predicted: List[Tuple[int, Tuple[Tuple[int, int, int], ...]]] = []
-        for index, record in enumerate(stream.packets):
-            payload = record.payload
-            stats.datagrams += 1
-            locked = False
-            if learner is not None and learner.locked:
-                locked = True
-                candidates = self._extract_predicted(payload, learner)
-                if candidates is not None:
-                    stats.fastpath_hits += 1
-                    learner.record_hit()
-                    spans = tuple(
-                        (c.offset, c.rtp_ssrc, c.end)
-                        for c in candidates
-                        if c.protocol is Protocol.RTP
-                    )
-                    predicted.append((len(per_datagram), spans))
-                    per_datagram.append((record, candidates))
-                    continue
-                stats.fastpath_fallbacks += 1
-                learner.record_miss()
-            self._count_sweep()
-            if locked:
-                # Post-lock sweeps are rare fallbacks; look-ahead would
-                # scan payloads the fast path will serve.
-                budget = 1
-            elif learner is not None:
-                # The learner usually locks within ~k datagrams, so a full
-                # chunk of look-ahead would mostly be wasted.
-                budget = _PRELOCK_LOOKAHEAD
-            else:
-                budget = self._columnar.batch_size
-            candidates = sweeper.sweep(index, budget)
-            if learner is not None:
-                learner.observe(candidates)
-            per_datagram.append((record, candidates))
-        return per_datagram, predicted
-
-    def _sweep(self, payload: bytes) -> List[Candidate]:
-        """Full stage-one scan: every matcher over offsets 0..k."""
-        self._count_sweep()
-        return self._scan(payload)
-
-    def _count_sweep(self) -> None:
-        """Account one full sweep, however its scan is computed.
+    def _count_sweeps(self, count: int) -> None:
+        """Account *count* datagrams, each swept once by every matcher.
 
         The columnar backend counts exactly like the scalar one — a gated
         matcher was still logically invoked — so ``DpiStats`` stays
         bit-identical across backends.
         """
         stats = self.stats
-        stats.sweeps += 1
+        stats.datagrams += count
+        stats.sweeps += count
         calls = stats.matcher_calls
         for protocol in self._protocols:
-            calls[protocol.value] = calls.get(protocol.value, 0) + 1
+            calls[protocol.value] = calls.get(protocol.value, 0) + count
 
     def _scan(self, payload: bytes) -> List[Candidate]:
-        """The sweep's pure scan: every matcher, merged and stable-sorted."""
+        """The reference sweep: every matcher, merged and stable-sorted."""
         candidates: List[Candidate] = []
         for protocol in self._protocols:
             candidates.extend(MATCHERS[protocol](payload, self._max_offset))
         candidates.sort(key=lambda c: (c.offset, -c.length))
         return candidates
-
-    def _resweep_stream(
-        self, stream: Stream
-    ) -> List[Tuple[PacketRecord, List[Candidate]]]:
-        """Batched redo: unconditional sweeps for a whole stream."""
-        scanner = self._columnar
-        payloads = [record.payload for record in stream.packets]
-        out: List[Tuple[PacketRecord, List[Candidate]]] = []
-        for base in range(0, len(payloads), scanner.batch_size):
-            results = scanner.scan_batch(payloads[base:base + scanner.batch_size])
-            for step, scanned in enumerate(results):
-                index = base + step
-                self._count_sweep()
-                candidates = (
-                    scanned if scanned is not None else self._scan(payloads[index])
-                )
-                out.append((stream.packets[index], candidates))
-        return out
-
-    def _extract_predicted(
-        self, payload: bytes, learner: SignatureLearner
-    ) -> Optional[List[Candidate]]:
-        """Stage-one scan assuming the learned signature; None on a miss.
-
-        Only the RTP sweep is replaced by a targeted probe — the other
-        matchers are anchored scans that cost little and must keep running
-        so e.g. a STUN message appearing mid-stream is never missed.
-        Candidates are assembled in the engine's protocol order so the
-        stable sort below yields byte-identical ordering to ``_sweep``.
-        """
-        signature = learner.signature
-        rtp = predicted_rtp_candidates(
-            payload, self._max_offset, signature, rtp_candidates
-        )
-        stats = self.stats
-        calls = stats.matcher_calls
-        calls[Protocol.RTP.value] = calls.get(Protocol.RTP.value, 0) + 1
-        if rtp is None:
-            return None
-        if learner.continuation_risk(payload, self._max_offset):
-            return None
-        candidates: List[Candidate] = []
-        for protocol in self._protocols:
-            if protocol is Protocol.RTP:
-                candidates.extend(rtp)
-                continue
-            calls[protocol.value] = calls.get(protocol.value, 0) + 1
-            candidates.extend(MATCHERS[protocol](payload, self._max_offset))
-        candidates.sort(key=lambda c: (c.offset, -c.length))
-        return candidates
-
-    @staticmethod
-    def _predictions_accepted(
-        predicted: Sequence[Tuple[int, Tuple[Tuple[int, int, int], ...]]],
-        accepted: Sequence[List[Candidate]],
-        rtp_scores: Dict[int, float],
-    ) -> bool:
-        """Did stage two treat the fast path's predictions normally?
-
-        Two kinds of rejection are benign because they play out identically
-        in the sweep (a trusted pair's validation samples are collected
-        identically in both modes, so stage two sees the same evidence):
-
-        * validation rejection — byte-stable proprietary fields (a constant
-          extension magic, say) can earn a spot in the signature and are
-          then killed for zero sequence continuity (score 0);
-        * overlap loss — shadow candidates inside a stronger message's
-          bytes lose the deterministic byte-ownership arbitration.
-
-        What remains is a predicted message with a *valid* SSRC group that
-        vanished with nothing accepted in its place: stage two did
-        something the fast path's model cannot explain, so the stream is
-        redone with unconditional sweeps.
-        """
-        for index, spans in predicted:
-            kept_rtp = {
-                (c.offset, c.rtp_ssrc)
-                for c in accepted[index]
-                if c.protocol is Protocol.RTP
-            }
-            missing = [
-                span for span in spans
-                if (span[0], span[1]) not in kept_rtp
-                and rtp_scores.get(span[1], 0.0) > 0.0
-            ]
-            if not missing:
-                continue
-            for offset, _ssrc, end in missing:
-                overlapped = any(
-                    c.offset < end and offset < c.end
-                    for c in accepted[index]
-                )
-                if not overlapped:
-                    return False
-        return True
 
     # -- stage 2: stream-context validation ------------------------------------------
 
     def _validate_stream(
         self, per_datagram: Sequence[Tuple[PacketRecord, List[Candidate]]]
-    ) -> Tuple[List[List[Candidate]], Dict[int, float]]:
-        """Validate and overlap-resolve every datagram's candidates.
-
-        Returns the accepted candidates per datagram plus the RTP group
-        scores, which the fast-path redo check consults.
-        """
+    ) -> List[List[Candidate]]:
+        """Validate and overlap-resolve every datagram's candidates."""
         rtp_scores = self._validate_rtp_groups(per_datagram)
         valid_rtp_ssrcs = frozenset(rtp_scores)
         quic_cids = self._collect_quic_cids(per_datagram)
         accepted: List[List[Candidate]] = []
+        rtp = Protocol.RTP
         for record, candidates in per_datagram:
+            # RTP, by far the most common candidate, is checked inline.
             validated = [
                 c for c in candidates
-                if self._validate(c, record, valid_rtp_ssrcs, quic_cids)
+                if (
+                    c.rtp_ssrc in valid_rtp_ssrcs
+                    if c.protocol is rtp
+                    else self._validate(c, record, valid_rtp_ssrcs, quic_cids)
+                )
             ]
             accepted.append(self._resolve_overlaps(validated, rtp_scores))
-        return accepted, rtp_scores
+        return accepted
 
     def _validate_rtp_groups(
         self, per_datagram: Sequence[Tuple[PacketRecord, List[Candidate]]]
@@ -611,18 +381,33 @@ class DpiEngine:
         arbitrate between overlapping RTP candidates: a genuine media stream
         vastly outscores byte patterns that happen to recur inside
         proprietary headers.
+
+        Most RTP candidates are one-off reads of random media bytes, so
+        SSRCs are counted first and samples are gathered only for groups
+        large enough to be scored.
         """
-        groups: Dict[int, List[Tuple[float, int]]] = defaultdict(list)
-        for record, candidates in per_datagram:
-            for candidate in candidates:
-                if candidate.protocol is Protocol.RTP:
-                    groups[candidate.rtp_ssrc].append(
-                        (record.timestamp, candidate.rtp_seq)
-                    )
+        rtp = Protocol.RTP
+        counts = Counter(
+            candidate.rtp_ssrc
+            for _record, candidates in per_datagram
+            for candidate in candidates
+            if candidate.protocol is rtp
+        )
+        groups: Dict[int, List[Tuple[float, int]]] = {
+            ssrc: []
+            for ssrc, count in counts.items()
+            if count >= MIN_RTP_GROUP
+        }
+        if groups:
+            for record, candidates in per_datagram:
+                timestamp = record.timestamp
+                for candidate in candidates:
+                    if candidate.protocol is rtp:
+                        samples = groups.get(candidate.rtp_ssrc)
+                        if samples is not None:
+                            samples.append((timestamp, candidate.rtp_seq))
         scores: Dict[int, float] = {}
         for ssrc, samples in groups.items():
-            if len(samples) < MIN_RTP_GROUP:
-                continue
             samples.sort()
             consecutive = 0
             for (_, seq_a), (_, seq_b) in zip(samples, samples[1:]):
@@ -780,57 +565,6 @@ class DpiEngine:
 
 def _overlaps(a: Candidate, b: Candidate) -> bool:
     return a.offset < b.end and b.offset < a.end
-
-
-class _StreamSweeper:
-    """Serves one stream's sweeps from look-ahead columnar batches.
-
-    When a sweep is requested for record *i*, the sweeper batch-scans *i*
-    together with the upcoming payloads.  Scanning ahead never changes
-    behaviour: a pre-scanned payload the fast path ends up serving is
-    simply discarded, because the scan is pure and all stats accounting
-    happens at consumption time in the caller.
-
-    Once the fast-path learner locks, sweeps become rare fallbacks, so
-    look-ahead would mostly scan payloads the fast path will serve;
-    the sweeper then scans just the requested payload.
-    """
-
-    __slots__ = ("_engine", "_payloads", "_ready", "_cursor")
-
-    def __init__(self, engine: DpiEngine, payloads: Sequence[bytes]):
-        self._engine = engine
-        self._payloads = payloads
-        self._ready: Dict[int, List[Candidate]] = {}
-        self._cursor = 0
-
-    def sweep(self, index: int, budget: int) -> List[Candidate]:
-        candidates = self._ready.pop(index, None)
-        if candidates is not None:
-            return candidates
-        self._fill(index, budget)
-        candidates = self._ready.pop(index, None)
-        if candidates is None:
-            # The batch scanner flagged this payload as irregular.
-            candidates = self._engine._scan(self._payloads[index])
-        return candidates
-
-    def _fill(self, index: int, budget: int) -> None:
-        if self._ready:
-            # Entries behind the current record were pre-scanned but then
-            # served by the fast path; they can never be consumed.
-            for stale in [i for i in self._ready if i < index]:
-                del self._ready[stale]
-        cursor = max(self._cursor, index + 1)
-        end = min(cursor + budget - 1, len(self._payloads))
-        take = [index, *range(cursor, end)]
-        self._cursor = max(cursor, end)
-        results = self._engine._columnar.scan_batch(
-            [self._payloads[i] for i in take]
-        )
-        for i, scanned in zip(take, results):
-            if scanned is not None:
-                self._ready[i] = scanned
 
 
 class DpiStreamSession:

@@ -126,7 +126,7 @@ def _run_pool(
         # Pre-flight the payload: a config that cannot cross a process
         # boundary should degrade to serial, not poison the shared pool.
         pickle.dumps(config)
-        pool = shared_pool(workers, config.max_offset, config.fastpath)
+        pool = shared_pool(workers, config.max_offset)
         futures = {
             index: pool.submit(run_cell, cells[index], config)
             for index in submission_order(

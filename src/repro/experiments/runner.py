@@ -33,16 +33,14 @@ MAX_EXAMPLE_VIOLATIONS = 3
 
 
 @lru_cache(maxsize=8)
-def default_engine(
-    max_offset: int, fastpath: bool = True, backend: str = "scalar"
-) -> DpiEngine:
-    """Process-wide ``DpiEngine`` per ``(max_offset, fastpath, backend)``.
+def default_engine(max_offset: int) -> DpiEngine:
+    """Process-wide production ``DpiEngine`` per ``max_offset``.
 
-    Cells share one engine so it (and, on the columnar backend, its batch
-    scanner) is built once per process; it carries no per-cell state
-    besides its lifetime ``DpiStats`` counters.
+    Cells share one engine so it and its columnar batch scanner are built
+    once per process; it carries no per-cell state besides its lifetime
+    ``DpiStats`` counters.
     """
-    return DpiEngine(max_offset=max_offset, fastpath=fastpath, backend=backend)
+    return DpiEngine(max_offset=max_offset, backend="columnar")
 
 
 @lru_cache(maxsize=1)
@@ -57,15 +55,13 @@ class ExperimentConfig:
 
     ``chunk_size`` bounds the record batches the pipeline hands each
     stage per dispatch (``1`` = historical per-record feeding).
-    ``dpi_backend`` selects the stage-one sweep implementation
-    (``"scalar"`` or ``"columnar"``); outputs are bit-identical.
 
     ``impairment`` names a :mod:`repro.netem` profile applied to every
     cell's record stream post-synthesis — the fourth matrix axis next
     to app, network, and repeat.  Outputs under any profile remain
-    bit-identical across execution shapes (batch, streaming, either
-    DPI backend), because the impaired records are produced once by
-    ``AppSimulator.iter_records`` before the pipeline ever runs.
+    bit-identical across execution shapes (batch, streaming, production
+    or reference DPI engine), because the impaired records are produced
+    once by ``AppSimulator.iter_records`` before the pipeline ever runs.
     """
 
     call_duration: float = 30.0
@@ -74,9 +70,7 @@ class ExperimentConfig:
     seed: int = 0
     max_offset: int = 200
     include_background: bool = True
-    fastpath: bool = True
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    dpi_backend: str = "scalar"
     impairment: str = "none"
 
     def __post_init__(self):
@@ -271,11 +265,7 @@ def run_cell_pipeline(
     simulator = get_simulator(app)
     call_config = _cell_config(network, config, call_index)
     if engine is None:
-        engine = DpiEngine(
-            max_offset=config.max_offset,
-            fastpath=config.fastpath,
-            backend=config.dpi_backend,
-        )
+        engine = DpiEngine(max_offset=config.max_offset, backend="columnar")
     if checker is None:
         checker = ComplianceChecker()
     session = AnalysisSession(
@@ -309,7 +299,7 @@ def run_experiment(
         network,
         config,
         call_index,
-        engine=default_engine(config.max_offset, config.fastpath, config.dpi_backend),
+        engine=default_engine(config.max_offset),
         checker=default_checker(),
     )
     filter_result = run.filter_result

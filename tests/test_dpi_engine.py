@@ -148,14 +148,30 @@ class TestEngineMisc:
         with pytest.raises(ValueError):
             DpiEngine(cache_size=4096)
 
+    def test_retired_fastpath(self):
+        # ``fastpath=False`` is the old "sweep only" spelling and still
+        # builds the reference engine; asking for the removed fast path
+        # is an error.
+        records = rtp_stream_records()
+        retired = DpiEngine(fastpath=False, cache_size=0)
+        assert retired.backend == "scalar"
+        result = retired.analyze_records(records)
+        assert result.analyses == DpiEngine().analyze_records(records).analyses
+        assert result.stats.fastpath_hits == 0
+        assert result.stats.sweeps == result.stats.datagrams
+        for value in (True, 1, None):
+            with pytest.raises(ValueError):
+                DpiEngine(fastpath=value)
+
     def test_invariants_flag_retired_cache_counters(self):
-        sound = DpiStats(datagrams=3, sweeps=2, fastpath_hits=1)
+        sound = DpiStats(datagrams=3, sweeps=3)
         assert sound.invariant_violations() == []
-        stale = DpiStats(datagrams=3, sweeps=2, fastpath_hits=1, cache_hits=1)
-        assert any("cache_hits" in p for p in stale.invariant_violations())
-        # Hits + sweeps must cover every datagram.
-        short = DpiStats(datagrams=3, sweeps=1, fastpath_hits=1)
-        assert short.invariant_violations()
+        for retired in ("cache_hits", "fastpath_hits", "fastpath_redos"):
+            stale = DpiStats(datagrams=3, sweeps=3, **{retired: 1})
+            assert any(retired in p for p in stale.invariant_violations())
+        # Every datagram is swept exactly once.
+        assert DpiStats(datagrams=3, sweeps=2).invariant_violations()
+        assert DpiStats(datagrams=3, sweeps=4).invariant_violations()
 
     def test_tcp_records_ignored(self):
         record = PacketRecord(

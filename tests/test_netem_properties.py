@@ -6,10 +6,10 @@ Two families of invariants, driven by hypothesis-generated profiles:
   label, input) — applying it twice yields byte-identical streams, and
   a different seed or label draws an independent one.
 - **Engine parity**: whatever a generated profile does to the record
-  stream, every execution shape — plain sweep, flow-sticky fast path,
-  streaming pipeline, and the columnar backend in both its vectorized
-  and pure-Python modes — produces bit-identical
-  verdicts, datagram classes, and metrics to the reference scalar sweep.
+  stream, every execution shape — the production columnar engine in
+  batch and streaming shape, in both its vectorized and pure-Python
+  modes — produces bit-identical verdicts, datagram classes, metrics
+  and extraction counters to the reference scalar sweep.
 
 The generated profiles deliberately exceed the named presets (loss up to
 30%, heavy duplication, arbitrary rebind fractions) so parity is not an
@@ -129,13 +129,11 @@ class TestDeterminism:
 
 
 def _facts_digest(dpi, verdicts):
-    facts = build_facts(APP, NETWORK, dpi, verdicts)
-    facts.pop("dpi_stats")  # counters legitimately differ across shapes
-    return facts_digest(facts)
+    return facts_digest(build_facts(APP, NETWORK, dpi, verdicts))
 
 
 def _reference_digest(records):
-    engine = DpiEngine(max_offset=MAX_OFFSET, fastpath=False)
+    engine = DpiEngine(max_offset=MAX_OFFSET)
     dpi = engine.analyze_records(records)
     verdicts = ComplianceChecker().check(dpi.messages())
     return _facts_digest(dpi, verdicts)
@@ -148,16 +146,14 @@ def _shape_digests(records):
     checker = ComplianceChecker()
     digests = {}
 
-    engine = DpiEngine(max_offset=MAX_OFFSET, fastpath=True)
-    dpi = engine.analyze_records(records)
-    digests["fastpath"] = _facts_digest(dpi, checker.check(dpi.messages()))
-
     engine = DpiEngine(max_offset=MAX_OFFSET, backend="columnar")
     dpi = engine.analyze_records(records)
     digests["columnar"] = _facts_digest(dpi, checker.check(dpi.messages()))
 
     dpi, verdicts, _stats = run_streaming(
-        records, DpiEngine(max_offset=MAX_OFFSET), ComplianceChecker()
+        records,
+        DpiEngine(max_offset=MAX_OFFSET, backend="columnar"),
+        ComplianceChecker(),
     )
     digests["streaming"] = _facts_digest(dpi, verdicts)
     return digests

@@ -372,7 +372,7 @@ class TestDifferStreamingSpec:
     def test_streaming_sweep_matches_all_golden_cells(self):
         # The committed corpus ships with the repo; replay every cell
         # through a sweep-configured engine driven by the streaming core.
-        spec = EngineSpec("streaming-sweep", fastpath=False, streaming=True)
+        spec = EngineSpec("streaming-sweep", streaming=True)
         report = check_corpus(default_corpus_dir(), specs=(spec,))
         drifts = "\n".join(d.render() for d in report.drifts)
         assert report.ok, f"streaming engine drifted from goldens:\n{drifts}"
