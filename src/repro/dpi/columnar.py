@@ -4,18 +4,24 @@ The reference sweep (:meth:`repro.dpi.engine.DpiEngine._scan`) runs four
 anchored matchers per payload, and per-payload Python call overhead
 dominates its cost.  This module computes the same sweep for a whole
 chunk of one stream's payloads (up to 256 at a time) at once; it is the
-stage one every production engine (``DpiEngine(backend="columnar")``)
-runs:
+stage one the production engine (``DpiEngine(backend="columnar")``) runs.
+
+Its output is column-shaped (:class:`ColumnBatch`).  RTP — the only
+matcher that yields candidates in bulk, most of them one-off reads of
+media bytes — stays rows of narrow parallel arrays (payload index,
+offset, length, SSRC, sequence number, RTP timestamp); only the other
+protocols' candidates are :class:`Candidate` objects.  The engine scores
+SSRC groups on those arrays and builds objects only for rows whose SSRC
+passes stage two; :meth:`ColumnarScanner.scan_batch` builds every row and
+returns the candidate lists the scalar sweep would.
 
 * the payloads are joined into one buffer with an offset index, so each
   anchor pass is a single C-level scan whose global match positions are
   translated back to ``(payload, offset)`` pairs;
-* the RTP pass — the only matcher that yields candidates in bulk — is
-  fully vectorized with numpy (byte-class masks, gathered header fields,
-  one ``searchsorted`` to slice per-payload runs); a pure-Python path
-  keeps the per-payload anchored scan and serves batches below
-  ``_MIN_VECTOR_BATCH``, installs without numpy, and ``use_numpy=False``
-  parity checks;
+* the RTP pass is fully vectorized with numpy (byte-class masks, one
+  gather of the header fields); a pure-Python path emits the same columns
+  from the per-payload anchored scan and serves batches below
+  ``_MIN_VECTOR_BATCH`` and ``use_numpy=False`` parity checks;
 * the STUN/RTCP/QUIC matchers are *gated*: a cheap prefilter proves the
   matcher would return nothing for a payload, so it is simply skipped.
 
@@ -36,19 +42,23 @@ skipped matcher is exactly one that would have produced zero candidates:
   ``finditer`` window; short headers need ``payload[0] & 0xC0 == 0x40``
   and at least 26 bytes.
 
-Candidate lists come out bit-identical to the scalar sweep: assembly
-follows the engine's protocol order before the same stable sort, and an
-RTP-only list skips the sort because anchored RTP candidates are already
-in ascending ``(offset, -length)`` order (length decreases as offset
-grows within one payload).
+Candidate lists come out bit-identical to the scalar sweep: a payload's
+other candidates are kept in segments split at RTP's place in the
+protocol order, so assembly (:meth:`ColumnarScanner.assemble`) follows
+the engine's protocol order before the same stable sort, and an RTP-only
+list skips the sort because anchored RTP candidates are already in
+ascending ``(offset, -length)`` order (length decreases as offset grows
+within one payload).
 """
 
 from __future__ import annotations
 
+import logging
 import re
+from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.dpi.candidates import (
     _COOKIE_BYTES,
@@ -56,10 +66,7 @@ from repro.dpi.candidates import (
     _RTCP_ANCHOR,
     Candidate,
     MATCHERS,
-    quic_candidates,
-    rtcp_candidates,
     rtp_candidates,
-    stun_candidates,
 )
 from repro.dpi.messages import Protocol
 from repro.protocols.quic.header import QUIC_V1, QUIC_V2
@@ -70,6 +77,8 @@ except ImportError:  # pragma: no cover - exercised on numpy-less installs
     _np = None
 
 HAVE_NUMPY = _np is not None
+
+_log = logging.getLogger("repro.dpi")
 
 #: Payloads scanned per columnar pass; matches the pipeline chunk unit.
 DEFAULT_BATCH_SIZE = 256
@@ -92,6 +101,20 @@ _MIN_VECTOR_BATCH = 4
 
 def _sort_key(candidate: Candidate):
     return (candidate.offset, -candidate.length)
+
+
+def _big_endian(head, lo: int, hi: int, dtype: str):
+    """Bytes ``lo:hi`` of each row of a uint8 matrix as big-endian ints."""
+    return (
+        _np.ascontiguousarray(head[:, lo:hi]).view(">" + dtype)[:, 0]
+        .astype(dtype)
+    )
+
+
+def _crossed_power_of_two(before: int, after: int) -> bool:
+    """Whether a counter moving from *before* to *after* passed 1, 2, 4,
+    8, ... — the rate limit for repeated warnings."""
+    return after.bit_length() > before.bit_length()
 
 
 def _classic_stun_possible(payload: bytes, size: int, b0: int) -> bool:
@@ -170,8 +193,85 @@ class ColumnarStats:
         self.vector_errors += other.vector_errors
 
 
+#: ``array.array`` type codes of the six :class:`RtpColumns`, in order.
+_TYPECODES = ("i", "i", "i", "I", "H", "I")
+
+
+class RtpColumns(NamedTuple):
+    """RTP candidates as parallel columns, one row per candidate.
+
+    Rows are ordered by payload index and then offset.  ``index``,
+    ``offset`` and ``length`` are int32, ``ssrc`` and ``timestamp``
+    uint32, ``seq`` uint16: numpy arrays on the vector path, typed
+    ``array.array`` columns on the pure-Python path.
+
+    Build instances from explicit arguments or a list, never from a
+    generator or ``_replace``: CPython sizes those tuples by resizing a
+    larger one, and the resized blocks pile up in the 6-tuple free list
+    (up to ~170 KiB per process, which memory gates then measure).
+    """
+
+    index: Sequence[int]
+    offset: Sequence[int]
+    length: Sequence[int]
+    ssrc: Sequence[int]
+    seq: Sequence[int]
+    timestamp: Sequence[int]
+
+
+def _array_columns(rows: Iterable[Tuple[int, ...]]) -> RtpColumns:
+    """Typed columns from ``(index, offset, length, ssrc, seq, ts)`` rows."""
+    columns = list(zip(*rows)) or [()] * len(_TYPECODES)
+    return RtpColumns(*[
+        array(code, column) for code, column in zip(_TYPECODES, columns)
+    ])
+
+
+def build_rtp_candidates(rows: RtpColumns) -> Dict[int, List[Candidate]]:
+    """``Candidate`` objects for column rows, grouped by payload index.
+
+    Rows in ``(index, offset)`` order give each payload's list in the
+    scalar matcher's order.
+    """
+    out: Dict[int, List[Candidate]] = {}
+    rtp = Protocol.RTP
+    for i, offset, length, ssrc, seq, ts in zip(
+        *[column.tolist() for column in rows]
+    ):
+        candidate = Candidate(rtp, offset, length, None, b"", False,
+                              ssrc, seq, ts, offset)
+        found = out.get(i)
+        if found is None:
+            out[i] = [candidate]
+        else:
+            found.append(candidate)
+    return out
+
+
+@dataclass
+class ColumnBatch:
+    """One chunk's stage-one output in column form.
+
+    ``rtp`` holds every RTP candidate as a row.  ``parts[i]`` holds
+    payload *i*'s other candidates in protocol order, split into segments
+    at each RTP entry of the protocol order (with the default order: STUN
+    before RTP, then RTCP and QUIC), or ``()`` when it has none.
+    ``fallbacks`` lists the payloads the batch scan refused (anything not
+    ``bytes``); they have no rows and no parts, and need the scalar sweep
+    (:meth:`ColumnarScanner.scalar_columns`).
+    """
+
+    rtp: RtpColumns
+    parts: List[Tuple[List[Candidate], ...]]
+    fallbacks: List[int] = field(default_factory=list)
+
+
 class ColumnarScanner:
     """Batch stage-one scanner, bit-identical to the scalar matchers.
+
+    :meth:`scan_columns` is the production entry point (column output,
+    see :class:`ColumnBatch`); :meth:`scan_batch` wraps it and builds
+    the candidate lists of the scalar sweep.
 
     ``use_numpy`` selects the vector path: ``None`` auto-detects, ``True``
     requires numpy (raising if absent), ``False`` forces the pure-Python
@@ -205,10 +305,10 @@ class ColumnarScanner:
         self._rtp_on = Protocol.RTP in present
         self._rtcp_on = Protocol.RTCP in present
         self._quic_on = Protocol.QUIC in present
-        # The sorted-RTP-run shortcut assumes RTP contributes once.
-        self._rtp_once = (
-            sum(1 for p in self._protocols if p is Protocol.RTP) <= 1
-        )
+        # How many times the protocol order lists RTP: the engine scores
+        # every listing, and the sorted-RTP-run shortcut assumes one.
+        self._rtp_count = sum(1 for p in self._protocols if p is Protocol.RTP)
+        self._rtp_once = self._rtp_count <= 1
 
     @property
     def max_offset(self) -> int:
@@ -217,6 +317,11 @@ class ColumnarScanner:
     @property
     def vectorized(self) -> bool:
         return self._use_numpy
+
+    @property
+    def rtp_count(self) -> int:
+        """How many times the protocol order lists RTP."""
+        return self._rtp_count
 
     # -- public API ---------------------------------------------------------------
 
@@ -238,80 +343,159 @@ class ColumnarScanner:
         scalar sweep for it.  Results are independent of how payloads are
         grouped into batches.
         """
+        columns = self.scan_columns(batch)
+        rtp = build_rtp_candidates(columns.rtp)
+        out: List[Optional[List[Candidate]]] = [
+            self.assemble(part, rtp.get(i, []))
+            for i, part in enumerate(columns.parts)
+        ]
+        for i in columns.fallbacks:
+            out[i] = None
+        return out
+
+    def scan_columns(self, batch: Sequence[bytes]) -> ColumnBatch:
+        """Stage one for a chunk of payloads, in column form.
+
+        A payload that is not ``bytes`` is refused: it gets no rows and no
+        parts and is listed in ``fallbacks``, and the caller must sweep it
+        with the scalar matchers (:meth:`scalar_columns`).
+        """
         stats = self.stats
         stats.batches += 1
         n = len(batch)
         stats.payloads += n
-        if not n:
-            return []
         # C-level homogeneity probe; the isinstance walk below still
         # handles rarities like bytes subclasses or mixed batches.
-        if set(map(type, batch)) == {bytes}:
+        if set(map(type, batch)) <= {bytes}:
             return self._scan_regular(batch)
-        results: List[Optional[List[Candidate]]] = [None] * n
         regular = [i for i, p in enumerate(batch) if isinstance(p, bytes)]
-        stats.fallbacks += n - len(regular)
-        if regular:
-            scanned = self._scan_regular([batch[i] for i in regular])
-            for i, res in zip(regular, scanned):
-                results[i] = res
-        return results
+        refused = [i for i, p in enumerate(batch) if not isinstance(p, bytes)]
+        before = stats.fallbacks
+        stats.fallbacks += len(refused)
+        if _crossed_power_of_two(before, stats.fallbacks):
+            _log.warning(
+                "columnar scan refused %d of %d payloads (%s, not bytes); "
+                "they get the scalar sweep (%d refused so far)",
+                len(refused), n,
+                ", ".join(sorted({type(batch[i]).__name__ for i in refused})),
+                stats.fallbacks,
+            )
+        scanned = self._scan_regular([batch[i] for i in regular])
+        parts: List[Tuple[List[Candidate], ...]] = [()] * n
+        for position, segments in zip(regular, scanned.parts):
+            parts[position] = segments
+        index = array("i", [regular[i] for i in scanned.rtp.index])
+        return ColumnBatch(RtpColumns(index, *scanned.rtp[1:]), parts, refused)
 
-    # -- internals ----------------------------------------------------------------
+    def scalar_columns(self, payloads: Sequence[bytes]) -> ColumnBatch:
+        """The scalar sweep in column form: every matcher, no gates.
 
-    def _scan_regular(self, batch: Sequence[bytes]) -> List[List[Candidate]]:
-        if self._use_numpy and len(batch) >= _MIN_VECTOR_BATCH:
-            try:
-                return self._scan_np(batch)
-            except Exception:  # pragma: no cover - numpy safety net
-                self.stats.vector_errors += 1
-        return [self._scan_one(payload) for payload in batch]
+        This is the sweep for payloads :meth:`scan_columns` refused; it
+        reads them only through the matchers, as the reference does.
+        """
+        return self._scan_py(payloads, gated=False)
 
-    def _scan_one(self, payload: bytes) -> List[Candidate]:
-        """Pure-Python scan of one payload: gated matchers, same output."""
-        max_offset = self._max_offset
-        size = len(payload)
-        rtp = rtp_candidates(payload, max_offset) if self._rtp_on else []
-        need_stun = self._stun_on and _stun_possible(payload, size, max_offset)
-        need_rtcp = self._rtcp_on and _rtcp_possible(payload, size, max_offset)
-        need_quic = self._quic_on and _quic_possible(payload, size, max_offset)
-        if not (need_stun or need_rtcp or need_quic) and self._rtp_once:
-            return rtp
-        return self._assemble(payload, rtp, need_stun, need_rtcp, need_quic)
-
-    def _assemble(
-        self,
-        payload: bytes,
-        rtp: List[Candidate],
-        need_stun: bool,
-        need_rtcp: bool,
-        need_quic: bool,
+    def assemble(
+        self, parts: Sequence[List[Candidate]], rtp: List[Candidate]
     ) -> List[Candidate]:
-        """Merge parts in the engine's protocol order, then stable-sort —
-        byte-identical tie order to the scalar sweep."""
-        max_offset = self._max_offset
-        out: List[Candidate] = []
-        for protocol in self._protocols:
-            if protocol is Protocol.RTP:
-                out.extend(rtp)
-            elif protocol is Protocol.STUN_TURN:
-                if need_stun:
-                    out.extend(stun_candidates(payload, max_offset))
-            elif protocol is Protocol.RTCP:
-                if need_rtcp:
-                    out.extend(rtcp_candidates(payload, max_offset))
-            elif protocol is Protocol.QUIC and need_quic:
-                out.extend(quic_candidates(payload, max_offset))
+        """One payload's candidate list from its parts and RTP candidates.
+
+        Merges in the engine's protocol order, then stable-sorts —
+        byte-identical tie order to the scalar sweep.
+        """
+        if not parts:
+            if self._rtp_once:
+                return rtp  # anchored RTP candidates are already sorted
+            parts = ([],) * (self._rtp_count + 1)
+        out = list(parts[0])
+        for segment in parts[1:]:
+            out += rtp
+            out += segment
         out.sort(key=_sort_key)
         return out
 
-    def _scan_np(self, batch: Sequence[bytes]) -> List[List[Candidate]]:
+    # -- internals ----------------------------------------------------------------
+
+    def _scan_regular(self, batch: Sequence[bytes]) -> ColumnBatch:
+        if self._use_numpy and len(batch) >= _MIN_VECTOR_BATCH:
+            try:
+                return self._scan_np(batch)
+            except Exception as exc:  # numpy safety net
+                stats = self.stats
+                stats.vector_errors += 1
+                if _crossed_power_of_two(
+                    stats.vector_errors - 1, stats.vector_errors
+                ):
+                    _log.warning(
+                        "numpy columnar scan failed on a %d-payload batch "
+                        "(%s: %s); rescanning it in pure Python "
+                        "(%d batches so far)",
+                        len(batch), type(exc).__name__, exc,
+                        stats.vector_errors, exc_info=True,
+                    )
+        return self._scan_py(batch)
+
+    def _scan_py(
+        self, batch: Sequence[bytes], gated: bool = True
+    ) -> ColumnBatch:
+        """Pure-Python scan, one payload at a time; same columns.
+
+        ``gated=False`` runs every matcher: the scalar sweep for payloads
+        that are not ``bytes``, which the gates cannot read.
+        """
+        max_offset = self._max_offset
+        rows = []
+        parts = []
+        for i, payload in enumerate(batch):
+            if self._rtp_on:
+                rows.extend(
+                    (i, c.offset, c.length, c.rtp_ssrc, c.rtp_seq,
+                     c.rtp_timestamp)
+                    for c in rtp_candidates(payload, max_offset)
+                )
+            if gated:
+                size = len(payload)
+                needs = (
+                    self._stun_on and _stun_possible(payload, size, max_offset),
+                    self._rtcp_on and _rtcp_possible(payload, size, max_offset),
+                    self._quic_on and _quic_possible(payload, size, max_offset),
+                )
+            else:
+                needs = (self._stun_on, self._rtcp_on, self._quic_on)
+            parts.append(self._parts(payload, *needs))
+        return ColumnBatch(_array_columns(rows), parts)
+
+    def _parts(
+        self,
+        payload: bytes,
+        need_stun: bool,
+        need_rtcp: bool,
+        need_quic: bool,
+    ) -> Tuple[List[Candidate], ...]:
+        """The non-RTP candidates in protocol order, split into segments
+        at each RTP entry; ``()`` when there are none."""
+        if not (need_stun or need_rtcp or need_quic):
+            return ()
+        need = {
+            Protocol.STUN_TURN: need_stun,
+            Protocol.RTCP: need_rtcp,
+            Protocol.QUIC: need_quic,
+        }
+        segments: List[List[Candidate]] = [[]]
+        for protocol in self._protocols:
+            if protocol is Protocol.RTP:
+                segments.append([])
+            elif need[protocol]:
+                segments[-1] += MATCHERS[protocol](payload, self._max_offset)
+        return tuple(segments) if any(segments) else ()
+
+    def _scan_np(self, batch: Sequence[bytes]) -> ColumnBatch:
         """Vectorized batch scan over the joined buffer.
 
         One anchor pass serves both RTP and RTCP: every version-2 first
         byte inside the wider RTCP window ``min(k, size-4)`` is gathered
-        once, with shared loads of the following three bytes feeding the
-        RTP sequence field and the RTCP length-fit prefilter alike.
+        once, and one byte-class mask routes each anchor to the RTP header
+        checks or the RTCP length-fit prefilter.
         """
         np = _np
         n = len(batch)
@@ -319,7 +503,7 @@ class ColumnarScanner:
         joined = b"".join(batch)
         total = len(joined)
         if not total:
-            return [[] for _ in batch]
+            return ColumnBatch(_array_columns(()), [()] * n)
         arr = np.frombuffer(joined, dtype=np.uint8)
         starts = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(sizes, out=starts[1:])
@@ -327,8 +511,7 @@ class ColumnarScanner:
         starts_l = starts.tolist()
         max_offset = self._max_offset
 
-        flat: List[Candidate] = []
-        bounds = [0] * (n + 1)
+        rtp_columns = _array_columns(())
         rtcp_flag: set = set()
         if self._rtp_on or self._rtcp_on:
             rtp_lim = np.minimum(max_offset, sizes_a - 12)
@@ -389,30 +572,17 @@ class ColumnarScanner:
                     kpos = pos1[keep]
                     kidx = idx1[keep]
                     koff = off1[keep]
-                    lengths = (sizes_a[kidx] - koff).tolist()
-                    seq = (
-                        (arr[kpos + 2].astype(np.int64) << 8) | arr[kpos + 3]
-                    ).tolist()
-                    ts = (
-                        (arr[kpos + 4].astype(np.int64) << 24)
-                        | (arr[kpos + 5].astype(np.int64) << 16)
-                        | (arr[kpos + 6].astype(np.int64) << 8)
-                        | arr[kpos + 7]
-                    ).tolist()
-                    ssrc = (
-                        (arr[kpos + 8].astype(np.int64) << 24)
-                        | (arr[kpos + 9].astype(np.int64) << 16)
-                        | (arr[kpos + 10].astype(np.int64) << 8)
-                        | arr[kpos + 11]
-                    ).tolist()
-                    rtp_proto = Protocol.RTP
-                    flat = [
-                        Candidate(rtp_proto, o, ln, None, b"", False, ss, sq, t, o)
-                        for o, ln, ss, sq, t in zip(
-                            koff.tolist(), lengths, ssrc, seq, ts
-                        )
-                    ]
-                    bounds = np.searchsorted(kidx, np.arange(n + 1)).tolist()
+                    # Header bytes 2..12 (sequence number, timestamp,
+                    # SSRC) in one gather, read as big-endian words.
+                    head = arr[kpos[:, None] + np.arange(2, 12)]
+                    rtp_columns = RtpColumns(
+                        kidx.astype(np.int32),
+                        koff.astype(np.int32),
+                        (sizes_a[kidx] - koff).astype(np.int32),
+                        _big_endian(head, 6, 10, "u4"),
+                        _big_endian(head, 0, 2, "u2"),
+                        _big_endian(head, 2, 6, "u4"),
+                    )
 
         stun_flag: set = set()
         if self._stun_on:
@@ -464,15 +634,13 @@ class ColumnarScanner:
                     else:
                         search = found + 1
 
-        out: List[List[Candidate]] = []
-        rtp_once = self._rtp_once
+        parts: List[Tuple[List[Candidate], ...]] = []
         stun_on = self._stun_on
         quic_on = self._quic_on
         for i in range(n):
             payload = batch[i]
             size = sizes[i]
             b0 = payload[0] if size else 0
-            rtp = flat[bounds[i]:bounds[i + 1]]
             need_stun = stun_on and (
                 i in stun_flag
                 or (size >= 4 and 0x40 <= b0 <= 0x4F)
@@ -482,10 +650,7 @@ class ColumnarScanner:
             need_quic = quic_on and (
                 i in quic_flag or (size >= 26 and b0 & 0xC0 == 0x40)
             )
-            if not (need_stun or need_rtcp or need_quic) and rtp_once:
-                out.append(rtp)
-                continue
-            out.append(
-                self._assemble(payload, rtp, need_stun, need_rtcp, need_quic)
+            parts.append(
+                self._parts(payload, need_stun, need_rtcp, need_quic)
             )
-        return out
+        return ColumnBatch(rtp_columns, parts)

@@ -13,8 +13,15 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.dpi.candidates import MATCHERS, Candidate
-from repro.dpi.columnar import ColumnarScanner, ColumnarStats
+from repro.dpi.columnar import (
+    ColumnarScanner,
+    ColumnarStats,
+    RtpColumns,
+    build_rtp_candidates,
+)
 from repro.dpi.messages import (
     DatagramAnalysis,
     DatagramClass,
@@ -178,18 +185,20 @@ class DpiEngine:
     """Offset-shifting DPI with protocol-specific validation.
 
     Stage one sweeps every matcher over offsets 0..k of every datagram
-    (Algorithm 1).  ``backend`` picks how that sweep is computed; the
-    candidate lists, verdicts and :class:`DpiStats` are bit-identical
-    either way:
+    (Algorithm 1); stage two validates the candidates in stream context.
+    ``backend`` picks how the two stages are computed; the verdicts and
+    :class:`DpiStats` are bit-identical either way:
 
     * ``"scalar"`` (the default) is the paper's reference: every matcher
-      at every anchor, one payload at a time.  Golden corpora are
-      recorded with it and every other configuration is diffed against
-      it.
+      at every anchor, one payload at a time, and every candidate a
+      :class:`Candidate` object.  Golden corpora are recorded with it and
+      every other configuration is diffed against it.
     * ``"columnar"`` is the production path: a stream's payloads go
       through :class:`~repro.dpi.columnar.ColumnarScanner` in chunks,
       which vectorizes the RTP pass and skips matchers a byte-class
-      prefilter proves empty.
+      prefilter proves empty.  RTP candidates stay columns through SSRC
+      scoring, and objects are built only for rows whose SSRC passes:
+      a row of a rejected SSRC never reaches a verdict.
 
     ``fastpath`` and ``cache_size`` are retired: the flow-sticky fast
     path and the payload-dedup cache are gone, so only their old "off"
@@ -286,10 +295,12 @@ class DpiEngine:
 
     def analyze_stream(self, stream: Stream) -> List[DatagramAnalysis]:
         """Run both DPI stages over one transport stream."""
-        per_datagram = self._extract_stream(stream)
-        accepted = self._validate_stream(per_datagram)
+        if self._columnar is None:
+            accepted = self._validate_stream(self._extract_stream(stream))
+        else:
+            accepted = self._columnar_stages(stream)
         analyses: List[DatagramAnalysis] = []
-        for (record, _candidates), accepted_list in zip(per_datagram, accepted):
+        for record, accepted_list in zip(stream.packets, accepted):
             messages = [self._materialize(c, record) for c in accepted_list]
             messages = [m for m in messages if m is not None]
             analyses.append(DatagramAnalysis.classify(record, messages))
@@ -300,27 +311,10 @@ class DpiEngine:
     def _extract_stream(
         self, stream: Stream
     ) -> List[Tuple[PacketRecord, List[Candidate]]]:
-        """Sweep every datagram of *stream*: the full 0..k scan each.
-
-        The columnar backend scans the stream's payloads in chunks of the
-        scanner's batch size; a payload the scanner refuses (anything not
-        ``bytes``) gets the scalar scan instead.
-        """
+        """Sweep every datagram of *stream*: the full 0..k scan each."""
         packets = stream.packets
-        payloads = [record.payload for record in packets]
-        scanner = self._columnar
-        if scanner is None:
-            candidates = [self._scan(payload) for payload in payloads]
-        else:
-            candidates = []
-            step = scanner.batch_size
-            for base in range(0, len(payloads), step):
-                chunk = payloads[base:base + step]
-                for payload, scanned in zip(chunk, scanner.scan_batch(chunk)):
-                    candidates.append(
-                        scanned if scanned is not None else self._scan(payload)
-                    )
-        self._count_sweeps(len(payloads))
+        candidates = [self._scan(record.payload) for record in packets]
+        self._count_sweeps(len(packets))
         return list(zip(packets, candidates))
 
     def _count_sweeps(self, count: int) -> None:
@@ -344,6 +338,88 @@ class DpiEngine:
             candidates.extend(MATCHERS[protocol](payload, self._max_offset))
         candidates.sort(key=lambda c: (c.offset, -c.length))
         return candidates
+
+    # -- both stages on columns (production) -----------------------------------------
+
+    def _columnar_stages(self, stream: Stream) -> List[List[Candidate]]:
+        """Stages one and two with RTP candidates kept as columns.
+
+        The same verdicts as ``_validate_stream(_extract_stream(...))``:
+        SSRC groups are scored on the stream's RTP rows
+        (:func:`_score_rtp_columns`), and ``Candidate`` objects are built
+        only for rows whose SSRC passed, because a row of a rejected SSRC
+        never reaches a verdict.  Everything else — the non-RTP
+        validation, overlap resolution and its input order — is shared
+        with the reference.
+        """
+        scanner = self._columnar
+        packets = stream.packets
+        payloads = [record.payload for record in packets]
+        parts: List[Tuple[List[Candidate], ...]] = []
+        chunks: List[RtpColumns] = []
+        step = scanner.batch_size
+        for base in range(0, len(payloads), step):
+            chunk = payloads[base:base + step]
+            batch = scanner.scan_columns(chunk)
+            parts.extend(batch.parts)
+            chunks.append(_shift_rows(batch.rtp, base))
+            if batch.fallbacks:
+                swept = scanner.scalar_columns(
+                    [chunk[i] for i in batch.fallbacks]
+                )
+                positions = [base + i for i in batch.fallbacks]
+                for position, part in zip(positions, swept.parts):
+                    parts[position] = part
+                chunks.append(_shift_rows(swept.rtp, 0, positions))
+        self._count_sweeps(len(payloads))
+        if not chunks:
+            return []
+        rows = RtpColumns(*[np.concatenate(column) for column in zip(*chunks)])
+
+        # Stage two.  The reference scores every RTP candidate, so a
+        # protocol order that lists RTP twice scores each row twice.
+        when = np.fromiter(
+            (record.timestamp for record in packets), np.float64, len(packets)
+        )[rows.index]
+        columns = (rows.ssrc, rows.seq, when)
+        if scanner.rtp_count > 1:
+            columns = [np.tile(column, scanner.rtp_count) for column in columns]
+        rtp_scores = _score_rtp_columns(*columns)
+        built: Dict[int, List[Candidate]] = {}
+        if rtp_scores:
+            passed = np.isin(
+                rows.ssrc, np.fromiter(rtp_scores, np.uint32, len(rtp_scores))
+            )
+            built = build_rtp_candidates(
+                RtpColumns(*[column[passed] for column in rows])
+            )
+        valid_rtp_ssrcs = frozenset(rtp_scores)
+        quic_cids = self._collect_quic_cids(
+            [(None, segment) for part in parts for segment in part]
+        )
+        validate = self._validate
+        accepted: List[List[Candidate]] = []
+        for i, (record, part) in enumerate(zip(packets, parts)):
+            rtp = built.get(i)
+            if part:
+                part = [
+                    [
+                        c for c in segment
+                        if validate(c, record, valid_rtp_ssrcs, quic_cids)
+                    ]
+                    for segment in part
+                ]
+            elif rtp is None:
+                accepted.append([])
+                continue
+            candidates = scanner.assemble(part, rtp or [])
+            # A lone candidate owns its bytes; the arbitration would
+            # return it unchanged.
+            accepted.append(
+                candidates if len(candidates) == 1
+                else self._resolve_overlaps(candidates, rtp_scores)
+            )
+        return accepted
 
     # -- stage 2: stream-context validation ------------------------------------------
 
@@ -565,6 +641,53 @@ class DpiEngine:
 
 def _overlaps(a: Candidate, b: Candidate) -> bool:
     return a.offset < b.end and b.offset < a.end
+
+
+def _shift_rows(
+    rows: RtpColumns, base: int, positions: Optional[Sequence[int]] = None
+) -> RtpColumns:
+    """*rows* with chunk-local payload indices made stream-global: mapped
+    through *positions* when given, then offset by *base*."""
+    index = np.asarray(rows.index, dtype=np.int32)
+    if positions is not None:
+        index = np.asarray(positions, dtype=np.int32)[index]
+    return RtpColumns(index + base, *rows[1:])
+
+
+def _score_rtp_columns(ssrc, seq, when) -> Dict[int, float]:
+    """``DpiEngine._validate_rtp_groups`` on columns; the same scores.
+
+    One row per RTP candidate: its SSRC, sequence number and the capture
+    timestamp of its datagram.  SSRCs seen fewer than ``MIN_RTP_GROUP``
+    times drop out; the rest are sorted by (group, timestamp, seq), the
+    reference's sample order, and the deltas in ``1.._MAX_SEQ_STEP``
+    (mod 2^16) counted per group.  Continuity and score are computed
+    with Python numbers, exactly as the reference does, so the scores
+    are bit-identical.
+    """
+    if len(ssrc) < MIN_RTP_GROUP:
+        return {}
+    groups, inverse, counts = np.unique(
+        ssrc, return_inverse=True, return_counts=True
+    )
+    large = counts >= MIN_RTP_GROUP
+    if not large.any():
+        return {}
+    rows = np.nonzero(large[inverse])[0]
+    group = inverse[rows]
+    order = np.lexsort((seq[rows], when[rows], group))
+    group = group[order]
+    seqs = seq[rows][order].astype(np.int32)
+    delta = (seqs[1:] - seqs[:-1]) & 0xFFFF
+    step = (group[1:] == group[:-1]) & (delta >= 1) & (delta <= _MAX_SEQ_STEP)
+    consecutive = np.bincount(group[1:][step], minlength=len(groups))
+    scores: Dict[int, float] = {}
+    for g in np.nonzero(large)[0].tolist():
+        size = int(counts[g])
+        continuity = int(consecutive[g]) / (size - 1)
+        if continuity >= MIN_CONTINUITY:
+            scores[int(groups[g])] = size * continuity
+    return scores
 
 
 class DpiStreamSession:

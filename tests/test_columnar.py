@@ -8,8 +8,11 @@ contract, plus engine-level parity with the reference (verdicts *and*
 DpiStats) and the retirement of the old backend CLI flags.
 """
 
-from functools import partial
+import logging
+import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,13 +20,20 @@ from hypothesis import strategies as st
 from repro.apps import CallConfig, NetworkCondition, get_simulator
 from repro.dpi import HAVE_NUMPY, ColumnarScanner, DpiEngine
 from repro.dpi.candidates import (
+    Candidate,
     quic_candidates,
     rtcp_candidates,
     stun_candidates,
 )
 from repro.dpi.columnar import _quic_possible, _rtcp_possible, _stun_possible
+from repro.dpi.engine import MIN_CONTINUITY, MIN_RTP_GROUP, _score_rtp_columns
 from repro.dpi.messages import Protocol
 from repro.filtering import TwoStageFilter
+from repro.packets.packet import PacketRecord
+from repro.protocols.rtcp.packets import SenderReport
+from repro.protocols.rtp.header import RtpPacket
+from repro.protocols.stun.attributes import StunAttribute
+from repro.protocols.stun.message import StunMessage
 
 #: Both scanner paths where available; numpy-less installs still run the
 #: mandatory pure-Python path.
@@ -241,3 +251,174 @@ class TestCliBackendFlag:
             build_parser().parse_args(command.split() + flag)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _reference_scores(times, rows):
+    """``_validate_rtp_groups`` on candidates built from column rows."""
+    per_datagram = [(SimpleNamespace(timestamp=t), []) for t in times]
+    for i, ssrc, seq in rows:
+        per_datagram[i][1].append(
+            Candidate(Protocol.RTP, 0, 12, rtp_ssrc=ssrc, rtp_seq=seq)
+        )
+    return DpiEngine()._validate_rtp_groups(per_datagram)
+
+
+def _column_scores(times, rows):
+    index = np.array([i for i, _, _ in rows], dtype=np.int32)
+    return _score_rtp_columns(
+        np.array([ssrc for _, ssrc, _ in rows], dtype=np.uint32),
+        np.array([seq for _, _, seq in rows], dtype=np.uint16),
+        np.array(times, dtype=np.float64)[index],
+    )
+
+
+@st.composite
+def _rtp_columns(draw):
+    """Datagram timestamps plus ``(datagram, ssrc, seq)`` rows: SSRC runs
+    with delta steps around 1, the 512 bound and the 2^16 wrap, tied
+    timestamps and repeated rows, in arbitrary row order."""
+    count = draw(st.integers(min_value=1, max_value=10))
+    times = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                          min_size=count, max_size=count))
+    datagram = st.integers(min_value=0, max_value=count - 1)
+    rows = []
+    for ssrc in draw(st.lists(st.sampled_from([0, 7, 0x1234, 0xFFFFFFFF]),
+                              min_size=1, max_size=3, unique=True)):
+        seq = draw(st.sampled_from([0, 1000, 0xFFFE, 0xFFFF]))
+        for _ in range(draw(st.integers(min_value=1, max_value=8))):
+            rows.append((draw(datagram), ssrc, seq))
+            step = draw(st.sampled_from([0, 1, 1, 2, 511, 512, 513, 0x8000]))
+            seq = (seq + step) & 0xFFFF
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return times, draw(st.permutations(rows))
+
+
+class TestRtpScorer:
+    """The array SSRC scorer returns exactly ``_validate_rtp_groups``'s
+    scores: same groups, same float scores."""
+
+    @given(columns=_rtp_columns())
+    def test_matches_reference(self, columns):
+        times, rows = columns
+        assert _column_scores(times, rows) == _reference_scores(times, rows)
+
+    @pytest.mark.parametrize("times, rows, expected", [
+        # Equal timestamps: samples sort by sequence number.
+        ([1.0], [(0, 9, 5), (0, 9, 3), (0, 9, 4)], {9: 3.0}),
+        # Sequence wrap 0xFFFF -> 0 is a delta of 1.
+        ([0.0, 1.0, 2.0], [(0, 9, 0xFFFE), (1, 9, 0xFFFF), (2, 9, 0)],
+         {9: 3.0}),
+        # A delta of exactly 512 is consecutive; 513 is not.
+        ([0.0, 1.0, 2.0], [(0, 9, 0), (1, 9, 512), (2, 9, 1024)], {9: 3.0}),
+        ([0.0, 1.0, 2.0], [(0, 9, 0), (1, 9, 513), (2, 9, 1026)], {}),
+        # Exactly MIN_RTP_GROUP samples are scored; one fewer is not.
+        ([0.0, 1.0, 2.0], [(0, 9, 1), (1, 9, 2), (2, 9, 3)], {9: 3.0}),
+        ([0.0, 1.0], [(0, 9, 1), (1, 9, 2)], {}),
+        # Continuity of exactly MIN_CONTINUITY passes.
+        ([0.0, 1.0, 2.0], [(0, 9, 0), (1, 9, 1), (2, 9, 600)], {9: 1.5}),
+        # Duplicate rows are samples too (a delta of 0 is a break).
+        ([0.0, 1.0, 2.0], [(0, 9, 1), (0, 9, 1), (1, 9, 2), (2, 9, 3)],
+         {9: 4 * (2 / 3)}),
+    ], ids=["tied-times", "wrap", "delta-512", "delta-513", "min-group",
+            "below-min-group", "half-continuity", "duplicates"])
+    def test_edge_cases(self, times, rows, expected):
+        assert MIN_RTP_GROUP == 3 and MIN_CONTINUITY == 0.5
+        assert _reference_scores(times, rows) == expected
+        assert _column_scores(times, rows) == expected
+
+
+def _seam_stream():
+    """300 datagrams of one flow: an RTP group whose sequence numbers wrap
+    and whose rows straddle the 256-payload chunk boundary, with STUN and
+    RTCP datagrams mixed in and a ``bytearray`` payload at the seam."""
+    rng = random.Random(7)
+    records = []
+    for i in range(300):
+        if i % 50 == 25:
+            payload = StunMessage(
+                msg_type=0x0001, transaction_id=bytes([i % 256]) * 12,
+                attributes=[StunAttribute(0x8022, b"agent")],
+            ).build()
+        elif i % 50 == 40:
+            # Behind a 4-byte header, so it needs the SSRC cross-check.
+            payload = b"\x00\x01\x02\x03" + SenderReport(
+                ssrc=0xABCD, ntp_timestamp=i, rtp_timestamp=160 * i,
+                packet_count=i, octet_count=60 * i,
+            ).to_packet().build()
+        else:
+            payload = RtpPacket(
+                payload_type=96, sequence_number=(0xFF80 + i) & 0xFFFF,
+                timestamp=160 * i, ssrc=0xABCD,
+                payload=bytes(rng.randrange(256) for _ in range(60)),
+            ).build()
+        if i == 256:
+            payload = bytearray(payload)
+        records.append(PacketRecord(
+            timestamp=1.0 + 0.02 * i, src_ip="10.0.0.1", src_port=50000,
+            dst_ip="20.0.0.2", dst_port=3478, transport="UDP",
+            payload=payload,
+        ))
+    return records
+
+
+def _datagram_facts(result):
+    return [
+        (a.record.timestamp, a.classification,
+         [(m.protocol, m.offset, m.length, m.trailer) for m in a.messages])
+        for a in result.analyses
+    ]
+
+
+class TestChunkSeam:
+    def test_group_across_chunks_with_fallback_payload(self):
+        records = _seam_stream()
+        reference = DpiEngine().analyze_records(records)
+        engine = DpiEngine(backend="columnar")
+        production = engine.analyze_records(records)
+        assert _datagram_facts(production) == _datagram_facts(reference)
+        assert production.stats.as_dict() == reference.stats.as_dict()
+        # The RTP group really is accepted on both sides of the seam.
+        accepted = {
+            i for i, a in enumerate(production.analyses)
+            if any(m.protocol is Protocol.RTP for m in a.messages)
+        }
+        assert {0, 255, 256, 257, 299} <= accepted
+        stats = engine.columnar_stats
+        assert (stats.batches, stats.payloads, stats.fallbacks) == (2, 300, 1)
+        payloads = [record.payload for record in records]
+        for base in (0, 256):
+            chunk = payloads[base:base + 256]
+            assert ColumnarScanner(200, use_numpy=False).scan_batch(
+                chunk
+            ) == ColumnarScanner(200, use_numpy=True).scan_batch(chunk)
+
+
+class TestSilentFallbacksLogged:
+    def test_numpy_failure_warns_once(self, caplog, monkeypatch):
+        scanner = ColumnarScanner(200, use_numpy=True)
+
+        def broken(batch):
+            raise FloatingPointError("forced")
+
+        monkeypatch.setattr(scanner, "_scan_np", broken)
+        batch = [b"\x80" * 16] * 8
+        with caplog.at_level(logging.WARNING, logger="repro.dpi"):
+            results = scanner.scan_batch(batch)
+        assert results == [scanner.scan_payload(p) for p in batch]
+        assert scanner.stats.vector_errors == 1
+        warnings = [r for r in caplog.records if r.name == "repro.dpi"]
+        assert len(warnings) == 1
+        assert "FloatingPointError" in warnings[0].getMessage()
+        assert "8-payload batch" in warnings[0].getMessage()
+
+    def test_repeats_are_rate_limited(self, caplog):
+        scanner = ColumnarScanner(200)
+        with caplog.at_level(logging.WARNING, logger="repro.dpi"):
+            for _ in range(5):
+                scanner.scan_batch([b"\x80" * 16, bytearray(16)])
+        assert scanner.stats.fallbacks == 5
+        warnings = [r for r in caplog.records if r.name == "repro.dpi"]
+        # Logged at the 1st, 2nd and 4th refusal.
+        assert len(warnings) == 3
+        assert "bytearray" in warnings[0].getMessage()
