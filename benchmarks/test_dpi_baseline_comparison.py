@@ -11,7 +11,6 @@ import pytest
 
 from repro.apps import APP_NAMES, CallConfig, NetworkCondition, get_simulator
 from repro.dpi.baseline import BaselineDpi, compare_engines
-from repro.dpi.adaptive import AdaptiveDpiEngine
 from repro.filtering import TwoStageFilter
 
 
@@ -54,21 +53,3 @@ def test_baseline_vs_custom(kept_by_app, benchmark):
     baseline = BaselineDpi()
     benchmark(baseline.analyze_records, kept_by_app["zoom"])
 
-
-def test_adaptive_engine_matches_fixed(kept_by_app, benchmark):
-    """Adaptive offset bounds (the paper's future work): identical results,
-    measured runtime for the learned-bound engine."""
-    from repro.dpi import DpiEngine
-
-    kept = kept_by_app["zoom"]
-    fixed = DpiEngine().analyze_records(kept)
-    adaptive_engine = AdaptiveDpiEngine()
-    adaptive = adaptive_engine.analyze_records(kept)
-    assert len(adaptive.messages()) == len(fixed.messages())
-    assert adaptive.by_class() == fixed.by_class()
-    assert 24 <= adaptive_engine.stats.max_learned <= 40
-    print(f"\n  learned max offset: {adaptive_engine.stats.max_learned} "
-          f"(Zoom's proprietary header depth)")
-
-    engine = AdaptiveDpiEngine()
-    benchmark.pedantic(engine.analyze_records, args=(kept,), rounds=2, iterations=1)

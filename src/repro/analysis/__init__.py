@@ -1,11 +1,8 @@
-"""Stream-quality analytics over extracted RTP/RTCP messages.
+"""Analysis tools over DPI output.
 
-The measurement studies the paper cites (and contrasts itself against)
-compute loss, jitter and bitrate; having them here makes the library a
-complete passive RTC analysis toolkit rather than a compliance checker
-only.
+- :mod:`repro.analysis.classifier` — application fingerprinting from the
+  §5.2/§5.3 quirk signatures
+- :mod:`repro.analysis.dissect` — human-readable per-datagram dissection
+
+Import them by full path; this package re-exports nothing.
 """
-
-from repro.analysis.quality import RtpStreamQuality, analyze_rtp_quality
-
-__all__ = ["RtpStreamQuality", "analyze_rtp_quality"]

@@ -8,11 +8,7 @@ pairing, QUIC connection IDs) to kill false positives, then resolves byte
 ownership between overlapping candidates.
 """
 
-from repro.dpi.columnar import (
-    HAVE_NUMPY,
-    ColumnarScanner,
-    ColumnarStats,
-)
+from repro.dpi.columnar import ColumnarScanner, ColumnarStats
 from repro.dpi.engine import (
     DEFAULT_MAX_OFFSET,
     DpiEngine,
@@ -29,7 +25,6 @@ from repro.dpi.messages import (
 
 __all__ = [
     "DEFAULT_MAX_OFFSET",
-    "HAVE_NUMPY",
     "ColumnarScanner",
     "ColumnarStats",
     "DpiEngine",

@@ -60,6 +60,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.dpi.candidates import (
     _COOKIE_BYTES,
     _QUIC_ANCHOR,
@@ -70,13 +72,6 @@ from repro.dpi.candidates import (
 )
 from repro.dpi.messages import Protocol
 from repro.protocols.quic.header import QUIC_V1, QUIC_V2
-
-try:  # a declared dependency; the pure-Python path below is always kept
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 _log = logging.getLogger("repro.dpi")
 
@@ -106,7 +101,7 @@ def _sort_key(candidate: Candidate):
 def _big_endian(head, lo: int, hi: int, dtype: str):
     """Bytes ``lo:hi`` of each row of a uint8 matrix as big-endian ints."""
     return (
-        _np.ascontiguousarray(head[:, lo:hi]).view(">" + dtype)[:, 0]
+        np.ascontiguousarray(head[:, lo:hi]).view(">" + dtype)[:, 0]
         .astype(dtype)
     )
 
@@ -273,17 +268,17 @@ class ColumnarScanner:
     see :class:`ColumnBatch`); :meth:`scan_batch` wraps it and builds
     the candidate lists of the scalar sweep.
 
-    ``use_numpy`` selects the vector path: ``None`` auto-detects, ``True``
-    requires numpy (raising if absent), ``False`` forces the pure-Python
-    path.  Both paths produce identical output; parity is enforced by the
-    conformance differ and the hypothesis tests.
+    ``use_numpy=False`` forces the pure-Python path, which otherwise
+    serves only batches below ``_MIN_VECTOR_BATCH``.  Both paths produce
+    identical output; parity is enforced by the conformance differ and
+    the hypothesis tests.
     """
 
     def __init__(
         self,
         max_offset: int,
         protocols: Sequence[Protocol] = tuple(Protocol),
-        use_numpy: Optional[bool] = None,
+        use_numpy: bool = True,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ):
         if max_offset < 0:
@@ -292,12 +287,7 @@ class ColumnarScanner:
             raise ValueError("batch_size must be positive")
         self._max_offset = max_offset
         self._protocols = tuple(protocols)
-        if use_numpy is None:
-            self._use_numpy = _np is not None
-        elif use_numpy and _np is None:
-            raise RuntimeError("use_numpy=True but numpy is not importable")
-        else:
-            self._use_numpy = bool(use_numpy)
+        self._use_numpy = use_numpy
         self.batch_size = batch_size
         self.stats = ColumnarStats()
         present = set(self._protocols)
@@ -497,7 +487,6 @@ class ColumnarScanner:
         once, and one byte-class mask routes each anchor to the RTP header
         checks or the RTCP length-fit prefilter.
         """
-        np = _np
         n = len(batch)
         sizes = [len(p) for p in batch]
         joined = b"".join(batch)

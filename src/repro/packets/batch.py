@@ -5,7 +5,7 @@ taxes that dominate real-pcap workloads now that DPI itself is fast: one
 16-byte ``read()`` call per record header, and a layer-by-layer object
 decode (``EthernetFrame`` → ``IPv4Header`` → ``UdpDatagram``, each with a
 ``ByteReader``, MAC formatting, and :mod:`ipaddress` string conversion).
-This module removes both, mirroring the soft-numpy shape of
+This module removes both, mirroring the numpy/pure-Python split of
 :mod:`repro.dpi.columnar`:
 
 * **Index scan.**  The capture is mapped once
@@ -14,11 +14,12 @@ This module removes both, mirroring the soft-numpy shape of
   offset/caplen/timestamp arrays.  Record offsets are sequentially
   dependent (each frame's length positions the next header), so the walk
   itself is a tight Python loop reading only ``incl_len``; the timestamp
-  columns are then gathered and combined **vectorized** behind a soft
-  numpy import, with a mandatory pure-Python fallback that computes them
-  inside the walk.  Both paths produce bit-identical floats: ``ts_sec``
-  and ``ts_frac`` are exactly representable in float64, and
-  ``sec + frac / divisor`` is the same IEEE expression either way.
+  columns are then gathered and combined **vectorized** with numpy, with
+  a pure-Python path that computes them inside the walk for small
+  captures and ``use_numpy=False``.  Both paths produce bit-identical
+  floats: ``ts_sec`` and ``ts_frac`` are exactly representable in
+  float64, and ``sec + frac / divisor`` is the same IEEE expression
+  either way.
 
 * **Chunked fast-path decode.**  Frames are decoded ``chunk_size`` at a
   time with precompiled :class:`struct.Struct` one-pass header parses for
@@ -49,6 +50,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.packets.decode import (
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW,
@@ -58,13 +61,6 @@ from repro.packets.decode import (
 from repro.packets.mmapio import MappedCapture
 from repro.packets.packet import PacketRecord
 from repro.packets.pcap import MAGIC_MICROS, MAGIC_NANOS, PcapFormatError
-
-try:  # soft dependency — the pure-Python path below is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 #: Records decoded per chunk unless the caller overrides it; matches the
 #: pipeline chunk unit so decode→filter→DPI stays chunked end-to-end.
@@ -177,17 +173,17 @@ def _vector_timestamps(
     fit float64 exactly, so ``sec + frac / divisor`` is bit-identical to
     the pure-Python expression.
     """
-    base = _np.asarray(offsets, dtype=_np.int64)
-    raw = _np.frombuffer(buffer, dtype=_np.uint8)
-    gathered = raw[(base[:, None] + _np.arange(8, dtype=_np.int64)).ravel()]
-    fields = gathered.reshape(len(offsets), 8).astype(_np.uint64)
+    base = np.asarray(offsets, dtype=np.int64)
+    raw = np.frombuffer(buffer, dtype=np.uint8)
+    gathered = raw[(base[:, None] + np.arange(8, dtype=np.int64)).ravel()]
+    fields = gathered.reshape(len(offsets), 8).astype(np.uint64)
     if endian == "<":
-        weights = _np.array([1, 1 << 8, 1 << 16, 1 << 24], dtype=_np.uint64)
+        weights = np.array([1, 1 << 8, 1 << 16, 1 << 24], dtype=np.uint64)
     else:
-        weights = _np.array([1 << 24, 1 << 16, 1 << 8, 1], dtype=_np.uint64)
+        weights = np.array([1 << 24, 1 << 16, 1 << 8, 1], dtype=np.uint64)
     sec = (fields[:, :4] * weights).sum(axis=1)
     frac = (fields[:, 4:] * weights).sum(axis=1)
-    return (sec.astype(_np.float64) + frac.astype(_np.float64) / divisor).tolist()
+    return (sec.astype(np.float64) + frac.astype(np.float64) / divisor).tolist()
 
 
 def _scan_index(buffer, size: int, use_numpy: bool, stats: IngestStats) -> PcapIndex:
@@ -266,11 +262,10 @@ def _scan_index(buffer, size: int, use_numpy: bool, stats: IngestStats) -> PcapI
 class BatchPcapReader:
     """mmap-backed pcap reader: eager index, chunked fast-path decode.
 
-    ``use_numpy`` selects the vectorized index scan: ``None``
-    auto-detects, ``True`` requires numpy (raising if absent), ``False``
-    forces the pure-Python path.  Both produce identical indexes and
-    identical records; parity is pinned by the golden-cell round-trip
-    tests.  The index is built at construction, so :attr:`frame_count`
+    ``use_numpy=False`` forces the pure-Python index scan, which
+    otherwise serves only captures below ``_MIN_VECTOR_FRAMES`` frames.
+    Both produce identical indexes and identical records; parity is
+    pinned by the golden-cell round-trip tests.  The index is built at construction, so :attr:`frame_count`
     is available *before* any decode — the CLI plans from it.
 
     The mmap length is pinned at open: a file that grows while this
@@ -280,15 +275,10 @@ class BatchPcapReader:
     def __init__(
         self,
         path: Union[str, Path],
-        use_numpy: Optional[bool] = None,
+        use_numpy: bool = True,
         stats: Optional[IngestStats] = None,
     ):
-        if use_numpy is None:
-            self._use_numpy = _np is not None
-        elif use_numpy and _np is None:
-            raise RuntimeError("use_numpy=True but numpy is not importable")
-        else:
-            self._use_numpy = bool(use_numpy)
+        self._use_numpy = use_numpy
         self.stats = stats if stats is not None else IngestStats()
         self._capture = MappedCapture(path)
         try:
@@ -466,7 +456,7 @@ class BatchPcapReader:
 def iter_pcap_chunks(
     path: Union[str, Path],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    use_numpy: Optional[bool] = None,
+    use_numpy: bool = True,
     stats: Optional[IngestStats] = None,
 ) -> Iterator[List[PacketRecord]]:
     """Stream decoded record chunks out of a pcap file (batch decoder).
@@ -484,7 +474,7 @@ def iter_pcap_chunks(
 
 def iter_pcap(
     path: Union[str, Path],
-    use_numpy: Optional[bool] = None,
+    use_numpy: bool = True,
     stats: Optional[IngestStats] = None,
 ) -> Iterator[PacketRecord]:
     """Stream every decodable record out of a pcap file, one at a time."""
@@ -495,7 +485,7 @@ def iter_pcap(
 def iter_capture_chunks(
     path: Union[str, Path],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    use_numpy: Optional[bool] = None,
+    use_numpy: bool = True,
     stats: Optional[IngestStats] = None,
 ) -> Iterator[List[PacketRecord]]:
     """Chunked record stream for either capture container.

@@ -42,7 +42,6 @@ from repro.packets import (
     write_pcap,
     write_pcapng,
 )
-from repro.packets.batch import HAVE_NUMPY
 from repro.packets.decode import (
     LINKTYPE_ETHERNET,
     LINKTYPE_NULL,
@@ -51,10 +50,10 @@ from repro.packets.decode import (
 )
 from repro.packets.pcap import MAGIC_MICROS, PcapFormatError
 
-#: Both index modes; the vector mode degrades to pure-Python when numpy
-#: is absent, so the parametrization is safe on minimal installs.
+#: Both index modes: forced pure-Python, and the default, which
+#: vectorizes captures of at least ``_MIN_VECTOR_FRAMES`` frames.
 MODES = [pytest.param(False, id="pure-python"),
-         pytest.param(None, id="auto-vector")]
+         pytest.param(True, id="auto-vector")]
 
 
 def scalar_records(path):
@@ -274,7 +273,7 @@ class TestTimestampAndContainerParity:
             PcapWriter(fileobj).write_frame(1.0, bytes(frame))
         with pytest.raises(ValueError):
             scalar_records(path)
-        for use_numpy in (False, None):
+        for use_numpy in (False, True):
             with pytest.raises(ValueError):
                 batch_records(path, use_numpy)
 
@@ -315,7 +314,7 @@ class TestRoundTripProperty:
         path = tmp_path_factory.mktemp("rt") / "prop.pcap"
         write_pcap(path, records, link_type=link_type, nanosecond=nanosecond)
         scalar = scalar_records(path)
-        for use_numpy in (False, None):
+        for use_numpy in (False, True):
             batch, stats = batch_records(path, use_numpy)
             assert_bit_identical(scalar, batch)
             assert stats.frames == len(records)
@@ -351,7 +350,7 @@ class TestCorpusParity:
         write_pcap(path, records)
         scalar = scalar_records(path)
         assert len(scalar) == len(records)
-        for use_numpy in (False, None):
+        for use_numpy in (False, True):
             batch, stats = batch_records(path, use_numpy)
             assert_bit_identical(scalar, batch)
             assert stats.skipped == 0
@@ -368,7 +367,7 @@ class TestCorpusParity:
         write_pcap(path, records)
         scalar = scalar_records(path)
         assert len(scalar) == len(records)
-        for use_numpy in (False, None):
+        for use_numpy in (False, True):
             batch, stats = batch_records(path, use_numpy)
             assert_bit_identical(scalar, batch)
             assert stats.skipped == 0

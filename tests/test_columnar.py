@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.apps import CallConfig, NetworkCondition, get_simulator
-from repro.dpi import HAVE_NUMPY, ColumnarScanner, DpiEngine
+from repro.dpi import ColumnarScanner, DpiEngine
 from repro.dpi.candidates import (
     Candidate,
     quic_candidates,
@@ -35,10 +35,9 @@ from repro.protocols.rtp.header import RtpPacket
 from repro.protocols.stun.attributes import StunAttribute
 from repro.protocols.stun.message import StunMessage
 
-#: Both scanner paths where available; numpy-less installs still run the
-#: mandatory pure-Python path.
-MODES = [False] + ([True] if HAVE_NUMPY else [])
-MODE_IDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
+#: Both scanner paths: forced pure-Python and numpy.
+MODES = [False, True]
+MODE_IDS = ["python", "numpy"]
 
 #: Bytes that start (or sit inside) real anchors: RTP/RTCP version bytes,
 #: RTCP packet types, the STUN magic cookie, QUIC long/short first bytes.
@@ -179,9 +178,6 @@ class TestScannerParity:
             ColumnarScanner(-1)
         with pytest.raises(ValueError):
             ColumnarScanner(200, batch_size=0)
-        if not HAVE_NUMPY:
-            with pytest.raises(RuntimeError):
-                ColumnarScanner(200, use_numpy=True)
 
     def test_stats_counters(self, scanner):
         fresh = ColumnarScanner(200, use_numpy=scanner.vectorized)

@@ -1,57 +1,12 @@
-"""Tests for the DPI extensions: adaptive offset bounds and TCP analysis."""
+"""Tests for the DPI extensions: TCP analysis."""
 
-import pytest
-
-from repro.apps import CallConfig, NetworkCondition, get_simulator
-from repro.dpi import DpiEngine, Protocol
-from repro.dpi.adaptive import AdaptiveDpiEngine
+from repro.dpi import Protocol
 from repro.dpi.tcp import analyze_tcp_records
-from repro.filtering import TwoStageFilter
 from repro.packets.packet import PacketRecord
 from repro.protocols.rtcp.packets import ReceiverReport
 from repro.protocols.rtp.header import RtpPacket
 from repro.protocols.stun.attributes import StunAttribute
 from repro.protocols.stun.message import StunMessage
-
-
-@pytest.fixture(scope="module")
-def zoom_kept():
-    trace = get_simulator("zoom").simulate(
-        CallConfig(network=NetworkCondition.WIFI_RELAY, seed=6,
-                   call_duration=12.0, media_scale=0.3)
-    )
-    return TwoStageFilter(trace.window).apply(trace.records).kept_records
-
-
-class TestAdaptiveDpi:
-    def test_matches_fixed_engine(self, zoom_kept):
-        fixed = DpiEngine().analyze_records(zoom_kept)
-        adaptive = AdaptiveDpiEngine()
-        result = adaptive.analyze_records(zoom_kept)
-        assert len(result.messages()) == len(fixed.messages())
-        assert result.by_class() == fixed.by_class()
-
-    def test_learns_zoom_header_depth(self, zoom_kept):
-        adaptive = AdaptiveDpiEngine()
-        adaptive.analyze_records(zoom_kept)
-        # Zoom's headers are 24 bytes (32 with the type-7 wrapper).
-        assert 24 <= adaptive.stats.max_learned <= 40
-
-    def test_opaque_streams_keep_probe_bound(self):
-        records = [
-            PacketRecord(timestamp=float(i), src_ip="1.1.1.1", src_port=1,
-                         dst_ip="2.2.2.2", dst_port=2, transport="UDP",
-                         payload=bytes([0x01]) * 500)
-            for i in range(100)
-        ]
-        adaptive = AdaptiveDpiEngine(probe_packets=10)
-        result = adaptive.analyze_records(records)
-        assert not result.messages()
-        assert not adaptive.stats.learned_offsets
-
-    def test_invalid_probe_packets(self):
-        with pytest.raises(ValueError):
-            AdaptiveDpiEngine(probe_packets=0)
 
 
 def tcp_record(t, payload, sport=50000, src="10.0.0.1", dst="20.0.0.2"):

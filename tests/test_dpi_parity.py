@@ -11,7 +11,7 @@ import pytest
 
 from repro.apps import APP_NAMES, CallConfig, NetworkCondition, get_simulator
 from repro.conformance.golden import CorpusConfig, reference_engine
-from repro.dpi import HAVE_NUMPY, ColumnarScanner, DpiEngine
+from repro.dpi import ColumnarScanner, DpiEngine
 from repro.filtering import TwoStageFilter
 from repro.service import AnalysisSession
 
@@ -78,10 +78,9 @@ def test_seeded_cells_match_reference(app, network, call_index):
     assert got == want, _first_divergence(want, got)
     assert production.stats.as_dict() == reference.stats.as_dict()
 
-    if HAVE_NUMPY:
-        payloads = [record.payload for record in kept
-                    if record.transport == "UDP"]
-        pure = ColumnarScanner(200, use_numpy=False).scan_batch(payloads)
-        vector = ColumnarScanner(200, use_numpy=True).scan_batch(payloads)
-        for index, (a, b) in enumerate(zip(pure, vector)):
-            assert a == b, f"scanner paths differ on payload {index}"
+    payloads = [record.payload for record in kept
+                if record.transport == "UDP"]
+    pure = ColumnarScanner(200, use_numpy=False).scan_batch(payloads)
+    vector = ColumnarScanner(200, use_numpy=True).scan_batch(payloads)
+    for index, (a, b) in enumerate(zip(pure, vector)):
+        assert a == b, f"scanner paths differ on payload {index}"

@@ -19,7 +19,6 @@ artifact of the shipped configurations.
 from __future__ import annotations
 
 from functools import lru_cache
-from unittest import mock
 
 import pytest
 
@@ -29,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps import CallConfig, NetworkCondition, get_simulator
 from repro.conformance.golden import build_facts, facts_digest
 from repro.core import ComplianceChecker
-from repro.dpi import DpiEngine
+from repro.dpi import ColumnarScanner, DpiEngine
 from repro.netem import (
     GilbertElliott,
     Impairer,
@@ -175,11 +174,11 @@ class TestEngineParity:
         vector_engine = DpiEngine(max_offset=MAX_OFFSET, backend="columnar")
         dpi = vector_engine.analyze_records(records)
         want = _facts_digest(dpi, ComplianceChecker().check(dpi.messages()))
-        with mock.patch("repro.dpi.columnar._np", None):
-            pure_engine = DpiEngine(max_offset=MAX_OFFSET, backend="columnar")
-            assert not pure_engine._columnar.vectorized
-            dpi = pure_engine.analyze_records(records)
-            got = _facts_digest(dpi, ComplianceChecker().check(dpi.messages()))
+        pure_engine = DpiEngine(max_offset=MAX_OFFSET, backend="columnar")
+        pure_engine._columnar = ColumnarScanner(MAX_OFFSET, use_numpy=False)
+        assert not pure_engine._columnar.vectorized
+        dpi = pure_engine.analyze_records(records)
+        got = _facts_digest(dpi, ComplianceChecker().check(dpi.messages()))
         assert got == want
 
     @pytest.mark.parametrize("name", sorted(set(PROFILES) - {"none"}))
