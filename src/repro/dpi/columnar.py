@@ -8,22 +8,27 @@ stage one the production engine (``DpiEngine(backend="columnar")``) runs.
 
 Its output is column-shaped (:class:`ColumnBatch`).  RTP — the only
 matcher that yields candidates in bulk, most of them one-off reads of
-media bytes — stays rows of narrow parallel arrays (payload index,
+media bytes — stays rows of narrow parallel numpy arrays (payload index,
 offset, length, SSRC, sequence number, RTP timestamp); only the other
 protocols' candidates are :class:`Candidate` objects.  The engine scores
 SSRC groups on those arrays and builds objects only for rows whose SSRC
 passes stage two; :meth:`ColumnarScanner.scan_batch` builds every row and
 returns the candidate lists the scalar sweep would.
 
+One kernel serves every batch of ``bytes`` payloads, whatever its size
+(:meth:`ColumnarScanner._scan_np`):
+
 * the payloads are joined into one buffer with an offset index, so each
   anchor pass is a single C-level scan whose global match positions are
   translated back to ``(payload, offset)`` pairs;
 * the RTP pass is fully vectorized with numpy (byte-class masks, one
-  gather of the header fields); a pure-Python path emits the same columns
-  from the per-payload anchored scan and serves batches below
-  ``_MIN_VECTOR_BATCH`` and ``use_numpy=False`` parity checks;
+  gather of the header fields);
 * the STUN/RTCP/QUIC matchers are *gated*: a cheap prefilter proves the
   matcher would return nothing for a payload, so it is simply skipped.
+
+Payloads that are not ``bytes``, and any batch the kernel fails on, get
+the ungated scalar sweep in the same column form
+(:meth:`ColumnarScanner.scalar_columns`).
 
 Every gate is a necessary condition of the corresponding matcher, so a
 skipped matcher is exactly one that would have produced zero candidates:
@@ -55,7 +60,6 @@ from __future__ import annotations
 
 import logging
 import re
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -64,8 +68,6 @@ import numpy as np
 
 from repro.dpi.candidates import (
     _COOKIE_BYTES,
-    _QUIC_ANCHOR,
-    _RTCP_ANCHOR,
     Candidate,
     MATCHERS,
     rtp_candidates,
@@ -79,7 +81,8 @@ _log = logging.getLogger("repro.dpi")
 DEFAULT_BATCH_SIZE = 256
 
 #: The three version strings a QUIC long-header anchor can carry at bytes
-#: ``o+1..o+5`` (see ``_QUIC_ANCHOR``): v1, v2, version negotiation.
+#: ``o+1..o+5`` (see ``candidates._QUIC_ANCHOR``): v1, v2, version
+#: negotiation.
 _QUIC_VN_NEEDLE = b"\x00\x00\x00\x00"
 _QUIC_VERSION_NEEDLES = (
     QUIC_V1.to_bytes(4, "big"),
@@ -88,10 +91,6 @@ _QUIC_VERSION_NEEDLES = (
 )
 #: Finds the end of a zero run.
 _NONZERO = re.compile(rb"[^\x00]")
-
-#: Below this batch size the numpy fixed costs (buffer join, mask setup)
-#: exceed the vector win and the gated pure-Python path is faster.
-_MIN_VECTOR_BATCH = 4
 
 
 def _sort_key(candidate: Candidate):
@@ -112,44 +111,12 @@ def _crossed_power_of_two(before: int, after: int) -> bool:
     return after.bit_length() > before.bit_length()
 
 
-def _classic_stun_possible(payload: bytes, size: int, b0: int) -> bool:
+def _classic_stun_gate(payload: bytes, size: int, b0: int) -> bool:
     """Inline ``looks_like_stun(payload, 0)`` — the classic-STUN gate."""
     if size < 20 or b0 & 0xC0:
         return False
     length = payload[2] << 8 | payload[3]
     return not (length & 3) and 20 + length <= size
-
-
-def _stun_possible(payload: bytes, size: int, max_offset: int) -> bool:
-    b0 = payload[0] if size else 0
-    if size >= 4 and 0x40 <= b0 <= 0x4F:
-        return True  # ChannelData range
-    if _classic_stun_possible(payload, size, b0):
-        return True
-    # Modern STUN: cookie at bytes o+4..o+8 for some offset o in 0..k, so
-    # the cookie itself must sit in [4, max_offset + 4].
-    return payload.find(_COOKIE_BYTES, 4, max_offset + 8) >= 0
-
-
-def _rtcp_possible(payload: bytes, size: int, max_offset: int) -> bool:
-    if size < 4:
-        return False
-    limit = min(max_offset, size - 4)
-    for match in _RTCP_ANCHOR.finditer(payload, 0, limit + 2):
-        offset = match.start()
-        wire = ((payload[offset + 2] << 8 | payload[offset + 3]) + 1) * 4
-        if offset + wire <= size:
-            return True
-    return False
-
-
-def _quic_possible(payload: bytes, size: int, max_offset: int) -> bool:
-    if size >= 26 and payload[0] & 0xC0 == 0x40:
-        return True  # tentative short header at offset 0
-    if size < 7:
-        return False
-    limit = min(max_offset, size - 7)
-    return _QUIC_ANCHOR.search(payload, 0, min(size, limit + 5)) is not None
 
 
 @dataclass
@@ -160,7 +127,7 @@ class ColumnarStats:
     across backends, so columnar-only counters live here.  ``fallbacks``
     counts payloads the batch scanner refused (non-``bytes`` inputs) and
     handed back for a scalar sweep; ``vector_errors`` counts whole batches
-    that dropped from the numpy path to the pure-Python path.
+    the numpy kernel failed on, which then got the scalar sweep.
     """
 
     batches: int = 0
@@ -188,17 +155,16 @@ class ColumnarStats:
         self.vector_errors += other.vector_errors
 
 
-#: ``array.array`` type codes of the six :class:`RtpColumns`, in order.
-_TYPECODES = ("i", "i", "i", "I", "H", "I")
+#: numpy dtypes of the six :class:`RtpColumns`, in order.
+_DTYPES = (np.int32, np.int32, np.int32, np.uint32, np.uint16, np.uint32)
 
 
 class RtpColumns(NamedTuple):
     """RTP candidates as parallel columns, one row per candidate.
 
-    Rows are ordered by payload index and then offset.  ``index``,
-    ``offset`` and ``length`` are int32, ``ssrc`` and ``timestamp``
-    uint32, ``seq`` uint16: numpy arrays on the vector path, typed
-    ``array.array`` columns on the pure-Python path.
+    Rows are ordered by payload index and then offset.  Every column is
+    a numpy array: ``index``, ``offset`` and ``length`` int32, ``ssrc``
+    and ``timestamp`` uint32, ``seq`` uint16.
 
     Build instances from explicit arguments or a list, never from a
     generator or ``_replace``: CPython sizes those tuples by resizing a
@@ -206,19 +172,19 @@ class RtpColumns(NamedTuple):
     (up to ~170 KiB per process, which memory gates then measure).
     """
 
-    index: Sequence[int]
-    offset: Sequence[int]
-    length: Sequence[int]
-    ssrc: Sequence[int]
-    seq: Sequence[int]
-    timestamp: Sequence[int]
+    index: np.ndarray
+    offset: np.ndarray
+    length: np.ndarray
+    ssrc: np.ndarray
+    seq: np.ndarray
+    timestamp: np.ndarray
 
 
-def _array_columns(rows: Iterable[Tuple[int, ...]]) -> RtpColumns:
+def _rtp_columns(rows: Iterable[Tuple[int, ...]]) -> RtpColumns:
     """Typed columns from ``(index, offset, length, ssrc, seq, ts)`` rows."""
-    columns = list(zip(*rows)) or [()] * len(_TYPECODES)
+    columns = list(zip(*rows)) or [()] * len(_DTYPES)
     return RtpColumns(*[
-        array(code, column) for code, column in zip(_TYPECODES, columns)
+        np.array(column, dtype) for dtype, column in zip(_DTYPES, columns)
     ])
 
 
@@ -266,19 +232,15 @@ class ColumnarScanner:
 
     :meth:`scan_columns` is the production entry point (column output,
     see :class:`ColumnBatch`); :meth:`scan_batch` wraps it and builds
-    the candidate lists of the scalar sweep.
-
-    ``use_numpy=False`` forces the pure-Python path, which otherwise
-    serves only batches below ``_MIN_VECTOR_BATCH``.  Both paths produce
-    identical output; parity is enforced by the conformance differ and
-    the hypothesis tests.
+    the candidate lists of the scalar sweep.  Parity with the scalar
+    matchers is enforced by the conformance differ and the hypothesis
+    tests.
     """
 
     def __init__(
         self,
         max_offset: int,
         protocols: Sequence[Protocol] = tuple(Protocol),
-        use_numpy: bool = True,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ):
         if max_offset < 0:
@@ -287,7 +249,6 @@ class ColumnarScanner:
             raise ValueError("batch_size must be positive")
         self._max_offset = max_offset
         self._protocols = tuple(protocols)
-        self._use_numpy = use_numpy
         self.batch_size = batch_size
         self.stats = ColumnarStats()
         present = set(self._protocols)
@@ -306,7 +267,9 @@ class ColumnarScanner:
 
     @property
     def vectorized(self) -> bool:
-        return self._use_numpy
+        """Always true: numpy is the batch kernel.  Kept because
+        ``perfbench/run.py`` records it."""
+        return True
 
     @property
     def rtp_count(self) -> int:
@@ -374,16 +337,29 @@ class ColumnarScanner:
         parts: List[Tuple[List[Candidate], ...]] = [()] * n
         for position, segments in zip(regular, scanned.parts):
             parts[position] = segments
-        index = array("i", [regular[i] for i in scanned.rtp.index])
+        index = np.array(regular, dtype=np.int32)[scanned.rtp.index]
         return ColumnBatch(RtpColumns(index, *scanned.rtp[1:]), parts, refused)
 
     def scalar_columns(self, payloads: Sequence[bytes]) -> ColumnBatch:
         """The scalar sweep in column form: every matcher, no gates.
 
-        This is the sweep for payloads :meth:`scan_columns` refused; it
-        reads them only through the matchers, as the reference does.
+        This is the sweep for payloads :meth:`scan_columns` refused, and
+        for a batch the numpy kernel failed on; it reads payloads only
+        through the matchers, as the reference does.
         """
-        return self._scan_py(payloads, gated=False)
+        max_offset = self._max_offset
+        needs = (self._stun_on, self._rtcp_on, self._quic_on)
+        rows = []
+        parts = []
+        for i, payload in enumerate(payloads):
+            if self._rtp_on:
+                rows.extend(
+                    (i, c.offset, c.length, c.rtp_ssrc, c.rtp_seq,
+                     c.rtp_timestamp)
+                    for c in rtp_candidates(payload, max_offset)
+                )
+            parts.append(self._parts(payload, *needs))
+        return ColumnBatch(_rtp_columns(rows), parts)
 
     def assemble(
         self, parts: Sequence[List[Candidate]], rtp: List[Candidate]
@@ -407,53 +383,22 @@ class ColumnarScanner:
     # -- internals ----------------------------------------------------------------
 
     def _scan_regular(self, batch: Sequence[bytes]) -> ColumnBatch:
-        if self._use_numpy and len(batch) >= _MIN_VECTOR_BATCH:
-            try:
-                return self._scan_np(batch)
-            except Exception as exc:  # numpy safety net
-                stats = self.stats
-                stats.vector_errors += 1
-                if _crossed_power_of_two(
-                    stats.vector_errors - 1, stats.vector_errors
-                ):
-                    _log.warning(
-                        "numpy columnar scan failed on a %d-payload batch "
-                        "(%s: %s); rescanning it in pure Python "
-                        "(%d batches so far)",
-                        len(batch), type(exc).__name__, exc,
-                        stats.vector_errors, exc_info=True,
-                    )
-        return self._scan_py(batch)
-
-    def _scan_py(
-        self, batch: Sequence[bytes], gated: bool = True
-    ) -> ColumnBatch:
-        """Pure-Python scan, one payload at a time; same columns.
-
-        ``gated=False`` runs every matcher: the scalar sweep for payloads
-        that are not ``bytes``, which the gates cannot read.
-        """
-        max_offset = self._max_offset
-        rows = []
-        parts = []
-        for i, payload in enumerate(batch):
-            if self._rtp_on:
-                rows.extend(
-                    (i, c.offset, c.length, c.rtp_ssrc, c.rtp_seq,
-                     c.rtp_timestamp)
-                    for c in rtp_candidates(payload, max_offset)
+        try:
+            return self._scan_np(batch)
+        except Exception as exc:  # numpy safety net
+            stats = self.stats
+            stats.vector_errors += 1
+            if _crossed_power_of_two(
+                stats.vector_errors - 1, stats.vector_errors
+            ):
+                _log.warning(
+                    "numpy columnar scan failed on a %d-payload batch "
+                    "(%s: %s); rescanning it with the scalar sweep "
+                    "(%d batches so far)",
+                    len(batch), type(exc).__name__, exc,
+                    stats.vector_errors, exc_info=True,
                 )
-            if gated:
-                size = len(payload)
-                needs = (
-                    self._stun_on and _stun_possible(payload, size, max_offset),
-                    self._rtcp_on and _rtcp_possible(payload, size, max_offset),
-                    self._quic_on and _quic_possible(payload, size, max_offset),
-                )
-            else:
-                needs = (self._stun_on, self._rtcp_on, self._quic_on)
-            parts.append(self._parts(payload, *needs))
-        return ColumnBatch(_array_columns(rows), parts)
+        return self.scalar_columns(batch)
 
     def _parts(
         self,
@@ -492,7 +437,7 @@ class ColumnarScanner:
         joined = b"".join(batch)
         total = len(joined)
         if not total:
-            return ColumnBatch(_array_columns(()), [()] * n)
+            return ColumnBatch(_rtp_columns(()), [()] * n)
         arr = np.frombuffer(joined, dtype=np.uint8)
         starts = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(sizes, out=starts[1:])
@@ -500,7 +445,7 @@ class ColumnarScanner:
         starts_l = starts.tolist()
         max_offset = self._max_offset
 
-        rtp_columns = _array_columns(())
+        rtp_columns = _rtp_columns(())
         rtcp_flag: set = set()
         if self._rtp_on or self._rtcp_on:
             rtp_lim = np.minimum(max_offset, sizes_a - 12)
@@ -633,7 +578,7 @@ class ColumnarScanner:
             need_stun = stun_on and (
                 i in stun_flag
                 or (size >= 4 and 0x40 <= b0 <= 0x4F)
-                or _classic_stun_possible(payload, size, b0)
+                or _classic_stun_gate(payload, size, b0)
             )
             need_rtcp = i in rtcp_flag
             need_quic = quic_on and (

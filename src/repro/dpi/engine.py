@@ -367,10 +367,10 @@ class DpiEngine:
                 swept = scanner.scalar_columns(
                     [chunk[i] for i in batch.fallbacks]
                 )
-                positions = [base + i for i in batch.fallbacks]
-                for position, part in zip(positions, swept.parts):
-                    parts[position] = part
-                chunks.append(_shift_rows(swept.rtp, 0, positions))
+                for i, part in zip(batch.fallbacks, swept.parts):
+                    parts[base + i] = part
+                positions = np.array(batch.fallbacks, dtype=np.int32)
+                chunks.append(_shift_rows(swept.rtp, base, positions))
         self._count_sweeps(len(payloads))
         if not chunks:
             return []
@@ -644,13 +644,11 @@ def _overlaps(a: Candidate, b: Candidate) -> bool:
 
 
 def _shift_rows(
-    rows: RtpColumns, base: int, positions: Optional[Sequence[int]] = None
+    rows: RtpColumns, base: int, positions: Optional[np.ndarray] = None
 ) -> RtpColumns:
     """*rows* with chunk-local payload indices made stream-global: mapped
     through *positions* when given, then offset by *base*."""
-    index = np.asarray(rows.index, dtype=np.int32)
-    if positions is not None:
-        index = np.asarray(positions, dtype=np.int32)[index]
+    index = rows.index if positions is None else positions[rows.index]
     return RtpColumns(index + base, *rows[1:])
 
 
@@ -713,6 +711,10 @@ class DpiStreamSession:
         self._streams: Dict[FlowKey, Stream] = {}
         self._before = engine.stats.copy()
         self._fed = 0
+        # Datagrams held in open streams, kept current on every feed and
+        # finish: the pipeline reads it after every chunk, so a re-sum
+        # over open streams would make feeding quadratic in open flows.
+        self._buffered = 0
         self._flushed = False
         # Monotone per-stream serials in first-seen order.  A serial is
         # assigned when a stream is created and *reassigned* if a flow key
@@ -732,7 +734,7 @@ class DpiStreamSession:
     @property
     def buffered(self) -> int:
         """Datagrams currently held waiting for their stream to complete."""
-        return sum(len(s.packets) for s in self._streams.values())
+        return self._buffered
 
     @property
     def open_streams(self) -> int:
@@ -746,6 +748,7 @@ class DpiStreamSession:
         if record.transport != "UDP":
             return
         self._fed += 1
+        self._buffered += 1
         key = record.flow_key
         stream = self._streams.get(key)
         if stream is None:
@@ -796,6 +799,7 @@ class DpiStreamSession:
         stream = self._streams.pop(key, None)
         if stream is None:
             return []
+        self._buffered -= len(stream.packets)
         self._last_seen.pop(key, None)
         stream.sort()
         return self._engine.analyze_stream(stream)

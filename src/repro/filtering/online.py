@@ -133,6 +133,10 @@ class OnlineTwoStageFilter:
         self._outside: Set[EndpointTuple] = set()
         self._precall: Set[FrozenSet[str]] = set()
         self._observed = 0
+        # Packets held in undrained streams, kept current on every observe
+        # and drain: the pipeline reads it after every chunk, so a re-sum
+        # over all streams would make observing quadratic in open flows.
+        self._buffered = 0
         self._finalized = False
 
     @property
@@ -143,7 +147,7 @@ class OnlineTwoStageFilter:
     @property
     def buffered_packets(self) -> int:
         """Packets currently held in memory (drained streams count zero)."""
-        return sum(len(s.packets) for s in self._streams.values())
+        return self._buffered
 
     def observe(self, record: PacketRecord) -> None:
         """Group one record and update the window-scoped heuristic state."""
@@ -164,8 +168,15 @@ class OnlineTwoStageFilter:
             stream = Stream(key=key)
             self._streams[key] = stream
         stream.add(record)
-        if self._low_memory and self._doomed(stream):
-            self._streams[key] = DrainedStream(stream)
+        if isinstance(stream, Stream):
+            self._buffered += 1
+            if self._low_memory and self._doomed(stream):
+                self._drain(key, stream)
+
+    def _drain(self, key: FlowKey, stream: Stream) -> None:
+        """Swap *stream* for its counter-only stand-in, releasing packets."""
+        self._streams[key] = DrainedStream(stream)
+        self._buffered -= len(stream.packets)
 
     def _doomed(self, stream: object) -> bool:
         """True when *stream* can never survive stage 1.
@@ -200,7 +211,7 @@ class OnlineTwoStageFilter:
         drained = 0
         for key, stream in self._streams.items():
             if self._doomed(stream):
-                self._streams[key] = DrainedStream(stream)
+                self._drain(key, stream)
                 drained += 1
         return drained
 

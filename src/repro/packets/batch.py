@@ -5,8 +5,7 @@ taxes that dominate real-pcap workloads now that DPI itself is fast: one
 16-byte ``read()`` call per record header, and a layer-by-layer object
 decode (``EthernetFrame`` → ``IPv4Header`` → ``UdpDatagram``, each with a
 ``ByteReader``, MAC formatting, and :mod:`ipaddress` string conversion).
-This module removes both, mirroring the numpy/pure-Python split of
-:mod:`repro.dpi.columnar`:
+This module removes both:
 
 * **Index scan.**  The capture is mapped once
   (:class:`repro.packets.mmapio.MappedCapture`, length pinned at open) and
@@ -14,12 +13,12 @@ This module removes both, mirroring the numpy/pure-Python split of
   offset/caplen/timestamp arrays.  Record offsets are sequentially
   dependent (each frame's length positions the next header), so the walk
   itself is a tight Python loop reading only ``incl_len``; the timestamp
-  columns are then gathered and combined **vectorized** with numpy, with
-  a pure-Python path that computes them inside the walk for small
-  captures and ``use_numpy=False``.  Both paths produce bit-identical
-  floats: ``ts_sec`` and ``ts_frac`` are exactly representable in
-  float64, and ``sec + frac / divisor`` is the same IEEE expression
-  either way.
+  columns are then gathered and combined **vectorized** with numpy, for
+  captures of any size.  Should the gather fail, the column is
+  recomputed in pure Python (:func:`_python_timestamps`, counted in
+  ``IngestStats.vector_errors``).  Both give bit-identical floats:
+  ``ts_sec`` and ``ts_frac`` are exactly representable in float64, and
+  ``sec + frac / divisor`` is the same IEEE expression either way.
 
 * **Chunked fast-path decode.**  Frames are decoded ``chunk_size`` at a
   time with precompiled :class:`struct.Struct` one-pass header parses for
@@ -65,10 +64,6 @@ from repro.packets.pcap import MAGIC_MICROS, MAGIC_NANOS, PcapFormatError
 #: Records decoded per chunk unless the caller overrides it; matches the
 #: pipeline chunk unit so decode→filter→DPI stays chunked end-to-end.
 DEFAULT_CHUNK_SIZE = 256
-
-#: Below this frame count the numpy gather's fixed costs exceed the win
-#: and the index scan computes timestamps inline.
-_MIN_VECTOR_FRAMES = 4
 
 _MAGIC_LE = struct.Struct("<I")
 _MAGIC_BE = struct.Struct(">I")
@@ -186,7 +181,7 @@ def _vector_timestamps(
     return (sec.astype(np.float64) + frac.astype(np.float64) / divisor).tolist()
 
 
-def _scan_index(buffer, size: int, use_numpy: bool, stats: IngestStats) -> PcapIndex:
+def _scan_index(buffer, size: int, stats: IngestStats) -> PcapIndex:
     """One pass over every record header; same validation, same errors,
     same order as :class:`~repro.packets.pcap.PcapReader`."""
     if size < 24:
@@ -209,44 +204,28 @@ def _scan_index(buffer, size: int, use_numpy: bool, stats: IngestStats) -> PcapI
 
     offsets: List[int] = []
     caplens: List[int] = []
+    unpack_len = struct.Struct(endian + "I").unpack_from
+    offset = 24
+    while offset < size:
+        if size - offset < 16:
+            raise PcapFormatError("truncated pcap record header")
+        incl_len = unpack_len(buffer, offset + 8)[0]
+        if incl_len > limit:
+            raise PcapFormatError(f"implausible record length {incl_len}")
+        if offset + 16 + incl_len > size:
+            raise PcapFormatError("truncated pcap record body")
+        offsets.append(offset)
+        caplens.append(incl_len)
+        offset += 16 + incl_len
+    vector = True
     timestamps: List[float] = []
-    vector = use_numpy and size >= 24 + 16 * _MIN_VECTOR_FRAMES
-    if vector:
-        unpack_len = struct.Struct(endian + "I").unpack_from
-        offset = 24
-        while offset < size:
-            if size - offset < 16:
-                raise PcapFormatError("truncated pcap record header")
-            incl_len = unpack_len(buffer, offset + 8)[0]
-            if incl_len > limit:
-                raise PcapFormatError(f"implausible record length {incl_len}")
-            if offset + 16 + incl_len > size:
-                raise PcapFormatError("truncated pcap record body")
-            offsets.append(offset)
-            caplens.append(incl_len)
-            offset += 16 + incl_len
-        if offsets:
-            try:
-                timestamps = _vector_timestamps(buffer, offsets, endian, divisor)
-            except Exception:  # pragma: no cover - numpy safety net
-                stats.vector_errors += 1
-                vector = False
-                timestamps = _python_timestamps(buffer, offsets, endian, divisor)
-    else:
-        unpack_header = struct.Struct(endian + "IIII").unpack_from
-        offset = 24
-        while offset < size:
-            if size - offset < 16:
-                raise PcapFormatError("truncated pcap record header")
-            ts_sec, ts_frac, incl_len, _orig_len = unpack_header(buffer, offset)
-            if incl_len > limit:
-                raise PcapFormatError(f"implausible record length {incl_len}")
-            if offset + 16 + incl_len > size:
-                raise PcapFormatError("truncated pcap record body")
-            offsets.append(offset)
-            caplens.append(incl_len)
-            timestamps.append(ts_sec + ts_frac / divisor)
-            offset += 16 + incl_len
+    if offsets:
+        try:
+            timestamps = _vector_timestamps(buffer, offsets, endian, divisor)
+        except Exception:  # pragma: no cover - numpy safety net
+            stats.vector_errors += 1
+            vector = False
+            timestamps = _python_timestamps(buffer, offsets, endian, divisor)
     return PcapIndex(
         link_type=link_type,
         snaplen=snaplen,
@@ -262,11 +241,10 @@ def _scan_index(buffer, size: int, use_numpy: bool, stats: IngestStats) -> PcapI
 class BatchPcapReader:
     """mmap-backed pcap reader: eager index, chunked fast-path decode.
 
-    ``use_numpy=False`` forces the pure-Python index scan, which
-    otherwise serves only captures below ``_MIN_VECTOR_FRAMES`` frames.
-    Both produce identical indexes and identical records; parity is
-    pinned by the golden-cell round-trip tests.  The index is built at construction, so :attr:`frame_count`
-    is available *before* any decode — the CLI plans from it.
+    Records are bit-identical to the scalar reader's; parity is pinned by
+    the golden-cell round-trip tests.  The index is built at
+    construction, so :attr:`frame_count` is available *before* any
+    decode — the CLI plans from it.
 
     The mmap length is pinned at open: a file that grows while this
     reader is alive decodes exactly the records present at open time.
@@ -275,15 +253,13 @@ class BatchPcapReader:
     def __init__(
         self,
         path: Union[str, Path],
-        use_numpy: bool = True,
         stats: Optional[IngestStats] = None,
     ):
-        self._use_numpy = use_numpy
         self.stats = stats if stats is not None else IngestStats()
         self._capture = MappedCapture(path)
         try:
             self.index = _scan_index(
-                self._capture.buffer, self._capture.size, self._use_numpy, self.stats
+                self._capture.buffer, self._capture.size, self.stats
             )
         except BaseException:
             self._capture.close()
@@ -301,6 +277,8 @@ class BatchPcapReader:
 
     @property
     def vectorized(self) -> bool:
+        """Whether the numpy gather built the timestamp column (false only
+        after the safety net recomputed it)."""
         return self.index.vectorized
 
     def close(self) -> None:
@@ -456,7 +434,6 @@ class BatchPcapReader:
 def iter_pcap_chunks(
     path: Union[str, Path],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    use_numpy: bool = True,
     stats: Optional[IngestStats] = None,
 ) -> Iterator[List[PacketRecord]]:
     """Stream decoded record chunks out of a pcap file (batch decoder).
@@ -465,7 +442,7 @@ def iter_pcap_chunks(
     iterator is exhausted or dropped; peak memory is one chunk plus the
     (pinned) mmap, never the whole record list.
     """
-    reader = BatchPcapReader(path, use_numpy=use_numpy, stats=stats)
+    reader = BatchPcapReader(path, stats=stats)
     try:
         yield from reader.chunks(chunk_size)
     finally:
@@ -474,18 +451,16 @@ def iter_pcap_chunks(
 
 def iter_pcap(
     path: Union[str, Path],
-    use_numpy: bool = True,
     stats: Optional[IngestStats] = None,
 ) -> Iterator[PacketRecord]:
     """Stream every decodable record out of a pcap file, one at a time."""
-    for batch in iter_pcap_chunks(path, use_numpy=use_numpy, stats=stats):
+    for batch in iter_pcap_chunks(path, stats=stats):
         yield from batch
 
 
 def iter_capture_chunks(
     path: Union[str, Path],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    use_numpy: bool = True,
     stats: Optional[IngestStats] = None,
 ) -> Iterator[List[PacketRecord]]:
     """Chunked record stream for either capture container.
@@ -500,6 +475,4 @@ def iter_capture_chunks(
 
         yield from iter_pcapng_chunks(path, chunk_size)
     else:
-        yield from iter_pcap_chunks(
-            path, chunk_size, use_numpy=use_numpy, stats=stats
-        )
+        yield from iter_pcap_chunks(path, chunk_size, stats=stats)

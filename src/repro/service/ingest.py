@@ -20,6 +20,7 @@ shedding happen instead of guessing.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -151,8 +152,9 @@ class ReplaySource:
     ):
         if pace not in ("afap", "clock"):
             raise ValueError(f"unknown pace: {pace!r}")
-        if speed <= 0:
-            raise ValueError("speed must be positive")
+        if not (speed > 0 and math.isfinite(speed)):
+            # A NaN speed would make every pacing delay NaN: never slept.
+            raise ValueError("speed must be positive and finite")
         self._records = list(records)
         self._path: Optional[str] = None
         self._batch_size = batch_size
@@ -219,6 +221,9 @@ class PcapDirectoryWatcher:
         stop: Optional[threading.Event] = None,
         drain_once: bool = False,
     ):
+        if not (poll_interval > 0 and math.isfinite(poll_interval)):
+            # Zero or negative would spin the poll loop on listdir.
+            raise ValueError("poll_interval must be positive and finite")
         self._directory = directory
         self._batch_size = batch_size
         self._poll_interval = poll_interval

@@ -42,6 +42,7 @@ every run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -90,10 +91,12 @@ class EvictionPolicy:
     def __post_init__(self):
         if self.mode not in ("none", "deadline", "idle"):
             raise ValueError(f"unknown eviction mode: {self.mode!r}")
-        if self.idle_gap <= 0:
-            raise ValueError("idle_gap must be positive")
-        if self.sweep_interval <= 0:
-            raise ValueError("sweep_interval must be positive")
+        # NaN fails every comparison, so ``<= 0`` alone would pass it and
+        # silently switch eviction off.
+        for name in ("idle_gap", "sweep_interval"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass

@@ -4,7 +4,7 @@ The contract under test is absolute: for any pcap the mmap batch decoder
 (:mod:`repro.packets.batch`) must produce exactly the record stream the
 scalar :class:`~repro.packets.pcap.PcapReader` produces — same fields,
 same payload bytes, same float timestamps, same skips, same exceptions —
-in both the numpy-vectorized and pure-Python index modes.  Everything
+for captures of every size, from one frame up.  Everything
 else (streaming wrappers, the directory watcher, the ``pcap`` command)
 layers on that guarantee.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps import NetworkCondition
 from repro.conformance.golden import (
@@ -50,20 +50,15 @@ from repro.packets.decode import (
 )
 from repro.packets.pcap import MAGIC_MICROS, PcapFormatError
 
-#: Both index modes: forced pure-Python, and the default, which
-#: vectorizes captures of at least ``_MIN_VECTOR_FRAMES`` frames.
-MODES = [pytest.param(False, id="pure-python"),
-         pytest.param(True, id="auto-vector")]
-
-
 def scalar_records(path):
     with open(path, "rb") as fileobj:
         return list(PcapReader(fileobj).records())
 
 
-def batch_records(path, use_numpy):
+def batch_records(path):
     stats = IngestStats()
-    records = list(iter_pcap(path, use_numpy=use_numpy, stats=stats))
+    records = list(iter_pcap(path, stats=stats))
+    assert stats.vector_errors == 0
     return records, stats
 
 
@@ -95,46 +90,39 @@ class TestIndexScanErrors:
             "<IHHiIII", MAGIC_MICROS, 2, 4, 0, 0, snaplen, link_type
         )
 
-    @pytest.mark.parametrize("use_numpy", MODES)
-    def test_truncated_global_header(self, tmp_path, use_numpy):
+    def test_truncated_global_header(self, tmp_path):
         path = self._write(tmp_path, b"\xd4\xc3\xb2\xa1\x02\x00")
         with pytest.raises(PcapFormatError, match="truncated pcap global"):
-            BatchPcapReader(path, use_numpy=use_numpy)
+            BatchPcapReader(path)
 
-    @pytest.mark.parametrize("use_numpy", MODES)
-    def test_empty_file(self, tmp_path, use_numpy):
+    def test_empty_file(self, tmp_path):
         path = self._write(tmp_path, b"")
         with pytest.raises(PcapFormatError, match="truncated pcap global"):
-            BatchPcapReader(path, use_numpy=use_numpy)
+            BatchPcapReader(path)
 
-    @pytest.mark.parametrize("use_numpy", MODES)
-    def test_bad_magic(self, tmp_path, use_numpy):
+    def test_bad_magic(self, tmp_path):
         path = self._write(tmp_path, b"\x00" * 24)
         with pytest.raises(PcapFormatError, match="bad pcap magic"):
-            BatchPcapReader(path, use_numpy=use_numpy)
+            BatchPcapReader(path)
 
-    @pytest.mark.parametrize("use_numpy", MODES)
-    def test_truncated_record_header(self, tmp_path, use_numpy):
+    def test_truncated_record_header(self, tmp_path):
         path = self._write(tmp_path, self._global_header() + b"\x01\x02\x03")
         with pytest.raises(PcapFormatError, match="truncated pcap record header"):
-            BatchPcapReader(path, use_numpy=use_numpy)
+            BatchPcapReader(path)
 
-    @pytest.mark.parametrize("use_numpy", MODES)
-    def test_implausible_record_length(self, tmp_path, use_numpy):
+    def test_implausible_record_length(self, tmp_path):
         record = struct.pack("<IIII", 0, 0, 0xFFFFFFFF, 0xFFFFFFFF)
         path = self._write(tmp_path, self._global_header() + record)
         with pytest.raises(PcapFormatError, match="implausible record length"):
-            BatchPcapReader(path, use_numpy=use_numpy)
+            BatchPcapReader(path)
 
-    @pytest.mark.parametrize("use_numpy", MODES)
-    def test_truncated_record_body(self, tmp_path, use_numpy):
+    def test_truncated_record_body(self, tmp_path):
         record = struct.pack("<IIII", 0, 0, 64, 64) + b"\x00" * 10
         path = self._write(tmp_path, self._global_header() + record)
         with pytest.raises(PcapFormatError, match="truncated pcap record body"):
-            BatchPcapReader(path, use_numpy=use_numpy)
+            BatchPcapReader(path)
 
-    @pytest.mark.parametrize("use_numpy", MODES)
-    def test_scalar_reader_agrees_on_every_error(self, tmp_path, use_numpy):
+    def test_scalar_reader_agrees_on_every_error(self, tmp_path):
         blobs = [
             b"",
             b"\xd4\xc3\xb2\xa1",
@@ -148,12 +136,11 @@ class TestIndexScanErrors:
             with pytest.raises(PcapFormatError):
                 scalar_records(path)
             with pytest.raises(PcapFormatError):
-                BatchPcapReader(path, use_numpy=use_numpy)
+                BatchPcapReader(path)
 
-    @pytest.mark.parametrize("use_numpy", MODES)
-    def test_zero_record_file_decodes_empty(self, tmp_path, use_numpy):
+    def test_zero_record_file_decodes_empty(self, tmp_path):
         path = self._write(tmp_path, self._global_header())
-        with BatchPcapReader(path, use_numpy=use_numpy) as reader:
+        with BatchPcapReader(path) as reader:
             assert reader.frame_count == 0
             assert list(reader.records()) == []
         assert scalar_records(path) == []
@@ -179,16 +166,14 @@ class TestTimestampAndContainerParity:
             for i in range(32)
         ]
 
-    @pytest.mark.parametrize("use_numpy", MODES)
-    def test_nanosecond_timestamps(self, tmp_path, use_numpy):
+    def test_nanosecond_timestamps(self, tmp_path):
         path = tmp_path / "nanos.pcap"
         write_pcap(path, self._sample_records(), nanosecond=True)
-        batch, stats = batch_records(path, use_numpy)
+        batch, stats = batch_records(path)
         assert_bit_identical(scalar_records(path), batch)
         assert stats.fallbacks == 0
 
-    @pytest.mark.parametrize("use_numpy", MODES)
-    def test_big_endian_capture(self, tmp_path, use_numpy):
+    def test_big_endian_capture(self, tmp_path):
         payload = b"\x80\x60" + b"\x00" * 30
         ip = bytes([0x45, 0]) + struct.pack("!H", 20 + 8 + len(payload))
         ip += b"\x00" * 4 + bytes([64, 17]) + b"\x00\x00"
@@ -201,25 +186,23 @@ class TestTimestampAndContainerParity:
         )
         blob += struct.pack(">IIII", 7, 250000, len(frame), len(frame)) + frame
         path.write_bytes(blob)
-        batch, stats = batch_records(path, use_numpy)
+        batch, stats = batch_records(path)
         assert_bit_identical(scalar_records(path), batch)
         assert stats.fast_path == 1
 
-    @pytest.mark.parametrize("use_numpy", MODES)
-    def test_raw_and_null_link_types(self, tmp_path, use_numpy):
+    def test_raw_and_null_link_types(self, tmp_path):
         records = self._sample_records()
         for link_type in (LINKTYPE_RAW, LINKTYPE_NULL):
             path = tmp_path / f"lt{link_type}.pcap"
             write_pcap(path, records, link_type=link_type)
-            batch, stats = batch_records(path, use_numpy)
+            batch, stats = batch_records(path)
             assert_bit_identical(scalar_records(path), batch)
             if link_type == LINKTYPE_NULL:
                 # No fast path for the NULL family header: every frame
                 # must round-trip through decode_frame instead.
                 assert stats.fallbacks == stats.frames
 
-    @pytest.mark.parametrize("use_numpy", MODES)
-    def test_undecodable_frames_skipped_identically(self, tmp_path, use_numpy):
+    def test_undecodable_frames_skipped_identically(self, tmp_path):
         path = tmp_path / "mixed.pcap"
         with open(path, "wb") as fileobj:
             writer = PcapWriter(fileobj)
@@ -228,15 +211,14 @@ class TestTimestampAndContainerParity:
             # records() skips — both readers must drop exactly this frame.
             writer.write_frame(2.0, b"\xff" * 12 + b"\x08\x06" + b"\x00" * 28)
             writer.write_record(self._sample_records()[1])
-        batch, stats = batch_records(path, use_numpy)
+        batch, stats = batch_records(path)
         assert_bit_identical(scalar_records(path), batch)
         assert len(batch) == 2
         assert stats.frames == 3
         assert stats.skipped == 1
 
-    @pytest.mark.parametrize("use_numpy", MODES)
     def test_vlan_and_options_fall_back_bit_identically(
-        self, tmp_path, use_numpy
+        self, tmp_path
     ):
         base = encode_record(self._sample_records()[0], LINKTYPE_ETHERNET)
         # 802.1Q tag spliced after the MACs; the fast path only takes
@@ -255,7 +237,7 @@ class TestTimestampAndContainerParity:
             writer = PcapWriter(fileobj)
             writer.write_frame(1.0, vlan)
             writer.write_frame(2.0, bytes(ip_frame))
-        batch, stats = batch_records(path, use_numpy)
+        batch, stats = batch_records(path)
         assert_bit_identical(scalar_records(path), batch)
         assert stats.fallbacks == 2
         assert stats.fast_path == 0
@@ -273,9 +255,8 @@ class TestTimestampAndContainerParity:
             PcapWriter(fileobj).write_frame(1.0, bytes(frame))
         with pytest.raises(ValueError):
             scalar_records(path)
-        for use_numpy in (False, True):
-            with pytest.raises(ValueError):
-                batch_records(path, use_numpy)
+        with pytest.raises(ValueError):
+            batch_records(path)
 
 
 # --------------------------------------------------------------------------
@@ -303,26 +284,38 @@ _records = st.lists(
 )
 
 
+#: Three frames for the 1- to 3-frame captures, the smallest the numpy
+#: timestamp gather serves.
+_FEW = [
+    PacketRecord(timestamp=7.25 + i * 0.000013, src_ip="10.0.0.1",
+                 src_port=5000 + i, dst_ip="10.0.0.2", dst_port=6000,
+                 transport=("UDP", "TCP")[i % 2], payload=bytes([i]) * i)
+    for i in range(3)
+]
+
+
 class TestRoundTripProperty:
     @settings(max_examples=40)
     @given(records=_records, link_type=st.sampled_from(
         [LINKTYPE_ETHERNET, LINKTYPE_RAW]
     ), nanosecond=st.booleans())
+    @example(records=_FEW[:1], link_type=LINKTYPE_ETHERNET, nanosecond=False)
+    @example(records=_FEW[:2], link_type=LINKTYPE_RAW, nanosecond=True)
+    @example(records=_FEW[:3], link_type=LINKTYPE_ETHERNET, nanosecond=True)
     def test_encode_decode_round_trip_bit_identical(
         self, tmp_path_factory, records, link_type, nanosecond
     ):
         path = tmp_path_factory.mktemp("rt") / "prop.pcap"
         write_pcap(path, records, link_type=link_type, nanosecond=nanosecond)
         scalar = scalar_records(path)
-        for use_numpy in (False, True):
-            batch, stats = batch_records(path, use_numpy)
-            assert_bit_identical(scalar, batch)
-            assert stats.frames == len(records)
-            assert stats.records == len(scalar)
-            # Every generated shape is UDP/TCP over plain IPv4: the fast
-            # path must take all of them on these link types.
-            assert stats.fallbacks == 0
-            assert stats.fallback_rate == 0.0
+        batch, stats = batch_records(path)
+        assert_bit_identical(scalar, batch)
+        assert stats.frames == len(records)
+        assert stats.records == len(scalar)
+        # Every generated shape is UDP/TCP over plain IPv4: the fast
+        # path must take all of them on these link types.
+        assert stats.fallbacks == 0
+        assert stats.fallback_rate == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -350,10 +343,9 @@ class TestCorpusParity:
         write_pcap(path, records)
         scalar = scalar_records(path)
         assert len(scalar) == len(records)
-        for use_numpy in (False, True):
-            batch, stats = batch_records(path, use_numpy)
-            assert_bit_identical(scalar, batch)
-            assert stats.skipped == 0
+        batch, stats = batch_records(path)
+        assert_bit_identical(scalar, batch)
+        assert stats.skipped == 0
 
     @pytest.mark.parametrize(
         "app,network,profile",
@@ -367,10 +359,9 @@ class TestCorpusParity:
         write_pcap(path, records)
         scalar = scalar_records(path)
         assert len(scalar) == len(records)
-        for use_numpy in (False, True):
-            batch, stats = batch_records(path, use_numpy)
-            assert_bit_identical(scalar, batch)
-            assert stats.skipped == 0
+        batch, stats = batch_records(path)
+        assert_bit_identical(scalar, batch)
+        assert stats.skipped == 0
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The columnar scanner is the production stage one, and its whole contract
 is that its candidate lists are bit-identical to the scalar matchers for
-every payload — golden traffic, adversarial edge cases, any batch split —
-on both the numpy and the pure-Python path.  These tests pin that
+every payload — golden traffic, adversarial edge cases, any batch size
+or split — with the numpy kernel serving every batch.  These tests pin that
 contract, plus engine-level parity with the reference (verdicts *and*
 DpiStats) and the retirement of the old backend CLI flags.
 """
@@ -25,7 +25,6 @@ from repro.dpi.candidates import (
     rtcp_candidates,
     stun_candidates,
 )
-from repro.dpi.columnar import _quic_possible, _rtcp_possible, _stun_possible
 from repro.dpi.engine import MIN_CONTINUITY, MIN_RTP_GROUP, _score_rtp_columns
 from repro.dpi.messages import Protocol
 from repro.filtering import TwoStageFilter
@@ -34,10 +33,6 @@ from repro.protocols.rtcp.packets import SenderReport
 from repro.protocols.rtp.header import RtpPacket
 from repro.protocols.stun.attributes import StunAttribute
 from repro.protocols.stun.message import StunMessage
-
-#: Both scanner paths: forced pure-Python and numpy.
-MODES = [False, True]
-MODE_IDS = ["python", "numpy"]
 
 #: Bytes that start (or sit inside) real anchors: RTP/RTCP version bytes,
 #: RTCP packet types, the STUN magic cookie, QUIC long/short first bytes.
@@ -62,9 +57,9 @@ _payloads = st.one_of(
 )
 
 
-@pytest.fixture(scope="module", params=MODES, ids=MODE_IDS)
-def scanner(request):
-    return ColumnarScanner(max_offset=200, use_numpy=request.param)
+@pytest.fixture(scope="module")
+def scanner():
+    return ColumnarScanner(max_offset=200)
 
 
 @pytest.fixture(scope="module")
@@ -77,21 +72,27 @@ def kept_records():
 
 
 class TestMatcherGates:
-    """Each gate is a necessary condition of its matcher: whenever it
-    says "impossible", the matcher really returns nothing, so skipping
-    the matcher cannot change a candidate list."""
+    """Each gate of the numpy kernel is a necessary condition of its
+    matcher: a matcher it skips really returns nothing, at any depth
+    bound.  One matcher per scanner, so no other protocol's candidates
+    can mask a wrongly closed gate."""
 
-    GATES = [
-        (_stun_possible, stun_candidates),
-        (_rtcp_possible, rtcp_candidates),
-        (_quic_possible, quic_candidates),
+    MATCHERS = [
+        (Protocol.STUN_TURN, stun_candidates),
+        (Protocol.RTCP, rtcp_candidates),
+        (Protocol.QUIC, quic_candidates),
     ]
 
     @given(payload=_payloads, max_offset=st.integers(min_value=0, max_value=240))
     def test_closed_gate_means_no_candidates(self, payload, max_offset):
-        for possible, matcher in self.GATES:
-            if not possible(payload, len(payload), max_offset):
-                assert matcher(payload, max_offset) == [], possible.__name__
+        for protocol, matcher in self.MATCHERS:
+            scanner = ColumnarScanner(max_offset, protocols=(protocol,))
+            [got] = scanner.scan_batch([payload])
+            assert got == sorted(
+                matcher(payload, max_offset),
+                key=lambda c: (c.offset, -c.length),
+            ), protocol
+            assert scanner.stats.vector_errors == 0
 
 
 class TestScannerParity:
@@ -101,6 +102,9 @@ class TestScannerParity:
         assert len(results) == len(batch)
         for payload, got in zip(batch, results):
             assert got == scanner.scan_payload(payload)
+        # Every batch size went through the numpy kernel, not its
+        # safety net.
+        assert scanner.stats.vector_errors == 0
 
     @given(batch=st.lists(_payloads, min_size=1, max_size=16),
            split=st.integers(min_value=0, max_value=16))
@@ -135,9 +139,41 @@ class TestScannerParity:
             b"\x00" * 230 + vn,      # VN anchor past max_offset
             b"\xc0" + b"\x00" * 30,  # VN needle inside a zero run
         ]
-        # One batch: exercises the vector path's shared anchor pass.
-        for got, payload in zip(scanner.scan_batch(edges), edges):
-            assert got == scanner.scan_payload(payload)
+        rtp = RtpPacket(payload_type=96, sequence_number=7, timestamp=160,
+                        ssrc=0xABCD, payload=b"\x11" * 20).build()
+        # An RTCP packet that exactly fills its payload, and a STUN
+        # message whose cookie sits at the deepest anchor (offset k + 4).
+        # No other byte pair in either opens the same gate.
+        rtcp = SenderReport(ssrc=0x01020304, ntp_timestamp=1,
+                            rtp_timestamp=160, packet_count=1,
+                            octet_count=60).to_packet().build()
+        deepest = b"\xff" * 200 + StunMessage(
+            msg_type=0x0001, transaction_id=b"\x07" * 12).build()
+        edges += [rtcp, deepest]
+        # The numpy kernel serves batches of every size, down to one
+        # payload: empty payloads, payloads shorter than an RTP header,
+        # and an empty payload next to a full RTP one.
+        small = [
+            [b""],
+            [b"\x80"],
+            [rtp[:11]],
+            [b"", b""],
+            [b"", rtp],
+            [rtp, b""],
+            [b"\x80\x60", cookie],
+            [b"", rtp, b""],
+            [rtp[:4], rtp, b"\xc8\x00\x00\x01"],
+            [b"\x40" * 3, b"\x00\x01", rtp[:11]],
+            [rtcp],
+            [deepest, b""],
+        ]
+        # One batch of all the edges exercises the shared anchor pass.
+        before = scanner.stats.batches
+        for batch in [edges] + small:
+            for got, payload in zip(scanner.scan_batch(batch), batch):
+                assert got == scanner.scan_payload(payload)
+        assert scanner.stats.batches == before + 1 + len(small)
+        assert scanner.stats.vector_errors == 0
 
     def test_seam_artifacts_filtered(self, scanner):
         # The joined buffer contains a cookie and a QUIC anchor straddling
@@ -165,13 +201,10 @@ class TestScannerParity:
             (Protocol.QUIC, Protocol.RTP),
             (Protocol.RTCP, Protocol.STUN_TURN),
         ):
-            for mode in MODES:
-                scanner = ColumnarScanner(
-                    200, protocols=protocols, use_numpy=mode
-                )
-                batch = [payload, b"\x80" * 40, b"", b"\xc8\x00\x00\x01"]
-                for got, p in zip(scanner.scan_batch(batch), batch):
-                    assert got == scanner.scan_payload(p)
+            scanner = ColumnarScanner(200, protocols=protocols)
+            batch = [payload, b"\x80" * 40, b"", b"\xc8\x00\x00\x01"]
+            for got, p in zip(scanner.scan_batch(batch), batch):
+                assert got == scanner.scan_payload(p)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -179,8 +212,8 @@ class TestScannerParity:
         with pytest.raises(ValueError):
             ColumnarScanner(200, batch_size=0)
 
-    def test_stats_counters(self, scanner):
-        fresh = ColumnarScanner(200, use_numpy=scanner.vectorized)
+    def test_stats_counters(self):
+        fresh = ColumnarScanner(200)
         fresh.scan_batch([b"\x80" * 16] * 8)
         fresh.scan_batch([])
         assert fresh.stats.batches == 2
@@ -196,11 +229,9 @@ class TestScannerParity:
 
 
 class TestEngineBackendParity:
-    @pytest.mark.parametrize("use_numpy", MODES)
-    def test_backend_bit_identical(self, kept_records, use_numpy):
+    def test_backend_bit_identical(self, kept_records):
         scalar = DpiEngine()
         columnar = DpiEngine(backend="columnar")
-        columnar._columnar = ColumnarScanner(200, use_numpy=use_numpy)
         a = scalar.analyze_records(kept_records)
         b = columnar.analyze_records(kept_records)
         assert a.analyses == b.analyses
@@ -382,17 +413,19 @@ class TestChunkSeam:
         assert {0, 255, 256, 257, 299} <= accepted
         stats = engine.columnar_stats
         assert (stats.batches, stats.payloads, stats.fallbacks) == (2, 300, 1)
+        scanner = ColumnarScanner(200)
         payloads = [record.payload for record in records]
         for base in (0, 256):
             chunk = payloads[base:base + 256]
-            assert ColumnarScanner(200, use_numpy=False).scan_batch(
-                chunk
-            ) == ColumnarScanner(200, use_numpy=True).scan_batch(chunk)
+            assert scanner.scan_batch(chunk) == [
+                scanner.scan_payload(p) if type(p) is bytes else None
+                for p in chunk
+            ]
 
 
 class TestSilentFallbacksLogged:
     def test_numpy_failure_warns_once(self, caplog, monkeypatch):
-        scanner = ColumnarScanner(200, use_numpy=True)
+        scanner = ColumnarScanner(200)
 
         def broken(batch):
             raise FloatingPointError("forced")

@@ -78,9 +78,11 @@ def test_seeded_cells_match_reference(app, network, call_index):
     assert got == want, _first_divergence(want, got)
     assert production.stats.as_dict() == reference.stats.as_dict()
 
+    scanner = ColumnarScanner(200)
     payloads = [record.payload for record in kept
                 if record.transport == "UDP"]
-    pure = ColumnarScanner(200, use_numpy=False).scan_batch(payloads)
-    vector = ColumnarScanner(200, use_numpy=True).scan_batch(payloads)
-    for index, (a, b) in enumerate(zip(pure, vector)):
-        assert a == b, f"scanner paths differ on payload {index}"
+    batches = scanner.scan_batch(payloads)
+    for index, (payload, got) in enumerate(zip(payloads, batches)):
+        assert got == scanner.scan_payload(payload), (
+            f"batch scan differs from the scalar matchers on payload {index}"
+        )

@@ -7,9 +7,9 @@ Two families of invariants, driven by hypothesis-generated profiles:
   a different seed or label draws an independent one.
 - **Engine parity**: whatever a generated profile does to the record
   stream, every execution shape — the production columnar engine in
-  batch and streaming shape, in both its vectorized and pure-Python
-  modes — produces bit-identical verdicts, datagram classes, metrics
-  and extraction counters to the reference scalar sweep.
+  batch and streaming shape — produces bit-identical verdicts, datagram
+  classes, metrics and extraction counters to the reference scalar
+  sweep.
 
 The generated profiles deliberately exceed the named presets (loss up to
 30%, heavy duplication, arbitrary rebind fractions) so parity is not an
@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps import CallConfig, NetworkCondition, get_simulator
 from repro.conformance.golden import build_facts, facts_digest
 from repro.core import ComplianceChecker
-from repro.dpi import ColumnarScanner, DpiEngine
+from repro.dpi import DpiEngine
 from repro.netem import (
     GilbertElliott,
     Impairer,
@@ -166,20 +166,6 @@ class TestEngineParity:
         want = _reference_digest(records)
         for shape, digest in _shape_digests(records).items():
             assert digest == want, f"{shape} diverged from scalar sweep"
-
-    @settings(max_examples=5)
-    @given(profile=profiles, seed=st.integers(min_value=0, max_value=999))
-    def test_columnar_pure_python_matches_vectorized(self, profile, seed):
-        records = impaired(profile, seed=seed)
-        vector_engine = DpiEngine(max_offset=MAX_OFFSET, backend="columnar")
-        dpi = vector_engine.analyze_records(records)
-        want = _facts_digest(dpi, ComplianceChecker().check(dpi.messages()))
-        pure_engine = DpiEngine(max_offset=MAX_OFFSET, backend="columnar")
-        pure_engine._columnar = ColumnarScanner(MAX_OFFSET, use_numpy=False)
-        assert not pure_engine._columnar.vectorized
-        dpi = pure_engine.analyze_records(records)
-        got = _facts_digest(dpi, ComplianceChecker().check(dpi.messages()))
-        assert got == want
 
     @pytest.mark.parametrize("name", sorted(set(PROFILES) - {"none"}))
     def test_named_profiles_parity(self, name):

@@ -356,6 +356,55 @@ def test_http_errors(daemon):
     assert excinfo.value.code == 404
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("eviction, poll_interval", [
+    ({"mode": "idle", "idle_gap": _NAN}, 0.5),
+    ({"mode": "idle", "sweep_interval": _NAN}, 0.5),
+    ({"mode": "idle", "idle_gap": float("inf")}, 0.5),
+    ("idle", 0),
+    ("idle", -1),
+    ("idle", _NAN),
+], ids=["nan-idle-gap", "nan-sweep-interval", "inf-idle-gap",
+        "zero-poll", "negative-poll", "nan-poll"])
+def test_unusable_pcap_dir_timings_are_refused(
+    daemon, tmp_path, eviction, poll_interval
+):
+    """A non-finite or non-positive timing gets 400, not a session whose
+    idle eviction is silently off or whose watcher spins on listdir.
+    (``json.dumps`` sends NaN as the ``NaN`` literal, which the daemon's
+    ``json.loads`` accepts.)"""
+    spec = {
+        "source": {"kind": "pcap_dir", "directory": str(tmp_path),
+                   "poll_interval": poll_interval},
+        "eviction": eviction,
+    }
+    try:
+        _status, payload = _post(daemon, "/sessions", spec)
+    except urllib.error.HTTPError as exc:
+        assert exc.code == 400
+        assert "must be positive and finite" in json.loads(exc.read())["error"]
+    else:
+        _delete(daemon, f"/sessions/{payload['id']}")
+        pytest.fail(f"session spec accepted: {spec!r}")
+
+
+def test_nan_replay_speed_is_refused(daemon):
+    """A NaN replay speed gets 400, not a clock-paced session that never
+    waits."""
+    spec = {"app": "meet", "duration": 2.0, "scale": 0.2,
+            "pace": "clock", "speed": _NAN}
+    try:
+        _status, payload = _post(daemon, "/sessions", spec)
+    except urllib.error.HTTPError as exc:
+        assert exc.code == 400
+        assert "must be positive and finite" in json.loads(exc.read())["error"]
+    else:
+        _delete(daemon, f"/sessions/{payload['id']}")
+        pytest.fail(f"session spec accepted: {spec!r}")
+
+
 @pytest.mark.parametrize(
     "content_length, status",
     [("abc", 400), ("-1", 400), (str(1_000_000_000), 413)],

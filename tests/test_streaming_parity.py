@@ -9,7 +9,11 @@ spec against all 18 golden cells), plus the flush semantics and stage
 instrumentation the streaming mode introduces.
 """
 
+import gc
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps import CallConfig, NetworkCondition, get_simulator
 from repro.conformance.differ import EngineSpec, check_corpus
@@ -18,6 +22,7 @@ from repro.core import ComplianceChecker, ComplianceSummary, StreamingSummary
 from repro.dpi import DpiEngine
 from repro.experiments.runner import ExperimentConfig, run_cell_pipeline
 from repro.filtering import TwoStageFilter
+from repro.filtering.online import OnlineTwoStageFilter
 from repro.packets.packet import PacketRecord
 from repro.pipeline import (
     CheckStage,
@@ -30,6 +35,7 @@ from repro.pipeline import (
     ordered_verdicts,
     run_streaming,
 )
+from repro.service import AnalysisSession
 from repro.streams.timeline import CallWindow
 
 WINDOW = CallWindow(capture_start=0, call_start=60, call_end=360, capture_end=420)
@@ -264,6 +270,105 @@ class TestDpiStreamSession:
         session.flush()
         with pytest.raises(RuntimeError):
             session.feed(kept_records[0])
+
+
+#: Four flows, so operation sequences revisit, finish and reopen them.
+_FLOWS = [("10.0.0.%d" % i, 40000 + i) for i in range(4)]
+
+_session_ops = st.lists(st.one_of(
+    st.tuples(st.just("feed"), st.integers(0, 3),
+              st.floats(0.0, 420.0), st.sampled_from(["UDP", "TCP"])),
+    st.tuples(st.just("finish"), st.integers(0, 3)),
+    st.tuples(st.just("evict"), st.floats(0.0, 420.0),
+              st.floats(0.5, 100.0)),
+), max_size=40)
+
+_filter_ops = st.lists(st.one_of(
+    st.tuples(st.just("observe"), st.integers(0, 3), st.floats(0.0, 420.0)),
+    st.tuples(st.just("evict")),
+), max_size=40)
+
+
+def _held(streams):
+    return sum(len(stream.packets) for stream in streams.values())
+
+
+def _unique_flow_records(count):
+    """*count* UDP records, every one on a flow of its own."""
+    return [
+        record(1.0 + i * 1e-6,
+               src=("10.%d.%d.%d" % (i >> 16 & 255, i >> 8 & 255, i & 255),
+                    1024 + i % 50000),
+               dst=("20.0.0.2", 3478))
+        for i in range(count)
+    ]
+
+
+def _feed_seconds_per_record(records):
+    """Per-record time of one filterless session feed.
+
+    The cyclic collector is paused while timing: its full passes scale
+    with every live object in the process, which is not the cost under
+    test.
+    """
+    session = AnalysisSession()
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        session.feed(records)
+        return (time.perf_counter() - start) / len(records)
+    finally:
+        gc.enable()
+
+
+class TestBufferedCounts:
+    """``buffered`` / ``buffered_packets`` are running counts.  The
+    pipeline reads them after every chunk, so they must equal the sum
+    over open streams without recomputing it."""
+
+    @settings(max_examples=60)
+    @given(ops=_session_ops)
+    def test_dpi_session_count_equals_sum(self, ops):
+        session = DpiEngine(backend="columnar").stream_session()
+        for op in ops:
+            if op[0] == "feed":
+                _, flow, t, transport = op
+                session.feed(record(t, src=_FLOWS[flow], transport=transport))
+            elif op[0] == "finish":
+                session.finish_stream(record(0.0, src=_FLOWS[op[1]]).flow_key)
+            else:
+                session.evict_idle(op[1], op[2])
+            assert session.buffered == _held(session._streams)
+        session.flush()
+        assert session.buffered == _held(session._streams) == 0
+
+    @settings(max_examples=60)
+    @given(ops=_filter_ops, low_memory=st.booleans())
+    def test_filter_count_equals_sum(self, ops, low_memory):
+        online = OnlineTwoStageFilter(WINDOW, low_memory=low_memory)
+        for op in ops:
+            if op[0] == "observe":
+                online.observe(record(op[2], src=_FLOWS[op[1]]))
+            else:
+                online.evict()
+            assert online.buffered_packets == _held(online._streams)
+        online.finalize()
+        assert online.buffered_packets == _held(online._streams)
+
+    def test_feed_time_flat_in_open_flows(self):
+        """Per-record feed cost must not grow with the number of open
+        flows: 80k unique flows stay within 2x of 20k (a per-chunk
+        re-sum over open streams made it ~3-4x)."""
+        few = _unique_flow_records(20_000)
+        many = _unique_flow_records(80_000)
+        # Each ratio comes from two back-to-back feeds, so a shared
+        # host's CPU-speed swings (seconds long) cancel out of it.
+        ratios = sorted(
+            _feed_seconds_per_record(many) / _feed_seconds_per_record(few)
+            for _ in range(5)
+        )
+        assert ratios[2] < 2, ratios
 
 
 class TestCheckerStreamParity:

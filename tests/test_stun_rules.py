@@ -263,3 +263,79 @@ class TestSequentialMode:
         assert {v.criterion for v in exhaustive} == {
             Criterion.MESSAGE_TYPE, Criterion.ATTRIBUTE_TYPES,
         }
+
+
+# ---------------------------------------------------------------------------
+# Sequential transaction IDs (the FaceTime finding, paper §5.3)
+# ---------------------------------------------------------------------------
+
+
+def extract_stun(message, t, stream_port=50000):
+    raw = message.build()
+    record = PacketRecord(timestamp=t, src_ip="10.0.0.1", src_port=stream_port,
+                          dst_ip="20.0.0.2", dst_port=3478, transport="UDP",
+                          payload=raw)
+    return ExtractedMessage(protocol=Protocol.STUN_TURN, offset=0,
+                            length=len(raw), message=message, record=record)
+
+
+class TestSequentialTxidRule:
+    def test_incrementing_txids_flagged(self):
+        messages = [
+            extract_stun(
+                StunMessage(msg_type=0x0001,
+                            transaction_id=(1000 + i).to_bytes(12, "big")),
+                t=float(i),
+            )
+            for i in range(8)
+        ]
+        # Answer each so the retransmission rule stays quiet.
+        messages += [
+            extract_stun(
+                StunMessage(msg_type=0x0101,
+                            transaction_id=(1000 + i).to_bytes(12, "big")),
+                t=float(i) + 0.1,
+            )
+            for i in range(8)
+        ]
+        context = StunSessionContext(messages)
+        violations = check_stun(messages[3], context)
+        assert violations[0].code == "sequential-transaction-id"
+        assert violations[0].criterion is Criterion.HEADER_FIELDS
+
+    def test_random_txids_not_flagged(self):
+        import random
+        rng = random.Random(1)
+        messages = [
+            extract_stun(
+                StunMessage(msg_type=0x0001,
+                            transaction_id=bytes(rng.randrange(256)
+                                                 for _ in range(12))),
+                t=float(i),
+            )
+            for i in range(20)
+        ]
+        context = StunSessionContext(messages)
+        assert not context.sequential_txids
+
+    def test_short_run_not_flagged(self):
+        messages = [
+            extract_stun(
+                StunMessage(msg_type=0x0001,
+                            transaction_id=(500 + i).to_bytes(12, "big")),
+                t=float(i),
+            )
+            for i in range(3)
+        ]
+        context = StunSessionContext(messages)
+        assert not context.sequential_txids
+
+    def test_simulated_apps_unaffected(self, pipeline_cache):
+        """No simulator emits sequential IDs; the rule must stay silent."""
+        from repro.apps import NetworkCondition
+        for app in ("whatsapp", "messenger", "meet"):
+            _t, _f, _d, verdicts = pipeline_cache(app, NetworkCondition.WIFI_RELAY)
+            assert not any(
+                v.first_violation and v.first_violation.code == "sequential-transaction-id"
+                for v in verdicts
+            )
