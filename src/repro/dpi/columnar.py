@@ -31,18 +31,24 @@ the ungated scalar sweep in the same column form
 (:meth:`ColumnarScanner.scalar_columns`).
 
 Every gate is a necessary condition of the corresponding matcher, so a
-skipped matcher is exactly one that would have produced zero candidates:
+skipped matcher is exactly one that would have produced zero candidates
+(:attr:`ColumnarStats.gate_empty` counts the matcher runs a gate let
+through that returned nothing):
 
 * STUN — a modern candidate needs the magic cookie at bytes ``o+4..o+8``
   with ``0 <= o <= max_offset``; a classic candidate needs
   ``looks_like_stun(payload, 0)`` (inlined below, byte for byte); a
   ChannelData candidate needs ``0x40 <= payload[0] <= 0x4F``.
-* RTCP — an anchor only yields candidates when its *first* header fits:
-  the anchor byte classes already guarantee version 2 and an in-range
-  packet type, and ``RtcpHeader.parse`` cannot fail inside the anchor
-  window, so the walk's first iteration can only stop on the length fit
-  ``offset + (u16@offset+2 + 1) * 4 <= size``.  No fitting anchor, no
-  candidates.
+* RTCP — the gate walks every anchor's compound chain in numpy, one
+  step per round over the chains still live, exactly as the matcher's
+  loop does: a step continues while ``cur + 4 <= size``, the byte at
+  ``cur`` has version 2, the next byte is a packet type in 192-223 and
+  ``cur + (u16@cur+2 + 1) * 4 <= size``.  ``RtcpHeader.parse`` cannot
+  fail once ``cur + 4 <= size``, so these are the walk's only stops.
+  The gate opens only when some anchor's chain takes at least one step
+  and stops within ``MAX_RTCP_TRAILER`` bytes of the payload end, which
+  is exactly when the matcher returns candidates: this gate is
+  sufficient as well as necessary.
 * QUIC — long headers need an anchor match inside the matcher's own
   ``finditer`` window; short headers need ``payload[0] & 0xC0 == 0x40``
   and at least 26 bytes.
@@ -70,6 +76,7 @@ from repro.dpi.candidates import (
     _COOKIE_BYTES,
     Candidate,
     MATCHERS,
+    MAX_RTCP_TRAILER,
     rtp_candidates,
 )
 from repro.dpi.messages import Protocol
@@ -111,12 +118,57 @@ def _crossed_power_of_two(before: int, after: int) -> bool:
     return after.bit_length() > before.bit_length()
 
 
+def _rtcp_gate(arr, cur, end, idx) -> set:
+    """Payload indices whose RTCP matcher returns candidates.
+
+    *cur* holds the absolute positions of a batch's RTCP anchors in the
+    joined buffer *arr*, *end* the absolute end of each anchor's payload
+    and *idx* its payload index.  Each round takes one compound step for
+    every chain still live, with ``rtcp_candidates``' own stop rules; a
+    chain that stopped after at least one packet flags its payload when
+    at most ``MAX_RTCP_TRAILER`` bytes are left.  Gathers read at
+    ``min(cur, len(arr) - 4)``: a chain at its payload's last bytes would
+    otherwise read past the buffer, and the ``cur + 4 <= end`` term
+    already stops it.
+    """
+    hi = arr.size - 4
+    hits = []
+    first = True
+    while cur.size:
+        safe = np.minimum(cur, hi)
+        b0 = arr[safe]
+        b1 = arr[safe + 1]
+        nxt = cur + (
+            ((arr[safe + 2].astype(np.int64) << 8) | arr[safe + 3]) + 1
+        ) * 4
+        step = (
+            (cur + 4 <= end) & ((b0 & 0xC0) == 0x80)
+            & (b1 >= 0xC0) & (b1 <= 0xDF) & (nxt <= end)
+        )
+        if not first:
+            flag = ~step & (end - cur <= MAX_RTCP_TRAILER)
+            if flag.any():
+                hits.append(idx[flag])
+        first = False
+        cur, end, idx = nxt[step], end[step], idx[step]
+    return set(np.concatenate(hits).tolist()) if hits else set()
+
+
 def _classic_stun_gate(payload: bytes, size: int, b0: int) -> bool:
     """Inline ``looks_like_stun(payload, 0)`` — the classic-STUN gate."""
     if size < 20 or b0 & 0xC0:
         return False
     length = payload[2] << 8 | payload[3]
     return not (length & 3) and 20 + length <= size
+
+
+#: The matchers the numpy kernel gates, keyed in the stats by
+#: ``Protocol.value``.
+_GATED = (Protocol.STUN_TURN, Protocol.RTCP, Protocol.QUIC)
+
+
+def _gate_counts() -> Dict[str, int]:
+    return {protocol.value: 0 for protocol in _GATED}
 
 
 @dataclass
@@ -128,12 +180,17 @@ class ColumnarStats:
     counts payloads the batch scanner refused (non-``bytes`` inputs) and
     handed back for a scalar sweep; ``vector_errors`` counts whole batches
     the numpy kernel failed on, which then got the scalar sweep.
+    ``gate_runs`` counts, per gated protocol, the scalar matcher calls the
+    numpy kernel's gates let through, and ``gate_empty`` how many of those
+    returned nothing (the gate's waste; always 0 for the exact RTCP gate).
     """
 
     batches: int = 0
     payloads: int = 0
     fallbacks: int = 0
     vector_errors: int = 0
+    gate_runs: Dict[str, int] = field(default_factory=_gate_counts)
+    gate_empty: Dict[str, int] = field(default_factory=_gate_counts)
 
     @property
     def fallback_rate(self) -> float:
@@ -146,6 +203,8 @@ class ColumnarStats:
             "fallbacks": self.fallbacks,
             "vector_errors": self.vector_errors,
             "fallback_rate": self.fallback_rate,
+            "gate_runs": dict(self.gate_runs),
+            "gate_empty": dict(self.gate_empty),
         }
 
     def merge(self, other: "ColumnarStats") -> None:
@@ -153,6 +212,12 @@ class ColumnarStats:
         self.payloads += other.payloads
         self.fallbacks += other.fallbacks
         self.vector_errors += other.vector_errors
+        for mine, theirs in (
+            (self.gate_runs, other.gate_runs),
+            (self.gate_empty, other.gate_empty),
+        ):
+            for key, count in theirs.items():
+                mine[key] = mine.get(key, 0) + count
 
 
 #: numpy dtypes of the six :class:`RtpColumns`, in order.
@@ -406,9 +471,15 @@ class ColumnarScanner:
         need_stun: bool,
         need_rtcp: bool,
         need_quic: bool,
+        gated: bool = False,
     ) -> Tuple[List[Candidate], ...]:
         """The non-RTP candidates in protocol order, split into segments
-        at each RTP entry; ``()`` when there are none."""
+        at each RTP entry; ``()`` when there are none.
+
+        With *gated* (the numpy kernel's calls), each matcher run is
+        counted in ``stats.gate_runs`` and, when it finds nothing, in
+        ``stats.gate_empty``.
+        """
         if not (need_stun or need_rtcp or need_quic):
             return ()
         need = {
@@ -421,7 +492,12 @@ class ColumnarScanner:
             if protocol is Protocol.RTP:
                 segments.append([])
             elif need[protocol]:
-                segments[-1] += MATCHERS[protocol](payload, self._max_offset)
+                found = MATCHERS[protocol](payload, self._max_offset)
+                if gated:
+                    self.stats.gate_runs[protocol.value] += 1
+                    if not found:
+                        self.stats.gate_empty[protocol.value] += 1
+                segments[-1] += found
         return tuple(segments) if any(segments) else ()
 
     def _scan_np(self, batch: Sequence[bytes]) -> ColumnBatch:
@@ -430,7 +506,7 @@ class ColumnarScanner:
         One anchor pass serves both RTP and RTCP: every version-2 first
         byte inside the wider RTCP window ``min(k, size-4)`` is gathered
         once, and one byte-class mask routes each anchor to the RTP header
-        checks or the RTCP length-fit prefilter.
+        checks or the RTCP compound-chain walk (:func:`_rtcp_gate`).
         """
         n = len(batch)
         sizes = [len(p) for p in batch]
@@ -471,14 +547,10 @@ class ColumnarScanner:
                 # every anchor to exactly one of the two checks.
                 rtcp_class = (b1 >= 0xC0) & (b1 <= 0xDF)
                 if self._rtcp_on and rtcp_class.any():
-                    roff = off[rtcp_class]
-                    rpos = pos[rtcp_class]
-                    rword = (
-                        arr[rpos + 2].astype(np.int64) << 8
-                    ) | arr[rpos + 3]
-                    rfit = roff + (rword + 1) * 4 <= sizes_a[idx[rtcp_class]]
-                    if rfit.any():
-                        rtcp_flag = set(idx[rtcp_class][rfit].tolist())
+                    ridx = idx[rtcp_class]
+                    rtcp_flag = _rtcp_gate(
+                        arr, pos[rtcp_class], starts[ridx + 1], ridx
+                    )
                 if self._rtp_on:
                     # looks_like_rtp, vectorized: PT-range exclusion, CSRC
                     # fit, and extension-length fit via masked gathers —
@@ -585,6 +657,6 @@ class ColumnarScanner:
                 i in quic_flag or (size >= 26 and b0 & 0xC0 == 0x40)
             )
             parts.append(
-                self._parts(payload, need_stun, need_rtcp, need_quic)
+                self._parts(payload, need_stun, need_rtcp, need_quic, gated=True)
             )
         return ColumnBatch(rtp_columns, parts)

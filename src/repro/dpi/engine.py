@@ -740,18 +740,20 @@ class DpiStreamSession:
     def open_streams(self) -> int:
         return len(self._streams)
 
-    def feed(self, record: PacketRecord) -> None:
+    def feed(self, record: PacketRecord) -> bool:
         """Buffer one record into its stream (non-UDP records are dropped,
-        matching the ``analyze_records`` transport filter)."""
+        matching the ``analyze_records`` transport filter).  Returns
+        whether the record opened a new stream."""
         if self._flushed:
             raise RuntimeError("feed() after flush()")
         if record.transport != "UDP":
-            return
+            return False
         self._fed += 1
         self._buffered += 1
         key = record.flow_key
         stream = self._streams.get(key)
-        if stream is None:
+        opened = stream is None
+        if opened:
             stream = Stream(key=key)
             self._streams[key] = stream
             self._serials[key] = self._next_serial
@@ -760,6 +762,7 @@ class DpiStreamSession:
         last = self._last_seen.get(key)
         if last is None or record.timestamp > last:
             self._last_seen[key] = record.timestamp
+        return opened
 
     def feed_many(self, records: Iterable[PacketRecord]) -> None:
         """Feed a whole chunk of records (the pipeline's unit of work).

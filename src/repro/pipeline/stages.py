@@ -12,6 +12,7 @@ implementation those batch calls drive.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.checker import CheckerStream, ComplianceChecker
@@ -121,6 +122,9 @@ class DpiStage(Stage):
         self._track_order = track_order
         self._idle_gap = idle_gap
         self._deadlines: Optional[Dict[FlowKey, float]] = None
+        #: Min-heap of ``(deadline, serial, key)``, one entry per open
+        #: stream with a deadline, so an eviction touches only due flows.
+        self._due: List[Tuple[float, int, FlowKey]] = []
         #: ``(timestamp, serial, position, message_count)`` per emitted
         #: analysis, in emission order; only populated with track_order.
         self.emission_log: List[Tuple[float, int, int, int]] = []
@@ -131,6 +135,15 @@ class DpiStage(Stage):
         its deadline (the flow's last record timestamp, known ahead of a
         drain over fully-materialized input).  Overrides ``idle_gap``."""
         self._deadlines = dict(deadlines)
+        self._due = []
+        for key in self._session.open_keys():
+            self._arm(key)
+
+    def _arm(self, key: FlowKey) -> None:
+        """Queue the stream just opened under *key* for deadline eviction."""
+        deadline = self._deadlines.get(key)
+        if deadline is not None:
+            heappush(self._due, (deadline, self._session.serial(key), key))
 
     def _log(self, analyses: List[DatagramAnalysis]) -> List[DatagramAnalysis]:
         if self._collect:
@@ -152,11 +165,17 @@ class DpiStage(Stage):
         return analyses
 
     def process(self, item: PacketRecord) -> Iterable[DatagramAnalysis]:
-        self._session.feed(item)
+        self.process_chunk((item,))
         return ()
 
     def process_chunk(self, items: Sequence[PacketRecord]) -> List[DatagramAnalysis]:
-        self._session.feed_many(items)
+        if self._deadlines is None:
+            self._session.feed_many(items)
+            return []
+        feed = self._session.feed
+        for item in items:
+            if feed(item):
+                self._arm(item.flow_key)
         return []
 
     def flush(self) -> Iterable[DatagramAnalysis]:
@@ -170,11 +189,17 @@ class DpiStage(Stage):
 
     def evict(self, watermark: float) -> Iterable[DatagramAnalysis]:
         if self._deadlines is not None:
+            # Pop the due flows, then finish them in first-seen (serial)
+            # order, the order of the open streams.
+            due = self._due
+            ready: List[Tuple[int, FlowKey]] = []
+            while due and due[0][0] <= watermark:
+                _, serial, key = heappop(due)
+                ready.append((serial, key))
+            ready.sort()
             analyses: List[DatagramAnalysis] = []
-            for key in self._session.open_keys():
-                deadline = self._deadlines.get(key)
-                if deadline is not None and deadline <= watermark:
-                    analyses.extend(self._session.finish_stream(key))
+            for _, key in ready:
+                analyses.extend(self._session.finish_stream(key))
             return self._log(analyses)
         if self._idle_gap is not None:
             return self._log(self._session.evict_idle(watermark, self._idle_gap))

@@ -2,18 +2,32 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.protocols.rtp.extensions import HeaderExtension
-from repro.utils.bytesview import ByteReader, ByteWriter, TruncatedError
+from repro.utils.bytesview import ByteWriter
 
 RTP_VERSION = 2
 FIXED_HEADER_LEN = 12
 
+#: First byte, second byte, sequence number, timestamp, SSRC.
+_FIXED = struct.Struct("!BBHII")
+#: The CSRC list for each possible CC value.
+_CSRC_LISTS = [struct.Struct(f"!{count}I") for count in range(16)]
+#: Extension profile and length in 32-bit words.
+_EXTENSION_HEADER = struct.Struct("!HH")
+
 
 class RtpParseError(ValueError):
     """Raised when bytes cannot be parsed as an RTP packet."""
+
+
+def _truncated(need: int, pos: int, end: int) -> RtpParseError:
+    return RtpParseError(
+        f"need {need} bytes at offset {pos}, only {end - pos} left"
+    )
 
 
 @dataclass(frozen=True)
@@ -51,40 +65,46 @@ class RtpPacket:
         end: Optional[int] = None,
     ) -> "RtpPacket":
         """Parse the packet spanning ``data[start:end]`` without slicing it."""
-        try:
-            reader = ByteReader(data, start, end)
-        except ValueError as exc:
-            raise RtpParseError(str(exc)) from exc
-        try:
-            first = reader.u8()
-            second = reader.u8()
-            sequence_number = reader.u16()
-            timestamp = reader.u32()
-            ssrc = reader.u32()
-        except TruncatedError as exc:
-            raise RtpParseError(str(exc)) from exc
+        if end is None:
+            end = len(data)
+        if not 0 <= start <= end <= len(data):
+            raise RtpParseError(
+                f"invalid window [{start}:{end}] for {len(data)} bytes"
+            )
+        pos = start + FIXED_HEADER_LEN
+        if pos > end:
+            raise _truncated(FIXED_HEADER_LEN, start, end)
+        first, second, sequence_number, timestamp, ssrc = _FIXED.unpack_from(
+            data, start
+        )
         version = first >> 6
         if version != RTP_VERSION:
             raise RtpParseError(f"RTP version {version} != 2")
         padding = bool(first & 0x20)
-        has_extension = bool(first & 0x10)
         csrc_count = first & 0x0F
         marker = bool(second & 0x80)
         payload_type = second & 0x7F
 
-        csrcs = []
-        try:
-            for _ in range(csrc_count):
-                csrcs.append(reader.u32())
-            extension = None
-            if has_extension:
-                profile = reader.u16()
-                word_length = reader.u16()
-                extension = HeaderExtension(profile=profile, data=reader.read(word_length * 4))
-        except TruncatedError as exc:
-            raise RtpParseError(str(exc)) from exc
+        if csrc_count:
+            if pos + 4 * csrc_count > end:
+                raise _truncated(4 * csrc_count, pos, end)
+            csrcs = list(_CSRC_LISTS[csrc_count].unpack_from(data, pos))
+            pos += 4 * csrc_count
+        else:
+            csrcs = []
+        extension = None
+        if first & 0x10:
+            if pos + 4 > end:
+                raise _truncated(4, pos, end)
+            profile, word_length = _EXTENSION_HEADER.unpack_from(data, pos)
+            pos += 4
+            stop = pos + 4 * word_length
+            if stop > end:
+                raise _truncated(4 * word_length, pos, end)
+            extension = HeaderExtension(profile=profile, data=data[pos:stop])
+            pos = stop
 
-        payload = reader.rest()
+        payload = data[pos:end]
         padding_length = 0
         invalid_padding = False
         if padding:

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import CallConfig, NetworkCondition, get_simulator
@@ -95,6 +95,65 @@ class TestMatcherGates:
             assert scanner.stats.vector_errors == 0
 
 
+@st.composite
+def _rtcp_packet(draw, max_words=3):
+    """One RTCP packet: any version-2 first byte, a packet type in
+    192-223, and a body of exactly its declared length."""
+    words = draw(st.integers(min_value=0, max_value=max_words))
+    return (
+        bytes([
+            draw(st.integers(min_value=0x80, max_value=0xBF)),
+            draw(st.integers(min_value=192, max_value=223)),
+        ])
+        + words.to_bytes(2, "big")
+        + draw(st.binary(min_size=4 * words, max_size=4 * words))
+    )
+
+
+@st.composite
+def _rtcp_chain(draw):
+    """An RTCP compound at offset 0..30 of a payload, with a tail the
+    matcher's trailer rule has to judge: a trailer of 0-20 bytes (both
+    sides of ``MAX_RTCP_TRAILER``) or a last packet whose declared
+    length overruns the payload by 1-3 bytes."""
+    lead = draw(st.one_of(
+        st.binary(max_size=30),
+        st.lists(st.sampled_from(_ANCHOR_ALPHABET), max_size=30).map(bytes),
+    ))
+    packets = b"".join(draw(st.lists(_rtcp_packet(), min_size=1, max_size=6)))
+    overrun = draw(st.sampled_from([0, 0, 1, 2, 3]))
+    if overrun:
+        tail = draw(_rtcp_packet(max_words=6).filter(lambda p: len(p) > 4))
+        tail = tail[:-overrun]
+    else:
+        size = draw(st.sampled_from([0, 1, 3, 12, 15, 16, 16, 17, 17, 20]))
+        tail = draw(st.binary(min_size=size, max_size=size))
+    return lead + packets + tail
+
+
+class TestRtcpGateExact:
+    """The RTCP gate walks the compound chain, so it opens exactly for
+    the payloads the matcher returns candidates for: every matcher run
+    it lets through finds something."""
+
+    @settings(max_examples=200)
+    @given(batch=st.lists(_rtcp_chain(), min_size=1, max_size=6),
+           max_offset=st.integers(min_value=0, max_value=40))
+    def test_gate_is_exact(self, batch, max_offset):
+        scanner = ColumnarScanner(max_offset)
+        # One batch: every chain walk must stop at its own payload's end,
+        # never run on across a seam into the next payload.
+        results = scanner.scan_batch(batch)
+        for payload, got in zip(batch, results):
+            assert got == scanner.scan_payload(payload)
+        stats = scanner.stats
+        assert stats.vector_errors == 0
+        assert stats.gate_empty["rtcp"] == 0
+        assert stats.gate_runs["rtcp"] == sum(
+            1 for payload in batch if rtcp_candidates(payload, max_offset)
+        )
+
+
 class TestScannerParity:
     @given(batch=st.lists(_payloads, max_size=24))
     def test_scan_batch_matches_scalar(self, scanner, batch):
@@ -150,6 +209,11 @@ class TestScannerParity:
         deepest = b"\xff" * 200 + StunMessage(
             msg_type=0x0001, transaction_id=b"\x07" * 12).build()
         edges += [rtcp, deepest]
+        # The exact RTCP gate: the longest trailer the matcher keeps, one
+        # byte past it, and chains of valid 4-byte packets whose every
+        # anchor stops one byte past the trailer bound.
+        edges += [rtcp + b"\x00" * 16, rtcp + b"\x00" * 17]
+        edges += [b"\x80\xc8\x00\x00" * k + b"\x00" * 17 for k in (1, 4, 60)]
         # The numpy kernel serves batches of every size, down to one
         # payload: empty payloads, payloads shorter than an RTP header,
         # and an empty payload next to a full RTP one.
@@ -169,11 +233,13 @@ class TestScannerParity:
         ]
         # One batch of all the edges exercises the shared anchor pass.
         before = scanner.stats.batches
+        empty_before = scanner.stats.gate_empty["rtcp"]
         for batch in [edges] + small:
             for got, payload in zip(scanner.scan_batch(batch), batch):
                 assert got == scanner.scan_payload(payload)
         assert scanner.stats.batches == before + 1 + len(small)
         assert scanner.stats.vector_errors == 0
+        assert scanner.stats.gate_empty["rtcp"] == empty_before
 
     def test_seam_artifacts_filtered(self, scanner):
         # The joined buffer contains a cookie and a QUIC anchor straddling
@@ -219,12 +285,22 @@ class TestScannerParity:
         assert fresh.stats.batches == 2
         assert fresh.stats.payloads == 8
         assert fresh.stats.fallbacks == 0
+        # The first payload opens the ChannelData gate (first byte 0x40)
+        # and the STUN matcher finds nothing; the second opens the RTCP
+        # gate and yields one packet.
+        rtcp = b"\x80\xc8\x00\x00"
+        fresh.scan_batch([b"\x40" * 16, rtcp])
+        assert fresh.stats.gate_runs == {"stun_turn": 1, "rtcp": 1, "quic": 0}
+        assert fresh.stats.gate_empty == {"stun_turn": 1, "rtcp": 0, "quic": 0}
         merged = ColumnarScanner(200).stats
         merged.merge(fresh.stats)
-        assert merged.batches == 2 and merged.payloads == 8
+        merged.merge(fresh.stats)
+        assert merged.batches == 6 and merged.payloads == 20
+        assert merged.gate_runs == {"stun_turn": 2, "rtcp": 2, "quic": 0}
+        assert merged.gate_empty["stun_turn"] == 2
         assert set(fresh.stats.as_dict()) == {
             "batches", "payloads", "fallbacks", "vector_errors",
-            "fallback_rate",
+            "fallback_rate", "gate_runs", "gate_empty",
         }
 
 

@@ -18,6 +18,7 @@ from repro.protocols.rtp.payload_types import (
     is_dynamic_payload_type,
     payload_type_name,
 )
+from repro.utils.bytesview import ByteReader, TruncatedError
 
 
 def make_packet(**overrides):
@@ -204,3 +205,132 @@ class TestLooksLikeRtp:
     @given(st.binary(max_size=80))
     def test_never_crashes(self, data):
         looks_like_rtp(data)
+
+
+def _reference_parse(data, strict=True, start=0, end=None):
+    """The ``ByteReader`` RTP parser ``RtpPacket.parse`` replaced, kept
+    verbatim as the oracle for its ``struct`` rewrite."""
+    try:
+        reader = ByteReader(data, start, end)
+    except ValueError as exc:
+        raise RtpParseError(str(exc)) from exc
+    try:
+        first = reader.u8()
+        second = reader.u8()
+        sequence_number = reader.u16()
+        timestamp = reader.u32()
+        ssrc = reader.u32()
+    except TruncatedError as exc:
+        raise RtpParseError(str(exc)) from exc
+    version = first >> 6
+    if version != 2:
+        raise RtpParseError(f"RTP version {version} != 2")
+    padding = bool(first & 0x20)
+    has_extension = bool(first & 0x10)
+    csrc_count = first & 0x0F
+    marker = bool(second & 0x80)
+    payload_type = second & 0x7F
+
+    csrcs = []
+    try:
+        for _ in range(csrc_count):
+            csrcs.append(reader.u32())
+        extension = None
+        if has_extension:
+            profile = reader.u16()
+            word_length = reader.u16()
+            extension = HeaderExtension(
+                profile=profile, data=reader.read(word_length * 4)
+            )
+    except TruncatedError as exc:
+        raise RtpParseError(str(exc)) from exc
+
+    payload = reader.rest()
+    padding_length = 0
+    invalid_padding = False
+    if padding:
+        if not payload:
+            raise RtpParseError("padding bit set but no payload bytes")
+        padding_length = payload[-1]
+        if padding_length == 0 or padding_length > len(payload):
+            if strict:
+                raise RtpParseError(
+                    f"invalid padding length {padding_length} for "
+                    f"{len(payload)} payload bytes"
+                )
+            padding_length = 0
+            invalid_padding = True
+        else:
+            payload = payload[:-padding_length]
+
+    return RtpPacket(
+        payload_type=payload_type,
+        sequence_number=sequence_number,
+        timestamp=timestamp,
+        ssrc=ssrc,
+        payload=payload,
+        marker=marker,
+        csrcs=csrcs,
+        extension=extension,
+        padding_length=padding_length,
+        invalid_padding=invalid_padding,
+    )
+
+
+def _outcome(parse, *args, **kwargs):
+    try:
+        return parse(*args, **kwargs)
+    except RtpParseError:
+        return RtpParseError
+
+
+#: Random bytes that often start with a version-2 byte and often set the
+#: padding, extension and CSRC bits, so every branch gets reached.
+_rtp_like = st.tuples(
+    st.sampled_from([0x80, 0x81, 0x8F, 0x90, 0x92, 0xA0, 0xB3, 0xBF, 0x40]),
+    st.binary(max_size=80),
+).map(lambda t: bytes([t[0]]) + t[1])
+
+
+class TestParseMatchesByteReaderOracle:
+    @given(
+        data=st.one_of(_rtp_like, st.binary(max_size=40)),
+        start=st.integers(min_value=-2, max_value=24),
+        end=st.one_of(st.none(), st.integers(min_value=-1, max_value=90)),
+        strict=st.booleans(),
+    )
+    def test_random_windows(self, data, start, end, strict):
+        assert _outcome(
+            RtpPacket.parse, data, strict=strict, start=start, end=end
+        ) == _outcome(_reference_parse, data, strict=strict, start=start, end=end)
+
+    @pytest.mark.parametrize("padding_length", [0, 3])
+    def test_every_prefix_of_a_full_packet(self, padding_length):
+        # Without padding, a cut right after the extension still parses
+        # (empty payload); with it, that cut has no pad count byte.
+        packet = make_packet(
+            csrcs=[1, 2, 0xFFFFFFFF],
+            extension=HeaderExtension(
+                profile=ONE_BYTE_PROFILE, data=b"\x10\xaa\x00\x00"
+            ),
+            payload=b"\x01\x02\x03\x04\x05",
+            padding_length=padding_length,
+        )
+        wire = b"\x99" * 5 + packet.build() + b"\x77" * 3
+        start = 5
+        stop = start + len(packet.build())
+        assert RtpPacket.parse(wire, start=start, end=stop) == packet
+        outcomes = set()
+        for end in range(start, len(wire) + 1):
+            for strict in (True, False):
+                got = _outcome(
+                    RtpPacket.parse, wire, strict=strict, start=start, end=end
+                )
+                assert got == _outcome(
+                    _reference_parse, wire, strict=strict, start=start, end=end
+                ), (end, strict)
+                outcomes.add(got is RtpParseError)
+            assert _outcome(RtpPacket.parse, wire[start:end]) == _outcome(
+                _reference_parse, wire[start:end]
+            )
+        assert outcomes == {True, False}
