@@ -4,8 +4,10 @@
 Boots the real daemon on an ephemeral port, replays an **impaired** cell
 through a live session, and asserts the strongest service guarantee
 end-to-end: the SSE verdict stream is bit-identical — order included —
-to the batch pipeline over the same cell.  Then sends SIGTERM and checks
-the daemon drains gracefully while ``/healthz`` keeps answering 200.
+to the batch pipeline over the same cell.  Unusable specs (a negative
+media scale, the removed ``deadline`` eviction mode) must get 400 and
+leave the daemon healthy.  Then sends SIGTERM and checks the daemon
+drains gracefully while ``/healthz`` keeps answering 200.
 
 Exit status 0 means every check passed; any assertion failure is fatal.
 """
@@ -148,6 +150,16 @@ def main():
         assert status == 200 and stats["closed"], stats
         status, health = get_json(base + "/healthz")
         assert status == 200 and health["status"] == "ok", health
+
+        for bad in ({"app": APP, "scale": -1}, {"app": APP, "eviction": "deadline"}):
+            try:
+                status, body = post_json(base + "/sessions", bad)
+            except urllib.error.HTTPError as exc:
+                status, body = exc.code, json.loads(exc.read())
+            assert status == 400, (bad, status, body)
+        status, health = get_json(base + "/healthz")
+        assert status == 200 and health["status"] == "ok", health
+        print("unusable specs refused with 400, daemon healthy")
 
         # A clock-paced session is still feeding when SIGTERM arrives, so
         # the drain has real work: stop ingest, join threads, finalize.

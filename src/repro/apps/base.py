@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -75,6 +76,14 @@ class CallConfig:
     def __post_init__(self) -> None:
         if self.participants < 2:
             raise ValueError("a call needs at least 2 participants")
+        # Outside input (daemon specs, CLI flags) reaches these: a
+        # non-positive scale makes synthesis loop forever or divide by
+        # zero, and an infinite duration opens an endless call window.
+        # NaN fails every comparison, hence the positive test.
+        for name in ("call_duration", "media_scale"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
         # Fail at configuration time, not mid-simulation.
         get_profile(self.impairment)
 

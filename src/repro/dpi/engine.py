@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -263,26 +263,6 @@ class DpiEngine:
         for record in records:
             session.feed(record)
         return session.result()
-
-    def analyze_iter(
-        self, records: Iterable[PacketRecord]
-    ) -> Iterator[DatagramAnalysis]:
-        """Yield per-datagram analyses for *records* without building a
-        :class:`DpiResult` — consumers that aggregate as they go never hold
-        more than one analysis plus the session's open-stream buffers.
-
-        Stream-context validation (RTP sequence continuity, QUIC CID
-        learning) is whole-stream-scoped, so analyses for a stream cannot
-        be emitted before that stream's last datagram has been seen; a
-        capture-shaped input therefore still buffers until the feed ends.
-        Live callers that know flow lifetimes should drive a
-        :meth:`stream_session` directly and call ``finish_stream`` to
-        release per-stream state early.
-        """
-        session = self.stream_session()
-        for record in records:
-            session.feed(record)
-        yield from session.flush()
 
     def stream_session(self) -> "DpiStreamSession":
         """An incremental analysis session bound to this engine.
@@ -740,20 +720,18 @@ class DpiStreamSession:
     def open_streams(self) -> int:
         return len(self._streams)
 
-    def feed(self, record: PacketRecord) -> bool:
+    def feed(self, record: PacketRecord) -> None:
         """Buffer one record into its stream (non-UDP records are dropped,
-        matching the ``analyze_records`` transport filter).  Returns
-        whether the record opened a new stream."""
+        matching the ``analyze_records`` transport filter)."""
         if self._flushed:
             raise RuntimeError("feed() after flush()")
         if record.transport != "UDP":
-            return False
+            return
         self._fed += 1
         self._buffered += 1
         key = record.flow_key
         stream = self._streams.get(key)
-        opened = stream is None
-        if opened:
+        if stream is None:
             stream = Stream(key=key)
             self._streams[key] = stream
             self._serials[key] = self._next_serial
@@ -762,7 +740,6 @@ class DpiStreamSession:
         last = self._last_seen.get(key)
         if last is None or record.timestamp > last:
             self._last_seen[key] = record.timestamp
-        return opened
 
     def feed_many(self, records: Iterable[PacketRecord]) -> None:
         """Feed a whole chunk of records (the pipeline's unit of work).
@@ -775,10 +752,6 @@ class DpiStreamSession:
         for record in records:
             feed(record)
 
-    def open_keys(self) -> List[FlowKey]:
-        """Keys of every open stream, in first-seen (insertion) order."""
-        return list(self._streams)
-
     def serial(self, key: FlowKey) -> Optional[int]:
         """First-seen serial of the stream currently open under *key*.
 
@@ -787,10 +760,6 @@ class DpiStreamSession:
         analysis it receives from an eviction.
         """
         return self._serials.get(key)
-
-    def last_seen(self, key: FlowKey) -> Optional[float]:
-        """Timestamp of the newest record fed to *key*'s open stream."""
-        return self._last_seen.get(key)
 
     def finish_stream(self, key: FlowKey) -> List[DatagramAnalysis]:
         """Analyze one stream now and release its buffered payloads.

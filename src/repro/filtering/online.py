@@ -15,12 +15,12 @@ Keep/drop decisions are inherently provisional until the capture ends: a
 stream that looks call-aligned can still be discarded at flush because
 its 3-tuple shows up in post-call traffic.  What *can* be decided early
 is doom — a stream whose first packet precedes the extended window, or
-that stays active past it, can never survive stage 1.  With
-``low_memory=True`` such streams are drained on the spot: their buffered
+that stays active past it, can never survive stage 1.
+:meth:`OnlineTwoStageFilter.evict` drains such streams: their buffered
 packets are released and only the counters the accounting and
 ground-truth evaluation need are kept.  The resulting ``FilterResult``
 has identical counts and evaluation but empty packet lists for drained
-(always removed) streams, which is why the mode is opt-in.
+(always removed) streams.
 """
 
 from __future__ import annotations
@@ -119,13 +119,11 @@ class OnlineTwoStageFilter:
         sni_blocklist: Iterable[str] = DEFAULT_SNI_BLOCKLIST,
         excluded_ports: Iterable[int] = DEFAULT_EXCLUDED_PORTS,
         enabled_heuristics: Sequence[str] = ("3tuple", "sni", "local_ip", "port"),
-        low_memory: bool = False,
     ):
         self._window = window
         self._sni_blocklist = frozenset(sni_blocklist)
         self._excluded_ports = frozenset(excluded_ports)
         self._enabled = tuple(enabled_heuristics)
-        self._low_memory = low_memory
         self._streams: Dict[FlowKey, object] = {}
         # The 3-tuple and local-IP heuristics need *capture-global* state
         # (every endpoint outside the window, every pre-call IP pair),
@@ -170,8 +168,6 @@ class OnlineTwoStageFilter:
         stream.add(record)
         if isinstance(stream, Stream):
             self._buffered += 1
-            if self._low_memory and self._doomed(stream):
-                self._drain(key, stream)
 
     def _drain(self, key: FlowKey, stream: Stream) -> None:
         """Swap *stream* for its counter-only stand-in, releasing packets."""
@@ -196,9 +192,8 @@ class OnlineTwoStageFilter:
     def evict(self, watermark: float = 0.0) -> int:
         """Drain every stream already doomed to removal; return the count.
 
-        The on-demand counterpart of ``low_memory=True``'s per-record
-        drain: a long-running session sweeps this periodically so junk
-        flows (pre-call background, post-window chatter) never accumulate
+        A long-running session sweeps this periodically so junk flows
+        (pre-call background, post-window chatter) never accumulate
         payloads, while provisional keep/drop decisions stay untouched —
         kept-looking streams must buffer until :meth:`finalize` because a
         later record can still revoke them.  *watermark* is accepted for

@@ -142,7 +142,7 @@ class TwoStageFilter:
             online.observe(record)
         return online.finalize()
 
-    def online(self, low_memory: bool = False) -> "OnlineTwoStageFilter":
+    def online(self) -> "OnlineTwoStageFilter":
         """An incremental filter session with this pipeline's configuration."""
         from repro.filtering.online import OnlineTwoStageFilter
 
@@ -151,7 +151,6 @@ class TwoStageFilter:
             sni_blocklist=self._sni_blocklist,
             excluded_ports=self._excluded_ports,
             enabled_heuristics=self._enabled,
-            low_memory=low_memory,
         )
 
 
@@ -168,8 +167,8 @@ def _evaluate(
         for stream in streams:
             counts = getattr(stream, "truth_counts", None)
             if counts is not None:
-                # Drained stream (low-memory online mode): packets were
-                # released, but the label counters were kept.
+                # Drained stream (OnlineTwoStageFilter.evict): packets
+                # were released, but the label counters were kept.
                 rtc += counts[0]
                 non_rtc += counts[1]
                 labelled += counts[0] + counts[1]

@@ -211,12 +211,12 @@ class ComplianceService:
         return {"id": handle.id, "state": handle.state}
 
     def _build_session(self, spec: Dict[str, object]) -> ServiceSession:
-        eviction_spec = spec.get("eviction", "deadline")
+        eviction_spec = spec.get("eviction", "idle")
         if isinstance(eviction_spec, str):
             eviction = EvictionPolicy(mode=eviction_spec)
         else:
             eviction = EvictionPolicy(
-                mode=eviction_spec.get("mode", "deadline"),
+                mode=eviction_spec.get("mode", "idle"),
                 idle_gap=eviction_spec.get("idle_gap", 5.0),
                 sweep_interval=eviction_spec.get("sweep_interval", 1.0),
             )
@@ -270,14 +270,8 @@ class ComplianceService:
                 stop=handle_stop,
             )
             # No call window is known for arbitrary captures, so the
-            # session runs filterless with idle eviction keeping live
-            # flow state bounded.
-            if eviction.mode == "deadline":
-                eviction = EvictionPolicy(
-                    mode="idle",
-                    idle_gap=eviction.idle_gap,
-                    sweep_interval=eviction.sweep_interval,
-                )
+            # session runs filterless; idle eviction keeps live flow
+            # state bounded.
             session = AnalysisSession(chunk_size=chunk_size, eviction=eviction)
             handle = ServiceSession(
                 session_id, spec, session, queue, app=str(directory)

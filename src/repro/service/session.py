@@ -16,23 +16,22 @@ The session therefore splits the pipeline in two:
 
 * a **front** pipeline holding the filter, fed live; the only thing it
   can finalize early is certain removal, so eviction sweeps drain doomed
-  streams' payloads (bounding memory) without touching any provisional
-  decision;
+  streams' payloads without touching any provisional decision;
 * a **back** pipeline (DPI → checker), fed at ``close`` in the filtered
   configuration or live when no window/filter is configured.
 
-During the close drain the session knows every kept record, so each
-DPI flow gets an exact deadline — its last record's timestamp — and is
-finalized the moment the drain watermark passes it.  That eviction is
-provably lossless: no later record can belong to an already-deadlined
-flow.  Analyses therefore leave the DPI stage out of batch order, and
-the stage's emission log (``(timestamp, serial, position)`` per
-analysis — see :class:`repro.pipeline.stages.DpiStage`) is the total
-order that restores the batch sequence with one sort; verdicts follow
-their analyses by slicing the checker's index-ordered output per
-analysis.  This is what makes a session with eviction enabled
-bit-identical to the batch run — the contract the 18-cell parity tests
-pin.
+A filtered session holds every kept record until ``close`` whatever the
+policy, because a later record can still revoke a keep; its close drain
+feeds them through the back pipeline in one pass.  A filterless session
+with idle eviction finalizes DPI flows mid-feed, so analyses leave the
+DPI stage out of batch order, and the stage's emission log
+(``(timestamp, serial, position)`` per analysis — see
+:class:`repro.pipeline.stages.DpiStage`) is the total order that
+restores the batch sequence with one sort; verdicts follow their
+analyses by slicing the checker's index-ordered output per analysis.
+This is what makes every session bit-identical to the batch run (for
+idle eviction, with an ``idle_gap`` above every intra-flow gap) — the
+contract the parity tests pin.
 
 Watermarks are **capture time** (the largest record timestamp fed so
 far), never wall-clock: eviction is a pure function of the record
@@ -69,16 +68,13 @@ class EvictionPolicy:
       This is the batch adapter's mode: it reproduces the historical
       run-to-exhaustion instrumentation (e.g. the filter's high-water
       mark equals the record count) exactly.
-    * ``"deadline"`` — bound memory without giving up bit-identity.
-      While feeding, the filter drains streams already doomed to
-      removal; at the close drain, DPI flows are finalized the moment
-      the watermark passes their last record.  Exact by construction.
-    * ``"idle"`` — everything ``"deadline"`` does, plus: in a
-      *filterless* session (no call window) DPI flows idle longer than
-      ``idle_gap`` capture-seconds are finalized mid-feed.  The one
-      policy with a caveat: a flow that resumes after eviction restarts
-      without the evicted context, so pick ``idle_gap`` larger than any
-      real intra-flow gap if batch parity matters.
+    * ``"idle"`` — sweep while feeding.  In a filtered session a sweep
+      drains the filter's streams already doomed to removal; the
+      verdicts are unchanged.  In a *filterless* session (no call
+      window) it finalizes DPI flows idle longer than ``idle_gap``
+      capture-seconds instead.  A flow that resumes after eviction
+      restarts without the evicted context, so pick ``idle_gap`` larger
+      than any real intra-flow gap if batch parity matters.
 
     ``sweep_interval`` throttles eviction sweeps: one sweep each time
     the watermark advances that many capture-seconds past the last one.
@@ -89,7 +85,7 @@ class EvictionPolicy:
     sweep_interval: float = 1.0
 
     def __post_init__(self):
-        if self.mode not in ("none", "deadline", "idle"):
+        if self.mode not in ("none", "idle"):
             raise ValueError(f"unknown eviction mode: {self.mode!r}")
         # NaN fails every comparison, so ``<= 0`` alone would pass it and
         # silently switch eviction off.
@@ -172,10 +168,7 @@ class AnalysisSession:
         self._eviction = eviction
         self._chunk_size = chunk_size
         self._dpi_stage = DpiStage(
-            engine,
-            collect=True,
-            track_order=True,
-            idle_gap=eviction.idle_gap if eviction.mode == "idle" else None,
+            engine, idle_gap=eviction.idle_gap if eviction.mode == "idle" else None
         )
         self._back = Pipeline(
             [self._dpi_stage, CheckStage(checker)], chunk_size=chunk_size
@@ -247,7 +240,7 @@ class AnalysisSession:
             # sweep releases payloads of certainly-removed streams and
             # emits nothing downstream.
             self._front.evict(self._watermark)
-        elif self._eviction.mode == "idle":
+        else:
             self._indexed.extend(self._back.evict(self._watermark))
 
     def snapshot(self) -> SessionSnapshot:
@@ -280,29 +273,10 @@ class AnalysisSession:
             kept = self._front.flush()
             assert self._filter_stage is not None
             filter_result = self._filter_stage.result
-            if self._eviction.mode != "none":
-                # Exact deadlines: the drain input is fully materialized,
-                # so each flow's last record timestamp is known and a
-                # flow is finalized the moment the watermark passes it.
-                deadlines: Dict[object, float] = {}
-                for record in kept:
-                    if record.transport == "UDP":
-                        deadlines[record.flow_key] = max(
-                            deadlines.get(record.flow_key, record.timestamp),
-                            record.timestamp,
-                        )
-                self._dpi_stage.set_flow_deadlines(deadlines)
-                for start in range(0, len(kept), self._chunk_size):
-                    chunk = kept[start:start + self._chunk_size]
-                    self._indexed.extend(self._back.feed_chunk(chunk))
-                    self._indexed.extend(
-                        self._back.evict(chunk[-1].timestamp)
-                    )
-            else:
-                for start in range(0, len(kept), self._chunk_size):
-                    self._indexed.extend(
-                        self._back.feed_chunk(kept[start:start + self._chunk_size])
-                    )
+            for start in range(0, len(kept), self._chunk_size):
+                self._indexed.extend(
+                    self._back.feed_chunk(kept[start:start + self._chunk_size])
+                )
         self._indexed.extend(self._back.flush())
 
         verdicts, analyses = self._restore_batch_order()
@@ -328,8 +302,7 @@ class AnalysisSession:
     ) -> Tuple[List[MessageVerdict], List[DatagramAnalysis]]:
         """Reorder emissions into the exact batch sequence.
 
-        The DPI stage's emission log parallels its collected analyses
-        1:1, and ``(timestamp, serial, position)`` is precisely the key
+        The DPI stage's emission log parallels its analyses 1:1, and ``(timestamp, serial, position)`` is precisely the key
         the batch flush sorts by (streams concatenated in first-seen
         order, then a stable timestamp sort).  The checker's global
         indices number messages in emission order and each analysis's
@@ -338,8 +311,8 @@ class AnalysisSession:
         slices then follow their analyses into batch order.
         """
         log = self._dpi_stage.emission_log
-        collected = self._dpi_stage._analyses
-        assert collected is not None and len(collected) == len(log)
+        collected = self._dpi_stage.analyses
+        assert len(collected) == len(log)
         flat = [
             verdict
             for _, verdict in sorted(self._indexed, key=lambda pair: pair[0])

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.core import ComplianceChecker
 from repro.utils.rand import DeterministicRandom
 from repro.dpi import DatagramClass, DpiEngine
-from repro.dpi.tcp import analyze_tcp_records
 from repro.packets.packet import PacketRecord
 from repro.protocols.quic.header import QuicParseError, parse_datagram
 from repro.protocols.rtcp.packets import RtcpParseError, parse_compound
@@ -118,17 +117,6 @@ class TestPipelineFuzz:
         assert len(result.analyses) == len(records)
         # Checker must survive whatever the DPI surfaced.
         ComplianceChecker().check(result.messages())
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.lists(st.binary(min_size=1, max_size=300), min_size=1, max_size=10))
-    def test_tcp_analyzer_never_crashes(self, payloads):
-        records = [
-            PacketRecord(timestamp=float(i), src_ip="1.1.1.1", src_port=5,
-                         dst_ip="2.2.2.2", dst_port=6, transport="TCP",
-                         payload=p)
-            for i, p in enumerate(payloads)
-        ]
-        analyze_tcp_records(records)
 
     def test_random_noise_is_fully_proprietary(self):
         rng = DeterministicRandom("fuzz/noise")

@@ -254,7 +254,6 @@ def test_service_pcap_dir_session(tmp_path):
                 "directory": str(tmp_path),
                 "poll_interval": 0.02,
             },
-            "eviction": "deadline",  # coerced to idle: no window known
         }
     )
     handle = service.get(created["id"])
@@ -385,6 +384,23 @@ def test_unusable_pcap_dir_timings_are_refused(
     except urllib.error.HTTPError as exc:
         assert exc.code == 400
         assert "must be positive and finite" in json.loads(exc.read())["error"]
+    else:
+        _delete(daemon, f"/sessions/{payload['id']}")
+        pytest.fail(f"session spec accepted: {spec!r}")
+
+
+@pytest.mark.parametrize("spec", [
+    {"app": "zoom", "scale": 0},
+    {"app": "zoom", "eviction": "deadline"},
+], ids=["zero-scale", "deadline-eviction"])
+def test_unusable_replay_spec_is_refused(daemon, spec):
+    """A zero media scale (which synthesis would divide by) and an
+    unknown eviction mode get 400, not a dropped connection."""
+    try:
+        _status, payload = _post(daemon, "/sessions", spec)
+    except urllib.error.HTTPError as exc:
+        assert exc.code == 400
+        assert "bad session spec" in json.loads(exc.read())["error"]
     else:
         _delete(daemon, f"/sessions/{payload['id']}")
         pytest.fail(f"session spec accepted: {spec!r}")

@@ -13,7 +13,6 @@ import gc
 import os
 import random
 import threading
-import time
 import tracemalloc
 from dataclasses import replace
 
@@ -24,12 +23,8 @@ from repro.conformance.golden import CorpusConfig, cell_records, experiment_conf
 from repro.core import ComplianceChecker, ComplianceSummary
 from repro.dpi import DpiEngine
 from repro.experiments.runner import _cell_config, run_cell_pipeline
-from repro.dpi.engine import DpiStreamSession
-from repro.packets.packet import PacketRecord
 from repro.pipeline import run_streaming
-from repro.pipeline.stages import DpiStage
 from repro.service import AnalysisSession, EvictionPolicy
-from repro.streams.timeline import CallWindow
 
 CELLS = [(app, network) for app in APP_NAMES for network in NetworkCondition]
 
@@ -76,7 +71,7 @@ def test_cells_cover_full_matrix():
 
 @pytest.mark.parametrize("app,network", CELLS, ids=lambda v: getattr(v, "value", v))
 def test_session_matches_batch_bit_identical(app, network):
-    """Satellite (d): all 18 golden cells, randomized chunks, eviction on."""
+    """All 18 golden cells, randomized chunks, idle eviction on."""
     config = experiment_config(_CORPUS)
     batch = run_cell_pipeline(
         app,
@@ -93,7 +88,7 @@ def test_session_matches_batch_bit_identical(app, network):
         window=call_config.window(),
         engine=DpiEngine(max_offset=_CORPUS.max_offset),
         checker=ComplianceChecker(),
-        eviction=EvictionPolicy(mode="deadline", sweep_interval=0.5),
+        eviction=EvictionPolicy(mode="idle", sweep_interval=0.5),
     )
     _feed_in_random_chunks(session, records, rng)
     result = session.close()
@@ -163,61 +158,29 @@ def test_idle_eviction_finalizes_flows_mid_feed():
     assert len(result.verdicts) == session.snapshot().verdicts_ready
 
 
-def _deadline_evict_self_seconds(flows, monkeypatch):
-    """Seconds ``DpiStage.evict`` spends outside ``finish_stream`` while a
-    filtered ``deadline`` session closes over *flows* two-record UDP
-    flows that all span the call, so every flow is open at every
-    eviction until the drain reaches the flows' last records."""
-    window = CallWindow(0.0, 10.0, 70.0, 80.0)
-    records = []
-    for i in range(flows):
-        src = (f"198.51.{i >> 8 & 0xFF}.{i & 0xFF}", 20000 + (i >> 16))
-        for t in (11.0 + i * 1e-5, 69.0 - (flows - i) * 1e-5):
-            records.append(PacketRecord(t, *src, "203.0.113.9", 3478,
-                                        "UDP", b""))
-    records.sort(key=lambda r: r.timestamp)
-    spent = {"evict": 0.0, "finish": 0.0}
+def test_filtered_idle_session_drains_doomed_streams():
+    """In a filtered session idle sweeps drain the filter's doomed
+    streams while feeding: the filter holds fewer records at its peak
+    than with eviction off, and the verdicts do not change."""
+    call = _cell_config(NetworkCondition.WIFI_RELAY, experiment_config(_CORPUS), 0)
+    records = list(get_simulator("zoom").iter_records(call))
 
-    def timed(name, method):
-        def wrapper(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return method(*args, **kwargs)
-            finally:
-                spent[name] += time.perf_counter() - start
-        return wrapper
+    def run(mode):
+        session = AnalysisSession(
+            window=call.window(), eviction=EvictionPolicy(mode=mode)
+        )
+        _feed_in_random_chunks(session, records, random.Random(3))
+        return session.close()
 
-    monkeypatch.setattr(DpiStage, "evict", timed("evict", DpiStage.evict))
-    monkeypatch.setattr(DpiStreamSession, "finish_stream",
-                        timed("finish", DpiStreamSession.finish_stream))
-    session = AnalysisSession(window=window,
-                              eviction=EvictionPolicy(mode="deadline"))
-    # Collector passes scale with the live heap, not with the eviction
-    # algorithm; keep them out of the timings.
-    gc.collect()
-    gc.disable()
-    try:
-        session.feed(records)
-        result = session.close()
-    finally:
-        gc.enable()
-        monkeypatch.undo()
-    assert len(result.dpi.analyses) == len(records)
-    return spent["evict"] - spent["finish"]
-
-
-def test_deadline_eviction_is_linear_in_open_flows(monkeypatch):
-    """Evicting at each close-drain chunk costs the due flows, not every
-    open one: a walk over all open flows per chunk makes the per-flow
-    cost grow ~4x from 5k to 20k flows; a deadline heap keeps it flat."""
-    # Best of two for each size, interleaved, so a stretch of slow host
-    # CPU cannot land on one size only.
-    runs = [(_deadline_evict_self_seconds(5_000, monkeypatch) / 5_000,
-             _deadline_evict_self_seconds(20_000, monkeypatch) / 20_000)
-            for _ in range(2)]
-    small = min(pair[0] for pair in runs)
-    large = min(pair[1] for pair in runs)
-    assert large < 2 * small, (small, large)
+    plain, idle = run("none"), run("idle")
+    assert plain.stage_stats["filter"].peak_buffered == len(records)
+    assert (
+        idle.stage_stats["filter"].peak_buffered
+        < plain.stage_stats["filter"].peak_buffered
+    )
+    assert _verdict_fingerprint(idle.verdicts) == _verdict_fingerprint(
+        plain.verdicts
+    )
 
 
 def test_snapshot_is_detached_and_progresses():
@@ -262,6 +225,8 @@ def test_close_is_idempotent():
 def test_eviction_policy_validation():
     with pytest.raises(ValueError):
         EvictionPolicy(mode="sometimes")
+    with pytest.raises(ValueError):
+        EvictionPolicy(mode="deadline")
     with pytest.raises(ValueError):
         EvictionPolicy(idle_gap=0.0)
     with pytest.raises(ValueError):

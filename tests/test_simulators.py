@@ -85,6 +85,12 @@ class TestCommon:
         with pytest.raises(ValueError):
             get_simulator("skype")
 
+    @pytest.mark.parametrize("field", ["media_scale", "call_duration"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_unusable_scale_or_duration_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            CallConfig(network=NetworkCondition.WIFI_RELAY, **{field: value})
+
 
 class TestZoom:
     def test_every_media_datagram_has_proprietary_header(self, trace_cache):
