@@ -16,6 +16,7 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -44,6 +45,14 @@ def _workers(value: str) -> int:
     if workers < 1:
         raise argparse.ArgumentTypeError("expected a positive integer")
     return workers
+
+
+def _positive_float(value: str) -> float:
+    number = float(value)
+    # ``> 0`` rejects NaN, which fails every comparison; ``isfinite`` infinity.
+    if not (number > 0 and math.isfinite(number)):
+        raise argparse.ArgumentTypeError("expected a positive, finite number")
+    return number
 
 
 def _chunk_size(value: str) -> int:
@@ -125,14 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one experiment cell")
     run_p.add_argument("--app", choices=APP_NAMES, required=True)
     run_p.add_argument("--network", type=_network, default=NetworkCondition.WIFI_RELAY)
-    run_p.add_argument("--duration", type=float, default=30.0)
-    run_p.add_argument("--scale", type=float, default=0.5)
+    run_p.add_argument("--duration", type=_positive_float, default=30.0)
+    run_p.add_argument("--scale", type=_positive_float, default=0.5)
     run_p.add_argument("--seed", type=int, default=0)
     add_execution_flags(run_p, impairment=True)
 
     matrix_p = sub.add_parser("matrix", help="run the full experiment matrix")
-    matrix_p.add_argument("--duration", type=float, default=30.0)
-    matrix_p.add_argument("--scale", type=float, default=0.5)
+    matrix_p.add_argument("--duration", type=_positive_float, default=30.0)
+    matrix_p.add_argument("--scale", type=_positive_float, default=0.5)
     matrix_p.add_argument("--repeats", type=int, default=1)
     matrix_p.add_argument("--seed", type=int, default=0)
     add_execution_flags(matrix_p, workers=True, chunking=True, impairment=True)
@@ -140,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth_p = sub.add_parser("synthesize", help="write a synthetic call trace to pcap")
     synth_p.add_argument("--app", choices=APP_NAMES, required=True)
     synth_p.add_argument("--network", type=_network, default=NetworkCondition.WIFI_RELAY)
-    synth_p.add_argument("--duration", type=float, default=30.0)
-    synth_p.add_argument("--scale", type=float, default=0.5)
+    synth_p.add_argument("--duration", type=_positive_float, default=30.0)
+    synth_p.add_argument("--scale", type=_positive_float, default=0.5)
     synth_p.add_argument("--seed", type=int, default=0)
     synth_p.add_argument("--out", required=True)
     add_execution_flags(synth_p, impairment=True)
@@ -153,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     report_p = sub.add_parser("report", help="write a markdown compliance report")
     report_p.add_argument("--app", choices=APP_NAMES)
     report_p.add_argument("--network", type=_network, default=NetworkCondition.WIFI_RELAY)
-    report_p.add_argument("--duration", type=float, default=30.0)
-    report_p.add_argument("--scale", type=float, default=0.5)
+    report_p.add_argument("--duration", type=_positive_float, default=30.0)
+    report_p.add_argument("--scale", type=_positive_float, default=0.5)
     report_p.add_argument("--seed", type=int, default=0)
     report_p.add_argument("--out", help="output file (default: stdout)")
     add_execution_flags(report_p, workers=True, chunking=True, impairment=True)
@@ -163,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
         "dataset", help="synthesize a pcap dataset with ground-truth manifest"
     )
     dataset_p.add_argument("--root", required=True)
-    dataset_p.add_argument("--duration", type=float, default=30.0)
-    dataset_p.add_argument("--scale", type=float, default=0.5)
+    dataset_p.add_argument("--duration", type=_positive_float, default=30.0)
+    dataset_p.add_argument("--scale", type=_positive_float, default=0.5)
     dataset_p.add_argument("--repeats", type=int, default=1)
     dataset_p.add_argument("--seed", type=int, default=0)
     dataset_p.add_argument("--apps", nargs="*", choices=APP_NAMES, default=APP_NAMES)
@@ -172,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     interop_p = sub.add_parser(
         "interop", help="estimate per-app interoperability adaptation effort"
     )
-    interop_p.add_argument("--duration", type=float, default=20.0)
-    interop_p.add_argument("--scale", type=float, default=0.4)
+    interop_p.add_argument("--duration", type=_positive_float, default=20.0)
+    interop_p.add_argument("--scale", type=_positive_float, default=0.4)
     interop_p.add_argument("--seed", type=int, default=0)
 
     fingerprint_p = sub.add_parser(
@@ -197,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="single app (default: full matrix)")
     stats_p.add_argument("--network", type=_network, default=None,
                          help="single network condition (default: all three)")
-    stats_p.add_argument("--duration", type=float, default=30.0)
-    stats_p.add_argument("--scale", type=float, default=0.5)
+    stats_p.add_argument("--duration", type=_positive_float, default=30.0)
+    stats_p.add_argument("--scale", type=_positive_float, default=0.5)
     stats_p.add_argument("--seed", type=int, default=0)
     add_execution_flags(stats_p, impairment=True)
 
@@ -210,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="single app (default: full matrix)")
     pstats_p.add_argument("--network", type=_network, default=None,
                           help="single network condition (default: all three)")
-    pstats_p.add_argument("--duration", type=float, default=30.0)
-    pstats_p.add_argument("--scale", type=float, default=0.5)
+    pstats_p.add_argument("--duration", type=_positive_float, default=30.0)
+    pstats_p.add_argument("--scale", type=_positive_float, default=0.5)
     pstats_p.add_argument("--seed", type=int, default=0)
     pstats_p.add_argument("--json", action="store_true",
                           help="emit machine-readable JSON instead of a table")
@@ -236,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record_p.add_argument("--dir", help="corpus directory "
                           "(default: tests/golden/conformance)")
-    record_p.add_argument("--duration", type=float, default=None,
+    record_p.add_argument("--duration", type=_positive_float, default=None,
                           help="override call duration (default: corpus standard)")
-    record_p.add_argument("--scale", type=float, default=None,
+    record_p.add_argument("--scale", type=_positive_float, default=None,
                           help="override media scale (default: corpus standard)")
     record_p.add_argument("--seed", type=int, default=None,
                           help="override simulation seed (default: corpus standard)")
@@ -595,13 +604,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     The shared execution flags become the daemon's per-session defaults:
     a ``POST /sessions`` body only overrides what it names.  Shutdown is
     graceful — sessions are drained (ingest stopped, results finalized)
-    while ``/healthz`` keeps answering, then the listener stops and the
-    shared worker pool is torn down.
+    while ``/healthz`` keeps answering, then the listener stops.  The
+    daemon never runs a matrix, so it never creates the shared worker
+    pool and has none to tear down.
     """
     import signal
     import threading
 
-    from repro.experiments.scheduler import shutdown_shared_pool
     from repro.service.http import ComplianceService, make_server
 
     config = config_from_args(args)
@@ -634,7 +643,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     server.shutdown()
     server.server_close()
     thread.join(timeout=5.0)
-    shutdown_shared_pool(final=True, terminate=True)
     print("shutdown complete", flush=True)
     return 0
 

@@ -10,7 +10,6 @@ from repro.experiments.runner import (
     run_matrix,
 )
 from repro.experiments.parallel import (
-    expected_cell_cost,
     matrix_cells,
     run_matrix_parallel,
 )
@@ -19,7 +18,6 @@ from repro.experiments.scheduler import (
     reopen_shared_pool,
     shared_pool,
     shutdown_shared_pool,
-    submission_order,
 )
 
 __all__ = [
@@ -29,7 +27,6 @@ __all__ = [
     "PoolClosedError",
     "default_checker",
     "default_engine",
-    "expected_cell_cost",
     "matrix_cells",
     "reopen_shared_pool",
     "run_experiment",
@@ -37,5 +34,4 @@ __all__ = [
     "run_matrix_parallel",
     "shared_pool",
     "shutdown_shared_pool",
-    "submission_order",
 ]

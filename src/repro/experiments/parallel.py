@@ -13,12 +13,10 @@ path.  ``run_matrix(workers=...)`` in :mod:`repro.experiments.runner` is
 the public entry point; it delegates here.
 
 Scheduling: cells are submitted to the *shared* process pool (see
-:mod:`repro.experiments.scheduler`) largest-expected-cost-first — cost
-being the cell's call duration × media scale × impairment volume
-factor — so the most expensive cells start earliest and the pool tail
-does not idle behind one straggler submitted last.  The pool's
-initializer builds the process-wide default engine and checker once per
-worker process, not once per cell.
+:mod:`repro.experiments.scheduler`) in enumeration order — every cell of
+a matrix shares one config, so none is known to cost more than another.
+The pool's initializer builds the process-wide default engine and
+checker once per worker process, not once per cell.
 
 Fallbacks: ``workers=1`` (or a single-cell matrix) never spawns processes,
 and pool failures caused by the environment — unpicklable configs, a
@@ -43,7 +41,6 @@ from repro.experiments.scheduler import (
     POOL_FALLBACK_ERRORS,
     shared_pool,
     shutdown_shared_pool,
-    submission_order,
 )
 
 #: One experiment cell: (app, network, repeat index).
@@ -68,25 +65,6 @@ def run_cell(cell: Cell, config: ExperimentConfig) -> ExperimentAggregate:
     """Run one matrix cell; module-level so process pools can pickle it."""
     app, network, repeat = cell
     return run_experiment(app, network, config, call_index=repeat)
-
-
-def expected_cell_cost(cell: Cell, config: ExperimentConfig) -> float:
-    """Expected cost of one cell, for largest-cost-first submission.
-
-    A static estimate: call duration × media scale × the impairment
-    profile's expected volume factor (duplication and rebind-relearn
-    churn inflate records, loss and UDP blackout deflate them).  Every
-    cell of a homogeneous matrix ties, so submission stays in enumeration
-    order; scheduling only needs a ranking and never leaks into merge
-    order.
-    """
-    from repro.netem import get_profile
-
-    return (
-        config.call_duration
-        * config.media_scale
-        * get_profile(config.impairment).volume_factor()
-    )
 
 
 def run_matrix_parallel(
@@ -116,9 +94,9 @@ def _run_pool(
 ) -> Optional[List[ExperimentAggregate]]:
     """Execute cells on the shared pool; ``None`` means "fall back to serial".
 
-    Cells are *submitted* largest-expected-cost-first but *gathered* in
-    enumeration order, which is exactly the deterministic merge order —
-    neither submission nor completion order ever leaks through.
+    Cells are submitted and gathered in enumeration order, which is
+    exactly the deterministic merge order — completion order never leaks
+    through.
     """
     try:
         import pickle
@@ -127,13 +105,8 @@ def _run_pool(
         # boundary should degrade to serial, not poison the shared pool.
         pickle.dumps(config)
         pool = shared_pool(workers, config.max_offset)
-        futures = {
-            index: pool.submit(run_cell, cells[index], config)
-            for index in submission_order(
-                cells, lambda cell: expected_cell_cost(cell, config)
-            )
-        }
-        return [futures[index].result() for index in range(len(cells))]
+        futures = [pool.submit(run_cell, cell, config) for cell in cells]
+        return [future.result() for future in futures]
     except BrokenProcessPool:
         # The pool itself died (or could not spawn workers at all):
         # discard it so the next caller gets a fresh one, run serially.

@@ -242,7 +242,6 @@ def run_cell_pipeline(
     call_index: int = 0,
     engine: Optional[DpiEngine] = None,
     checker: Optional[ComplianceChecker] = None,
-    chunk_size: Optional[int] = None,
 ) -> PipelineRun:
     """Simulate one cell and stream it through filter → DPI → checker.
 
@@ -256,12 +255,10 @@ def run_cell_pipeline(
     need controlled engine configurations (the conformance differ) are not
     coupled to the process-wide cached engines ``run_experiment`` uses.
 
-    ``chunk_size`` defaults to the config's value.  The whole cell runs
-    in one :class:`repro.service.AnalysisSession`; parallelism lives one
-    level up, across cells (:func:`run_matrix`).
+    The whole cell runs in one :class:`repro.service.AnalysisSession`
+    with the config's ``chunk_size``; parallelism lives one level up,
+    across cells (:func:`run_matrix`).
     """
-    if chunk_size is None:
-        chunk_size = config.chunk_size
     simulator = get_simulator(app)
     call_config = _cell_config(network, config, call_index)
     if engine is None:
@@ -272,7 +269,7 @@ def run_cell_pipeline(
         window=call_config.window(),
         engine=engine,
         checker=checker,
-        chunk_size=chunk_size,
+        chunk_size=config.chunk_size,
     )
     session.feed(simulator.iter_records(call_config))
     result = session.close()

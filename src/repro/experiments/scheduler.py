@@ -1,4 +1,4 @@
-"""The shared process pool and the scheduling helpers around it.
+"""The shared process pool and the helpers that manage its lifecycle.
 
 Matrix cells (:mod:`repro.experiments.parallel`) run on the single
 :class:`~concurrent.futures.ProcessPoolExecutor` owned here, so worker
@@ -27,7 +27,7 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import List, Optional
 
 
 class PoolClosedError(RuntimeError):
@@ -139,7 +139,7 @@ def kill_pool_workers() -> int:
     return len(processes)
 
 
-def shutdown_shared_pool(final: bool = False, terminate: bool = False) -> None:
+def shutdown_shared_pool(final: bool = False) -> None:
     """Tear the shared pool down (broken pool recovery, test isolation).
 
     ``final=True`` additionally forbids re-creation: any later
@@ -147,22 +147,11 @@ def shutdown_shared_pool(final: bool = False, terminate: bool = False) -> None:
     ``POOL_FALLBACK_ERRORS``, so executors degrade to in-process rather
     than fail).  The module registers ``shutdown_shared_pool(final=True)``
     with :mod:`atexit` so pool workers cannot outlive the CLI process.
-
-    ``terminate=True`` additionally kills worker processes outright
-    instead of letting them finish their in-flight task — the graceful-
-    drain path (``serve`` shutdown), where the contract is "no orphaned
-    workers survive the CLI", not "finish the work".  Not for signal
-    handlers — they must use :func:`kill_pool_workers` alone.
+    Not for signal handlers — they must use :func:`kill_pool_workers`.
     """
     global _pool, _pool_workers, _pool_finalized
     if _pool is not None:
-        processes = dict(getattr(_pool, "_processes", None) or {})
-        if terminate:
-            kill_pool_workers()
         _pool.shutdown(wait=False, cancel_futures=True)
-        if terminate:
-            for process in processes.values():
-                process.join(timeout=2.0)
         _pool = None
         _pool_workers = 0
     if final:
@@ -176,20 +165,3 @@ def reopen_shared_pool() -> None:
 
 
 atexit.register(shutdown_shared_pool, final=True)
-
-
-T = TypeVar("T")
-
-
-def submission_order(
-    items: Sequence[T], cost: Callable[[T], float]
-) -> List[int]:
-    """Indices of *items* sorted largest-expected-cost-first.
-
-    Ties keep enumeration order, so equal-cost workloads submit exactly
-    as they enumerate and the schedule stays deterministic.  Callers
-    submit in this order but still gather results in enumeration order —
-    scheduling must never leak into merge order.
-    """
-    return sorted(range(len(items)), key=lambda i: (-cost(items[i]), i))
-

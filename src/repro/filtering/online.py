@@ -189,17 +189,17 @@ class OnlineTwoStageFilter:
             or stream.last_timestamp > window.extended_end
         )
 
-    def evict(self, watermark: float = 0.0) -> int:
+    def evict(self) -> int:
         """Drain every stream already doomed to removal; return the count.
 
         A long-running session sweeps this periodically so junk flows
         (pre-call background, post-window chatter) never accumulate
         payloads, while provisional keep/drop decisions stay untouched —
         kept-looking streams must buffer until :meth:`finalize` because a
-        later record can still revoke them.  *watermark* is accepted for
-        signature uniformity with the stage protocol; doom is a function
-        of the call window alone.  Accounting, evaluation, and kept
-        output are unchanged by draining (pinned by the parity tests).
+        later record can still revoke them.  Doom is a function of the
+        call window alone, so no watermark is needed.  Accounting,
+        evaluation, and kept output are unchanged by draining (pinned by
+        the parity tests).
         """
         if self._finalized:
             return 0

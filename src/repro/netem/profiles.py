@@ -22,16 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-#: Modeled extra per-unit cost of a mid-call rebind: every rebound flow
-#: splits (or collides) mid-stream, so DPI validates more, shorter
-#: streams.  A scheduling estimate only.
-REBIND_COST_FACTOR = 1.15
-
-#: Floor for the modeled volume factor — even a near-total blackout
-#: still pays filter/stream bookkeeping per surviving record.
-MIN_VOLUME_FACTOR = 0.05
-
-
 @dataclass(frozen=True)
 class GilbertElliott:
     """Two-state Markov burst-loss model (Gilbert-Elliott).
@@ -54,7 +44,7 @@ class GilbertElliott:
                 raise ValueError(f"{name} must be a probability, got {value!r}")
 
     def stationary_loss(self) -> float:
-        """Long-run loss probability of the chain (for cost modeling)."""
+        """Long-run loss probability of the chain."""
         denom = self.p_enter + self.p_exit
         if denom <= 0.0:
             return self.loss_good
@@ -95,11 +85,6 @@ class ImpairmentProfile:
     capture).  ``reorder_delay`` bounds how far a delayed packet can
     move, so reordering stays *bounded* — the tolerance the online
     filter and incremental checker are required to have.
-
-    ``cost_scale`` overrides the modeled record-volume factor
-    (see :meth:`volume_factor`) for profiles whose cost is not a simple
-    function of loss/duplication — e.g. ``udp_blocked`` halves DPI work
-    because fallback traffic rides in TCP, which the UDP engine skips.
     """
 
     name: str = "custom"
@@ -110,7 +95,6 @@ class ImpairmentProfile:
     duplicate_rate: float = 0.0
     rebind: Optional[NatRebind] = None
     udp_blocked: bool = False
-    cost_scale: Optional[float] = None
 
     def __post_init__(self) -> None:
         for name in ("loss_rate", "reorder_rate", "duplicate_rate"):
@@ -131,28 +115,6 @@ class ImpairmentProfile:
             and self.rebind is None
             and not self.udp_blocked
         )
-
-    def expected_loss(self) -> float:
-        """Combined long-run loss probability of random + burst loss."""
-        survive = 1.0 - self.loss_rate
-        if self.burst is not None:
-            survive *= 1.0 - self.burst.stationary_loss()
-        return 1.0 - survive
-
-    def volume_factor(self) -> float:
-        """Expected record-volume (and modeled cost) multiplier.
-
-        ``expected_cell_cost`` multiplies a cell's configured work units
-        by this factor, so impaired cells are neither under-ranked
-        (duplication, rebind relearn churn) nor over-ranked (loss, UDP
-        blackout) by ``submission_order``.
-        """
-        if self.cost_scale is not None:
-            return self.cost_scale
-        factor = (1.0 - self.expected_loss()) * (1.0 + self.duplicate_rate)
-        if self.rebind is not None:
-            factor *= REBIND_COST_FACTOR
-        return max(factor, MIN_VOLUME_FACTOR)
 
 
 #: The named profiles behind ``--impairment``.  ``none`` is the exact
@@ -184,13 +146,8 @@ PROFILES: Dict[str, ImpairmentProfile] = {
         rebind=NatRebind(at_fraction=0.5, collide=True),
     ),
     # UDP blackout: RTC flows fall back to TURN ChannelData over TCP
-    # port 443; non-RTC UDP simply dies.  DPI work collapses (the UDP
-    # engine skips TCP), hence the explicit cost override.
-    "udp_blocked": ImpairmentProfile(
-        name="udp_blocked",
-        udp_blocked=True,
-        cost_scale=0.5,
-    ),
+    # port 443; non-RTC UDP simply dies.
+    "udp_blocked": ImpairmentProfile(name="udp_blocked", udp_blocked=True),
 }
 
 PROFILE_NAMES: Tuple[str, ...] = tuple(PROFILES)

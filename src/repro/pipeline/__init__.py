@@ -1,8 +1,11 @@
-"""Composable streaming pipeline: stage protocol, composer, adapters.
+"""The stage adapters and per-stage instrumentation of the pipeline.
 
-The batch entry points across the codebase (``run_cell_pipeline``, the
-CLI, the conformance tooling) are thin wrappers over the pieces here, so
-batch and streaming execution share one implementation per layer.
+:class:`repro.service.AnalysisSession` drives the adapters here in the
+paper's fixed order — filter (§3.2) → DPI (§4.1) → check (§4.2) — and
+keeps one :class:`StageStats` per stage.  The batch entry points across
+the codebase (``run_cell_pipeline``, ``run_streaming``, the CLI, the
+conformance tooling) are thin wrappers over such a session, so batch
+and streaming execution share one implementation per layer.
 """
 
 from __future__ import annotations
@@ -13,30 +16,16 @@ from repro.core.checker import ComplianceChecker
 from repro.core.verdict import MessageVerdict
 from repro.dpi.engine import DpiEngine, DpiResult
 from repro.packets.packet import PacketRecord
-from repro.pipeline.stage import (
-    DEFAULT_CHUNK_SIZE,
-    Pipeline,
-    Stage,
-    StageStats,
-    merge_stage_stats,
-)
-from repro.pipeline.stages import (
-    CheckStage,
-    DpiStage,
-    FilterStage,
-    ordered_verdicts,
-)
+from repro.pipeline.stage import DEFAULT_CHUNK_SIZE, StageStats, merge_stage_stats
+from repro.pipeline.stages import CheckStage, DpiStage, FilterStage
 
 __all__ = [
     "CheckStage",
     "DEFAULT_CHUNK_SIZE",
     "DpiStage",
     "FilterStage",
-    "Pipeline",
-    "Stage",
     "StageStats",
     "merge_stage_stats",
-    "ordered_verdicts",
     "run_streaming",
 ]
 

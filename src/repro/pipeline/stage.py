@@ -1,34 +1,23 @@
-"""The streaming pipeline core: a small stage protocol plus a composer.
+"""Per-stage instrumentation shared by every layer of the pipeline.
 
-A :class:`Stage` consumes items one at a time (``process``) and may emit
-zero or more downstream items per input; whatever it withholds it must
-emit from ``flush`` when the source is exhausted.  :class:`Pipeline`
-chains stages, pushes every emission through the remaining stages
-immediately (no barrier between stages), and measures each stage's
-records in/out, wall time, chunk count, and peak buffered items — the
-uniform instrumentation record every layer of the system reports through
-``ExperimentAggregate`` and ``rtc-compliance pipeline-stats``.
+:class:`~repro.service.AnalysisSession` drives the three adapters of
+:mod:`repro.pipeline.stages` (filter → DPI → check) itself and keeps one
+:class:`StageStats` per stage: records in/out, wall time, chunk count
+and peak buffered items — the uniform instrumentation record every layer
+reports through ``ExperimentAggregate`` and ``rtc-compliance
+pipeline-stats``.
 
-Dispatch is *chunked*: the composer hands each stage a bounded batch of
+Dispatch is *chunked*: the session hands each stage a bounded batch of
 records (``chunk_size``, default 256) per Python call instead of one
-record at a time, which amortizes the per-record call overhead that
-dominated the single-process streaming path.  Stages that can exploit
-batching override :meth:`Stage.process_chunk`; the default simply loops
-:meth:`Stage.process`, so chunking never changes what a stage computes —
-only how often it is called.
-
-The protocol is deliberately tiny so simulators, the two-stage filter,
-the DPI engine, and the compliance checker can all sit behind it without
-adapters owning any policy: batch callers feed a fully materialized
-record list and flush once; live callers feed records as they arrive.
+record at a time, which amortizes the per-record call overhead.
+Chunking never changes what a stage computes — only how often it is
+called.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from itertools import islice
-from typing import Any, Dict, Iterable, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable
 
 #: Records per ``process_chunk`` call unless the caller overrides it.
 DEFAULT_CHUNK_SIZE = 256
@@ -39,7 +28,7 @@ class StageStats:
     """Uniform instrumentation record for one pipeline stage.
 
     ``peak_buffered`` is the high-water mark of items the stage held
-    between ``process`` calls — the number a bounded-memory deployment
+    after a ``process_chunk`` or ``flush`` call — the number a bounded-memory deployment
     has to budget for, and the first thing to look at when a streaming
     run's footprint is not flat.
     """
@@ -49,7 +38,7 @@ class StageStats:
     records_out: int = 0
     wall_seconds: float = 0.0
     peak_buffered: int = 0
-    #: ``process_chunk`` dispatches; per-record feeding counts one per record.
+    #: ``process_chunk`` calls; ``chunk_size=1`` makes one per record.
     chunks: int = 0
 
     def merge(self, other: "StageStats") -> None:
@@ -93,200 +82,6 @@ class StageStats:
             "chunks": self.chunks,
         }
 
-    # Historical alias; every serialization path goes through to_json().
-    as_dict = to_json
-
-
-class Stage:
-    """One streaming transformation: records in, records out, state inside.
-
-    Subclasses override ``process`` (and usually ``flush``) and keep
-    ``buffered()`` honest about how many items they are holding — the
-    pipeline samples it after every call to track the high-water mark.
-    """
-
-    name: str = "stage"
-
-    def process(self, item: Any) -> Iterable[Any]:
-        """Consume one item; yield any items ready for the next stage."""
-        raise NotImplementedError
-
-    def process_chunk(self, items: Sequence[Any]) -> List[Any]:
-        """Consume a bounded batch; the default just loops ``process``.
-
-        Stages with a cheap per-item fast loop (the production adapters)
-        override this to hoist attribute lookups out of the hot loop; the
-        override must emit exactly what per-item processing would.
-        """
-        out: List[Any] = []
-        for item in items:
-            out.extend(self.process(item))
-        return out
-
-    def flush(self) -> Iterable[Any]:
-        """Emit everything still held once the input is exhausted."""
-        return ()
-
-    def evict(self, watermark: float) -> Iterable[Any]:
-        """Finalize per-flow state that is settled as of *watermark*.
-
-        *watermark* is capture time (the largest record timestamp the
-        caller has pushed so far), never wall-clock, so eviction decisions
-        are a pure function of the record stream and replaying a capture
-        evicts identically every run.  Stages emit whatever the evicted
-        flows produce — the pipeline cascades those emissions downstream
-        exactly like ``flush`` — and must only evict state whose output
-        can no longer be affected by later records; the default evicts
-        nothing.
-        """
-        return ()
-
-    def buffered(self) -> int:
-        """Items currently held back from downstream stages."""
-        return 0
-
-
-class Pipeline:
-    """Compose stages and push items through them with instrumentation.
-
-    There is no barrier between stages: an item emitted by stage *n*
-    reaches stage *n+1* within the same ``feed`` call, so wall-clock and
-    buffering are attributed to the stage that actually holds the data.
-    Items move between stages in bounded batches of at most ``chunk_size``
-    records per ``process_chunk`` dispatch; ``chunk_size=1`` reproduces
-    the historical one-call-per-record behavior exactly.
-    """
-
-    def __init__(self, stages: Sequence[Stage], chunk_size: int = DEFAULT_CHUNK_SIZE):
-        if not stages:
-            raise ValueError("a pipeline needs at least one stage")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be a positive integer")
-        self._stages = list(stages)
-        self._stats = [StageStats(name=stage.name) for stage in self._stages]
-        self._chunk_size = chunk_size
-        self._flushed = False
-
-    @property
-    def chunk_size(self) -> int:
-        return self._chunk_size
-
-    @property
-    def stages(self) -> List[Stage]:
-        return list(self._stages)
-
-    @property
-    def flushed(self) -> bool:
-        return self._flushed
-
-    def stats(self) -> List[StageStats]:
-        """Per-stage instrumentation records, in pipeline order."""
-        return self._stats
-
-    def snapshot(self) -> List[StageStats]:
-        """Copies of the per-stage stats — safe to read mid-stream.
-
-        Unlike :meth:`stats`, the returned records are detached from the
-        live counters, so a monitoring thread can serialize them while
-        the pipeline keeps feeding without torn or mutating reads.
-        """
-        return [stat.snapshot() for stat in self._stats]
-
-    def feed(self, item: Any) -> List[Any]:
-        """Push one item through every stage; return the final emissions."""
-        return self.feed_chunk((item,))
-
-    def feed_chunk(self, chunk: Sequence[Any]) -> List[Any]:
-        """Push one bounded batch through every stage; return final output.
-
-        A stage's emissions cascade to the next stage within this call,
-        re-split into ``chunk_size`` batches when a stage fans out.
-        """
-        items: List[Any] = list(chunk)
-        for stage, stats in zip(self._stages, self._stats):
-            if not items:
-                break
-            items = self._run_chunked(stage, stats, items)
-        return items
-
-    def run(self, source: Iterable[Any]) -> List[Any]:
-        """Feed every item of *source*, flush, and return all final output.
-
-        The source is consumed incrementally in ``chunk_size`` batches, so
-        a generator source never has to be materialized in full.
-        """
-        out: List[Any] = []
-        iterator = iter(source)
-        while True:
-            chunk = list(islice(iterator, self._chunk_size))
-            if not chunk:
-                break
-            out.extend(self.feed_chunk(chunk))
-        out.extend(self.flush())
-        return out
-
-    def evict(self, watermark: float) -> List[Any]:
-        """Ask every stage to finalize flows settled as of *watermark*.
-
-        Evicted emissions cascade downstream exactly like ``flush``
-        emissions — stage *n*'s evictions pass through stages *n+1..* as
-        ordinary chunked input, and each of those stages additionally gets
-        its own ``evict`` call — so a long-running session can bound
-        per-flow buffering without ending the stream.  A no-op after
-        ``flush`` (there is nothing left to evict).
-        """
-        if self._flushed:
-            return []
-        carried: List[Any] = []
-        for stage, stats in zip(self._stages, self._stats):
-            processed = self._run_chunked(stage, stats, carried) if carried else []
-            start = time.perf_counter()
-            evicted = list(stage.evict(watermark))
-            stats.wall_seconds += time.perf_counter() - start
-            stats.records_out += len(evicted)
-            carried = processed + evicted
-        return carried
-
-    def flush(self) -> List[Any]:
-        """Flush every stage in order, cascading emissions downstream."""
-        if self._flushed:
-            return []
-        self._flushed = True
-        carried: List[Any] = []
-        for stage, stats in zip(self._stages, self._stats):
-            processed = self._run_chunked(stage, stats, carried) if carried else []
-            start = time.perf_counter()
-            flushed = list(stage.flush())
-            stats.wall_seconds += time.perf_counter() - start
-            stats.records_out += len(flushed)
-            stats.peak_buffered = max(stats.peak_buffered, stage.buffered())
-            carried = processed + flushed
-        return carried
-
-    def _run_chunked(
-        self, stage: Stage, stats: StageStats, items: List[Any]
-    ) -> List[Any]:
-        size = self._chunk_size
-        if len(items) <= size:
-            return self._run(stage, stats, items)
-        out: List[Any] = []
-        for start in range(0, len(items), size):
-            out.extend(self._run(stage, stats, items[start:start + size]))
-        return out
-
-    @staticmethod
-    def _run(stage: Stage, stats: StageStats, items: Sequence[Any]) -> List[Any]:
-        start = time.perf_counter()
-        out = list(stage.process_chunk(items))
-        stats.wall_seconds += time.perf_counter() - start
-        stats.chunks += 1
-        stats.records_in += len(items)
-        stats.records_out += len(out)
-        buffered = stage.buffered()
-        if buffered > stats.peak_buffered:
-            stats.peak_buffered = buffered
-        return out
-
 
 def merge_stage_stats(
     into: Dict[str, StageStats], stats: Iterable[StageStats]
@@ -295,14 +90,7 @@ def merge_stage_stats(
     for stat in stats:
         existing = into.get(stat.name)
         if existing is None:
-            into[stat.name] = StageStats(
-                name=stat.name,
-                records_in=stat.records_in,
-                records_out=stat.records_out,
-                wall_seconds=stat.wall_seconds,
-                peak_buffered=stat.peak_buffered,
-                chunks=stat.chunks,
-            )
+            into[stat.name] = stat.snapshot()
         else:
             existing.merge(stat)
     return into

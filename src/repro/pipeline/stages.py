@@ -1,9 +1,12 @@
-"""Concrete stages wiring the system's layers into the streaming core.
+"""The three stage adapters :class:`~repro.service.AnalysisSession` drives.
 
 Each adapter owns exactly one layer object — the online filter, a DPI
-stream session, a checker stream — and translates between the layer's
-incremental API and the :class:`~repro.pipeline.stage.Stage` protocol.
-The layers themselves never learn about the pipeline, and the batch
+stream session, a checker stream — and gives it the shape the session
+calls: ``process_chunk`` for a bounded batch, ``flush`` at close, and
+(filter and DPI only) ``evict`` on an eviction sweep, plus ``buffered``
+for the session's high-water mark.  Every call the session times is
+defined on the adapter's own class, so a tracer can wrap it there.
+The layers themselves never learn about the session, and the batch
 entry points (``TwoStageFilter.apply``, ``DpiEngine.analyze_records``,
 ``ComplianceChecker.check``) stay the single source of truth for what
 each transformation means: every adapter here drives the same
@@ -20,13 +23,12 @@ from repro.dpi.engine import DpiEngine, DpiStreamSession
 from repro.dpi.messages import DatagramAnalysis
 from repro.filtering.pipeline import FilterResult, TwoStageFilter
 from repro.packets.packet import PacketRecord
-from repro.pipeline.stage import Stage
 
 IndexedVerdict = Tuple[int, MessageVerdict]
 
 
-class FilterStage(Stage):
-    """Two-stage unrelated-traffic filtering as a pipeline stage.
+class FilterStage:
+    """Two-stage unrelated-traffic filtering (§3.2), the optional first stage.
 
     Keep/drop decisions are provisional until the capture ends (see
     :mod:`repro.filtering.online`), so this stage emits nothing from
@@ -56,18 +58,19 @@ class FilterStage(Stage):
 
         Keep/drop is provisional until the capture ends (a later record
         can revoke a keep), so the only thing the filter can finalize
-        early is certain removal.  Kept-looking streams keep buffering
-        until flush.
+        early is certain removal, and that depends on the call window,
+        not on *watermark*.  Kept-looking streams keep buffering until
+        flush.
         """
-        self._online.evict(watermark)
+        self._online.evict()
         return ()
 
     def buffered(self) -> int:
         return self._online.buffered_packets
 
 
-class DpiStage(Stage):
-    """Per-datagram DPI as a pipeline stage.
+class DpiStage:
+    """Per-datagram two-stage DPI (§4.1).
 
     Buffers records per stream (validation context is stream-scoped) and
     emits every :class:`DatagramAnalysis` at flush, in timestamp order.
@@ -130,8 +133,8 @@ class DpiStage(Stage):
         return self._session.stats()
 
 
-class CheckStage(Stage):
-    """Compliance checking as a pipeline stage.
+class CheckStage:
+    """Five-criterion compliance checking (§4.2), the last stage.
 
     Emits ``(global_message_index, verdict)`` pairs — everything except
     STUN/TURN immediately, the deferred STUN verdicts at flush.  Sorting
@@ -143,9 +146,6 @@ class CheckStage(Stage):
 
     def __init__(self, checker: ComplianceChecker):
         self._stream: CheckerStream = checker.stream()
-
-    def process(self, item: DatagramAnalysis) -> Iterable[IndexedVerdict]:
-        return self._stream.feed(item.messages)
 
     def process_chunk(self, items: Sequence[DatagramAnalysis]) -> List[IndexedVerdict]:
         out: List[IndexedVerdict] = []
@@ -159,8 +159,3 @@ class CheckStage(Stage):
 
     def buffered(self) -> int:
         return self._stream.deferred
-
-
-def ordered_verdicts(indexed: Iterable[IndexedVerdict]) -> List[MessageVerdict]:
-    """Restore batch verdict order from a pipeline's indexed emissions."""
-    return [verdict for _, verdict in sorted(indexed, key=lambda pair: pair[0])]

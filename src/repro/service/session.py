@@ -8,25 +8,25 @@ as they arrive, ``snapshot`` the live instrumentation at any point, and
 Batch execution *is* a session now (``run_cell_pipeline`` feeds one and
 closes it), so there is a single code path to keep bit-identical.
 
-The hard part of living past the end of a capture is that two of the
-layers are deliberately lazy: keep/drop decisions are provisional until
-the capture ends (:mod:`repro.filtering.online`), and verdict order plus
-the deferred STUN context are only settled once every analysis exists.
-The session therefore splits the pipeline in two:
+The session drives the paper's fixed chain itself: the optional
+:class:`~repro.pipeline.stages.FilterStage` (§3.2), then
+:class:`~repro.pipeline.stages.DpiStage` (§4.1), then
+:class:`~repro.pipeline.stages.CheckStage` (§4.2), with one
+:class:`~repro.pipeline.stage.StageStats` per stage.  Two of the layers
+are deliberately lazy: keep/drop decisions are provisional until the
+capture ends (:mod:`repro.filtering.online`), and verdict order plus the
+deferred STUN context are only settled once every analysis exists.  So:
 
-* a **front** pipeline holding the filter, fed live; the only thing it
-  can finalize early is certain removal, so eviction sweeps drain doomed
-  streams' payloads without touching any provisional decision;
-* a **back** pipeline (DPI → checker), fed at ``close`` in the filtered
-  configuration or live when no window/filter is configured.
+* with a filter, ``feed`` goes to the filter alone; an eviction sweep
+  can only drain doomed streams' payloads without touching any
+  provisional decision, and ``close`` hands the kept records to DPI and
+  the analyses to the checker in one pass;
+* without one, ``feed`` goes to DPI, and with idle eviction a sweep
+  finalizes idle DPI flows and checks their analyses mid-feed.
 
-A filtered session holds every kept record until ``close`` whatever the
-policy, because a later record can still revoke a keep; its close drain
-feeds them through the back pipeline in one pass.  A filterless session
-with idle eviction finalizes DPI flows mid-feed, so analyses leave the
-DPI stage out of batch order, and the stage's emission log
-(``(timestamp, serial, position)`` per analysis — see
-:class:`repro.pipeline.stages.DpiStage`) is the total order that
+Analyses finalized by a sweep leave DPI out of batch order, and the
+stage's emission log (``(timestamp, serial, position)`` per analysis —
+see :class:`repro.pipeline.stages.DpiStage`) is the total order that
 restores the batch sequence with one sort; verdicts follow their
 analyses by slicing the checker's index-ordered output per analysis.
 This is what makes every session bit-identical to the batch run (for
@@ -42,9 +42,10 @@ every run.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.checker import ComplianceChecker
 from repro.core.metrics import ComplianceSummary
@@ -53,7 +54,7 @@ from repro.dpi.engine import DpiEngine, DpiResult
 from repro.dpi.messages import DatagramAnalysis
 from repro.filtering.pipeline import FilterResult, TwoStageFilter
 from repro.packets.packet import PacketRecord
-from repro.pipeline.stage import DEFAULT_CHUNK_SIZE, Pipeline, StageStats
+from repro.pipeline.stage import DEFAULT_CHUNK_SIZE, StageStats
 from repro.pipeline.stages import CheckStage, DpiStage, FilterStage
 from repro.streams.timeline import CallWindow
 
@@ -161,23 +162,27 @@ class AnalysisSession:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         eviction: EvictionPolicy = EvictionPolicy(),
     ):
+        if chunk_size < 1:
+            raise ValueError("chunk_size must be a positive integer")
         if engine is None:
             engine = DpiEngine(backend="columnar")
         if checker is None:
             checker = ComplianceChecker()
         self._eviction = eviction
         self._chunk_size = chunk_size
-        self._dpi_stage = DpiStage(
+        self._filter: Optional[FilterStage] = None
+        if window is not None:
+            self._filter = FilterStage(TwoStageFilter(window))
+        self._dpi = DpiStage(
             engine, idle_gap=eviction.idle_gap if eviction.mode == "idle" else None
         )
-        self._back = Pipeline(
-            [self._dpi_stage, CheckStage(checker)], chunk_size=chunk_size
-        )
-        self._filter_stage: Optional[FilterStage] = None
-        self._front: Optional[Pipeline] = None
-        if window is not None:
-            self._filter_stage = FilterStage(TwoStageFilter(window))
-            self._front = Pipeline([self._filter_stage], chunk_size=chunk_size)
+        self._check = CheckStage(checker)
+        #: One counter record per stage, in chain order.
+        self._stats: Dict[str, StageStats] = {
+            stage.name: StageStats(name=stage.name)
+            for stage in (self._filter, self._dpi, self._check)
+            if stage is not None
+        }
         #: ``(global_message_index, verdict)`` pairs in emission order.
         self._indexed: List[Tuple[int, MessageVerdict]] = []
         self._records_fed = 0
@@ -200,18 +205,15 @@ class AnalysisSession:
         return self._watermark
 
     def feed(self, records: Iterable[PacketRecord]) -> None:
-        """Push records through the live half of the pipeline.
+        """Push records into the first stage.
 
         Accepts any iterable and consumes it incrementally in
-        ``chunk_size`` batches — feeding one fully materialized capture
-        dispatches exactly like ``Pipeline.run`` over the same source,
-        which is what keeps the batch adapter's instrumentation
-        identical to the historical single-pipeline run.  Eviction
-        sweeps (per :class:`EvictionPolicy`) run between batches.
+        ``chunk_size`` batches, so a generator source is never
+        materialized in full.  Eviction sweeps (per
+        :class:`EvictionPolicy`) run between batches.
         """
         if self._closed:
             raise RuntimeError("feed() after close()")
-        live = self._front if self._front is not None else self._back
         iterator = iter(records)
         while True:
             chunk = list(islice(iterator, self._chunk_size))
@@ -221,9 +223,11 @@ class AnalysisSession:
             high = max(record.timestamp for record in chunk)
             if self._watermark is None or high > self._watermark:
                 self._watermark = high
-            emitted = live.feed_chunk(chunk)
-            if live is self._back:
-                self._indexed.extend(emitted)
+            if self._filter is not None:
+                # Keep/drop is provisional until close: nothing passes on.
+                self._process(self._filter, chunk)
+            else:
+                self._check_all(self._process(self._dpi, chunk))
             self._maybe_sweep()
 
     def _maybe_sweep(self) -> None:
@@ -235,26 +239,62 @@ class AnalysisSession:
         ):
             return
         self._last_sweep = self._watermark
-        if self._front is not None:
+        if self._filter is not None:
             # Doom-drain only: keep decisions stay provisional, so the
             # sweep releases payloads of certainly-removed streams and
             # emits nothing downstream.
-            self._front.evict(self._watermark)
+            self._evict(self._filter, self._watermark)
         else:
-            self._indexed.extend(self._back.evict(self._watermark))
+            self._check_all(self._evict(self._dpi, self._watermark))
+
+    # The three calls below time one stage call each into that stage's
+    # StageStats.  They look the method up on the stage at call time, so
+    # a wrapper installed on the adapter class is timed with it.
+
+    def _process(self, stage, items: Sequence) -> list:
+        stats = self._stats[stage.name]
+        start = time.perf_counter()
+        out = stage.process_chunk(items)
+        stats.wall_seconds += time.perf_counter() - start
+        stats.chunks += 1
+        stats.records_in += len(items)
+        stats.records_out += len(out)
+        stats.peak_buffered = max(stats.peak_buffered, stage.buffered())
+        return out
+
+    def _evict(self, stage, watermark: float) -> list:
+        stats = self._stats[stage.name]
+        start = time.perf_counter()
+        out = list(stage.evict(watermark))
+        stats.wall_seconds += time.perf_counter() - start
+        stats.records_out += len(out)
+        return out
+
+    def _flush(self, stage) -> list:
+        stats = self._stats[stage.name]
+        start = time.perf_counter()
+        out = list(stage.flush())
+        stats.wall_seconds += time.perf_counter() - start
+        stats.records_out += len(out)
+        stats.peak_buffered = max(stats.peak_buffered, stage.buffered())
+        return out
+
+    def _check_all(self, analyses: List[DatagramAnalysis]) -> None:
+        """Check *analyses* in ``chunk_size`` slices."""
+        size = self._chunk_size
+        for start in range(0, len(analyses), size):
+            self._indexed.extend(
+                self._process(self._check, analyses[start:start + size])
+            )
 
     def snapshot(self) -> SessionSnapshot:
-        """Detached copies of every stage's counters, front-to-back."""
-        stages: List[StageStats] = []
-        if self._front is not None:
-            stages.extend(self._front.snapshot())
-        stages.extend(self._back.snapshot())
+        """Detached copies of every stage's counters, in chain order."""
         return SessionSnapshot(
             records_fed=self._records_fed,
             watermark=self._watermark,
             closed=self._closed,
             verdicts_ready=len(self._indexed),
-            stages=stages,
+            stages=[stat.snapshot() for stat in self._stats.values()],
         )
 
     def close(self) -> SessionResult:
@@ -269,31 +309,21 @@ class AnalysisSession:
         self._closed = True
 
         filter_result: Optional[FilterResult] = None
-        if self._front is not None:
-            kept = self._front.flush()
-            assert self._filter_stage is not None
-            filter_result = self._filter_stage.result
-            for start in range(0, len(kept), self._chunk_size):
-                self._indexed.extend(
-                    self._back.feed_chunk(kept[start:start + self._chunk_size])
-                )
-        self._indexed.extend(self._back.flush())
+        if self._filter is not None:
+            kept = self._flush(self._filter)
+            filter_result = self._filter.result
+            size = self._chunk_size
+            for start in range(0, len(kept), size):
+                self._check_all(self._process(self._dpi, kept[start:start + size]))
+        self._check_all(self._flush(self._dpi))
+        self._indexed.extend(self._flush(self._check))
 
         verdicts, analyses = self._restore_batch_order()
-        dpi = DpiResult(analyses=analyses, stats=self._dpi_stage.stats())
-
-        stage_stats: Dict[str, StageStats] = {}
-        if self._front is not None:
-            for stat in self._front.stats():
-                stage_stats[stat.name] = stat
-        for stat in self._back.stats():
-            stage_stats[stat.name] = stat
-
         self._result = SessionResult(
             filter_result=filter_result,
-            dpi=dpi,
+            dpi=DpiResult(analyses=analyses, stats=self._dpi.stats()),
             verdicts=verdicts,
-            stage_stats=stage_stats,
+            stage_stats=dict(self._stats),
         )
         return self._result
 
@@ -302,16 +332,17 @@ class AnalysisSession:
     ) -> Tuple[List[MessageVerdict], List[DatagramAnalysis]]:
         """Reorder emissions into the exact batch sequence.
 
-        The DPI stage's emission log parallels its analyses 1:1, and ``(timestamp, serial, position)`` is precisely the key
-        the batch flush sorts by (streams concatenated in first-seen
+        The DPI stage's emission log parallels its analyses 1:1, and
+        ``(timestamp, serial, position)`` is precisely the key the batch
+        flush sorts by (streams concatenated in first-seen
         order, then a stable timestamp sort).  The checker's global
         indices number messages in emission order and each analysis's
         messages are consecutive, so index-sorting the verdicts and
         slicing per analysis pairs every verdict with its analysis; the
         slices then follow their analyses into batch order.
         """
-        log = self._dpi_stage.emission_log
-        collected = self._dpi_stage.analyses
+        log = self._dpi.emission_log
+        collected = self._dpi.analyses
         assert len(collected) == len(log)
         flat = [
             verdict

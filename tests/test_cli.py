@@ -35,6 +35,29 @@ class TestParser:
         assert args.impairment == "lossy"
         assert args.network is None
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--duration", "--scale"])
+    def test_non_positive_or_non_finite_call_size_is_a_usage_error(
+        self, flag, value, capsys
+    ):
+        commands = [
+            ["run", "--app", "zoom", "--network", "wifi_relay"],
+            ["matrix"],
+            ["synthesize", "--app", "zoom", "--out", "x.pcap"],
+            ["report"],
+            ["dataset", "--root", "x"],
+            ["interop"],
+            ["dpi-stats"],
+            ["pipeline-stats"],
+            ["conformance", "record"],
+        ]
+        for command in commands:
+            with pytest.raises(SystemExit) as exit_info:
+                main(command + [flag, value])
+            assert exit_info.value.code == 2, command
+            err = capsys.readouterr().err
+            assert f"argument {flag}: expected a positive, finite" in err
+
     @pytest.mark.parametrize("argv", [
         ["serve", "--workers", "2"],
     ])

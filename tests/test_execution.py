@@ -1,9 +1,8 @@
-"""Cell execution: chunked stages, the shared pool, and cell scheduling.
+"""Cell execution: chunked stages and the shared pool.
 
 Every cell runs in one :class:`repro.service.AnalysisSession`; these
 tests pin the pieces around it — chunk-size invariance of the streaming
-pipeline, the shared process pool's scheduling helpers and
-finalization, the static cell-cost estimate, and that a run writes
+pipeline, the shared process pool's finalization, and that a run writes
 nothing outside its own output.
 """
 
@@ -15,13 +14,11 @@ from repro.dpi import DpiEngine
 from repro.experiments import (
     ExperimentConfig,
     PoolClosedError,
-    expected_cell_cost,
     reopen_shared_pool,
     run_experiment,
     run_matrix,
     shared_pool,
     shutdown_shared_pool,
-    submission_order,
 )
 from repro.experiments.scheduler import POOL_FALLBACK_ERRORS
 from repro.filtering import TwoStageFilter
@@ -62,13 +59,13 @@ class TestChunkedExecution:
         chunked_chunks = sum(stat.chunks for stat in chunked[2])
         assert chunked_chunks > 0
         assert chunked_chunks < per_record_chunks
-        assert all("chunks" in stat.as_dict() for stat in chunked[2])
+        assert all("chunks" in stat.to_json() for stat in chunked[2])
 
     def test_pipeline_rejects_bad_chunk_size(self):
-        from repro.pipeline import Pipeline
+        from repro.service import AnalysisSession
 
         with pytest.raises(ValueError):
-            Pipeline([], chunk_size=0)
+            AnalysisSession(chunk_size=0)
 
     def test_chunk_size_flag(self):
         from repro.cli import build_parser
@@ -82,46 +79,9 @@ class TestChunkedExecution:
 
 
 class TestScheduler:
-    def test_submission_order_largest_first_stable(self):
-        items = ["b", "a", "c", "a"]
-        order = submission_order(items, lambda item: {"a": 2, "b": 1, "c": 3}[item])
-        assert order == [2, 1, 3, 0]
-
-    def test_expected_cell_cost_scales_with_config(self):
-        small = ExperimentConfig(call_duration=5.0, media_scale=0.2)
-        large = ExperimentConfig(call_duration=20.0, media_scale=0.5)
-        cell = ("zoom", NetworkCondition.WIFI_RELAY, 0)
-        assert expected_cell_cost(cell, large) > expected_cell_cost(cell, small)
-
     def test_shared_pool_rejects_bad_workers(self):
         with pytest.raises(ValueError):
             shared_pool(0)
-
-
-class TestCellCost:
-    def test_static_cost(self):
-        config = ExperimentConfig(call_duration=10.0, media_scale=0.5)
-        cell = ("zoom", NetworkCondition.WIFI_RELAY, 0)
-        assert expected_cell_cost(cell, config) == pytest.approx(5.0)
-
-    def test_static_cost_scales_with_volume_factor(self):
-        from repro.netem import PROFILES
-
-        cell = ("zoom", NetworkCondition.WIFI_RELAY, 0)
-
-        def cost(impairment):
-            config = ExperimentConfig(
-                call_duration=10.0, media_scale=0.5, impairment=impairment,
-            )
-            return expected_cell_cost(cell, config)
-
-        assert cost("none") == pytest.approx(5.0)
-        for name in ("lossy", "burst", "rebind", "udp_blocked"):
-            assert cost(name) == pytest.approx(
-                5.0 * PROFILES[name].volume_factor()
-            )
-        # udp_blocked's explicit cost_scale halves the modeled work.
-        assert cost("udp_blocked") == pytest.approx(2.5)
 
 
 class TestHermeticRuns:
@@ -131,11 +91,8 @@ class TestHermeticRuns:
         monkeypatch.setenv("HOME", str(tmp_path))
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         config = ExperimentConfig(call_duration=2.0, media_scale=0.2, seed=1)
-        cell = ("zoom", NetworkCondition.WIFI_RELAY, 0)
         aggregate = run_experiment("zoom", NetworkCondition.WIFI_RELAY, config)
         assert aggregate.summary is not None
-        units = config.call_duration * config.media_scale
-        assert expected_cell_cost(cell, config) == pytest.approx(units)
         assert list(tmp_path.iterdir()) == []
 
 

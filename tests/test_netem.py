@@ -32,7 +32,6 @@ from repro.netem import (
     PROFILES,
     get_profile,
 )
-from repro.netem.profiles import MIN_VOLUME_FACTOR, REBIND_COST_FACTOR
 from repro.netem.impair import (
     FALLBACK_PORT_BASE,
     REBIND_PORT_RANGE,
@@ -98,20 +97,6 @@ class TestProfiles:
         assert ImpairmentProfile().is_noop
         for name in ("lossy", "burst", "rebind", "udp_blocked"):
             assert not PROFILES[name].is_noop
-
-    def test_volume_factor_math(self):
-        profile = ImpairmentProfile(loss_rate=0.1, duplicate_rate=0.05)
-        assert profile.volume_factor() == pytest.approx(0.9 * 1.05)
-        rebinding = ImpairmentProfile(rebind=NatRebind())
-        assert rebinding.volume_factor() == pytest.approx(REBIND_COST_FACTOR)
-        # cost_scale overrides the derived factor outright.
-        assert PROFILES["udp_blocked"].volume_factor() == pytest.approx(0.5)
-        # A near-total blackout still pays the bookkeeping floor.
-        wipeout = ImpairmentProfile(loss_rate=1.0)
-        assert wipeout.volume_factor() == pytest.approx(MIN_VOLUME_FACTOR)
-
-    def test_clean_profile_volume_factor_is_one(self):
-        assert PROFILES["none"].volume_factor() == pytest.approx(1.0)
 
 
 class TestRebindRewrite:

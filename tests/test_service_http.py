@@ -56,8 +56,6 @@ def test_stage_stats_to_json_schema_is_stable():
         "name": "dpi", "records_in": 10, "records_out": 8,
         "wall_seconds": 0.5, "peak_buffered": 4, "chunks": 2,
     }
-    # Historical alias and the JSON path are literally the same method.
-    assert StageStats.as_dict is StageStats.to_json
     assert json.loads(json.dumps(payload)) == payload
 
 
@@ -392,10 +390,13 @@ def test_unusable_pcap_dir_timings_are_refused(
 @pytest.mark.parametrize("spec", [
     {"app": "zoom", "scale": 0},
     {"app": "zoom", "eviction": "deadline"},
-], ids=["zero-scale", "deadline-eviction"])
+    {"app": "zoom", "chunk_size": 0},
+    {"app": "zoom", "chunk_size": -1},
+], ids=["zero-scale", "deadline-eviction", "zero-chunk", "negative-chunk"])
 def test_unusable_replay_spec_is_refused(daemon, spec):
-    """A zero media scale (which synthesis would divide by) and an
-    unknown eviction mode get 400, not a dropped connection."""
+    """A zero media scale (which synthesis would divide by), an unknown
+    eviction mode and a chunk size below one (which would feed nothing)
+    get 400, not a dropped connection or a session that never ends."""
     try:
         _status, payload = _post(daemon, "/sessions", spec)
     except urllib.error.HTTPError as exc:

@@ -17,7 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps import CallConfig, NetworkCondition, get_simulator
 from repro.conformance.differ import EngineSpec, check_corpus
-from repro.conformance.golden import default_corpus_dir
+from repro.conformance.golden import (
+    CorpusConfig,
+    cell_records,
+    default_corpus_dir,
+    experiment_config,
+)
 from repro.core import ComplianceChecker, ComplianceSummary, StreamingSummary
 from repro.dpi import DpiEngine
 from repro.experiments.runner import ExperimentConfig, run_cell_pipeline
@@ -25,17 +30,11 @@ from repro.filtering import TwoStageFilter
 from repro.filtering.online import OnlineTwoStageFilter
 from repro.packets.packet import PacketRecord
 from repro.pipeline import (
-    CheckStage,
-    DpiStage,
-    FilterStage,
-    Pipeline,
-    Stage,
     StageStats,
     merge_stage_stats,
-    ordered_verdicts,
     run_streaming,
 )
-from repro.service import AnalysisSession
+from repro.service import AnalysisSession, EvictionPolicy
 from repro.streams.timeline import CallWindow
 
 WINDOW = CallWindow(capture_start=0, call_start=60, call_end=360, capture_end=420)
@@ -152,63 +151,82 @@ class TestOnlineFilterParity:
         assert first == sorted(first, key=lambda r: r.timestamp)
 
 
-class _Doubler(Stage):
-    name = "double"
-
-    def process(self, item):
-        return (item, item)
-
-
-class _HoldAll(Stage):
-    name = "hold"
-
-    def __init__(self):
-        self._held = []
-
-    def process(self, item):
-        self._held.append(item)
-        return ()
-
-    def flush(self):
-        held, self._held = self._held, []
-        return held
-
-    def buffered(self):
-        return len(self._held)
-
-
 class TestPipelineInstrumentation:
+    """Exact per-stage counters of the session's filter → DPI → check loop.
+
+    Any change to how records, chunks or buffer peaks are counted, or to
+    what one stage hands the next, shows up here.  Counters are
+    ``(records_in, records_out, chunks, peak_buffered)`` per stage.
+    """
+
+    @staticmethod
+    def _counters(stats):
+        return {
+            stat.name: (
+                stat.records_in, stat.records_out, stat.chunks,
+                stat.peak_buffered,
+            )
+            for stat in stats
+        }
+
+    @staticmethod
+    def _assert_hand_offs(stats):
+        if "filter" in stats:
+            assert stats["filter"].records_out == stats["dpi"].records_in
+        assert stats["dpi"].records_out == stats["check"].records_in
+
     def test_counts_and_peak_buffered(self):
-        hold = _HoldAll()
-        pipeline = Pipeline([_Doubler(), hold])
-        out = pipeline.run([1, 2, 3])
-        assert out == [1, 1, 2, 2, 3, 3]
-        double_stats, hold_stats = pipeline.stats()
-        assert (double_stats.records_in, double_stats.records_out) == (3, 6)
-        assert (hold_stats.records_in, hold_stats.records_out) == (6, 6)
-        assert hold_stats.peak_buffered == 6
-        assert double_stats.wall_seconds >= 0.0
+        """A filtered golden cell, fed by the batch adapter."""
+        corpus = CorpusConfig()
+        run = run_cell_pipeline(
+            "meet", NetworkCondition.WIFI_RELAY, experiment_config(corpus)
+        )
+        assert list(run.stage_stats) == ["filter", "dpi", "check"]
+        assert self._counters(run.stage_stats.values()) == {
+            "filter": (998, 821, 4, 998),
+            "dpi": (821, 795, 4, 795),
+            "check": (795, 795, 4, 344),
+        }
+        self._assert_hand_offs(run.stage_stats)
+        assert all(stat.wall_seconds > 0 for stat in run.stage_stats.values())
 
-    def test_flush_cascades_downstream(self):
-        # Items released by an upstream flush must still pass through the
-        # stages after it.
-        pipeline = Pipeline([_HoldAll(), _Doubler()])
-        assert pipeline.feed("a") == []
-        assert pipeline.flush() == ["a", "a"]
-        assert pipeline.flush() == []  # idempotent
-
-    def test_empty_pipeline_rejected(self):
-        with pytest.raises(ValueError):
-            Pipeline([])
+    def test_filterless_idle_eviction_cascades(self):
+        """A filterless idle-evicting session over an impaired cell."""
+        corpus = CorpusConfig(impairment="rebind")
+        records = cell_records("zoom", NetworkCondition.WIFI_P2P, corpus)
+        session = AnalysisSession(
+            engine=DpiEngine(max_offset=corpus.max_offset),
+            chunk_size=64,
+            eviction=EvictionPolicy("idle", idle_gap=1.0, sweep_interval=0.5),
+        )
+        for start in range(0, len(records), 100):
+            session.feed(records[start:start + 100])
+        # Mid-stream, evicted flows have already reached the checker.
+        before_close = session.snapshot()
+        assert before_close.verdicts_ready == 347
+        assert self._counters(before_close.stages) == {
+            "dpi": (838, 404, 17, 530),
+            "check": (404, 347, 7, 2),
+        }
+        result = session.close()
+        assert list(result.stage_stats) == ["dpi", "check"]
+        assert self._counters(result.stage_stats.values()) == {
+            "dpi": (838, 797, 17, 530),
+            "check": (797, 713, 14, 4),
+        }
+        assert len(result.verdicts) == 713
+        self._assert_hand_offs(result.stage_stats)
 
     def test_merge_stage_stats(self):
         into = {}
-        merge_stage_stats(into, [StageStats("dpi", 10, 8, 0.5, 100)])
+        first = StageStats("dpi", 10, 8, 0.5, 100)
+        merge_stage_stats(into, [first])
         merge_stage_stats(into, [StageStats("dpi", 5, 4, 0.25, 40)])
         merged = into["dpi"]
         assert (merged.records_in, merged.records_out) == (15, 12)
         assert merged.wall_seconds == pytest.approx(0.75)
         assert merged.peak_buffered == 100  # max, not sum
+        assert first.records_in == 10  # the first record was copied
 
 
 class TestDpiStreamSession:
@@ -382,7 +400,7 @@ class TestCheckerStreamParity:
             indexed.extend(stream.feed(analysis.messages))
         assert stream.deferred > 0  # meet traces carry STUN traffic
         indexed.extend(stream.flush())
-        streamed = ordered_verdicts(indexed)
+        streamed = [verdict for _, verdict in sorted(indexed, key=lambda p: p[0])]
 
         assert len(streamed) == len(batch)
         for got, want in zip(streamed, batch):
