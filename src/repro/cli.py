@@ -37,7 +37,18 @@ from repro.experiments.tables import (
     table5,
     table6,
 )
-from repro.packets.pcap import read_pcap, write_pcap
+from repro.packets.batch import IngestStats, iter_capture_chunks
+from repro.packets.packet import PacketRecord
+from repro.packets.pcap import PcapFormatError, write_pcap
+from repro.utils.bytesview import TruncatedError
+
+#: What opening or decoding a missing, damaged or non-capture file raises.
+_UNREADABLE = (OSError, PcapFormatError, TruncatedError)
+
+
+def _unreadable_capture(path: str, exc: Exception) -> int:
+    print(f"rtc-compliance: cannot read capture {path}: {exc}", file=sys.stderr)
+    return 1
 
 
 def _workers(value: str) -> int:
@@ -55,34 +66,22 @@ def _positive_float(value: str) -> float:
     return number
 
 
-def _chunk_size(value: str) -> int:
-    chunk = int(value)
-    if chunk < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer")
-    return chunk
-
-
 def add_execution_flags(
     parser: argparse.ArgumentParser,
     workers: bool = False,
-    chunking: bool = False,
     impairment: bool = False,
 ) -> None:
     """Attach the shared execution-matrix flags to *parser*.
 
-    One definition per flag — ``--workers``, ``--chunk-size``,
-    ``--impairment`` — so every subcommand wires the same names, types,
-    defaults, and help text, and :func:`config_from_args` can rebuild an
-    :class:`ExperimentConfig` from any of them.
+    One definition per flag — ``--workers``, ``--impairment`` — so every
+    subcommand wires the same names, types, defaults, and help text, and
+    :func:`config_from_args` can rebuild an :class:`ExperimentConfig`
+    from any of them.
     """
     if workers:
         parser.add_argument("--workers", type=_workers, default=None,
                             help="worker processes for matrix cells "
                                  "(default: one per CPU core; 1 = serial)")
-    if chunking:
-        parser.add_argument("--chunk-size", type=_chunk_size, default=None,
-                            help="records per pipeline stage dispatch "
-                                 "(default: 256; 1 = per-record feeding)")
     if impairment:
         from repro.netem import PROFILE_NAMES
 
@@ -109,9 +108,6 @@ def config_from_args(args: argparse.Namespace, **overrides) -> ExperimentConfig:
         "repeats": getattr(args, "repeats", 1),
         "impairment": getattr(args, "impairment", "none"),
     }
-    chunk_size = getattr(args, "chunk_size", None)
-    if chunk_size is not None:
-        kwargs["chunk_size"] = chunk_size
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
 
@@ -144,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_p.add_argument("--scale", type=_positive_float, default=0.5)
     matrix_p.add_argument("--repeats", type=int, default=1)
     matrix_p.add_argument("--seed", type=int, default=0)
-    add_execution_flags(matrix_p, workers=True, chunking=True, impairment=True)
+    add_execution_flags(matrix_p, workers=True, impairment=True)
 
     synth_p = sub.add_parser("synthesize", help="write a synthetic call trace to pcap")
     synth_p.add_argument("--app", choices=APP_NAMES, required=True)
@@ -166,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--scale", type=_positive_float, default=0.5)
     report_p.add_argument("--seed", type=int, default=0)
     report_p.add_argument("--out", help="output file (default: stdout)")
-    add_execution_flags(report_p, workers=True, chunking=True, impairment=True)
+    add_execution_flags(report_p, workers=True, impairment=True)
 
     dataset_p = sub.add_parser(
         "dataset", help="synthesize a pcap dataset with ground-truth manifest"
@@ -224,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     pstats_p.add_argument("--seed", type=int, default=0)
     pstats_p.add_argument("--json", action="store_true",
                           help="emit machine-readable JSON instead of a table")
-    add_execution_flags(pstats_p, chunking=True, impairment=True)
+    add_execution_flags(pstats_p, impairment=True)
 
     serve_p = sub.add_parser(
         "serve", help="run the always-on compliance service (HTTP + SSE)"
@@ -232,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=8787,
                          help="listen port (0 = pick a free port)")
-    add_execution_flags(serve_p, chunking=True, impairment=True)
+    add_execution_flags(serve_p, impairment=True)
 
     conf_p = sub.add_parser(
         "conformance",
@@ -367,37 +363,39 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 def cmd_pcap(args: argparse.Namespace) -> int:
     """Analyze a capture by streaming it off disk chunk by chunk.
 
-    The mmap batch decoder indexes the file up front, then records
-    flow straight into the streaming pipeline — peak memory is one chunk,
-    not the capture.  Output is bit-identical to the historical
-    read-everything-then-analyze path.
+    Records of a ``.pcap`` (mmap batch decoder) or ``.pcapng`` (block
+    reader) file flow straight into the streaming pipeline — peak memory
+    is one chunk, not the capture.  Output is bit-identical to the
+    historical read-everything-then-analyze path.
     """
     import time as _time
 
-    from repro.packets.batch import BatchPcapReader
-    from repro.pipeline import DEFAULT_CHUNK_SIZE, run_streaming
+    from repro.pipeline import run_streaming
 
+    ingest = IngestStats()
+    records = 0
     decode_seconds = 0.0
-    with BatchPcapReader(args.path) as reader:
 
-        def timed_records():
-            nonlocal decode_seconds
-            chunk_iter = reader.chunks(DEFAULT_CHUNK_SIZE)
-            while True:
-                start = _time.perf_counter()
-                batch = next(chunk_iter, None)
-                decode_seconds += _time.perf_counter() - start
-                if batch is None:
-                    return
-                yield from batch
+    def timed_records():
+        nonlocal records, decode_seconds
+        chunk_iter = iter_capture_chunks(args.path, stats=ingest)
+        while True:
+            start = _time.perf_counter()
+            batch = next(chunk_iter, None)
+            decode_seconds += _time.perf_counter() - start
+            if batch is None:
+                return
+            records += len(batch)
+            yield from batch
 
-        engine = DpiEngine(max_offset=args.max_offset, backend="columnar")
-        checker = ComplianceChecker()
+    engine = DpiEngine(max_offset=args.max_offset, backend="columnar")
+    try:
         result, verdicts, _ = run_streaming(
-            timed_records(), engine, checker, chunk_size=DEFAULT_CHUNK_SIZE
+            timed_records(), engine, ComplianceChecker()
         )
-        ingest = reader.stats
-    if ingest.records == 0:
+    except _UNREADABLE as exc:
+        return _unreadable_capture(args.path, exc)
+    if records == 0:
         print("no decodable packets found", file=sys.stderr)
         return 1
     summary = ComplianceSummary.from_verdicts(args.path, verdicts)
@@ -408,11 +406,10 @@ def cmd_pcap(args: argparse.Namespace) -> int:
         print("Datagram classes:")
         for cls, count in by_class.items():
             print(f"  {cls.value:<20} {count} ({count / total * 100:.1f}%)")
-    if decode_seconds > 0:
+    # Only the batch decoder (``.pcap``) counts frames and its fast path.
+    if ingest.frames and decode_seconds > 0:
         rate = ingest.records / decode_seconds
-        fast_pct = (
-            ingest.fast_path / ingest.frames * 100 if ingest.frames else 0.0
-        )
+        fast_pct = ingest.fast_path / ingest.frames * 100
         print(
             f"Ingest: {ingest.frames} frames -> {ingest.records} records "
             f"in {decode_seconds:.3f}s ({rate:.0f} rec/s, "
@@ -481,12 +478,24 @@ def cmd_interop(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_capture(path: str) -> Optional[List[PacketRecord]]:
+    """Every decodable record of a capture; ``None`` (after printing why)
+    when the file cannot be read, ``[]`` when nothing in it decodes."""
+    try:
+        records = [r for chunk in iter_capture_chunks(path) for r in chunk]
+    except _UNREADABLE as exc:
+        _unreadable_capture(path, exc)
+        return None
+    if not records:
+        print("no decodable packets found", file=sys.stderr)
+    return records
+
+
 def cmd_fingerprint(args: argparse.Namespace) -> int:
     from repro.analysis.classifier import classify_application
 
-    records = read_pcap(args.path)
+    records = _read_capture(args.path)
     if not records:
-        print("no decodable packets found", file=sys.stderr)
         return 1
     result = DpiEngine(max_offset=args.max_offset).analyze_records(records)
     scores = classify_application(result.analyses)
@@ -505,9 +514,8 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
 def cmd_dissect(args: argparse.Namespace) -> int:
     from repro.analysis.dissect import dissect_records
 
-    records = read_pcap(args.path)
+    records = _read_capture(args.path)
     if not records:
-        print("no decodable packets found", file=sys.stderr)
         return 1
     print(dissect_records(records, max_offset=args.max_offset,
                           limit=args.limit))
@@ -565,7 +573,6 @@ def cmd_pipeline_stats(args: argparse.Namespace) -> int:
                 "call_duration": config.call_duration,
                 "media_scale": config.media_scale,
                 "seed": config.seed,
-                "chunk_size": config.chunk_size,
                 "impairment": config.impairment,
                 "apps": apps,
                 "networks": [n.value for n in networks],
@@ -588,7 +595,6 @@ def cmd_pipeline_stats(args: argparse.Namespace) -> int:
                   f"{stat.records_out:>12} {stat.wall_seconds:>10.4f} "
                   f"{stat.peak_buffered:>14} {stat.chunks:>8}")
 
-    print(f"chunk size: {config.chunk_size}")
     for app, stats in per_app.items():
         print(f"{app}:")
         print_rows(stats)
@@ -601,24 +607,18 @@ def cmd_pipeline_stats(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the HTTP/SSE daemon until SIGTERM/SIGINT, then drain and exit.
 
-    The shared execution flags become the daemon's per-session defaults:
-    a ``POST /sessions`` body only overrides what it names.  Shutdown is
+    ``--impairment`` becomes the daemon's per-session default: a ``POST
+    /sessions`` body only overrides what it names.  Shutdown is
     graceful — sessions are drained (ingest stopped, results finalized)
     while ``/healthz`` keeps answering, then the listener stops.  The
-    daemon never runs a matrix, so it never creates the shared worker
-    pool and has none to tear down.
+    daemon never runs a matrix, so it has no worker pool to tear down.
     """
     import signal
     import threading
 
     from repro.service.http import ComplianceService, make_server
 
-    config = config_from_args(args)
-    defaults = {
-        "impairment": config.impairment,
-        "chunk_size": config.chunk_size,
-    }
-    service = ComplianceService(defaults=defaults)
+    service = ComplianceService(defaults={"impairment": args.impairment})
     server = make_server(args.host, args.port, service)
     host, port = server.server_address[:2]
 
@@ -751,22 +751,22 @@ def cmd_conformance(args: argparse.Namespace) -> int:
 
 
 def _install_signal_handlers() -> None:
-    """Terminate shared-pool workers on SIGTERM/SIGINT, then die normally.
+    """Terminate matrix pool workers on SIGTERM/SIGINT, then die normally.
 
-    ``atexit`` alone does not run when a signal kills the process, so a
+    A signal that kills the process skips the pool's shutdown, so a
     ``kill`` against a matrix run could orphan pool workers mid-task.
     The handler signals the workers directly (:func:`kill_pool_workers`
-    — deliberately *not* ``shutdown_shared_pool``, whose executor
-    shutdown acquires locks the interrupted main thread may hold),
-    restores the default disposition, and re-raises the signal so the
-    exit status still reflects the signal death.  ``serve`` replaces
-    these with its own graceful-drain handlers.
+    — deliberately *not* ``ProcessPoolExecutor.shutdown``, which
+    acquires locks the interrupted main thread may hold), restores the
+    default disposition, and re-raises the signal so the exit status
+    still reflects the signal death.  ``serve`` replaces these with its
+    own graceful-drain handlers.
     """
     import os
     import signal
     import threading
 
-    from repro.experiments.scheduler import kill_pool_workers
+    from repro.experiments.parallel import kill_pool_workers
 
     if threading.current_thread() is not threading.main_thread():
         return
@@ -775,9 +775,8 @@ def _install_signal_handlers() -> None:
 
     def _handler(signum, frame) -> None:
         signal.signal(signum, signal.SIG_DFL)
-        # A forked child that inherited this handler (a pool worker
-        # signalled before its initializer ran) must just die — only the
-        # installing process owns the shared pool.
+        # A forked child that inherited this handler (a pool worker)
+        # must just die — only the installing process owns the pool.
         if os.getpid() == owner_pid:
             kill_pool_workers()
         os.kill(os.getpid(), signum)

@@ -48,7 +48,7 @@ class EngineSpec:
     """One engine configuration the differ exercises.
 
     ``streaming=True`` drives the engine through the streaming pipeline
-    core (``repro.pipeline.run_streaming``: per-record DPI session feed,
+    core (``repro.pipeline.run_streaming``: chunked DPI session feed,
     incremental checker) instead of the batch
     ``analyze_records``/``check`` calls — the execution shape most likely
     to reorder or drop context.

@@ -84,9 +84,6 @@ from repro.protocols.quic.header import QUIC_V1, QUIC_V2
 
 _log = logging.getLogger("repro.dpi")
 
-#: Payloads scanned per columnar pass; matches the pipeline chunk unit.
-DEFAULT_BATCH_SIZE = 256
-
 #: The three version strings a QUIC long-header anchor can carry at bytes
 #: ``o+1..o+5`` (see ``candidates._QUIC_ANCHOR``): v1, v2, version
 #: negotiation.
@@ -306,15 +303,11 @@ class ColumnarScanner:
         self,
         max_offset: int,
         protocols: Sequence[Protocol] = tuple(Protocol),
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ):
         if max_offset < 0:
             raise ValueError("max_offset must be non-negative")
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
         self._max_offset = max_offset
         self._protocols = tuple(protocols)
-        self.batch_size = batch_size
         self.stats = ColumnarStats()
         present = set(self._protocols)
         self._stun_on = Protocol.STUN_TURN in present

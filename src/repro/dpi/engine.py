@@ -28,6 +28,7 @@ from repro.dpi.messages import (
     ExtractedMessage,
     Protocol,
 )
+from repro.packets.batch import DEFAULT_CHUNK_SIZE
 from repro.packets.packet import PacketRecord
 from repro.protocols.rtcp.constants import RTCP_TYPE_NAMES
 from repro.protocols.rtp.header import RtpPacket, RtpParseError
@@ -337,7 +338,7 @@ class DpiEngine:
         payloads = [record.payload for record in packets]
         parts: List[Tuple[List[Candidate], ...]] = []
         chunks: List[RtpColumns] = []
-        step = scanner.batch_size
+        step = DEFAULT_CHUNK_SIZE
         for base in range(0, len(payloads), step):
             chunk = payloads[base:base + step]
             batch = scanner.scan_columns(chunk)

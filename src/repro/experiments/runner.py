@@ -2,7 +2,8 @@
 
 One *experiment* is the full pipeline for one (app, network, repeat) cell:
 simulate the call, filter unrelated traffic, run the DPI, judge compliance.
-A *matrix* is the paper's 6 apps × 3 network configurations × N repeats.
+A *matrix* is the paper's 6 apps × 3 network configurations × N repeats,
+run by :func:`repro.experiments.parallel.run_matrix`.
 
 Aggregates keep only counters and verdict summaries, so a full matrix stays
 small in memory even for long calls.
@@ -12,20 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.apps import APP_NAMES, CallConfig, NetworkCondition, get_simulator
+from repro.apps import CallConfig, NetworkCondition, get_simulator
 from repro.core import ComplianceChecker, ComplianceSummary
 from repro.core.metrics import TypeComplianceEntry, VolumeCompliance
 from repro.dpi import DatagramClass, DpiEngine, DpiStats, Protocol
 from repro.dpi.messages import ExtractedMessage
 from repro.filtering import TwoStageFilter
 from repro.filtering.pipeline import FilterResult, StageCounts
-from repro.pipeline import (
-    DEFAULT_CHUNK_SIZE,
-    StageStats,
-    merge_stage_stats,
-)
+from repro.pipeline import StageStats, merge_stage_stats
 from repro.service.session import AnalysisSession
 
 #: Maximum example violations kept per (protocol, type) entry when merging.
@@ -53,9 +50,6 @@ def default_checker() -> ComplianceChecker:
 class ExperimentConfig:
     """Parameters for one experiment cell (or a whole matrix).
 
-    ``chunk_size`` bounds the record batches the pipeline hands each
-    stage per dispatch (``1`` = historical per-record feeding).
-
     ``impairment`` names a :mod:`repro.netem` profile applied to every
     cell's record stream post-synthesis — the fourth matrix axis next
     to app, network, and repeat.  Outputs under any profile remain
@@ -70,7 +64,6 @@ class ExperimentConfig:
     seed: int = 0
     max_offset: int = 200
     include_background: bool = True
-    chunk_size: int = DEFAULT_CHUNK_SIZE
     impairment: str = "none"
 
     def __post_init__(self):
@@ -255,9 +248,9 @@ def run_cell_pipeline(
     need controlled engine configurations (the conformance differ) are not
     coupled to the process-wide cached engines ``run_experiment`` uses.
 
-    The whole cell runs in one :class:`repro.service.AnalysisSession`
-    with the config's ``chunk_size``; parallelism lives one level up,
-    across cells (:func:`run_matrix`).
+    The whole cell runs in one :class:`repro.service.AnalysisSession`;
+    parallelism lives one level up, across cells
+    (:func:`repro.experiments.parallel.run_matrix`).
     """
     simulator = get_simulator(app)
     call_config = _cell_config(network, config, call_index)
@@ -269,7 +262,6 @@ def run_cell_pipeline(
         window=call_config.window(),
         engine=engine,
         checker=checker,
-        chunk_size=config.chunk_size,
     )
     session.feed(simulator.iter_records(call_config))
     result = session.close()
@@ -331,21 +323,3 @@ class MatrixResult:
     def summaries(self) -> List[ComplianceSummary]:
         return [agg.summary for agg in self.per_app.values() if agg.summary]
 
-
-def run_matrix(
-    apps: Sequence[str] = APP_NAMES,
-    networks: Sequence[NetworkCondition] = tuple(NetworkCondition),
-    config: ExperimentConfig = ExperimentConfig(),
-    workers: Optional[int] = 1,
-) -> MatrixResult:
-    """Run the full experiment matrix and merge per-app aggregates.
-
-    ``workers`` selects the executor: ``1`` (the default) runs every cell
-    in-process, ``N > 1`` schedules cells onto a process pool of ``N``
-    workers, and ``None`` auto-sizes the pool to ``os.cpu_count()``.  The
-    result is bit-identical regardless of ``workers`` — cells are merged
-    in their enumeration order, never in completion order.
-    """
-    from repro.experiments.parallel import run_matrix_parallel
-
-    return run_matrix_parallel(apps, networks, config, workers=workers)

@@ -43,14 +43,6 @@ class GilbertElliott:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {value!r}")
 
-    def stationary_loss(self) -> float:
-        """Long-run loss probability of the chain."""
-        denom = self.p_enter + self.p_exit
-        if denom <= 0.0:
-            return self.loss_good
-        pi_bad = self.p_enter / denom
-        return (1.0 - pi_bad) * self.loss_good + pi_bad * self.loss_bad
-
 
 @dataclass(frozen=True)
 class NatRebind:

@@ -20,8 +20,8 @@ This module removes both:
   ``ts_sec`` and ``ts_frac`` are exactly representable in float64, and
   ``sec + frac / divisor`` is the same IEEE expression either way.
 
-* **Chunked fast-path decode.**  Frames are decoded ``chunk_size`` at a
-  time with precompiled :class:`struct.Struct` one-pass header parses for
+* **Chunked fast-path decode.**  Frames are decoded ``DEFAULT_CHUNK_SIZE``
+  at a time with precompiled :class:`struct.Struct` one-pass header parses for
   the dominant shapes — Ethernet(IPv4)/UDP|TCP and RAW(IPv4)/UDP|TCP with
   no VLAN tag, no IP options, no fragments to reassemble — and payload
   bytes sliced straight out of the map.  Anything else (VLAN, IPv6,
@@ -61,8 +61,9 @@ from repro.packets.mmapio import MappedCapture
 from repro.packets.packet import PacketRecord
 from repro.packets.pcap import MAGIC_MICROS, MAGIC_NANOS, PcapFormatError
 
-#: Records decoded per chunk unless the caller overrides it; matches the
-#: pipeline chunk unit so decode→filter→DPI stays chunked end-to-end.
+#: The chunk unit of the whole pipeline: frames decoded per chunk, records
+#: per session stage call, payloads per columnar scan and records per
+#: service ingest batch.
 DEFAULT_CHUNK_SIZE = 256
 
 _MAGIC_LE = struct.Struct("<I")
@@ -433,7 +434,6 @@ class BatchPcapReader:
 
 def iter_pcap_chunks(
     path: Union[str, Path],
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     stats: Optional[IngestStats] = None,
 ) -> Iterator[List[PacketRecord]]:
     """Stream decoded record chunks out of a pcap file (batch decoder).
@@ -444,7 +444,7 @@ def iter_pcap_chunks(
     """
     reader = BatchPcapReader(path, stats=stats)
     try:
-        yield from reader.chunks(chunk_size)
+        yield from reader.chunks()
     finally:
         reader.close()
 
@@ -460,19 +460,20 @@ def iter_pcap(
 
 def iter_capture_chunks(
     path: Union[str, Path],
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     stats: Optional[IngestStats] = None,
 ) -> Iterator[List[PacketRecord]]:
     """Chunked record stream for either capture container.
 
     ``.pcapng`` files go through the streaming block reader
     (:func:`repro.packets.pcapng.iter_pcapng_chunks`); everything else
-    through the mmap batch decoder.  This is the one entry point the
-    service ingest layer uses.
+    through the mmap batch decoder, which counts its work into *stats*.
+    This is the one entry point the service ingest layer and the capture
+    commands use.  A file that is not a readable capture raises
+    :class:`~repro.packets.pcap.PcapFormatError` on the first ``next()``.
     """
     if str(path).endswith(".pcapng"):
         from repro.packets.pcapng import iter_pcapng_chunks
 
-        yield from iter_pcapng_chunks(path, chunk_size)
+        yield from iter_pcapng_chunks(path)
     else:
-        yield from iter_pcap_chunks(path, chunk_size, stats=stats)
+        yield from iter_pcap_chunks(path, stats=stats)

@@ -12,6 +12,7 @@ import struct
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, List, Union
 
+from repro.packets.batch import DEFAULT_CHUNK_SIZE
 from repro.packets.decode import LINKTYPE_ETHERNET, DecodeError, decode_frame, encode_record
 from repro.packets.packet import PacketRecord
 from repro.packets.pcap import PcapFormatError, RawCapture
@@ -22,6 +23,8 @@ BLOCK_SPB = 0x00000003
 BLOCK_EPB = 0x00000006
 
 _BYTE_ORDER_MAGIC = 0x1A2B3C4D
+#: Body bytes a block type needs for the fixed fields read from it.
+_MIN_BODY = {BLOCK_SHB: 4, BLOCK_IDB: 8, BLOCK_SPB: 4, BLOCK_EPB: 20}
 
 
 class PcapngReader:
@@ -47,9 +50,11 @@ class PcapngReader:
             magic = struct.unpack("<I", body_peek)[0]
             self._endian = "<" if magic == _BYTE_ORDER_MAGIC else ">"
             block_type, total_len = struct.unpack(self._endian + "II", header)
-            body = body_peek + self._file.read(total_len - 12 - 4)
         else:
-            body = self._file.read(total_len - 12)
+            body_peek = b""
+        if total_len < 12 + _MIN_BODY.get(block_type, 0):
+            raise PcapFormatError(f"pcapng block too short: {total_len} bytes")
+        body = body_peek + self._file.read(total_len - 12 - len(body_peek))
         trailer = self._file.read(4)
         if len(trailer) != 4:
             raise PcapFormatError("truncated pcapng block trailer")
@@ -172,21 +177,17 @@ def iter_pcapng(path: Union[str, Path]) -> Iterator[PacketRecord]:
         yield from PcapngReader(fileobj).records()
 
 
-def iter_pcapng_chunks(
-    path: Union[str, Path], chunk_size: int = 256
-) -> Iterator[List[PacketRecord]]:
-    """Stream decoded pcapng records *chunk_size* at a time.
+def iter_pcapng_chunks(path: Union[str, Path]) -> Iterator[List[PacketRecord]]:
+    """Stream decoded pcapng records ``DEFAULT_CHUNK_SIZE`` at a time.
 
     Same chunked shape the batch pcap decoder exposes, so
     :func:`repro.packets.batch.iter_capture_chunks` can dispatch on the
     container without callers caring which format they got.
     """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
     batch: List[PacketRecord] = []
     for record in iter_pcapng(path):
         batch.append(record)
-        if len(batch) >= chunk_size:
+        if len(batch) >= DEFAULT_CHUNK_SIZE:
             yield batch
             batch = []
     if batch:

@@ -16,12 +16,11 @@ from repro.core.checker import ComplianceChecker
 from repro.core.verdict import MessageVerdict
 from repro.dpi.engine import DpiEngine, DpiResult
 from repro.packets.packet import PacketRecord
-from repro.pipeline.stage import DEFAULT_CHUNK_SIZE, StageStats, merge_stage_stats
+from repro.pipeline.stage import StageStats, merge_stage_stats
 from repro.pipeline.stages import CheckStage, DpiStage, FilterStage
 
 __all__ = [
     "CheckStage",
-    "DEFAULT_CHUNK_SIZE",
     "DpiStage",
     "FilterStage",
     "StageStats",
@@ -34,7 +33,6 @@ def run_streaming(
     records: Iterable[PacketRecord],
     engine: DpiEngine,
     checker: ComplianceChecker,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> Tuple[DpiResult, List[MessageVerdict], List[StageStats]]:
     """Stream pre-filtered *records* through DPI and compliance checking.
 
@@ -42,7 +40,6 @@ def run_streaming(
     ``ComplianceChecker.check`` order, and the per-stage instrumentation.
     The conformance differ uses this as its streaming engine
     configuration: the outputs must be bit-identical to the batch path.
-    ``chunk_size=1`` reproduces the historical per-record dispatch.
 
     A thin adapter over a filterless :class:`repro.service.AnalysisSession`
     (imported lazily; the service package depends on this one), so batch
@@ -50,7 +47,7 @@ def run_streaming(
     """
     from repro.service.session import AnalysisSession
 
-    session = AnalysisSession(engine=engine, checker=checker, chunk_size=chunk_size)
+    session = AnalysisSession(engine=engine, checker=checker)
     session.feed(records)
     result = session.close()
     return result.dpi, result.verdicts, list(result.stage_stats.values())

@@ -8,19 +8,16 @@ reports through ``ExperimentAggregate`` and ``rtc-compliance
 pipeline-stats``.
 
 Dispatch is *chunked*: the session hands each stage a bounded batch of
-records (``chunk_size``, default 256) per Python call instead of one
-record at a time, which amortizes the per-record call overhead.
-Chunking never changes what a stage computes — only how often it is
-called.
+at most :data:`repro.packets.batch.DEFAULT_CHUNK_SIZE` records per
+Python call instead of one record at a time, which amortizes the
+per-record call overhead.  Chunking never changes what a stage
+computes — only how often it is called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable
-
-#: Records per ``process_chunk`` call unless the caller overrides it.
-DEFAULT_CHUNK_SIZE = 256
 
 
 @dataclass
@@ -38,7 +35,7 @@ class StageStats:
     records_out: int = 0
     wall_seconds: float = 0.0
     peak_buffered: int = 0
-    #: ``process_chunk`` calls; ``chunk_size=1`` makes one per record.
+    #: ``process_chunk`` calls.
     chunks: int = 0
 
     def merge(self, other: "StageStats") -> None:

@@ -36,10 +36,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.apps import NetworkCondition, get_simulator
 from repro.core.metrics import ComplianceSummary
 from repro.service.ingest import (
-    DEFAULT_BATCH_SIZE,
     BoundedQueue,
     PcapDirectoryWatcher,
     ReplaySource,
+    check_pacing,
     produce,
     pump,
 )
@@ -49,6 +49,12 @@ from repro.service.session import AnalysisSession, EvictionPolicy, SessionResult
 #: Largest request body the daemon will read.  A session spec is a small
 #: JSON object; anything bigger is refused with 413 before it is buffered.
 MAX_REQUEST_BODY = 64 * 1024
+
+#: Every key a ``POST /sessions`` spec may name; any other is refused.
+SPEC_KEYS = frozenset({
+    "source", "app", "network", "impairment", "duration", "scale", "seed",
+    "pace", "speed", "eviction", "queue",
+})
 
 
 class ServiceError(ValueError):
@@ -191,9 +197,10 @@ class ComplianceService:
         the default, needs ``app``; or ``{"kind": "pcap_dir",
         "directory": ...}``), ``network``, ``impairment``, ``duration``,
         ``scale``, ``seed``, ``pace`` (``"afap"``/``"clock"``),
-        ``speed``, ``chunk_size``, ``eviction`` (mode string or
+        ``speed``, ``eviction`` (mode string or
         ``{"mode", "idle_gap", "sweep_interval"}``), ``queue``
-        (``{"maxsize", "policy"}``).
+        (``{"maxsize", "policy"}``).  Any other key is refused with 400,
+        and the whole spec is checked before a replay call is synthesized.
         """
         if self._shutting_down:
             raise ServiceError(503, "service is shutting down")
@@ -211,6 +218,9 @@ class ComplianceService:
         return {"id": handle.id, "state": handle.state}
 
     def _build_session(self, spec: Dict[str, object]) -> ServiceSession:
+        unknown = sorted(set(spec) - SPEC_KEYS)
+        if unknown:
+            raise ValueError(f"unknown spec keys: {', '.join(unknown)}")
         eviction_spec = spec.get("eviction", "idle")
         if isinstance(eviction_spec, str):
             eviction = EvictionPolicy(mode=eviction_spec)
@@ -220,7 +230,6 @@ class ComplianceService:
                 idle_gap=eviction_spec.get("idle_gap", 5.0),
                 sweep_interval=eviction_spec.get("sweep_interval", 1.0),
             )
-        chunk_size = int(spec.get("chunk_size", DEFAULT_BATCH_SIZE))
         queue_spec = spec.get("queue", {})
         queue = BoundedQueue(
             maxsize=int(queue_spec.get("maxsize", 64)),
@@ -237,6 +246,7 @@ class ComplianceService:
                 raise ServiceError(400, "replay sessions need an 'app'")
             from repro.apps import CallConfig
 
+            simulator = get_simulator(app)
             network = NetworkCondition(spec.get("network", "wifi_relay"))
             call_config = CallConfig(
                 network=network,
@@ -245,17 +255,15 @@ class ComplianceService:
                 media_scale=float(spec.get("scale", 0.3)),
                 impairment=spec.get("impairment", "none"),
             )
-            records = list(get_simulator(app).iter_records(call_config))
+            pace = spec.get("pace", "afap")
+            speed = float(spec.get("speed", 1.0))
+            check_pacing(pace, speed)
+            # Synthesis is the costly step, so it runs last.
             source = ReplaySource(
-                records,
-                batch_size=chunk_size,
-                pace=spec.get("pace", "afap"),
-                speed=float(spec.get("speed", 1.0)),
+                simulator.iter_records(call_config), pace=pace, speed=speed
             )
             session = AnalysisSession(
-                window=call_config.window(),
-                chunk_size=chunk_size,
-                eviction=eviction,
+                window=call_config.window(), eviction=eviction
             )
             handle = ServiceSession(session_id, spec, session, queue, app=app)
         elif isinstance(source_spec, dict) and source_spec.get("kind") == "pcap_dir":
@@ -265,14 +273,13 @@ class ComplianceService:
             handle_stop = threading.Event()
             source = PcapDirectoryWatcher(
                 str(directory),
-                batch_size=chunk_size,
                 poll_interval=float(source_spec.get("poll_interval", 0.5)),
                 stop=handle_stop,
             )
             # No call window is known for arbitrary captures, so the
             # session runs filterless; idle eviction keeps live flow
             # state bounded.
-            session = AnalysisSession(chunk_size=chunk_size, eviction=eviction)
+            session = AnalysisSession(eviction=eviction)
             handle = ServiceSession(
                 session_id, spec, session, queue, app=str(directory)
             )

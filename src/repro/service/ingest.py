@@ -3,7 +3,8 @@
 Two pluggable record sources — :class:`ReplaySource` (feed a synthesized
 cell back through the pipeline, clock-paced or as fast as possible) and
 :class:`PcapDirectoryWatcher` (tail a directory that a rotating capture
-process drops ``.pcap`` files into) — push record batches into a
+process drops ``.pcap`` files into) — push record batches of at most
+:data:`~repro.packets.batch.DEFAULT_CHUNK_SIZE` records into a
 :class:`BoundedQueue`, and :func:`pump` moves batches from the queue into
 an :class:`~repro.service.session.AnalysisSession` until the source is
 exhausted.
@@ -28,10 +29,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Iterable, Iterator, List, Optional, Sequence
 
+from repro.packets.batch import DEFAULT_CHUNK_SIZE, iter_capture_chunks
 from repro.packets.packet import PacketRecord
-
-#: Records per batch a source emits unless configured otherwise.
-DEFAULT_BATCH_SIZE = 256
 
 
 @dataclass
@@ -128,6 +127,15 @@ class BoundedQueue:
             self._not_full.notify_all()
 
 
+def check_pacing(pace: str, speed: float) -> None:
+    """Raise ``ValueError`` unless *pace* and *speed* can drive a replay."""
+    if pace not in ("afap", "clock"):
+        raise ValueError(f"unknown pace: {pace!r}")
+    if not (speed > 0 and math.isfinite(speed)):
+        # A NaN speed would make every pacing delay NaN: never slept.
+        raise ValueError("speed must be positive and finite")
+
+
 class ReplaySource:
     """Re-feed a record list or a capture file, optionally at capture pace.
 
@@ -145,44 +153,32 @@ class ReplaySource:
 
     def __init__(
         self,
-        records: Sequence[PacketRecord],
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        records: Iterable[PacketRecord],
         pace: str = "afap",
         speed: float = 1.0,
     ):
-        if pace not in ("afap", "clock"):
-            raise ValueError(f"unknown pace: {pace!r}")
-        if not (speed > 0 and math.isfinite(speed)):
-            # A NaN speed would make every pacing delay NaN: never slept.
-            raise ValueError("speed must be positive and finite")
+        check_pacing(pace, speed)
         self._records = list(records)
         self._path: Optional[str] = None
-        self._batch_size = batch_size
         self._pace = pace
         self._speed = speed
 
     @classmethod
     def from_pcap(
-        cls,
-        path: str,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        pace: str = "afap",
-        speed: float = 1.0,
+        cls, path: str, pace: str = "afap", speed: float = 1.0
     ) -> "ReplaySource":
         """Replay a ``.pcap``/``.pcapng`` file without materializing it."""
-        source = cls([], batch_size=batch_size, pace=pace, speed=speed)
+        source = cls([], pace=pace, speed=speed)
         source._path = str(path)
         return source
 
     def _batches(self) -> Iterator[List[PacketRecord]]:
         if self._path is not None:
-            from repro.packets.batch import iter_capture_chunks
-
-            yield from iter_capture_chunks(self._path, self._batch_size)
+            yield from iter_capture_chunks(self._path)
             return
         records = self._records
-        for index in range(0, len(records), self._batch_size):
-            yield records[index:index + self._batch_size]
+        for index in range(0, len(records), DEFAULT_CHUNK_SIZE):
+            yield records[index:index + DEFAULT_CHUNK_SIZE]
 
     def __iter__(self) -> Iterator[List[PacketRecord]]:
         start_capture: Optional[float] = None
@@ -216,7 +212,6 @@ class PcapDirectoryWatcher:
     def __init__(
         self,
         directory: str,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         poll_interval: float = 0.5,
         stop: Optional[threading.Event] = None,
         drain_once: bool = False,
@@ -225,7 +220,6 @@ class PcapDirectoryWatcher:
             # Zero or negative would spin the poll loop on listdir.
             raise ValueError("poll_interval must be positive and finite")
         self._directory = directory
-        self._batch_size = batch_size
         self._poll_interval = poll_interval
         self._stop = stop if stop is not None else threading.Event()
         self._drain_once = drain_once
@@ -258,14 +252,12 @@ class PcapDirectoryWatcher:
         return ready
 
     def __iter__(self) -> Iterator[List[PacketRecord]]:
-        from repro.packets.batch import iter_capture_chunks
-
         while not self._stop.is_set():
             for path in self._ready_files():
                 # Manual next() so a malformed file (or one truncated by
                 # the writer) drops just that file, mid-stream, instead
                 # of aborting the watcher.
-                chunk_iter = iter_capture_chunks(path, self._batch_size)
+                chunk_iter = iter_capture_chunks(path)
                 while True:
                     try:
                         batch = next(chunk_iter)

@@ -53,8 +53,9 @@ from repro.core.verdict import MessageVerdict
 from repro.dpi.engine import DpiEngine, DpiResult
 from repro.dpi.messages import DatagramAnalysis
 from repro.filtering.pipeline import FilterResult, TwoStageFilter
+from repro.packets.batch import DEFAULT_CHUNK_SIZE
 from repro.packets.packet import PacketRecord
-from repro.pipeline.stage import DEFAULT_CHUNK_SIZE, StageStats
+from repro.pipeline.stage import StageStats
 from repro.pipeline.stages import CheckStage, DpiStage, FilterStage
 from repro.streams.timeline import CallWindow
 
@@ -159,17 +160,13 @@ class AnalysisSession:
         window: Optional[CallWindow] = None,
         engine: Optional[DpiEngine] = None,
         checker: Optional[ComplianceChecker] = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
         eviction: EvictionPolicy = EvictionPolicy(),
     ):
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be a positive integer")
         if engine is None:
             engine = DpiEngine(backend="columnar")
         if checker is None:
             checker = ComplianceChecker()
         self._eviction = eviction
-        self._chunk_size = chunk_size
         self._filter: Optional[FilterStage] = None
         if window is not None:
             self._filter = FilterStage(TwoStageFilter(window))
@@ -208,7 +205,7 @@ class AnalysisSession:
         """Push records into the first stage.
 
         Accepts any iterable and consumes it incrementally in
-        ``chunk_size`` batches, so a generator source is never
+        ``DEFAULT_CHUNK_SIZE`` batches, so a generator source is never
         materialized in full.  Eviction sweeps (per
         :class:`EvictionPolicy`) run between batches.
         """
@@ -216,7 +213,7 @@ class AnalysisSession:
             raise RuntimeError("feed() after close()")
         iterator = iter(records)
         while True:
-            chunk = list(islice(iterator, self._chunk_size))
+            chunk = list(islice(iterator, DEFAULT_CHUNK_SIZE))
             if not chunk:
                 break
             self._records_fed += len(chunk)
@@ -280,8 +277,8 @@ class AnalysisSession:
         return out
 
     def _check_all(self, analyses: List[DatagramAnalysis]) -> None:
-        """Check *analyses* in ``chunk_size`` slices."""
-        size = self._chunk_size
+        """Check *analyses* in ``DEFAULT_CHUNK_SIZE`` slices."""
+        size = DEFAULT_CHUNK_SIZE
         for start in range(0, len(analyses), size):
             self._indexed.extend(
                 self._process(self._check, analyses[start:start + size])
@@ -312,7 +309,7 @@ class AnalysisSession:
         if self._filter is not None:
             kept = self._flush(self._filter)
             filter_result = self._filter.result
-            size = self._chunk_size
+            size = DEFAULT_CHUNK_SIZE
             for start in range(0, len(kept), size):
                 self._check_all(self._process(self._dpi, kept[start:start + size]))
         self._check_all(self._flush(self._dpi))

@@ -42,6 +42,7 @@ from repro.packets import (
     write_pcap,
     write_pcapng,
 )
+from repro.packets.batch import DEFAULT_CHUNK_SIZE
 from repro.packets.decode import (
     LINKTYPE_ETHERNET,
     LINKTYPE_NULL,
@@ -386,29 +387,29 @@ class TestStreamingWrappers:
     def test_read_pcap_matches_iterators(self, tmp_path):
         path, records = _cell_pcap(tmp_path)
         flat = list(iter_pcap(path))
-        chunked = [r for batch in iter_pcap_chunks(path, 100) for r in batch]
+        chunked = [r for batch in iter_pcap_chunks(path) for r in batch]
         assert read_pcap(path) == flat == chunked == records
 
     def test_chunk_sizes_respected(self, tmp_path):
         path, records = _cell_pcap(tmp_path)
-        batches = list(iter_pcap_chunks(path, 64))
-        assert all(len(batch) <= 64 for batch in batches)
+        batches = list(iter_pcap_chunks(path))
+        assert len(batches) > 1
+        assert all(len(batch) <= DEFAULT_CHUNK_SIZE for batch in batches)
         assert all(batches)
         assert sum(len(batch) for batch in batches) == len(records)
 
     def test_invalid_chunk_size_rejected(self, tmp_path):
         path, _records = _cell_pcap(tmp_path)
-        with pytest.raises(ValueError):
-            list(iter_pcap_chunks(path, 0))
-        with pytest.raises(ValueError):
-            list(iter_pcapng_chunks(path, 0))
+        with BatchPcapReader(path) as reader:
+            with pytest.raises(ValueError):
+                list(reader.chunks(0))
 
     def test_pcapng_iterators_match_list_reader(self, tmp_path):
         records = cell_records("meet", NetworkCondition.WIFI_RELAY, _CORPUS)
         path = tmp_path / "cell.pcapng"
         write_pcapng(path, records)
         flat = list(iter_pcapng(path))
-        chunked = [r for b in iter_pcapng_chunks(path, 50) for r in b]
+        chunked = [r for b in iter_pcapng_chunks(path) for r in b]
         assert read_pcapng(path) == flat == chunked
 
     def test_iter_capture_chunks_dispatches_on_suffix(self, tmp_path):
@@ -417,8 +418,8 @@ class TestStreamingWrappers:
         pcapng = tmp_path / "c.pcapng"
         write_pcap(pcap, records)
         write_pcapng(pcapng, records)
-        via_pcap = [r for b in iter_capture_chunks(pcap, 128) for r in b]
-        via_pcapng = [r for b in iter_capture_chunks(pcapng, 128) for r in b]
+        via_pcap = [r for b in iter_capture_chunks(pcap) for r in b]
+        via_pcapng = [r for b in iter_capture_chunks(pcapng) for r in b]
         assert via_pcap == read_pcap(pcap)
         assert via_pcapng == read_pcapng(pcapng)
 
@@ -472,27 +473,25 @@ class TestIngestWiring:
         path, records = _cell_pcap(tmp_path, "aaa.pcap")
         (tmp_path / "bbb.pcap").write_bytes(b"\x00" * 48)  # bad magic
         watcher = PcapDirectoryWatcher(
-            str(tmp_path), batch_size=100, poll_interval=0.01, drain_once=True
+            str(tmp_path), poll_interval=0.01, drain_once=True
         )
         batches = list(watcher)
-        assert all(len(batch) <= 100 for batch in batches)
+        assert all(len(batch) <= DEFAULT_CHUNK_SIZE for batch in batches)
         assert [r for batch in batches for r in batch] == records
 
     def test_replay_source_from_pcap_matches_list_replay(self, tmp_path):
         from repro.service.ingest import ReplaySource
 
         path, records = _cell_pcap(tmp_path)
-        from_list = list(ReplaySource(records, batch_size=75))
-        from_file = list(ReplaySource.from_pcap(str(path), batch_size=75))
+        from_list = list(ReplaySource(records))
+        from_file = list(ReplaySource.from_pcap(str(path)))
         assert from_list == from_file
 
     def test_replay_source_from_pcap_paced(self, tmp_path):
         from repro.service.ingest import ReplaySource
 
         path, records = _cell_pcap(tmp_path)
-        source = ReplaySource.from_pcap(
-            str(path), batch_size=10_000, pace="clock", speed=1e6
-        )
+        source = ReplaySource.from_pcap(str(path), pace="clock", speed=1e6)
         assert [r for b in source for r in b] == records
 
 

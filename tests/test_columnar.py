@@ -275,8 +275,6 @@ class TestScannerParity:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             ColumnarScanner(-1)
-        with pytest.raises(ValueError):
-            ColumnarScanner(200, batch_size=0)
 
     def test_stats_counters(self):
         fresh = ColumnarScanner(200)

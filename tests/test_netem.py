@@ -83,15 +83,6 @@ class TestProfiles:
         with pytest.raises(ValueError):
             NatRebind(at_fraction=1.0)
 
-    def test_gilbert_elliott_stationary_loss(self):
-        chain = GilbertElliott(p_enter=0.1, p_exit=0.3, loss_good=0.0,
-                               loss_bad=0.4)
-        # pi_bad = 0.1 / 0.4 = 0.25 -> loss = 0.25 * 0.4 = 0.1
-        assert chain.stationary_loss() == pytest.approx(0.1)
-        # Degenerate chain that never moves: loss_good is all there is.
-        frozen = GilbertElliott(p_enter=0.0, p_exit=0.0, loss_good=0.02)
-        assert frozen.stationary_loss() == pytest.approx(0.02)
-
     def test_is_noop(self):
         assert PROFILES["none"].is_noop
         assert ImpairmentProfile().is_noop

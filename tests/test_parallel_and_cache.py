@@ -9,7 +9,6 @@ from repro.experiments import (
     ExperimentConfig,
     matrix_cells,
     run_matrix,
-    run_matrix_parallel,
 )
 from repro.experiments.runner import MAX_EXAMPLE_VIOLATIONS, merge_summaries
 
@@ -53,7 +52,7 @@ class TestParallelParity:
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
-            run_matrix_parallel(APPS, NETWORKS, CONFIG, workers=0)
+            run_matrix(APPS, NETWORKS, CONFIG, workers=0)
 
 
 class TestMergeSummaryCap:

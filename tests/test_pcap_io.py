@@ -174,3 +174,18 @@ class TestPcapng:
         )
         path.write_bytes(bytes(data) + unknown)
         assert len(read_pcapng(path)) == 1
+
+    @pytest.mark.parametrize("block_type, body", [
+        (0x1, b"\x01\x00\x00\x00"),            # IDB without its snaplen
+        (0x6, b"\x00" * 16),                   # EPB without its orig_len
+    ], ids=["short-idb", "short-epb"])
+    def test_short_block_is_a_format_error(self, tmp_path, block_type, body):
+        path = tmp_path / "t.pcapng"
+        write_pcapng(path, [])
+        total = len(body) + 12
+        block = struct.pack("<II", block_type, total) + body + struct.pack(
+            "<I", total
+        )
+        path.write_bytes(path.read_bytes() + block)
+        with pytest.raises(PcapFormatError):
+            read_pcapng(path)

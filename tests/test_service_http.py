@@ -20,6 +20,7 @@ from repro.apps import NetworkCondition
 from repro.conformance.golden import CorpusConfig, cell_records
 from repro.core.metrics import ComplianceSummary
 from repro.experiments.runner import ExperimentConfig, run_cell_pipeline
+from repro.packets.batch import DEFAULT_CHUNK_SIZE
 from repro.packets.pcap import read_pcap, write_pcap
 from repro.pipeline import StageStats
 from repro.service.http import ComplianceService, EventStream, make_server
@@ -135,16 +136,16 @@ def test_bounded_queue_rejects_bad_config():
 
 
 def test_replay_source_afap_preserves_records():
-    source = ReplaySource(_RECORDS, batch_size=100)
+    source = ReplaySource(_RECORDS)
     batches = list(source)
-    assert all(len(b) <= 100 for b in batches)
+    assert all(len(b) <= DEFAULT_CHUNK_SIZE for b in batches)
     assert [r for batch in batches for r in batch] == _RECORDS
 
 
 def test_replay_source_clock_pacing_preserves_records():
     # 1000x speed: an 8 s capture replays in well under a second while
     # still going through the sleep-until-due path.
-    source = ReplaySource(_RECORDS, batch_size=200, pace="clock", speed=1000.0)
+    source = ReplaySource(_RECORDS, pace="clock", speed=1000.0)
     start = time.monotonic()
     batches = list(source)
     assert [r for batch in batches for r in batch] == _RECORDS
@@ -162,7 +163,7 @@ def test_produce_pump_roundtrip():
     queue = BoundedQueue(maxsize=4)
     fed = []
     producer = threading.Thread(
-        target=produce, args=(ReplaySource(_RECORDS, batch_size=64), queue)
+        target=produce, args=(ReplaySource(_RECORDS), queue)
     )
     producer.start()
     count = pump(queue, fed.extend, poll_timeout=0.05)
@@ -178,7 +179,7 @@ def test_pcap_directory_watcher_picks_up_stable_files(tmp_path):
     write_pcap(tmp_path / "rotate-001.pcap", udp[100:200])
     (tmp_path / "ignored.txt").write_text("not a capture")
     watcher = PcapDirectoryWatcher(
-        str(tmp_path), batch_size=64, poll_interval=0.01, drain_once=True
+        str(tmp_path), poll_interval=0.01, drain_once=True
     )
     records = [r for batch in watcher for r in batch]
     expected = read_pcap(tmp_path / "rotate-000.pcap") + read_pcap(
@@ -199,7 +200,22 @@ def _wait_closed(service, session_id, timeout=30.0):
     return handle
 
 
-def test_service_rejects_bad_specs():
+def test_service_rejects_bad_specs(monkeypatch):
+    """Every refused spec is refused before the replay call is synthesized."""
+    from repro.service import http
+
+    synthesized = []
+    real_get_simulator = http.get_simulator
+
+    class RecordingSimulator:
+        def __init__(self, app):
+            self._simulator = real_get_simulator(app)
+
+        def iter_records(self, config):
+            synthesized.append(config)
+            return self._simulator.iter_records(config)
+
+    monkeypatch.setattr(http, "get_simulator", RecordingSimulator)
     service = ComplianceService()
     for spec, fragment in [
         ({"app": "not-an-app"}, "bad session spec"),
@@ -208,11 +224,22 @@ def test_service_rejects_bad_specs():
         ({"source": "carrier-pigeon"}, "unknown source"),
         ({"source": {"kind": "pcap_dir"}}, "need a 'directory'"),
         ({"app": "meet", "eviction": "sometimes"}, "bad session spec"),
+        ({"app": "meet", "chunk_size": 64, "batch": 8},
+         "unknown spec keys: batch, chunk_size"),
+        ({"app": "meet", "pace": "realtime"}, "unknown pace"),
+        ({"app": "meet", "speed": -2.0}, "speed must be positive"),
     ]:
         with pytest.raises(Exception) as excinfo:
             service.create_session(spec)
         assert fragment in str(excinfo.value)
+    assert synthesized == []
     assert service.list_sessions() == []
+    # The recorder does see the synthesis of an accepted spec.
+    created = service.create_session(
+        {"app": "meet", "duration": 2.0, "scale": 0.2}
+    )
+    assert len(synthesized) == 1
+    service.delete_session(created["id"])
 
 
 def test_service_shutdown_drains_and_refuses_new_sessions():
@@ -395,8 +422,9 @@ def test_unusable_pcap_dir_timings_are_refused(
 ], ids=["zero-scale", "deadline-eviction", "zero-chunk", "negative-chunk"])
 def test_unusable_replay_spec_is_refused(daemon, spec):
     """A zero media scale (which synthesis would divide by), an unknown
-    eviction mode and a chunk size below one (which would feed nothing)
-    get 400, not a dropped connection or a session that never ends."""
+    eviction mode and the retired ``chunk_size`` key get 400, not a
+    dropped connection, a session that never ends or a silently ignored
+    setting."""
     try:
         _status, payload = _post(daemon, "/sessions", spec)
     except urllib.error.HTTPError as exc:

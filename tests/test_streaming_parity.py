@@ -196,7 +196,6 @@ class TestPipelineInstrumentation:
         records = cell_records("zoom", NetworkCondition.WIFI_P2P, corpus)
         session = AnalysisSession(
             engine=DpiEngine(max_offset=corpus.max_offset),
-            chunk_size=64,
             eviction=EvictionPolicy("idle", idle_gap=1.0, sweep_interval=0.5),
         )
         for start in range(0, len(records), 100):
@@ -205,14 +204,14 @@ class TestPipelineInstrumentation:
         before_close = session.snapshot()
         assert before_close.verdicts_ready == 347
         assert self._counters(before_close.stages) == {
-            "dpi": (838, 404, 17, 530),
-            "check": (404, 347, 7, 2),
+            "dpi": (838, 404, 9, 562),
+            "check": (404, 347, 2, 2),
         }
         result = session.close()
         assert list(result.stage_stats) == ["dpi", "check"]
         assert self._counters(result.stage_stats.values()) == {
-            "dpi": (838, 797, 17, 530),
-            "check": (797, 713, 14, 4),
+            "dpi": (838, 797, 9, 562),
+            "check": (797, 713, 4, 4),
         }
         assert len(result.verdicts) == 713
         self._assert_hand_offs(result.stage_stats)
