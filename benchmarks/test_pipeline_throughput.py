@@ -25,7 +25,7 @@ from repro.experiments.runner import default_engine
 from repro.packets.batch import DEFAULT_CHUNK_SIZE
 from repro.packets.pcap import PcapReader, PcapWriter
 from repro.packets.packet import PacketRecord
-from repro.pipeline import run_streaming
+from repro.pipeline import CheckStage, DpiStage, run_streaming
 from repro.protocols.rtp.header import RtpPacket
 
 #: Filled by the tests below, flushed by ``test_emit_bench_json`` (last in
@@ -299,8 +299,8 @@ def _rotating_flow_records(flows, packets_per_flow):
 
     Each flow carries enough packets for the stream-scoped RTP validator
     to engage, and flows never interleave — so a streaming consumer can
-    retire each flow (``finish_stream``) the moment the next one starts,
-    while a batch consumer must hold the whole capture.
+    retire each flow (an idle ``DpiStage.evict``) the moment the next one
+    starts, while a batch consumer must hold the whole capture.
     """
     for flow in range(flows):
         ssrc = 0x5EED0000 + flow
@@ -343,22 +343,24 @@ def _pipeline_peak(mode, flows, packets_per_flow=24):
                 "bench", checker.check(dpi.messages())
             )
         else:
-            session = engine.stream_session()
-            stream = checker.stream()
+            # A flow's packets are 0.02 s apart and the next flow starts
+            # 0.02 s after its last one.  Evicting right after each record
+            # with a shorter idle gap retires a flow as soon as the next
+            # one starts, and never the flow just fed.
+            dpi = DpiStage(engine, idle_gap=0.01)
+            check = CheckStage(checker)
             folding = StreamingSummary("bench")
-            previous = None
-            for record in _rotating_flow_records(flows, packets_per_flow):
-                key = record.flow_key
-                if previous is not None and key != previous:
-                    for analysis in session.finish_stream(previous):
-                        for index, verdict in stream.feed(analysis.messages):
-                            folding.add(verdict, index=index)
-                session.feed(record)
-                previous = key
-            for analysis in session.flush():
-                for index, verdict in stream.feed(analysis.messages):
+
+            def judge(emitted):
+                analyses = [analysis for analysis, _ in emitted]
+                for index, verdict in check.process_chunk(analyses):
                     folding.add(verdict, index=index)
-            for index, verdict in stream.flush():
+
+            for record in _rotating_flow_records(flows, packets_per_flow):
+                dpi.process_chunk((record,))
+                judge(dpi.evict(record.timestamp))
+            judge(dpi.flush())
+            for index, verdict in check.flush():
                 folding.add(verdict, index=index)
             summary = folding.result()
         elapsed = time.perf_counter() - start

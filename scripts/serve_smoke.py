@@ -5,8 +5,9 @@ Boots the real daemon on an ephemeral port, replays an **impaired** cell
 through a live session, and asserts the strongest service guarantee
 end-to-end: the SSE verdict stream is bit-identical — order included —
 to the batch pipeline over the same cell.  Unusable specs (a negative
-media scale, the removed ``deadline`` eviction mode) must get 400 and
-leave the daemon healthy.  Then sends SIGTERM and checks the daemon
+media scale, the removed ``deadline`` eviction mode, an unknown key
+inside ``queue``, a non-object ``eviction``) must get 400 and leave the
+daemon healthy.  Then sends SIGTERM and checks the daemon
 drains gracefully while ``/healthz`` keeps answering 200.
 
 Exit status 0 means every check passed; any assertion failure is fatal.
@@ -151,7 +152,12 @@ def main():
         status, health = get_json(base + "/healthz")
         assert status == 200 and health["status"] == "ok", health
 
-        for bad in ({"app": APP, "scale": -1}, {"app": APP, "eviction": "deadline"}):
+        for bad in (
+            {"app": APP, "scale": -1},
+            {"app": APP, "eviction": "deadline"},
+            {"app": APP, "queue": {"max_size": 2}},
+            {"app": APP, "eviction": 5},
+        ):
             try:
                 status, body = post_json(base + "/sessions", bad)
             except urllib.error.HTTPError as exc:

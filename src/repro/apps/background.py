@@ -9,7 +9,7 @@ LAN management chatter, and well-known-port services.  Every record carries
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from repro.apps.base import (
     DEVICE_LINK_LOCAL,
@@ -300,21 +300,3 @@ class BackgroundNoiseGenerator:
                 )
             t += self.rng.uniform(60.0, 120.0)
         return records
-
-
-def build_sni_blocklist(idle_records: Sequence[PacketRecord]) -> frozenset:
-    """Derive a blocklist from idle-phone traffic, as the paper does (§3.2.2).
-
-    Any SNI observed while no call is running is, by construction, not an
-    RTC media domain.
-    """
-    from repro.protocols.tls.client_hello import extract_sni
-
-    domains = set()
-    for record in idle_records:
-        if record.transport != "TCP":
-            continue
-        sni = extract_sni(record.payload)
-        if sni:
-            domains.add(sni)
-    return frozenset(domains)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import abc
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Iterator, List, Optional, Tuple
 
 from repro.netem import build_impairer, get_profile
 from repro.packets.packet import Direction, PacketRecord, TrafficCategory, Truth
@@ -38,10 +38,6 @@ class NetworkCondition(enum.Enum):
     WIFI_P2P = "wifi_p2p"
     WIFI_RELAY = "wifi_relay"
     CELLULAR = "cellular"
-
-    @property
-    def is_wifi(self) -> bool:
-        return self in (NetworkCondition.WIFI_P2P, NetworkCondition.WIFI_RELAY)
 
 
 class TransmissionMode(enum.Enum):
@@ -119,22 +115,11 @@ class Trace:
     def udp_records(self) -> List[PacketRecord]:
         return [r for r in self.records if r.transport == "UDP"]
 
-    @property
-    def tcp_records(self) -> List[PacketRecord]:
-        return [r for r in self.records if r.transport == "TCP"]
-
-    def rtc_truth(self) -> List[PacketRecord]:
-        """Ground-truth RTC packets (what a perfect filter would keep)."""
-        return [r for r in self.records if r.truth is not None and r.truth.is_rtc]
-
 
 @dataclass
 class Endpoint:
     ip: str
     port: int
-
-    def as_tuple(self) -> Tuple[str, int]:
-        return (self.ip, self.port)
 
 
 #: Device/infrastructure addressing shared by all simulators.
@@ -188,10 +173,6 @@ class RtpStreamState:
         self.packet_count += 1
         self.octet_count += len(payload)
         return packet
-
-
-WrapFn = Callable[[bytes, Direction, int], bytes]
-ExtensionFn = Callable[[int, DeterministicRandom], Optional[HeaderExtension]]
 
 
 class AppSimulator(abc.ABC):
@@ -280,57 +261,6 @@ class AppSimulator(abc.ABC):
             truth=truth,
         )
 
-    def emit_rtp_stream(
-        self,
-        records: List[PacketRecord],
-        *,
-        t0: float,
-        t1: float,
-        pps: float,
-        state: RtpStreamState,
-        device: Endpoint,
-        remote: Endpoint,
-        direction: Direction,
-        rng: DeterministicRandom,
-        payload_size: Tuple[int, int],
-        truth: Truth,
-        wrap: Optional[WrapFn] = None,
-        extension_fn: Optional[ExtensionFn] = None,
-        marker_every: int = 0,
-    ) -> int:
-        """Emit an RTP stream at *pps* packets/second between t0 and t1.
-
-        Returns the number of packets emitted.  ``wrap`` post-processes the
-        built RTP bytes into the final datagram payload (proprietary headers,
-        TURN encapsulation...); ``extension_fn`` supplies per-packet RFC 8285
-        header extensions.
-        """
-        if pps <= 0 or t1 <= t0:
-            return 0
-        interval = 1.0 / pps
-        ts_increment = max(1, int(state.clock_rate / pps))
-        count = 0
-        t = t0 + rng.uniform(0, interval)
-        index = 0
-        while t < t1:
-            size = rng.randint(*payload_size)
-            extension = extension_fn(index, rng) if extension_fn else None
-            marker = bool(marker_every and index % marker_every == 0)
-            packet = state.next_packet(
-                payload=rng.rand_bytes(size),
-                ts_increment=ts_increment,
-                marker=marker,
-                extension=extension,
-            )
-            raw = packet.build()
-            if wrap is not None:
-                raw = wrap(raw, direction, index)
-            records.append(self.packet(t, device, remote, raw, direction, truth))
-            t += rng.jitter(interval, 0.05)
-            index += 1
-            count += 1
-        return count
-
     def make_sender_report(
         self,
         state: RtpStreamState,
@@ -376,9 +306,3 @@ class AppSimulator(abc.ABC):
         return SdesPacket(
             chunks=[SdesChunk(ssrc=ssrc, items=[SdesItem(1, cname.encode("ascii"))])]
         ).to_packet()
-
-
-def merge_traces(trace: Trace, extra_records: Iterable[PacketRecord]) -> None:
-    """Append *extra_records* (e.g. background noise) into *trace* and re-sort."""
-    trace.records.extend(extra_records)
-    trace.sort()

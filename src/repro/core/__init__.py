@@ -17,7 +17,7 @@ as non-compliant and later criteria are skipped (avoiding cascading errors),
 matching the paper's methodology.
 """
 
-from repro.core.checker import CheckerStream, ComplianceChecker
+from repro.core.checker import CheckStage, ComplianceChecker
 from repro.core.metrics import (
     ComplianceSummary,
     StreamingSummary,
@@ -28,7 +28,7 @@ from repro.core.metrics import (
 from repro.core.verdict import Criterion, MessageVerdict, Violation
 
 __all__ = [
-    "CheckerStream",
+    "CheckStage",
     "ComplianceChecker",
     "ComplianceSummary",
     "StreamingSummary",

@@ -10,7 +10,7 @@ from repro.core.rtcp_rules import check_rtcp
 from repro.core.rtp_rules import check_rtp
 from repro.core.stun_rules import StunSessionContext, check_stun
 from repro.core.verdict import Criterion, MessageVerdict, Violation
-from repro.dpi.messages import ExtractedMessage, Protocol
+from repro.dpi.messages import DatagramAnalysis, ExtractedMessage, Protocol
 
 
 class ComplianceChecker:
@@ -50,10 +50,6 @@ class ComplianceChecker:
             )
             for extracted in messages
         ]
-
-    def stream(self) -> "CheckerStream":
-        """An incremental session: per-datagram verdicts, STUN at flush."""
-        return CheckerStream(self)
 
     def _violations(
         self,
@@ -105,17 +101,23 @@ class ComplianceChecker:
         return self.check([message])[0]
 
 
-class CheckerStream:
-    """Incremental compliance checking over a stream of datagram analyses.
+#: A verdict with the global index of its message in analysis order.
+IndexedVerdict = Tuple[int, MessageVerdict]
+
+
+class CheckStage:
+    """Five-criterion compliance checking (§4.2) over datagram analyses.
 
     STUN/TURN rules need session context (transaction pairing, allocate
     ordering) that only exists once the whole session has been seen, so
     those messages are deferred to :meth:`flush`; everything else is
     judged the moment its datagram arrives.  Verdicts carry the global
-    message index they were fed at, so a batch adapter can restore the
-    exact ``ComplianceChecker.check`` output order with one sort while
-    order-insensitive aggregators consume them as they come.
+    message index they were fed at, so sorting the collected pairs by
+    index reproduces ``ComplianceChecker.check``'s output order exactly,
+    while order-insensitive aggregators consume them as they come.
     """
+
+    name = "check"
 
     def __init__(self, checker: ComplianceChecker):
         self._checker = checker
@@ -123,51 +125,48 @@ class CheckerStream:
         self._deferred: List[Tuple[int, ExtractedMessage]] = []
         self._flushed = False
         # STUN context for non-deferred checks is empty by construction;
-        # built once here so feed() never allocates it per datagram.
+        # built once here so no datagram allocates it.
         self._empty_context = StunSessionContext([])
 
-    @property
-    def fed(self) -> int:
-        """Messages seen so far (immediate and deferred)."""
-        return self._index
-
-    @property
-    def deferred(self) -> int:
-        """STUN/TURN messages held back for session-context checks."""
-        return len(self._deferred)
-
-    def feed(
-        self, messages: Sequence[ExtractedMessage]
-    ) -> List[Tuple[int, MessageVerdict]]:
-        """Judge one datagram's messages (offset order, as DPI emits them).
+    def process_chunk(
+        self, analyses: Iterable[DatagramAnalysis]
+    ) -> List[IndexedVerdict]:
+        """Judge each analysis's messages (offset order, as DPI emits them).
 
         Returns ``(global_index, verdict)`` pairs for every message that
         could be judged immediately; STUN/TURN verdicts arrive at flush.
         """
         if self._flushed:
-            raise RuntimeError("feed() after flush()")
+            raise RuntimeError("process_chunk() after flush()")
         checker = self._checker
-        compound_head: Optional[ExtractedMessage] = None
-        if checker._strict_compound:
-            rtcp = [m for m in messages if m.protocol is Protocol.RTCP]
-            if rtcp:
-                compound_head = min(rtcp, key=lambda m: m.offset)
-        out: List[Tuple[int, MessageVerdict]] = []
-        for extracted in messages:
-            index = self._index
-            self._index += 1
-            if extracted.protocol is Protocol.STUN_TURN:
-                self._deferred.append((index, extracted))
-                continue
-            violations = checker._violations(
-                extracted, self._empty_context, extracted is compound_head
-            )
-            out.append(
-                (index, MessageVerdict(message=extracted, violations=violations))
-            )
+        strict = checker._strict_compound
+        context = self._empty_context
+        deferred = self._deferred
+        index = self._index
+        out: List[IndexedVerdict] = []
+        for analysis in analyses:
+            messages = analysis.messages
+            compound_head: Optional[ExtractedMessage] = None
+            if strict:
+                rtcp = [m for m in messages if m.protocol is Protocol.RTCP]
+                if rtcp:
+                    compound_head = min(rtcp, key=lambda m: m.offset)
+            for extracted in messages:
+                if extracted.protocol is Protocol.STUN_TURN:
+                    deferred.append((index, extracted))
+                else:
+                    violations = checker._violations(
+                        extracted, context, extracted is compound_head
+                    )
+                    out.append((
+                        index,
+                        MessageVerdict(message=extracted, violations=violations),
+                    ))
+                index += 1
+        self._index = index
         return out
 
-    def flush(self) -> List[Tuple[int, MessageVerdict]]:
+    def flush(self) -> List[IndexedVerdict]:
         """Judge the deferred STUN/TURN messages with full session context."""
         if self._flushed:
             return []
@@ -186,3 +185,7 @@ class CheckerStream:
         ]
         self._deferred = []
         return out
+
+    def buffered(self) -> int:
+        """STUN/TURN messages held back for session-context checks."""
+        return len(self._deferred)

@@ -7,7 +7,6 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -131,7 +130,7 @@ class StreamingSummary:
 
     Accepts verdicts one at a time — in any order — without ever holding
     the verdict list: pass the verdict's global message index (as emitted
-    by :class:`repro.core.checker.CheckerStream`) and the finished
+    by :class:`repro.core.checker.CheckStage`) and the finished
     summary is *identical* to ``ComplianceSummary.from_verdicts`` over
     the index-ordered batch, including type-entry insertion order and
     the first-three example-violation cap, both of which are defined by

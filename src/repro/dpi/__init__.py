@@ -13,8 +13,8 @@ from repro.dpi.engine import (
     DEFAULT_MAX_OFFSET,
     DpiEngine,
     DpiResult,
+    DpiStage,
     DpiStats,
-    DpiStreamSession,
 )
 from repro.dpi.messages import (
     DatagramAnalysis,
@@ -29,8 +29,8 @@ __all__ = [
     "ColumnarStats",
     "DpiEngine",
     "DpiResult",
+    "DpiStage",
     "DpiStats",
-    "DpiStreamSession",
     "DatagramAnalysis",
     "DatagramClass",
     "ExtractedMessage",

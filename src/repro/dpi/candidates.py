@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
-from typing import Any, List
+from typing import Any, Iterable, List
 
 from repro.dpi.messages import Protocol
 from repro.protocols.quic.header import (
@@ -29,7 +29,7 @@ from repro.protocols.quic.header import (
     parse_one,
 )
 from repro.protocols.rtcp.packets import RtcpHeader, RtcpPacket, RtcpParseError
-from repro.protocols.rtp.header import RtpPacket, RtpParseError, looks_like_rtp
+from repro.protocols.rtp.header import looks_like_rtp
 from repro.protocols.stun.constants import MAGIC_COOKIE
 from repro.protocols.stun.message import (
     ChannelData,
@@ -325,3 +325,23 @@ MATCHERS = {
     Protocol.RTCP: rtcp_candidates,
     Protocol.QUIC: quic_candidates,
 }
+
+
+def sweep_order(candidate: Candidate):
+    """The sweep's candidate order: by offset, longer first on a tie."""
+    return (candidate.offset, -candidate.length)
+
+
+def sweep(
+    payload: bytes, protocols: Iterable[Protocol], max_offset: int
+) -> List[Candidate]:
+    """The reference sweep (Algorithm 1, stage one) over one payload.
+
+    Every matcher of *protocols*, in that order, at offsets 0..k, merged
+    and stable-sorted by :func:`sweep_order`.
+    """
+    candidates: List[Candidate] = []
+    for protocol in protocols:
+        candidates.extend(MATCHERS[protocol](payload, max_offset))
+    candidates.sort(key=sweep_order)
+    return candidates

@@ -78,6 +78,8 @@ from repro.dpi.candidates import (
     MATCHERS,
     MAX_RTCP_TRAILER,
     rtp_candidates,
+    sweep,
+    sweep_order,
 )
 from repro.dpi.messages import Protocol
 from repro.protocols.quic.header import QUIC_V1, QUIC_V2
@@ -95,10 +97,6 @@ _QUIC_VERSION_NEEDLES = (
 )
 #: Finds the end of a zero run.
 _NONZERO = re.compile(rb"[^\x00]")
-
-
-def _sort_key(candidate: Candidate):
-    return (candidate.offset, -candidate.length)
 
 
 def _big_endian(head, lo: int, hi: int, dtype: str):
@@ -338,11 +336,7 @@ class ColumnarScanner:
 
     def scan_payload(self, payload: bytes) -> List[Candidate]:
         """Scalar reference scan of one payload (the parity oracle)."""
-        out: List[Candidate] = []
-        for protocol in self._protocols:
-            out.extend(MATCHERS[protocol](payload, self._max_offset))
-        out.sort(key=_sort_key)
-        return out
+        return sweep(payload, self._protocols, self._max_offset)
 
     def scan_batch(
         self, batch: Sequence[bytes]
@@ -435,7 +429,7 @@ class ColumnarScanner:
         for segment in parts[1:]:
             out += rtp
             out += segment
-        out.sort(key=_sort_key)
+        out.sort(key=sweep_order)
         return out
 
     # -- internals ----------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dpi.candidates import MATCHERS, Candidate
+from repro.dpi.candidates import Candidate, sweep
 from repro.dpi.columnar import (
     ColumnarScanner,
     ColumnarStats,
@@ -32,7 +32,7 @@ from repro.packets.batch import DEFAULT_CHUNK_SIZE
 from repro.packets.packet import PacketRecord
 from repro.protocols.rtcp.constants import RTCP_TYPE_NAMES
 from repro.protocols.rtp.header import RtpPacket, RtpParseError
-from repro.protocols.stun.message import ChannelData, StunMessage
+from repro.protocols.stun.message import ChannelData
 from repro.streams.flow import FlowKey, Stream
 
 DEFAULT_MAX_OFFSET = 200
@@ -253,26 +253,17 @@ class DpiEngine:
 
     # -- public API --------------------------------------------------------------
 
-    def analyze_records(self, records: Sequence[PacketRecord]) -> DpiResult:
+    def analyze_records(self, records: Iterable[PacketRecord]) -> DpiResult:
         """Group UDP records into streams and analyze each.
 
-        Thin batch adapter over :class:`DpiStreamSession`: one feed pass
-        plus a flush, so batch and streaming callers share the grouping,
-        analysis order, and stats accounting by construction.
+        One chunk through a :class:`DpiStage` plus its flush, so batch
+        and session callers share the grouping, analysis order, and stats
+        accounting by construction.
         """
-        session = self.stream_session()
-        for record in records:
-            session.feed(record)
-        return session.result()
-
-    def stream_session(self) -> "DpiStreamSession":
-        """An incremental analysis session bound to this engine.
-
-        Sessions share the engine's lifetime stats; a session's stats
-        delta is only meaningful while sessions on one engine do not
-        interleave.
-        """
-        return DpiStreamSession(self)
+        stage = DpiStage(self)
+        stage.process_chunk(records)
+        analyses = [analysis for analysis, _ in stage.flush()]
+        return DpiResult(analyses=analyses, stats=stage.stats())
 
     def analyze_stream(self, stream: Stream) -> List[DatagramAnalysis]:
         """Run both DPI stages over one transport stream."""
@@ -294,7 +285,10 @@ class DpiEngine:
     ) -> List[Tuple[PacketRecord, List[Candidate]]]:
         """Sweep every datagram of *stream*: the full 0..k scan each."""
         packets = stream.packets
-        candidates = [self._scan(record.payload) for record in packets]
+        protocols, max_offset = self._protocols, self._max_offset
+        candidates = [
+            sweep(record.payload, protocols, max_offset) for record in packets
+        ]
         self._count_sweeps(len(packets))
         return list(zip(packets, candidates))
 
@@ -311,14 +305,6 @@ class DpiEngine:
         calls = stats.matcher_calls
         for protocol in self._protocols:
             calls[protocol.value] = calls.get(protocol.value, 0) + count
-
-    def _scan(self, payload: bytes) -> List[Candidate]:
-        """The reference sweep: every matcher, merged and stable-sorted."""
-        candidates: List[Candidate] = []
-        for protocol in self._protocols:
-            candidates.extend(MATCHERS[protocol](payload, self._max_offset))
-        candidates.sort(key=lambda c: (c.offset, -c.length))
-        return candidates
 
     # -- both stages on columns (production) -----------------------------------------
 
@@ -669,153 +655,134 @@ def _score_rtp_columns(ssrc, seq, when) -> Dict[int, float]:
     return scores
 
 
-class DpiStreamSession:
-    """Incremental DPI over an interleaved record feed.
+#: Where an analysis sits in the batch flush order: ``(timestamp, stream
+#: serial, position in stream, message count)``.  Sorting by the first
+#: three fields restores the batch order; the count lets a consumer slice
+#: the analysis's verdicts out of the index-ordered verdict list.
+OrderKey = Tuple[float, int, int, int]
 
-    Records are grouped into streams as they arrive (first-seen order,
-    exactly like ``group_streams``); analysis happens per completed
-    stream, because every validation heuristic — RTP sequence continuity,
-    QUIC connection-ID learning, STUN transaction pairing — needs the
-    whole stream as context.  :meth:`flush` analyzes everything still
-    open and returns the analyses in global timestamp order, making a
-    feed-all-then-flush pass bit-identical to ``analyze_records``.
 
-    For live workloads where flows rotate, :meth:`finish_stream` analyzes
-    one flow the moment the caller knows it is done and releases its
-    buffered payloads, which is what keeps the session's footprint
-    bounded by the number of *concurrently open* flows rather than the
-    capture length.
+class DpiStage:
+    """Per-datagram two-stage DPI (§4.1) over an interleaved record feed.
+
+    :meth:`process_chunk` groups UDP records into streams as they arrive
+    (first-seen order, exactly like ``group_streams``) and emits nothing:
+    every validation heuristic — RTP sequence continuity, QUIC
+    connection-ID learning, STUN transaction pairing — needs the whole
+    stream as context, so a stream is analyzed only when it finishes.
+    :meth:`flush` finishes every open stream and returns its analyses in
+    global timestamp order, so one chunk plus a flush is
+    ``DpiEngine.analyze_records``.  With ``idle_gap`` set,
+    :meth:`evict` finishes the streams idle longer than the gap
+    (capture-seconds) before flush, which bounds the stage's footprint by
+    the *concurrently open* flows rather than the capture length.
+
+    Both emit ``(analysis, order_key)`` pairs (:data:`OrderKey`).  A
+    stream's serial is assigned when it opens, so a flow key that reopens
+    after eviction gets a fresh one; the keys are therefore a total order
+    that reproduces the batch flush order exactly (streams concatenated
+    in first-seen order, then a stable timestamp sort).  The stage holds
+    state for open streams only.
     """
 
-    def __init__(self, engine: DpiEngine):
+    name = "dpi"
+
+    def __init__(self, engine: DpiEngine, idle_gap: Optional[float] = None):
         self._engine = engine
-        self._streams: Dict[FlowKey, Stream] = {}
+        self._idle_gap = idle_gap
         self._before = engine.stats.copy()
-        self._fed = 0
-        # Datagrams held in open streams, kept current on every feed and
-        # finish: the pipeline reads it after every chunk, so a re-sum
-        # over open streams would make feeding quadratic in open flows.
+        self._streams: Dict[FlowKey, Stream] = {}
+        self._serials: Dict[FlowKey, int] = {}
+        self._last_seen: Dict[FlowKey, float] = {}
+        self._next_serial = 0
+        # Datagrams held in open streams, kept current on every record and
+        # finish: the session reads it after every chunk, so a re-sum over
+        # open streams would make feeding quadratic in open flows.
         self._buffered = 0
         self._flushed = False
-        # Monotone per-stream serials in first-seen order.  A serial is
-        # assigned when a stream is created and *reassigned* if a flow key
-        # reopens after eviction, so ``(timestamp, serial, position)`` is
-        # a total order over analyses that reproduces the batch flush
-        # order exactly (streams concatenate in insertion order, then a
-        # stable timestamp sort) — the key the session layer sorts by.
-        self._serials: Dict[FlowKey, int] = {}
-        self._next_serial = 0
-        self._last_seen: Dict[FlowKey, float] = {}
 
-    @property
-    def fed(self) -> int:
-        """UDP records accepted so far (non-UDP feeds are ignored)."""
-        return self._fed
-
-    @property
-    def buffered(self) -> int:
-        """Datagrams currently held waiting for their stream to complete."""
-        return self._buffered
-
-    @property
-    def open_streams(self) -> int:
-        return len(self._streams)
-
-    def feed(self, record: PacketRecord) -> None:
-        """Buffer one record into its stream (non-UDP records are dropped,
-        matching the ``analyze_records`` transport filter)."""
+    def process_chunk(self, records: Iterable[PacketRecord]) -> List[DatagramAnalysis]:
+        """Buffer records into their streams (non-UDP records are dropped:
+        the paper's DPI is UDP-only)."""
         if self._flushed:
-            raise RuntimeError("feed() after flush()")
-        if record.transport != "UDP":
-            return
-        self._fed += 1
-        self._buffered += 1
-        key = record.flow_key
-        stream = self._streams.get(key)
-        if stream is None:
-            stream = Stream(key=key)
-            self._streams[key] = stream
-            self._serials[key] = self._next_serial
-            self._next_serial += 1
-        stream.add(record)
-        last = self._last_seen.get(key)
-        if last is None or record.timestamp > last:
-            self._last_seen[key] = record.timestamp
-
-    def feed_many(self, records: Iterable[PacketRecord]) -> None:
-        """Feed a whole chunk of records (the pipeline's unit of work).
-
-        Grouping is per-record either way; the batch win comes at analysis
-        time, when each completed stream's sweeps run through the columnar
-        scanner in chunk-sized batches.
-        """
-        feed = self.feed
+            raise RuntimeError("process_chunk() after flush()")
+        streams, last_seen = self._streams, self._last_seen
         for record in records:
-            feed(record)
+            if record.transport != "UDP":
+                continue
+            self._buffered += 1
+            key = record.flow_key
+            stream = streams.get(key)
+            if stream is None:
+                stream = Stream(key=key)
+                streams[key] = stream
+                self._serials[key] = self._next_serial
+                self._next_serial += 1
+            stream.add(record)
+            last = last_seen.get(key)
+            if last is None or record.timestamp > last:
+                last_seen[key] = record.timestamp
+        return []
 
-    def serial(self, key: FlowKey) -> Optional[int]:
-        """First-seen serial of the stream currently open under *key*.
-
-        Serials survive :meth:`finish_stream` until the key reopens, so
-        an order-tracking consumer can still resolve the serial of an
-        analysis it receives from an eviction.
-        """
-        return self._serials.get(key)
-
-    def finish_stream(self, key: FlowKey) -> List[DatagramAnalysis]:
-        """Analyze one stream now and release its buffered payloads.
-
-        The caller asserts the flow is complete; datagrams fed to the same
-        key afterwards would start a fresh stream and be validated without
-        this one's context.
-        """
-        stream = self._streams.pop(key, None)
-        if stream is None:
-            return []
+    def _finish(self, key: FlowKey) -> List[Tuple[DatagramAnalysis, OrderKey]]:
+        """Analyze one open stream and drop every trace of it."""
+        stream = self._streams.pop(key)
+        serial = self._serials.pop(key)
+        del self._last_seen[key]
         self._buffered -= len(stream.packets)
-        self._last_seen.pop(key, None)
         stream.sort()
-        return self._engine.analyze_stream(stream)
+        return [
+            (analysis, (analysis.record.timestamp, serial, position,
+                        len(analysis.messages)))
+            for position, analysis in enumerate(
+                self._engine.analyze_stream(stream)
+            )
+        ]
 
-    def evict_idle(self, watermark: float, idle_gap: float) -> List[DatagramAnalysis]:
-        """Finish every stream idle for more than *idle_gap* capture-seconds.
+    def evict(self, watermark: float) -> List[Tuple[DatagramAnalysis, OrderKey]]:
+        """Finish every stream idle for more than ``idle_gap``.
 
         A stream is idle when its newest record's timestamp trails
-        *watermark* by more than ``idle_gap``.  Deterministic by
-        construction: the decision reads only record timestamps, never
-        wall-clock, and candidate streams are finished in first-seen
-        order.  The contract is the same as :meth:`finish_stream` — a
-        record arriving for an evicted key later starts a fresh stream
-        and is validated without the evicted context — so callers pick
-        ``idle_gap`` larger than any real intra-flow gap.
+        *watermark* by more than the gap.  Deterministic by construction:
+        the decision reads only record timestamps, never wall-clock, and
+        idle streams finish in first-seen order.  A record arriving for
+        an evicted key later starts a fresh stream and is validated
+        without the evicted context, so callers pick ``idle_gap`` larger
+        than any real intra-flow gap.  Without ``idle_gap`` nothing is
+        ever evicted.
         """
-        if self._flushed:
+        if self._idle_gap is None or self._flushed:
             return []
-        analyses: List[DatagramAnalysis] = []
+        gap = self._idle_gap
         idle = [
-            key
-            for key, last in self._last_seen.items()
-            if watermark - last > idle_gap
+            key for key, last in self._last_seen.items() if watermark - last > gap
         ]
+        out: List[Tuple[DatagramAnalysis, OrderKey]] = []
         for key in idle:
-            analyses.extend(self.finish_stream(key))
-        return analyses
+            out.extend(self._finish(key))
+        return out
 
-    def flush(self) -> List[DatagramAnalysis]:
-        """Analyze every open stream; return analyses in timestamp order."""
+    def flush(self) -> List[Tuple[DatagramAnalysis, OrderKey]]:
+        """Finish every open stream; return its analyses in timestamp order."""
         if self._flushed:
             return []
         self._flushed = True
-        analyses: List[DatagramAnalysis] = []
+        out: List[Tuple[DatagramAnalysis, OrderKey]] = []
         for key in list(self._streams):
-            analyses.extend(self.finish_stream(key))
-        analyses.sort(key=lambda a: a.record.timestamp)
-        return analyses
+            out.extend(self._finish(key))
+        # Streams finish in serial order, so a stable sort on the
+        # timestamp alone is the order-key sort.
+        out.sort(key=lambda pair: pair[1][0])
+        return out
+
+    def buffered(self) -> int:
+        """Datagrams currently held waiting for their stream to finish."""
+        return self._buffered
 
     def stats(self) -> DpiStats:
-        """Extraction-counter deltas accumulated by this session."""
-        return self._engine.stats.since(self._before)
+        """Extraction-counter deltas accumulated by this stage.
 
-    def result(self) -> DpiResult:
-        """Flush and package everything as a batch-shaped ``DpiResult``."""
-        return DpiResult(analyses=self.flush(), stats=self.stats())
+        A stage shares its engine's lifetime stats, so the delta is only
+        meaningful while stages on one engine do not interleave.
+        """
+        return self._engine.stats.since(self._before)

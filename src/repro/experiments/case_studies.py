@@ -7,11 +7,11 @@ case-study benchmark asserts the paper's qualitative claims against them.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from repro.dpi.messages import DatagramAnalysis, DatagramClass, ExtractedMessage, Protocol
+from repro.dpi.messages import DatagramAnalysis, ExtractedMessage, Protocol
 from repro.protocols.rtcp.packets import RtcpPacket
 from repro.protocols.rtp.header import RtpPacket
 from repro.protocols.stun.message import StunMessage
@@ -114,30 +114,6 @@ def observed_rtp_ssrcs(messages: Sequence[ExtractedMessage]) -> FrozenSet[int]:
     return frozenset(
         m.message.ssrc for m in messages if m.protocol is Protocol.RTP
     )
-
-
-@dataclass
-class WrapperReport:
-    """Zoom's type-7 wrapper share among proprietary-headered datagrams."""
-
-    wrapped: int
-    headered: int
-
-    @property
-    def rate(self) -> float:
-        return self.wrapped / self.headered if self.headered else 0.0
-
-
-def detect_zoom_wrapper(analyses: Sequence[DatagramAnalysis]) -> WrapperReport:
-    wrapped = headered = 0
-    for analysis in analyses:
-        header = analysis.proprietary_header
-        if len(header) < 17:
-            continue
-        headered += 1
-        if header[16] == 7:  # media-section type byte
-            wrapped += 1
-    return WrapperReport(wrapped=wrapped, headered=headered)
 
 
 # --- Discord -------------------------------------------------------------------

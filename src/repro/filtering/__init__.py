@@ -7,7 +7,7 @@ from repro.filtering.heuristics import (
     SniFilter,
     ThreeTupleFilter,
 )
-from repro.filtering.online import OnlineTwoStageFilter
+from repro.filtering.online import FilterStage
 from repro.filtering.pipeline import (
     FilterEvaluation,
     FilterResult,
@@ -24,7 +24,7 @@ __all__ = [
     "ThreeTupleFilter",
     "FilterEvaluation",
     "FilterResult",
-    "OnlineTwoStageFilter",
+    "FilterStage",
     "StageCounts",
     "TwoStageFilter",
     "TimespanFilter",

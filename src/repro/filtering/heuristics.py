@@ -49,9 +49,9 @@ class ThreeTupleFilter:
     ) -> "ThreeTupleFilter":
         """Build from an incrementally collected outside-window endpoint set.
 
-        The online filter feeds every out-of-window record through
-        :meth:`observe_outside` as it arrives instead of re-scanning a
-        materialized record list; the resulting set is identical.
+        The filter stage collects the endpoints of every out-of-window
+        record as it arrives instead of re-scanning a materialized record
+        list; the resulting set is identical.
         """
         instance = cls.__new__(cls)
         instance._outside = set(outside)

@@ -10,10 +10,17 @@ the filter's precision and recall.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.apps.background import DEFAULT_SNI_BLOCKLIST
-from repro.filtering.heuristics import DEFAULT_EXCLUDED_PORTS
+from repro.filtering.heuristics import (
+    DEFAULT_EXCLUDED_PORTS,
+    EndpointTuple,
+    LocalIpFilter,
+    PortFilter,
+    SniFilter,
+    ThreeTupleFilter,
+)
 from repro.filtering.timespan import TimespanFilter
 from repro.packets.packet import PacketRecord
 from repro.streams.flow import Stream
@@ -130,28 +137,41 @@ class TwoStageFilter:
     def window(self) -> CallWindow:
         return self._window
 
-    def apply(self, records: Sequence[PacketRecord]) -> FilterResult:
-        """Batch entry point: one pass of the online filter over *records*.
+    def apply(self, records: Iterable[PacketRecord]) -> FilterResult:
+        """Batch entry point: one chunk through a :class:`FilterStage`.
 
-        Batch and streaming callers share a single implementation (see
+        Batch and session callers share a single implementation (see
         :mod:`repro.filtering.online`), so their results are identical by
         construction rather than by parallel maintenance.
         """
-        online = self.online()
-        for record in records:
-            online.observe(record)
-        return online.finalize()
+        from repro.filtering.online import FilterStage
 
-    def online(self) -> "OnlineTwoStageFilter":
-        """An incremental filter session with this pipeline's configuration."""
-        from repro.filtering.online import OnlineTwoStageFilter
+        stage = FilterStage(self)
+        stage.process_chunk(records)
+        stage.flush()
+        return stage.result
 
-        return OnlineTwoStageFilter(
-            window=self._window,
-            sni_blocklist=self._sni_blocklist,
-            excluded_ports=self._excluded_ports,
-            enabled_heuristics=self._enabled,
-        )
+    def stage2_heuristics(
+        self,
+        outside: Iterable[EndpointTuple],
+        precall: Iterable[FrozenSet[str]],
+    ) -> List[object]:
+        """The enabled stage-2 heuristics, in the paper's order.
+
+        *outside* holds every endpoint seen outside the extended call
+        window (the 3-tuple rule) and *precall* every IP pair seen before
+        the call (the local-IP rule).
+        """
+        heuristics: List[object] = []
+        if "3tuple" in self._enabled:
+            heuristics.append(ThreeTupleFilter.from_outside_tuples(outside))
+        if "sni" in self._enabled:
+            heuristics.append(SniFilter(self._sni_blocklist))
+        if "local_ip" in self._enabled:
+            heuristics.append(LocalIpFilter.from_precall_pairs(precall))
+        if "port" in self._enabled:
+            heuristics.append(PortFilter(self._excluded_ports))
+        return heuristics
 
 
 def _evaluate(
@@ -167,7 +187,7 @@ def _evaluate(
         for stream in streams:
             counts = getattr(stream, "truth_counts", None)
             if counts is not None:
-                # Drained stream (OnlineTwoStageFilter.evict): packets
+                # Drained stream (FilterStage.evict): packets
                 # were released, but the label counters were kept.
                 rtc += counts[0]
                 non_rtc += counts[1]

@@ -43,15 +43,6 @@ class UdpDatagram:
         return raw
 
 
-class TcpFlags:
-    FIN = 0x01
-    SYN = 0x02
-    RST = 0x04
-    PSH = 0x08
-    ACK = 0x10
-    URG = 0x20
-
-
 @dataclass(frozen=True)
 class TcpSegment:
     src_port: int

@@ -1,6 +1,6 @@
-"""The stage adapters and per-stage instrumentation of the pipeline.
+"""The stages and per-stage instrumentation of the pipeline.
 
-:class:`repro.service.AnalysisSession` drives the adapters here in the
+:class:`repro.service.AnalysisSession` drives the stages here in the
 paper's fixed order — filter (§3.2) → DPI (§4.1) → check (§4.2) — and
 keeps one :class:`StageStats` per stage.  The batch entry points across
 the codebase (``run_cell_pipeline``, ``run_streaming``, the CLI, the

@@ -1,6 +1,6 @@
 """Per-stage instrumentation shared by every layer of the pipeline.
 
-:class:`~repro.service.AnalysisSession` drives the three adapters of
+:class:`~repro.service.AnalysisSession` drives the three stages of
 :mod:`repro.pipeline.stages` (filter → DPI → check) itself and keeps one
 :class:`StageStats` per stage: records in/out, wall time, chunk count
 and peak buffered items — the uniform instrumentation record every layer

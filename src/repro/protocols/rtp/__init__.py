@@ -6,7 +6,6 @@ from repro.protocols.rtp.extensions import (
     TWO_BYTE_PROFILE_MASK,
     ExtensionElement,
     HeaderExtension,
-    parse_extension_elements,
 )
 from repro.protocols.rtp.header import RtpPacket, RtpParseError, looks_like_rtp
 from repro.protocols.rtp.payload_types import (
@@ -21,7 +20,6 @@ __all__ = [
     "TWO_BYTE_PROFILE_MASK",
     "ExtensionElement",
     "HeaderExtension",
-    "parse_extension_elements",
     "RtpPacket",
     "RtpParseError",
     "looks_like_rtp",

@@ -15,7 +15,7 @@ normalizing it away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 ONE_BYTE_PROFILE = 0xBEDE
@@ -147,8 +147,3 @@ def build_two_byte_extension(
     while len(out) % 4:
         out.append(0)
     return HeaderExtension(profile=profile, data=bytes(out))
-
-
-def parse_extension_elements(extension: HeaderExtension) -> List[ExtensionElement]:
-    """Module-level alias for :meth:`HeaderExtension.elements`."""
-    return extension.elements()

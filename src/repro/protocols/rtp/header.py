@@ -52,10 +52,6 @@ class RtpPacket:
     # count byte was impossible — surfaced to the compliance layer.
     invalid_padding: bool = False
 
-    @property
-    def has_padding(self) -> bool:
-        return self.padding_length > 0
-
     @classmethod
     def parse(
         cls,

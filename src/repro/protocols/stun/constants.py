@@ -257,10 +257,6 @@ def attribute_name(attr_type: int) -> Optional[str]:
         return None
 
 
-def attribute_spec(attr_type: int) -> Optional[str]:
-    return _ATTRIBUTE_SPECS.get(attr_type)
-
-
 def is_comprehension_required(attr_type: int) -> bool:
     """Attributes 0x0000-0x7FFF are comprehension-required (RFC 8489 §14)."""
     return attr_type < 0x8000

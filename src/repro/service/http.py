@@ -55,6 +55,12 @@ SPEC_KEYS = frozenset({
     "source", "app", "network", "impairment", "duration", "scale", "seed",
     "pace", "speed", "eviction", "queue",
 })
+#: Every key the object form of a nested spec value may name.
+NESTED_SPEC_KEYS = {
+    "queue": frozenset({"maxsize", "policy"}),
+    "eviction": frozenset({"mode", "idle_gap", "sweep_interval"}),
+    "source": frozenset({"kind", "directory", "poll_interval"}),
+}
 
 
 class ServiceError(ValueError):
@@ -199,8 +205,10 @@ class ComplianceService:
         ``scale``, ``seed``, ``pace`` (``"afap"``/``"clock"``),
         ``speed``, ``eviction`` (mode string or
         ``{"mode", "idle_gap", "sweep_interval"}``), ``queue``
-        (``{"maxsize", "policy"}``).  Any other key is refused with 400,
-        and the whole spec is checked before a replay call is synthesized.
+        (``{"maxsize", "policy"}``).  Any other key, at the top level or
+        inside one of those objects, is refused with 400, and so is a
+        ``queue`` that is not an object; the whole spec is checked before
+        a replay call is synthesized.
         """
         if self._shutting_down:
             raise ServiceError(503, "service is shutting down")
@@ -221,6 +229,18 @@ class ComplianceService:
         unknown = sorted(set(spec) - SPEC_KEYS)
         if unknown:
             raise ValueError(f"unknown spec keys: {', '.join(unknown)}")
+        for name, allowed in NESTED_SPEC_KEYS.items():
+            if name not in spec:
+                continue
+            value = spec[name]
+            if isinstance(value, dict):
+                unknown = sorted(map(str, set(value) - allowed))
+                if unknown:
+                    raise ValueError(f"unknown {name} keys: {', '.join(unknown)}")
+            elif name == "queue":
+                raise ValueError("'queue' must be an object")
+            elif not isinstance(value, str):
+                raise ValueError(f"{name!r} must be a string or an object")
         eviction_spec = spec.get("eviction", "idle")
         if isinstance(eviction_spec, str):
             eviction = EvictionPolicy(mode=eviction_spec)

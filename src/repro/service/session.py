@@ -1,8 +1,8 @@
 """Session-oriented execution of the compliance pipeline.
 
 :class:`AnalysisSession` is the long-running counterpart of
-``run_cell_pipeline``: the same three layers (online filter → DPI stream
-session → checker stream) behind an explicit lifecycle — ``feed`` records
+``run_cell_pipeline``: the same three stages (filter → DPI → check)
+behind an explicit lifecycle — ``feed`` records
 as they arrive, ``snapshot`` the live instrumentation at any point, and
 ``close`` once to obtain the exact artifacts the batch adapter returns.
 Batch execution *is* a session now (``run_cell_pipeline`` feeds one and
@@ -24,11 +24,13 @@ deferred STUN context are only settled once every analysis exists.  So:
 * without one, ``feed`` goes to DPI, and with idle eviction a sweep
   finalizes idle DPI flows and checks their analyses mid-feed.
 
-Analyses finalized by a sweep leave DPI out of batch order, and the
-stage's emission log (``(timestamp, serial, position)`` per analysis —
-see :class:`repro.pipeline.stages.DpiStage`) is the total order that
-restores the batch sequence with one sort; verdicts follow their
-analyses by slicing the checker's index-ordered output per analysis.
+Analyses finalized by a sweep leave DPI out of batch order.  The DPI
+stage emits each analysis with its order key (``(timestamp, serial,
+position, message count)`` — see :class:`repro.pipeline.stages.DpiStage`),
+and the session keeps both, in the order it hands the analyses to the
+checker; the keys are the total order that restores the batch sequence
+with one sort, and verdicts follow their analyses by slicing the
+checker's index-ordered output per analysis.
 This is what makes every session bit-identical to the batch run (for
 idle eviction, with an ``idle_gap`` above every intra-flow gap) — the
 contract the parity tests pin.
@@ -50,7 +52,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.checker import ComplianceChecker
 from repro.core.metrics import ComplianceSummary
 from repro.core.verdict import MessageVerdict
-from repro.dpi.engine import DpiEngine, DpiResult
+from repro.dpi.engine import DpiEngine, DpiResult, OrderKey
 from repro.dpi.messages import DatagramAnalysis
 from repro.filtering.pipeline import FilterResult, TwoStageFilter
 from repro.packets.batch import DEFAULT_CHUNK_SIZE
@@ -180,6 +182,10 @@ class AnalysisSession:
             for stage in (self._filter, self._dpi, self._check)
             if stage is not None
         }
+        #: Every analysis DPI emitted, in the order the checker got them,
+        #: and the order key of each.
+        self._analyses: List[DatagramAnalysis] = []
+        self._order_keys: List[OrderKey] = []
         #: ``(global_message_index, verdict)`` pairs in emission order.
         self._indexed: List[Tuple[int, MessageVerdict]] = []
         self._records_fed = 0
@@ -220,11 +226,11 @@ class AnalysisSession:
             high = max(record.timestamp for record in chunk)
             if self._watermark is None or high > self._watermark:
                 self._watermark = high
-            if self._filter is not None:
-                # Keep/drop is provisional until close: nothing passes on.
-                self._process(self._filter, chunk)
-            else:
-                self._check_all(self._process(self._dpi, chunk))
+            # Neither stage emits from a chunk: keep/drop is provisional
+            # until close, and DPI waits for each stream to finish.
+            self._process(
+                self._dpi if self._filter is None else self._filter, chunk
+            )
             self._maybe_sweep()
 
     def _maybe_sweep(self) -> None:
@@ -246,7 +252,7 @@ class AnalysisSession:
 
     # The three calls below time one stage call each into that stage's
     # StageStats.  They look the method up on the stage at call time, so
-    # a wrapper installed on the adapter class is timed with it.
+    # a wrapper installed on the stage class is timed with it.
 
     def _process(self, stage, items: Sequence) -> list:
         stats = self._stats[stage.name]
@@ -276,8 +282,14 @@ class AnalysisSession:
         stats.peak_buffered = max(stats.peak_buffered, stage.buffered())
         return out
 
-    def _check_all(self, analyses: List[DatagramAnalysis]) -> None:
-        """Check *analyses* in ``DEFAULT_CHUNK_SIZE`` slices."""
+    def _check_all(self, emitted: List[Tuple[DatagramAnalysis, OrderKey]]) -> None:
+        """Keep DPI's *emitted* pairs and check their analyses in
+        ``DEFAULT_CHUNK_SIZE`` slices."""
+        if not emitted:
+            return
+        analyses, keys = zip(*emitted)
+        self._analyses.extend(analyses)
+        self._order_keys.extend(keys)
         size = DEFAULT_CHUNK_SIZE
         for start in range(0, len(analyses), size):
             self._indexed.extend(
@@ -311,7 +323,7 @@ class AnalysisSession:
             filter_result = self._filter.result
             size = DEFAULT_CHUNK_SIZE
             for start in range(0, len(kept), size):
-                self._check_all(self._process(self._dpi, kept[start:start + size]))
+                self._process(self._dpi, kept[start:start + size])
         self._check_all(self._flush(self._dpi))
         self._indexed.extend(self._flush(self._check))
 
@@ -329,7 +341,7 @@ class AnalysisSession:
     ) -> Tuple[List[MessageVerdict], List[DatagramAnalysis]]:
         """Reorder emissions into the exact batch sequence.
 
-        The DPI stage's emission log parallels its analyses 1:1, and
+        The order keys parallel the kept analyses 1:1, and
         ``(timestamp, serial, position)`` is precisely the key the batch
         flush sorts by (streams concatenated in first-seen
         order, then a stable timestamp sort).  The checker's global
@@ -338,9 +350,8 @@ class AnalysisSession:
         slicing per analysis pairs every verdict with its analysis; the
         slices then follow their analyses into batch order.
         """
-        log = self._dpi.emission_log
-        collected = self._dpi.analyses
-        assert len(collected) == len(log)
+        log = self._order_keys
+        collected = self._analyses
         flat = [
             verdict
             for _, verdict in sorted(self._indexed, key=lambda pair: pair[0])
@@ -351,7 +362,9 @@ class AnalysisSession:
             starts.append(cursor)
             cursor += entry[3]
         assert cursor == len(flat), "verdict/message count mismatch"
-        order = sorted(range(len(log)), key=lambda i: log[i][:3])
+        # Serial and position are unique, so the trailing message count
+        # never decides the order.
+        order = sorted(range(len(log)), key=log.__getitem__)
         verdicts: List[MessageVerdict] = []
         for i in order:
             verdicts.extend(flat[starts[i]:starts[i] + log[i][3]])

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import CallConfig, NetworkCondition, get_simulator
-from repro.dpi import ColumnarScanner, DpiEngine
+from repro.dpi import ColumnarScanner, DpiEngine, DpiStage
 from repro.dpi.candidates import (
     Candidate,
     quic_candidates,
@@ -318,11 +318,10 @@ class TestEngineBackendParity:
         scalar = DpiEngine()
         columnar = DpiEngine(backend="columnar")
         batch = scalar.analyze_records(kept_records)
-        session = columnar.stream_session()
-        session.feed_many(kept_records)
-        streamed = session.result()
-        assert batch.analyses == streamed.analyses
-        assert batch.stats.as_dict() == streamed.stats.as_dict()
+        stage = DpiStage(columnar)
+        stage.process_chunk(kept_records)
+        assert batch.analyses == [analysis for analysis, _ in stage.flush()]
+        assert batch.stats.as_dict() == stage.stats().as_dict()
 
     def test_backend_property_and_validation(self):
         assert DpiEngine().backend == "scalar"

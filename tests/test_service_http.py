@@ -23,7 +23,12 @@ from repro.experiments.runner import ExperimentConfig, run_cell_pipeline
 from repro.packets.batch import DEFAULT_CHUNK_SIZE
 from repro.packets.pcap import read_pcap, write_pcap
 from repro.pipeline import StageStats
-from repro.service.http import ComplianceService, EventStream, make_server
+from repro.service.http import (
+    ComplianceService,
+    EventStream,
+    ServiceError,
+    make_server,
+)
 from repro.service.ingest import (
     BoundedQueue,
     PcapDirectoryWatcher,
@@ -228,9 +233,19 @@ def test_service_rejects_bad_specs(monkeypatch):
          "unknown spec keys: batch, chunk_size"),
         ({"app": "meet", "pace": "realtime"}, "unknown pace"),
         ({"app": "meet", "speed": -2.0}, "speed must be positive"),
+        ({"app": "meet", "queue": {"max_size": 2}}, "unknown queue keys: max_size"),
+        ({"app": "meet", "eviction": {"mode": "idle", "idlegap": 0.1}},
+         "unknown eviction keys: idlegap"),
+        ({"source": {"kind": "pcap_dir", "directory": "x", "poll": 1}},
+         "unknown source keys: poll"),
+        ({"app": "meet", "queue": 5}, "'queue' must be an object"),
+        ({"app": "meet", "queue": None}, "'queue' must be an object"),
+        ({"app": "meet", "eviction": 5}, "'eviction' must be a string or an object"),
+        ({"app": "meet", "source": 5}, "'source' must be a string or an object"),
     ]:
-        with pytest.raises(Exception) as excinfo:
+        with pytest.raises(ServiceError) as excinfo:
             service.create_session(spec)
+        assert excinfo.value.status == 400
         assert fragment in str(excinfo.value)
     assert synthesized == []
     assert service.list_sessions() == []

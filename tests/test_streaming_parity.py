@@ -1,9 +1,9 @@
 """Streaming-vs-batch parity for the pipeline core.
 
-The streaming refactor's contract is bit-identity: every layer's online
-mode must produce exactly what the historical batch call produced.  These
-tests pin that contract layer by layer (filter, DPI session, checker
-stream, summary accumulator), end to end (``run_cell_pipeline`` vs a
+The streaming refactor's contract is bit-identity: every layer's stage
+must produce exactly what the layer's batch call produces.  These
+tests pin that contract layer by layer (filter, DPI and check stages,
+summary accumulator), end to end (``run_cell_pipeline`` vs a
 hand-rolled batch run), and corpus-wide (the differ's streaming engine
 spec against all 18 golden cells), plus the flush semantics and stage
 instrumentation the streaming mode introduces.
@@ -27,9 +27,11 @@ from repro.core import ComplianceChecker, ComplianceSummary, StreamingSummary
 from repro.dpi import DpiEngine
 from repro.experiments.runner import ExperimentConfig, run_cell_pipeline
 from repro.filtering import TwoStageFilter
-from repro.filtering.online import OnlineTwoStageFilter
 from repro.packets.packet import PacketRecord
 from repro.pipeline import (
+    CheckStage,
+    DpiStage,
+    FilterStage,
     StageStats,
     merge_stage_stats,
     run_streaming,
@@ -66,13 +68,19 @@ def kept_records(trace):
     return TwoStageFilter(trace.window).apply(trace.records).kept_records
 
 
+def chunks(items, size=256):
+    return [items[start:start + size] for start in range(0, len(items), size)]
+
+
 class TestOnlineFilterParity:
     def test_manual_online_equals_batch_apply(self, trace):
         batch = TwoStageFilter(trace.window).apply(trace.records)
-        online = TwoStageFilter(trace.window).online()
-        for rec in trace.records:
-            online.observe(rec)
-        streamed = online.finalize()
+        stage = FilterStage(TwoStageFilter(trace.window))
+        for chunk in chunks(trace.records):
+            assert stage.process_chunk(chunk) == []
+        kept = stage.flush()
+        streamed = stage.result
+        assert kept == streamed.kept_records
         assert streamed.raw == batch.raw
         assert streamed.stage1_removed == batch.stage1_removed
         assert streamed.stage2_removed == batch.stage2_removed
@@ -99,42 +107,41 @@ class TestOnlineFilterParity:
             400.0, src=("10.0.0.9", 40003), dst=("17.5.7.9", 5223)
         )
 
-        alone = TwoStageFilter(WINDOW).online()
-        for rec in in_window:
-            alone.observe(rec)
-        assert len(alone.finalize().kept_streams) == 1
+        alone = FilterStage(TwoStageFilter(WINDOW))
+        alone.process_chunk(in_window)
+        alone.flush()
+        assert len(alone.result.kept_streams) == 1
 
-        revoked = TwoStageFilter(WINDOW).online()
-        for rec in in_window:
-            revoked.observe(rec)
-        revoked.observe(post_window)
-        result = revoked.finalize()
+        revoked = FilterStage(TwoStageFilter(WINDOW))
+        revoked.process_chunk(in_window)
+        revoked.process_chunk([post_window])
+        revoked.flush()
+        result = revoked.result
         assert [s.key for s in result.removed_by["3tuple"]] == [
             in_window[0].flow_key
         ]
 
     def test_observe_after_finalize_raises(self):
-        online = TwoStageFilter(WINDOW).online()
-        online.observe(record(100.0))
-        online.finalize()
+        stage = FilterStage(TwoStageFilter(WINDOW))
+        stage.process_chunk([record(100.0)])
+        stage.flush()
         with pytest.raises(RuntimeError):
-            online.observe(record(101.0))
+            stage.process_chunk([record(101.0)])
         with pytest.raises(RuntimeError):
-            online.finalize()
+            stage.flush()
 
     def test_low_memory_preserves_accounting(self, trace):
         batch = TwoStageFilter(trace.window).apply(trace.records)
-        plain = TwoStageFilter(trace.window).online()
-        low = TwoStageFilter(trace.window).online()
-        for index, rec in enumerate(trace.records):
-            plain.observe(rec)
-            low.observe(rec)
-            if index % 256 == 255:
-                low.evict()
-        low.evict()
+        plain = FilterStage(TwoStageFilter(trace.window))
+        low = FilterStage(TwoStageFilter(trace.window))
+        for chunk in chunks(trace.records):
+            plain.process_chunk(chunk)
+            low.process_chunk(chunk)
+            assert low.evict(chunk[-1].timestamp) == ()
         # Draining must actually release buffered packets...
-        assert low.buffered_packets < plain.buffered_packets
-        drained = low.finalize()
+        assert low.buffered() < plain.buffered()
+        low.flush()
+        drained = low.result
         # ...while every counter, the kept output, and the ground-truth
         # evaluation stay identical to the batch run.
         assert drained.raw == batch.raw
@@ -228,72 +235,77 @@ class TestPipelineInstrumentation:
         assert first.records_in == 10  # the first record was copied
 
 
+def _open_state(stage):
+    """The flow keys ``DpiStage`` holds state for; all three must agree."""
+    keys = set(stage._streams)
+    assert set(stage._serials) == set(stage._last_seen) == keys
+    return keys
+
+
 class TestDpiStreamSession:
+    """``DpiStage``: grouping, eviction and the order keys it emits."""
+
     def test_session_result_equals_batch(self, kept_records):
         batch = DpiEngine().analyze_records(kept_records)
-        session = DpiEngine().stream_session()
-        for rec in kept_records:
-            session.feed(rec)
-        streamed = session.result()
-        assert [a.classification for a in streamed.analyses] == [
-            a.classification for a in batch.analyses
-        ]
-        assert [
-            (m.timestamp, m.protocol, m.offset, m.length)
-            for m in streamed.messages()
-        ] == [
-            (m.timestamp, m.protocol, m.offset, m.length)
-            for m in batch.messages()
-        ]
-        assert streamed.stats.as_dict() == batch.stats.as_dict()
+        stage = DpiStage(DpiEngine())
+        for chunk in chunks(kept_records):
+            assert stage.process_chunk(chunk) == []
+        emitted = stage.flush()
+        streamed = [analysis for analysis, _ in emitted]
+        assert streamed == batch.analyses
+        # Flush emits in order-key order, each key naming its analysis.
+        keys = [key for _, key in emitted]
+        assert keys == sorted(keys)
+        assert [key[0] for key in keys] == [a.record.timestamp for a in streamed]
+        assert [key[3] for key in keys] == [len(a.messages) for a in streamed]
+        assert stage.stats().as_dict() == batch.stats.as_dict()
+        assert _open_state(stage) == set()
 
-    def test_finish_stream_releases_buffered_state(self, kept_records):
+    def test_evict_releases_buffered_state(self, kept_records):
         udp = [r for r in kept_records if r.transport == "UDP"]
         first_key = udp[0].flow_key
         first_flow = [r for r in udp if r.flow_key == first_key]
         rest = [r for r in udp if r.flow_key != first_key]
         assert first_flow and rest
 
-        session = DpiEngine().stream_session()
-        for rec in first_flow:
-            session.feed(rec)
-        high_water = session.buffered
-        early = session.finish_stream(first_key)
+        stage = DpiStage(DpiEngine(), idle_gap=1.0)
+        stage.process_chunk(first_flow)
+        high_water = stage.buffered()
+        last = max(r.timestamp for r in first_flow)
+        assert stage.evict(last + 0.5) == []  # idle, but within the gap
+        early = stage.evict(last + 1.5)
         assert len(early) == len(first_flow)
-        assert session.buffered == 0
-        for rec in rest:
-            session.feed(rec)
-        late = session.flush()
-        assert session.buffered == 0
+        assert stage.buffered() == 0
+        # A finished stream leaves nothing behind.
+        assert _open_state(stage) == set()
+        stage.process_chunk(rest)
+        late = stage.flush()
+        assert stage.buffered() == 0
+        assert _open_state(stage) == set()
 
         # Early release changes emission order, never per-stream verdicts:
-        # streams are independent, so the union matches the batch run.
+        # streams are independent, and the order keys restore the batch
+        # sequence exactly.
         batch = DpiEngine().analyze_records(udp)
-        combined = sorted(
-            early + late, key=lambda a: a.record.timestamp
-        )
-        assert [(a.record.timestamp, a.classification) for a in combined] == [
-            (a.record.timestamp, a.classification) for a in batch.analyses
-        ]
+        restored = sorted(early + late, key=lambda pair: pair[1][:3])
+        assert [analysis for analysis, _ in restored] == batch.analyses
         assert high_water == len(first_flow)
 
     def test_feed_after_flush_raises(self, kept_records):
-        session = DpiEngine().stream_session()
-        session.feed(kept_records[0])
-        session.flush()
+        stage = DpiStage(DpiEngine())
+        stage.process_chunk(kept_records[:1])
+        stage.flush()
         with pytest.raises(RuntimeError):
-            session.feed(kept_records[0])
+            stage.process_chunk(kept_records[:1])
 
 
-#: Four flows, so operation sequences revisit, finish and reopen them.
+#: Four flows, so operation sequences revisit, evict and reopen them.
 _FLOWS = [("10.0.0.%d" % i, 40000 + i) for i in range(4)]
 
 _session_ops = st.lists(st.one_of(
     st.tuples(st.just("feed"), st.integers(0, 3),
               st.floats(0.0, 420.0), st.sampled_from(["UDP", "TCP"])),
-    st.tuples(st.just("finish"), st.integers(0, 3)),
-    st.tuples(st.just("evict"), st.floats(0.0, 420.0),
-              st.floats(0.5, 100.0)),
+    st.tuples(st.just("evict"), st.floats(0.0, 420.0)),
 ), max_size=40)
 
 _filter_ops = st.lists(st.one_of(
@@ -336,40 +348,42 @@ def _feed_seconds_per_record(records):
 
 
 class TestBufferedCounts:
-    """``buffered`` / ``buffered_packets`` are running counts.  The
-    pipeline reads them after every chunk, so they must equal the sum
+    """The filter and DPI stages' ``buffered()`` are running counts.  The
+    session reads them after every chunk, so they must equal the sum
     over open streams without recomputing it."""
 
     @settings(max_examples=60)
-    @given(ops=_session_ops)
-    def test_dpi_session_count_equals_sum(self, ops):
-        session = DpiEngine(backend="columnar").stream_session()
+    @given(ops=_session_ops, idle_gap=st.floats(0.5, 100.0))
+    def test_dpi_session_count_equals_sum(self, ops, idle_gap):
+        stage = DpiStage(DpiEngine(backend="columnar"), idle_gap=idle_gap)
         for op in ops:
             if op[0] == "feed":
                 _, flow, t, transport = op
-                session.feed(record(t, src=_FLOWS[flow], transport=transport))
-            elif op[0] == "finish":
-                session.finish_stream(record(0.0, src=_FLOWS[op[1]]).flow_key)
+                stage.process_chunk(
+                    [record(t, src=_FLOWS[flow], transport=transport)]
+                )
             else:
-                session.evict_idle(op[1], op[2])
-            assert session.buffered == _held(session._streams)
-        session.flush()
-        assert session.buffered == _held(session._streams) == 0
+                stage.evict(op[1])
+            assert stage.buffered() == _held(stage._streams)
+            _open_state(stage)
+        stage.flush()
+        assert stage.buffered() == _held(stage._streams) == 0
+        assert _open_state(stage) == set()
 
     @settings(max_examples=60)
     @given(ops=_filter_ops, evict_each=st.booleans())
     def test_filter_count_equals_sum(self, ops, evict_each):
-        online = OnlineTwoStageFilter(WINDOW)
+        stage = FilterStage(TwoStageFilter(WINDOW))
         for op in ops:
             if op[0] == "observe":
-                online.observe(record(op[2], src=_FLOWS[op[1]]))
+                stage.process_chunk([record(op[2], src=_FLOWS[op[1]])])
                 if evict_each:
-                    online.evict()
+                    stage.evict(op[2])
             else:
-                online.evict()
-            assert online.buffered_packets == _held(online._streams)
-        online.finalize()
-        assert online.buffered_packets == _held(online._streams)
+                stage.evict(0.0)
+            assert stage.buffered() == _held(stage._streams)
+        stage.flush()
+        assert stage.buffered() == _held(stage._streams)
 
     def test_feed_time_flat_in_open_flows(self):
         """Per-record feed cost must not grow with the number of open
@@ -393,12 +407,13 @@ class TestCheckerStreamParity:
         checker = ComplianceChecker(strict_compound=strict_compound)
         batch = checker.check(dpi.messages())
 
-        stream = checker.stream()
+        stage = CheckStage(checker)
         indexed = []
-        for analysis in dpi.analyses:
-            indexed.extend(stream.feed(analysis.messages))
-        assert stream.deferred > 0  # meet traces carry STUN traffic
-        indexed.extend(stream.flush())
+        for chunk in chunks(dpi.analyses):
+            indexed.extend(stage.process_chunk(chunk))
+        assert stage.buffered() > 0  # meet traces carry STUN traffic
+        indexed.extend(stage.flush())
+        assert stage.buffered() == 0
         streamed = [verdict for _, verdict in sorted(indexed, key=lambda p: p[0])]
 
         assert len(streamed) == len(batch)
@@ -407,10 +422,10 @@ class TestCheckerStreamParity:
             assert got.violation_keys() == want.violation_keys()
 
     def test_feed_after_flush_raises(self):
-        stream = ComplianceChecker().stream()
-        stream.flush()
+        stage = CheckStage(ComplianceChecker())
+        stage.flush()
         with pytest.raises(RuntimeError):
-            stream.feed([])
+            stage.process_chunk([])
 
 
 class TestStreamingSummaryParity:
@@ -420,7 +435,7 @@ class TestStreamingSummaryParity:
         batch = ComplianceSummary.from_verdicts("meet", verdicts)
 
         accumulator = StreamingSummary("meet")
-        # Deliver in a deliberately scrambled order, as the checker stream
+        # Deliver in a deliberately scrambled order, as the check stage
         # does when STUN verdicts arrive at flush.
         indexed = list(enumerate(verdicts))
         scrambled = indexed[1::2] + indexed[0::2][::-1]
