@@ -6,8 +6,9 @@ through a live session, and asserts the strongest service guarantee
 end-to-end: the SSE verdict stream is bit-identical — order included —
 to the batch pipeline over the same cell.  Unusable specs (a negative
 media scale, the removed ``deadline`` eviction mode, an unknown key
-inside ``queue``, a non-object ``eviction``) must get 400 and leave the
-daemon healthy.  Then sends SIGTERM and checks the daemon
+inside ``queue``, a non-object ``eviction``, a ``pcap_dir`` source on a
+directory that does not exist) must get 400 and leave the daemon
+healthy; the missing directory's 400 names its path.  Then sends SIGTERM and checks the daemon
 drains gracefully while ``/healthz`` keeps answering 200.
 
 Exit status 0 means every check passed; any assertion failure is fatal.
@@ -152,17 +153,24 @@ def main():
         status, health = get_json(base + "/healthz")
         assert status == 200 and health["status"] == "ok", health
 
+        missing = os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), "no-such-capture-dir"
+        )
+        assert not os.path.exists(missing), missing
         for bad in (
             {"app": APP, "scale": -1},
             {"app": APP, "eviction": "deadline"},
             {"app": APP, "queue": {"max_size": 2}},
             {"app": APP, "eviction": 5},
+            {"source": {"kind": "pcap_dir", "directory": missing}},
         ):
             try:
                 status, body = post_json(base + "/sessions", bad)
             except urllib.error.HTTPError as exc:
                 status, body = exc.code, json.loads(exc.read())
             assert status == 400, (bad, status, body)
+            if "source" in bad:
+                assert missing in body["error"], body
         status, health = get_json(base + "/healthz")
         assert status == 200 and health["status"] == "ok", health
         print("unusable specs refused with 400, daemon healthy")

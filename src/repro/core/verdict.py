@@ -19,7 +19,7 @@ class Criterion(enum.IntEnum):
     SEMANTICS = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One compliance violation found in a message."""
 
@@ -39,7 +39,7 @@ class Violation:
         return (int(self.criterion), self.code)
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageVerdict:
     """The checker's decision for one extracted message."""
 

@@ -26,7 +26,7 @@ class DatagramClass(enum.Enum):
     FULLY_PROPRIETARY = "fully_proprietary"    # no recognizable message
 
 
-@dataclass
+@dataclass(slots=True)
 class ExtractedMessage:
     """One validated protocol message found inside a datagram.
 
@@ -92,7 +92,7 @@ class ExtractedMessage:
         return (self.protocol.value, type(message).__name__)
 
 
-@dataclass
+@dataclass(slots=True)
 class DatagramAnalysis:
     """The DPI verdict for one UDP datagram."""
 

@@ -7,14 +7,12 @@ local-IP scoping, and well-known-port exclusion.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
 from repro.apps.background import DEFAULT_SNI_BLOCKLIST
 from repro.packets.ip import is_private_address
-from repro.packets.packet import PacketRecord
 from repro.protocols.tls.client_hello import extract_sni
 from repro.streams.flow import Stream
-from repro.streams.timeline import CallWindow
 
 #: Ports reserved for non-RTC services (IANA registry subset the paper cites
 #: plus the LAN-management ports seen on idle phones).
@@ -32,35 +30,15 @@ class ThreeTupleFilter:
     destination while NAT rebinding varies the source port, splitting one
     logical connection into several 5-tuple streams.  A 3-tuple observed
     outside the call window marks every in-window stream sharing it.
+
+    *outside* holds both endpoints of every record outside the extended
+    call window; the filter stage collects it as records arrive.
     """
 
     name = "3tuple"
 
-    def __init__(self, all_records: Sequence[PacketRecord], window: CallWindow):
-        self._outside: Set[EndpointTuple] = set()
-        for record in all_records:
-            if window.extended_start <= record.timestamp <= window.extended_end:
-                continue
-            self.observe_outside(record)
-
-    @classmethod
-    def from_outside_tuples(
-        cls, outside: Iterable[EndpointTuple]
-    ) -> "ThreeTupleFilter":
-        """Build from an incrementally collected outside-window endpoint set.
-
-        The filter stage collects the endpoints of every out-of-window
-        record as it arrives instead of re-scanning a materialized record
-        list; the resulting set is identical.
-        """
-        instance = cls.__new__(cls)
-        instance._outside = set(outside)
-        return instance
-
-    def observe_outside(self, record: PacketRecord) -> None:
-        """Register one record already known to lie outside the window."""
-        self._outside.add((record.src_ip, record.src_port, record.transport))
-        self._outside.add((record.dst_ip, record.dst_port, record.transport))
+    def __init__(self, outside: Iterable[EndpointTuple]):
+        self._outside: FrozenSet[EndpointTuple] = frozenset(outside)
 
     def keeps(self, stream: Stream) -> bool:
         (ip_a, port_a), (ip_b, port_b), transport = (
@@ -102,24 +80,10 @@ class LocalIpFilter:
 
     name = "local_ip"
 
-    def __init__(self, all_records: Sequence[PacketRecord], window: CallWindow):
-        self._precall_pairs: Set[FrozenSet[str]] = set()
-        for record in all_records:
-            if record.timestamp < window.call_start:
-                self.observe_precall(record)
-
-    @classmethod
-    def from_precall_pairs(
-        cls, pairs: Iterable[FrozenSet[str]]
-    ) -> "LocalIpFilter":
-        """Build from an incrementally collected pre-call IP-pair set."""
-        instance = cls.__new__(cls)
-        instance._precall_pairs = set(pairs)
-        return instance
-
-    def observe_precall(self, record: PacketRecord) -> None:
-        """Register one record already known to precede the call start."""
-        self._precall_pairs.add(frozenset((record.src_ip, record.dst_ip)))
+    def __init__(self, precall_pairs: Iterable[FrozenSet[str]]):
+        #: The IP pair of every record before the call start, collected by
+        #: the filter stage as records arrive.
+        self._precall_pairs: FrozenSet[FrozenSet[str]] = frozenset(precall_pairs)
 
     def keeps(self, stream: Stream) -> bool:
         ip_a, ip_b = stream.ips()

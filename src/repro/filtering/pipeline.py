@@ -164,11 +164,11 @@ class TwoStageFilter:
         """
         heuristics: List[object] = []
         if "3tuple" in self._enabled:
-            heuristics.append(ThreeTupleFilter.from_outside_tuples(outside))
+            heuristics.append(ThreeTupleFilter(outside))
         if "sni" in self._enabled:
             heuristics.append(SniFilter(self._sni_blocklist))
         if "local_ip" in self._enabled:
-            heuristics.append(LocalIpFilter.from_precall_pairs(precall))
+            heuristics.append(LocalIpFilter(precall))
         if "port" in self._enabled:
             heuristics.append(PortFilter(self._excluded_ports))
         return heuristics

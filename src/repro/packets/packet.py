@@ -46,7 +46,7 @@ class Truth:
         return self.category in (TrafficCategory.RTC_MEDIA, TrafficCategory.RTC_CONTROL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PacketRecord:
     """One captured transport-layer packet.
 

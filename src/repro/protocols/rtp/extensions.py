@@ -32,7 +32,7 @@ class ExtensionElement:
     declared_length: int  # as encoded; may legally differ from len(data) only for id=0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeaderExtension:
     """The generic RFC 3550 extension block: profile + 32-bit-word payload."""
 

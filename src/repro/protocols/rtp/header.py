@@ -30,13 +30,17 @@ def _truncated(need: int, pos: int, end: int) -> RtpParseError:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RtpPacket:
     """A parsed RTP packet.
 
     ``payload`` holds the media bytes after any CSRC list and header
     extension; for SRTP traffic it is ciphertext, which is fine — the study
-    judges header structure, not media content.
+    judges header structure, not media content.  A packet parsed from
+    ``bytes`` keeps it as a read-only ``memoryview`` into those bytes, so
+    the media is never copied (``bytes(packet.payload)`` copies it); the
+    view compares equal to the same bytes and pickles and copies as
+    ``bytes``.
     """
 
     payload_type: int
@@ -97,10 +101,15 @@ class RtpPacket:
             stop = pos + 4 * word_length
             if stop > end:
                 raise _truncated(4 * word_length, pos, end)
-            extension = HeaderExtension(profile=profile, data=data[pos:stop])
+            extension = HeaderExtension(profile=profile, data=bytes(data[pos:stop]))
             pos = stop
 
-        payload = data[pos:end]
+        # Immutable input can be shared; any other buffer is copied so the
+        # frozen packet never changes under its caller.
+        if type(data) is bytes:
+            payload = memoryview(data)[pos:end]
+        else:
+            payload = bytes(data[pos:end])
         padding_length = 0
         invalid_padding = False
         if padding:
@@ -129,6 +138,24 @@ class RtpPacket:
             extension=extension,
             padding_length=padding_length,
             invalid_padding=invalid_padding,
+        )
+
+    def __reduce__(self):
+        # A memoryview neither pickles nor deep-copies: it travels as bytes.
+        return (
+            type(self),
+            (
+                self.payload_type,
+                self.sequence_number,
+                self.timestamp,
+                self.ssrc,
+                bytes(self.payload),
+                self.marker,
+                self.csrcs,
+                self.extension,
+                self.padding_length,
+                self.invalid_padding,
+            ),
         )
 
     def build(self) -> bytes:

@@ -219,6 +219,10 @@ class PcapDirectoryWatcher:
         if not (poll_interval > 0 and math.isfinite(poll_interval)):
             # Zero or negative would spin the poll loop on listdir.
             raise ValueError("poll_interval must be positive and finite")
+        if not os.path.isdir(directory):
+            # The poll loop reads a failed listdir as "no files yet", so a
+            # missing directory would otherwise be watched forever.
+            raise ValueError(f"{directory!r} is not an existing directory")
         self._directory = directory
         self._poll_interval = poll_interval
         self._stop = stop if stop is not None else threading.Event()

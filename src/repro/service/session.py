@@ -27,10 +27,11 @@ deferred STUN context are only settled once every analysis exists.  So:
 Analyses finalized by a sweep leave DPI out of batch order.  The DPI
 stage emits each analysis with its order key (``(timestamp, serial,
 position, message count)`` — see :class:`repro.pipeline.stages.DpiStage`),
-and the session keeps both, in the order it hands the analyses to the
-checker; the keys are the total order that restores the batch sequence
-with one sort, and verdicts follow their analyses by slicing the
-checker's index-ordered output per analysis.
+and the session keeps the analyses, in the order it hands them to the
+checker, with their keys as four typed columns; the keys are the total
+order that restores the batch sequence with one sort, and verdicts
+follow their analyses by slicing the checker's index-ordered output per
+analysis.
 This is what makes every session bit-identical to the batch run (for
 idle eviction, with an ``idle_gap`` above every intra-flow gap) — the
 contract the parity tests pin.
@@ -45,11 +46,14 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.checker import ComplianceChecker
+import numpy as np
+
+from repro.core.checker import ComplianceChecker, IndexedVerdict
 from repro.core.metrics import ComplianceSummary
 from repro.core.verdict import MessageVerdict
 from repro.dpi.engine import DpiEngine, DpiResult, OrderKey
@@ -183,11 +187,17 @@ class AnalysisSession:
             if stage is not None
         }
         #: Every analysis DPI emitted, in the order the checker got them,
-        #: and the order key of each.
+        #: and the order key of each as columns (timestamp, serial,
+        #: position, message count): four machine words per analysis
+        #: instead of a tuple of boxed numbers.
         self._analyses: List[DatagramAnalysis] = []
-        self._order_keys: List[OrderKey] = []
-        #: ``(global_message_index, verdict)`` pairs in emission order.
-        self._indexed: List[Tuple[int, MessageVerdict]] = []
+        self._times = array("d")
+        self._serials = array("q")
+        self._positions = array("q")
+        self._counts = array("q")
+        #: Verdicts in emission order, and the global message index of each.
+        self._verdicts: List[MessageVerdict] = []
+        self._indices = array("q")
         self._records_fed = 0
         self._watermark: Optional[float] = None
         self._last_sweep: Optional[float] = None
@@ -288,13 +298,21 @@ class AnalysisSession:
         if not emitted:
             return
         analyses, keys = zip(*emitted)
+        times, serials, positions, counts = zip(*keys)
         self._analyses.extend(analyses)
-        self._order_keys.extend(keys)
+        self._times.extend(times)
+        self._serials.extend(serials)
+        self._positions.extend(positions)
+        self._counts.extend(counts)
         size = DEFAULT_CHUNK_SIZE
         for start in range(0, len(analyses), size):
-            self._indexed.extend(
-                self._process(self._check, analyses[start:start + size])
-            )
+            self._collect(self._process(self._check, analyses[start:start + size]))
+
+    def _collect(self, indexed: List[IndexedVerdict]) -> None:
+        if indexed:
+            indices, verdicts = zip(*indexed)
+            self._indices.extend(indices)
+            self._verdicts.extend(verdicts)
 
     def snapshot(self) -> SessionSnapshot:
         """Detached copies of every stage's counters, in chain order."""
@@ -302,7 +320,7 @@ class AnalysisSession:
             records_fed=self._records_fed,
             watermark=self._watermark,
             closed=self._closed,
-            verdicts_ready=len(self._indexed),
+            verdicts_ready=len(self._verdicts),
             stages=[stat.snapshot() for stat in self._stats.values()],
         )
 
@@ -325,9 +343,15 @@ class AnalysisSession:
             for start in range(0, len(kept), size):
                 self._process(self._dpi, kept[start:start + size])
         self._check_all(self._flush(self._dpi))
-        self._indexed.extend(self._flush(self._check))
+        self._collect(self._flush(self._check))
 
         verdicts, analyses = self._restore_batch_order()
+        # The emission-order state is spent: the result holds the same
+        # objects in batch order.
+        self._analyses, self._verdicts = analyses, verdicts
+        for column in (self._times, self._serials, self._positions,
+                       self._counts, self._indices):
+            del column[:]
         self._result = SessionResult(
             filter_result=filter_result,
             dpi=DpiResult(analyses=analyses, stats=self._dpi.stats()),
@@ -341,31 +365,34 @@ class AnalysisSession:
     ) -> Tuple[List[MessageVerdict], List[DatagramAnalysis]]:
         """Reorder emissions into the exact batch sequence.
 
-        The order keys parallel the kept analyses 1:1, and
+        The order-key columns parallel the kept analyses 1:1, and
         ``(timestamp, serial, position)`` is precisely the key the batch
-        flush sorts by (streams concatenated in first-seen
-        order, then a stable timestamp sort).  The checker's global
-        indices number messages in emission order and each analysis's
-        messages are consecutive, so index-sorting the verdicts and
-        slicing per analysis pairs every verdict with its analysis; the
-        slices then follow their analyses into batch order.
+        flush sorts by (streams concatenated in first-seen order, then a
+        stable timestamp sort); serial and position are unique, so one
+        lexsort over those three columns is that order.  The checker
+        numbers messages in emission order, so analysis ``i``'s messages
+        hold the global indices ``starts[i] .. starts[i] + counts[i]``;
+        laying those runs out in batch order and mapping each index to
+        its verdict (indices are unique, so one argsort) pairs every
+        verdict with its analysis in batch order.
         """
-        log = self._order_keys
-        collected = self._analyses
-        flat = [
-            verdict
-            for _, verdict in sorted(self._indexed, key=lambda pair: pair[0])
-        ]
-        starts: List[int] = []
-        cursor = 0
-        for entry in log:
-            starts.append(cursor)
-            cursor += entry[3]
-        assert cursor == len(flat), "verdict/message count mismatch"
-        # Serial and position are unique, so the trailing message count
-        # never decides the order.
-        order = sorted(range(len(log)), key=log.__getitem__)
-        verdicts: List[MessageVerdict] = []
-        for i in order:
-            verdicts.extend(flat[starts[i]:starts[i] + log[i][3]])
-        return verdicts, [collected[i] for i in order]
+        counts = np.frombuffer(self._counts, dtype=np.int64)
+        indices = np.frombuffer(self._indices, dtype=np.int64)
+        assert int(counts.sum()) == len(indices), "verdict/message count mismatch"
+        order = np.lexsort((
+            np.frombuffer(self._positions, dtype=np.int64),
+            np.frombuffer(self._serials, dtype=np.int64),
+            np.frombuffer(self._times, dtype=np.float64),
+        ))
+        starts = np.cumsum(counts) - counts
+        run_lengths = counts[order]
+        run_offsets = np.cumsum(run_lengths) - run_lengths
+        wanted = np.arange(len(indices)) + np.repeat(
+            starts[order] - run_offsets, run_lengths
+        )
+        slot_of_index = np.argsort(indices)
+        collected, verdicts = self._analyses, self._verdicts
+        return (
+            [verdicts[i] for i in slot_of_index[wanted].tolist()],
+            [collected[i] for i in order.tolist()],
+        )

@@ -62,26 +62,28 @@ class TestTimespanFilter:
 
 
 class TestThreeTupleFilter:
+    # The filter gets the endpoints seen outside the call window; which
+    # records count as outside is pinned on ``TwoStageFilter.apply`` below.
+
     def test_rebinding_detected(self):
         # Same destination 3-tuple outside and inside the window with
         # different source ports: the in-window stream must be removed.
-        outside = record(10.0, src=("10.0.0.9", 40001), dst=("17.5.7.9", 5223),
-                         transport="TCP")
+        outside = {("10.0.0.9", 40001, "TCP"), ("17.5.7.9", 5223, "TCP")}
         inside = record(100.0, src=("10.0.0.9", 40002), dst=("17.5.7.9", 5223),
                         transport="TCP")
-        filt = ThreeTupleFilter([outside, inside], WINDOW)
+        filt = ThreeTupleFilter(outside)
         assert not filt.keeps(one_stream([inside]))
 
     def test_unrelated_stream_kept(self):
-        outside = record(10.0, dst=("17.5.7.9", 5223), transport="TCP")
+        outside = {("10.0.0.9", 40000, "TCP"), ("17.5.7.9", 5223, "TCP")}
         inside = record(100.0, dst=("99.99.99.99", 3478))
-        filt = ThreeTupleFilter([outside, inside], WINDOW)
+        filt = ThreeTupleFilter(outside)
         assert filt.keeps(one_stream([inside]))
 
     def test_transport_distinguishes(self):
-        outside = record(10.0, dst=("17.5.7.9", 443), transport="TCP")
+        outside = {("10.0.0.9", 40000, "TCP"), ("17.5.7.9", 443, "TCP")}
         inside = record(100.0, dst=("17.5.7.9", 443), transport="UDP")
-        filt = ThreeTupleFilter([outside, inside], WINDOW)
+        filt = ThreeTupleFilter(outside)
         assert filt.keeps(one_stream([inside]))
 
 
@@ -110,24 +112,27 @@ class TestSniFilter:
 
 
 class TestLocalIpFilter:
+    # The filter gets the IP pairs seen before the call start; which
+    # records count as pre-call is pinned on ``TwoStageFilter.apply`` below.
+
     def test_precall_local_pair_removed(self):
-        precall = record(10.0, src=("192.168.1.5", 5353), dst=("224.0.0.251", 5353))
+        precall = {frozenset(("192.168.1.5", "224.0.0.251"))}
         incall = record(100.0, src=("192.168.1.5", 5353), dst=("224.0.0.251", 5353))
-        filt = LocalIpFilter([precall, incall], WINDOW)
+        filt = LocalIpFilter(precall)
         assert not filt.keeps(one_stream([incall]))
 
     def test_p2p_media_preserved(self):
         # Two private endpoints whose pair never appears pre-call: legit P2P.
         media = record(100.0, src=("192.168.1.5", 50000), dst=("192.168.1.7", 50001))
-        filt = LocalIpFilter([media], WINDOW)
+        filt = LocalIpFilter(set())
         assert filt.keeps(one_stream([media]))
 
     def test_public_pair_ignored(self):
         # Note: documentation ranges (203.0.113.0/24 etc.) count as private
         # in modern Python, so use an unambiguous global address.
-        precall = record(10.0, src=("52.10.20.30", 40000))
+        precall = {frozenset(("52.10.20.30", "93.184.216.34"))}
         incall = record(100.0, src=("52.10.20.30", 40000))
-        filt = LocalIpFilter([precall, incall], WINDOW)
+        filt = LocalIpFilter(precall)
         assert filt.keeps(one_stream([incall]))
 
 
@@ -146,10 +151,43 @@ class TestPortFilter:
         assert not PortFilter({9999}).keeps(stream)
 
 
+def _stage2_removed_ports(records, heuristic):
+    """Source ports of the streams *heuristic* removed in a full apply."""
+    result = TwoStageFilter(WINDOW, enabled_heuristics=(heuristic,)).apply(records)
+    return sorted(
+        stream.packets[0].src_port for stream in result.removed_by[heuristic]
+    )
+
+
 class TestTwoStageFilter:
     def test_unknown_heuristic_rejected(self):
         with pytest.raises(ValueError):
             TwoStageFilter(WINDOW, enabled_heuristics=("bogus",))
+
+    def test_three_tuple_window_boundaries(self):
+        # A record marks its 3-tuples only strictly outside the extended
+        # window [58, 362]: each sighting below pairs with an in-window
+        # stream (source port + 100) to the same destination.
+        sightings = {40001: 57.9, 40002: 58.0, 40003: 362.0, 40004: 362.1}
+        records = []
+        for port, t in sightings.items():
+            dst = ("17.5.7.9", 5000 + port % 10)
+            records.append(record(t, src=("10.0.0.9", port), dst=dst,
+                                  transport="TCP"))
+            records.append(record(100.0, src=("10.0.0.9", port + 100), dst=dst,
+                                  transport="TCP"))
+        assert _stage2_removed_ports(records, "3tuple") == [40101, 40104]
+
+    def test_local_ip_call_start_boundary(self):
+        # Only records strictly before the call start (60) are pre-call.
+        group = {50001: (59.9, "224.0.0.251"), 50002: (60.0, "239.255.255.250")}
+        records = []
+        for port, (t, dst_ip) in group.items():
+            records.append(record(t, src=("192.168.1.5", port), dst=(dst_ip, 9)))
+            records.append(
+                record(100.0, src=("192.168.1.5", port + 100), dst=(dst_ip, 9))
+            )
+        assert _stage2_removed_ports(records, "local_ip") == [50001, 50101]
 
     def test_accounting_consistent(self, trace_cache):
         from repro.apps import NetworkCondition

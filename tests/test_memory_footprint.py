@@ -1,0 +1,148 @@
+"""Memory held per analysed message, and the one-copy payload contract.
+
+A filtered session decides only at close (the 3-tuple rule needs the
+whole capture), so what it holds per record is what bounds its memory.
+These tests pin that cost with tracemalloc and pin the sharing that keeps
+it low: an extracted RTP message's payload is a read-only view into its
+record's payload, never a second copy, and still pickles, deep-copies and
+compares like ``bytes``.
+"""
+
+import copy
+import dataclasses
+import gc
+import pickle
+import tracemalloc
+
+import pytest
+
+from repro.apps import CallConfig, NetworkCondition, get_simulator
+from repro.dpi import Protocol
+from repro.protocols.rtp.extensions import HeaderExtension
+from repro.protocols.rtp.header import RtpPacket
+from repro.service import AnalysisSession
+
+#: tracemalloc bytes a closed filtered session holds per analysed datagram
+#: on the call below: ~859 on CPython 3.11, plus 10%.  A second copy of
+#: each RTP payload, or a tuple per order key and per verdict, would
+#: hold ~1,520.
+HELD_BYTES_PER_DATAGRAM = 945
+
+
+def _call(duration):
+    config = CallConfig(
+        network=NetworkCondition.WIFI_RELAY,
+        seed=0,
+        call_duration=duration,
+        media_scale=0.3,
+    )
+    return config, list(get_simulator("zoom").iter_records(config))
+
+
+def _run(config, records):
+    session = AnalysisSession(window=config.window())
+    session.feed(records)
+    return session, session.close()
+
+
+@pytest.fixture(scope="module")
+def closed_call():
+    config, records = _call(20.0)
+    assert len(records) >= 2000
+    # Warm lazily built module state (caches, compiled patterns) first,
+    # so only what the measured session holds is counted.
+    _run(*_call(2.0))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        session, result = _run(config, records)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return session, result, held
+
+
+def test_closed_filtered_session_holds_little_per_datagram(closed_call):
+    _session, result, held = closed_call
+    analysed = len(result.dpi.analyses)
+    assert analysed >= 1500
+    per_datagram = held / analysed
+    assert per_datagram <= HELD_BYTES_PER_DATAGRAM, (
+        f"{per_datagram:.0f} B held per analysed datagram"
+    )
+
+
+def test_extracted_rtp_payload_is_a_view_of_its_record(closed_call):
+    _session, result, _held = closed_call
+    rtp = [
+        message
+        for analysis in result.dpi.analyses
+        for message in analysis.messages
+        if message.protocol is Protocol.RTP
+    ]
+    assert rtp
+    for message in rtp:
+        payload = message.message.payload
+        assert isinstance(payload, memoryview) and payload.readonly
+        assert payload.obj is message.record.payload
+
+
+def test_bytearray_input_yields_an_independent_copy():
+    wire = RtpPacket(
+        payload_type=96,
+        sequence_number=7,
+        timestamp=1234,
+        ssrc=0xCAFE,
+        payload=b"media-bytes",
+        extension=HeaderExtension(profile=0xBEDE, data=b"\x10\xaa\x00\x00"),
+    ).build()
+    buffer = bytearray(wire)
+    packet = RtpPacket.parse(buffer)
+    assert type(packet.payload) is bytes
+    assert type(packet.extension.data) is bytes
+    buffer[-3:] = b"XYZ"
+    buffer[17] = 0xFF
+    assert packet.payload == b"media-bytes"
+    assert packet.extension.data == b"\x10\xaa\x00\x00"
+    assert packet == RtpPacket.parse(wire)
+
+
+def test_view_packet_equals_its_bytes_twin_and_round_trips():
+    wire = RtpPacket(
+        payload_type=111, sequence_number=1, timestamp=2, ssrc=3,
+        payload=b"abc", padding_length=4,
+    ).build()
+    packet = RtpPacket.parse(wire)
+    assert isinstance(packet.payload, memoryview)
+    assert bytes(packet.payload) == b"abc"
+    twin = RtpPacket(
+        payload_type=111, sequence_number=1, timestamp=2, ssrc=3,
+        payload=b"abc", padding_length=4,
+    )
+    assert packet == twin
+    for clone in (pickle.loads(pickle.dumps(packet)), copy.deepcopy(packet),
+                  copy.copy(packet)):
+        assert type(clone.payload) is bytes
+        assert clone == packet
+        assert clone.build() == wire
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        packet.payload = b"xyz"
+    # Slotted: no ad-hoc attributes.  A frozen slotted dataclass refuses
+    # them with TypeError on some CPython versions, AttributeError on others.
+    with pytest.raises((AttributeError, TypeError)):
+        packet.note = "x"
+
+
+def test_closed_result_analyses_and_verdicts_round_trip(closed_call):
+    _session, result, _held = closed_call
+    analyses, verdicts = result.dpi.analyses, result.verdicts
+    for clone in (pickle.loads(pickle.dumps((analyses, verdicts))),
+                  copy.deepcopy((analyses, verdicts))):
+        cloned_analyses, cloned_verdicts = clone
+        assert cloned_analyses == analyses
+        assert cloned_verdicts == verdicts
+        assert [v.violation_keys() for v in cloned_verdicts] == [
+            v.violation_keys() for v in verdicts
+        ]

@@ -429,6 +429,26 @@ def test_unusable_pcap_dir_timings_are_refused(
         pytest.fail(f"session spec accepted: {spec!r}")
 
 
+def test_missing_pcap_dir_is_refused(daemon, tmp_path):
+    """A ``pcap_dir`` source on a directory that does not exist gets a 400
+    naming the path, not a session that polls an empty answer forever;
+    so does a path that names a file."""
+    missing = tmp_path / "no-such-dir"
+    not_a_dir = tmp_path / "capture.pcap"
+    not_a_dir.write_bytes(b"")
+    for path in (missing, not_a_dir):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(daemon, "/sessions",
+                  {"source": {"kind": "pcap_dir", "directory": str(path)}})
+        assert excinfo.value.code == 400
+        assert str(path) in json.loads(excinfo.value.read())["error"]
+    status, listing = _get(daemon, "/sessions")
+    assert status == 200
+    assert not any(str(tmp_path) in s["app"] for s in listing["sessions"])
+    with pytest.raises(ValueError, match="not an existing directory"):
+        PcapDirectoryWatcher(str(missing))
+
+
 @pytest.mark.parametrize("spec", [
     {"app": "zoom", "scale": 0},
     {"app": "zoom", "eviction": "deadline"},
