@@ -25,6 +25,10 @@ One kernel serves every batch of ``bytes`` payloads, whatever its size
   gather of the header fields);
 * the STUN/RTCP/QUIC matchers are *gated*: a cheap prefilter proves the
   matcher would return nothing for a payload, so it is simply skipped.
+  The first-byte gates are numpy masks over the whole chunk, every
+  payload's parts start as ``()``, and the scalar matchers run only for
+  the payloads some gate opens (119 of 10,465 on a clean eight-call
+  capture).
 
 Payloads that are not ``bytes``, and any batch the kernel fails on, get
 the ungated scalar sweep in the same column form
@@ -37,8 +41,9 @@ through that returned nothing):
 
 * STUN — a modern candidate needs the magic cookie at bytes ``o+4..o+8``
   with ``0 <= o <= max_offset``; a classic candidate needs
-  ``looks_like_stun(payload, 0)`` (inlined below, byte for byte); a
-  ChannelData candidate needs ``0x40 <= payload[0] <= 0x4F``.
+  ``looks_like_stun(payload, 0)`` (a mask over bytes 0, 2 and 3 and the
+  size, term for term); a ChannelData candidate needs at least 4 bytes
+  and ``0x40 <= payload[0] <= 0x4F``.
 * RTCP — the gate walks every anchor's compound chain in numpy, one
   step per round over the chains still live, exactly as the matcher's
   loop does: a step continues while ``cur + 4 <= size``, the byte at
@@ -147,14 +152,6 @@ def _rtcp_gate(arr, cur, end, idx) -> set:
         first = False
         cur, end, idx = nxt[step], end[step], idx[step]
     return set(np.concatenate(hits).tolist()) if hits else set()
-
-
-def _classic_stun_gate(payload: bytes, size: int, b0: int) -> bool:
-    """Inline ``looks_like_stun(payload, 0)`` — the classic-STUN gate."""
-    if size < 20 or b0 & 0xC0:
-        return False
-    length = payload[2] << 8 | payload[3]
-    return not (length & 3) and 20 + length <= size
 
 
 #: The matchers the numpy kernel gates, keyed in the stats by
@@ -627,23 +624,38 @@ class ColumnarScanner:
                     else:
                         search = found + 1
 
-        parts: List[Tuple[List[Candidate], ...]] = []
-        stun_on = self._stun_on
-        quic_on = self._quic_on
-        for i in range(n):
-            payload = batch[i]
-            size = sizes[i]
-            b0 = payload[0] if size else 0
-            need_stun = stun_on and (
-                i in stun_flag
-                or (size >= 4 and 0x40 <= b0 <= 0x4F)
-                or _classic_stun_gate(payload, size, b0)
+        # The first-byte gates, as masks over the batch: bytes 0, 2 and 3
+        # of every payload in one gather each, clipped to the joined
+        # buffer; a read past a short payload lands in the next one (or
+        # on the last byte) and the size terms mask it out.
+        heads = starts[:-1]
+        last = total - 1
+        b0 = arr[np.minimum(heads, last)]
+        stun_open = stun_flag
+        if self._stun_on:
+            length = (
+                arr[np.minimum(heads + 2, last)].astype(np.int64) << 8
+            ) | arr[np.minimum(heads + 3, last)]
+            channel_data = (sizes_a >= 4) & (b0 >= 0x40) & (b0 <= 0x4F)
+            # looks_like_stun(payload, 0): the classic-STUN gate (the
+            # length term also requires the 20-byte header).
+            classic = (
+                ((b0 & 0xC0) == 0) & ((length & 3) == 0)
+                & (20 + length <= sizes_a)
             )
-            need_rtcp = i in rtcp_flag
-            need_quic = quic_on and (
-                i in quic_flag or (size >= 26 and b0 & 0xC0 == 0x40)
+            stun_open = stun_flag | set(
+                np.flatnonzero(channel_data | classic).tolist()
             )
-            parts.append(
-                self._parts(payload, need_stun, need_rtcp, need_quic, gated=True)
+        quic_open = quic_flag
+        if self._quic_on:
+            short_header = (sizes_a >= 26) & ((b0 & 0xC0) == 0x40)
+            quic_open = quic_flag | set(np.flatnonzero(short_header).tolist())
+
+        # Only the payloads some gate opens reach the scalar matchers.
+        parts: List[Tuple[List[Candidate], ...]] = [()] * n
+        for i in sorted(stun_open | rtcp_flag | quic_open):
+            parts[i] = self._parts(
+                batch[i], i in stun_open, i in rtcp_flag, i in quic_open,
+                gated=True,
             )
         return ColumnBatch(rtp_columns, parts)

@@ -30,7 +30,9 @@ This module removes both:
   so the emitted :class:`~repro.packets.packet.PacketRecord` stream —
   fields, payload bytes, timestamps, and exception behavior
   (``DecodeError`` skipped, ``TruncatedError`` propagated) — is
-  bit-identical to the scalar reader's.
+  bit-identical to the scalar reader's.  Fast-path records are built
+  positionally through ``PacketRecord``'s direct-slot ``__init__``, which
+  costs about half the dataclass-generated frozen one per record.
 
 Every fast-path precondition is a *sufficient* condition for the scalar
 decode to succeed with the same output: the ethertype bytes pin the
@@ -357,15 +359,9 @@ class BatchPcapReader:
                                     dst_ip = "%d.%d.%d.%d" % tuple(dst4)
                                     ip_cache[dst4] = dst_ip
                                 record = PacketRecord(
-                                    timestamp=timestamps[i],
-                                    src_ip=src_ip,
-                                    src_port=src_port,
-                                    dst_ip=dst_ip,
-                                    dst_port=dst_port,
-                                    transport="UDP",
-                                    payload=buffer[
-                                        transport_off + 8:transport_off + udp_len
-                                    ],
+                                    timestamps[i], src_ip, src_port,
+                                    dst_ip, dst_port, "UDP",
+                                    buffer[transport_off + 8:transport_off + udp_len],
                                 )
                         elif proto == 6 and t_len >= 20:
                             data_offset = (buffer[transport_off + 12] >> 4) * 4
@@ -382,13 +378,9 @@ class BatchPcapReader:
                                     dst_ip = "%d.%d.%d.%d" % tuple(dst4)
                                     ip_cache[dst4] = dst_ip
                                 record = PacketRecord(
-                                    timestamp=timestamps[i],
-                                    src_ip=src_ip,
-                                    src_port=src_port,
-                                    dst_ip=dst_ip,
-                                    dst_port=dst_port,
-                                    transport="TCP",
-                                    payload=buffer[
+                                    timestamps[i], src_ip, src_port,
+                                    dst_ip, dst_port, "TCP",
+                                    buffer[
                                         transport_off + data_offset:
                                         ip_off + total_length
                                     ],

@@ -46,12 +46,19 @@ class Truth:
         return self.category in (TrafficCategory.RTC_MEDIA, TrafficCategory.RTC_CONTROL)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PacketRecord:
     """One captured transport-layer packet.
 
     ``payload`` is the transport payload (UDP datagram payload or TCP segment
     payload) — the byte string the DPI engine scans.
+
+    ``__init__`` writes each slot through its member descriptor; the
+    dataclass-generated frozen one goes through ``object.__setattr__`` at
+    about twice the cost per record.  The batch decoder calls it
+    positionally.  Equality, hashing, ``repr``, pickling, copying,
+    ``dataclasses.replace`` and the frozen ``FrozenInstanceError`` are the
+    dataclass's own.
     """
 
     timestamp: float
@@ -64,9 +71,29 @@ class PacketRecord:
     direction: Direction = Direction.OUTBOUND
     truth: Optional[Truth] = None
 
-    def __post_init__(self) -> None:
-        if self.transport not in ("UDP", "TCP"):
-            raise ValueError(f"unsupported transport {self.transport!r}")
+    def __init__(
+        self,
+        timestamp: float,
+        src_ip: str,
+        src_port: int,
+        dst_ip: str,
+        dst_port: int,
+        transport: str,
+        payload: bytes,
+        direction: Direction = Direction.OUTBOUND,
+        truth: Optional[Truth] = None,
+    ) -> None:
+        if transport != "UDP" and transport != "TCP":
+            raise ValueError(f"unsupported transport {transport!r}")
+        _set_timestamp(self, timestamp)
+        _set_src_ip(self, src_ip)
+        _set_src_port(self, src_port)
+        _set_dst_ip(self, dst_ip)
+        _set_dst_port(self, dst_port)
+        _set_transport(self, transport)
+        _set_payload(self, payload)
+        _set_direction(self, direction)
+        _set_truth(self, truth)
 
     @property
     def five_tuple(self) -> Tuple[str, int, str, int, str]:
@@ -101,3 +128,15 @@ class PacketRecord:
             direction=self.direction.flipped(),
             truth=self.truth,
         )
+
+
+#: The slot setters ``PacketRecord.__init__`` writes through.
+_set_timestamp = PacketRecord.timestamp.__set__
+_set_src_ip = PacketRecord.src_ip.__set__
+_set_src_port = PacketRecord.src_port.__set__
+_set_dst_ip = PacketRecord.dst_ip.__set__
+_set_dst_port = PacketRecord.dst_port.__set__
+_set_transport = PacketRecord.transport.__set__
+_set_payload = PacketRecord.payload.__set__
+_set_direction = PacketRecord.direction.__set__
+_set_truth = PacketRecord.truth.__set__

@@ -30,7 +30,7 @@ def _truncated(need: int, pos: int, end: int) -> RtpParseError:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RtpPacket:
     """A parsed RTP packet.
 
@@ -41,6 +41,12 @@ class RtpPacket:
     the media is never copied (``bytes(packet.payload)`` copies it); the
     view compares equal to the same bytes and pickles and copies as
     ``bytes``.
+
+    ``__init__`` writes each slot through its member descriptor; the
+    dataclass-generated frozen one goes through ``object.__setattr__`` at
+    about twice the cost per packet.  :meth:`parse` calls it positionally.
+    Equality, ``repr``, ``dataclasses.replace`` and the frozen
+    ``FrozenInstanceError`` are the dataclass's own.
     """
 
     payload_type: int
@@ -55,6 +61,30 @@ class RtpPacket:
     # Set by non-strict parsing when the padding bit was set but the pad
     # count byte was impossible — surfaced to the compliance layer.
     invalid_padding: bool = False
+
+    def __init__(
+        self,
+        payload_type: int,
+        sequence_number: int,
+        timestamp: int,
+        ssrc: int,
+        payload: bytes = b"",
+        marker: bool = False,
+        csrcs: Optional[List[int]] = None,
+        extension: Optional[HeaderExtension] = None,
+        padding_length: int = 0,
+        invalid_padding: bool = False,
+    ) -> None:
+        _set_payload_type(self, payload_type)
+        _set_sequence_number(self, sequence_number)
+        _set_timestamp(self, timestamp)
+        _set_ssrc(self, ssrc)
+        _set_payload(self, payload)
+        _set_marker(self, marker)
+        _set_csrcs(self, [] if csrcs is None else csrcs)
+        _set_extension(self, extension)
+        _set_padding_length(self, padding_length)
+        _set_invalid_padding(self, invalid_padding)
 
     @classmethod
     def parse(
@@ -128,16 +158,8 @@ class RtpPacket:
                 payload = payload[:-padding_length]
 
         return cls(
-            payload_type=payload_type,
-            sequence_number=sequence_number,
-            timestamp=timestamp,
-            ssrc=ssrc,
-            payload=payload,
-            marker=marker,
-            csrcs=csrcs,
-            extension=extension,
-            padding_length=padding_length,
-            invalid_padding=invalid_padding,
+            payload_type, sequence_number, timestamp, ssrc, payload, marker,
+            csrcs, extension, padding_length, invalid_padding,
         )
 
     def __reduce__(self):
@@ -193,6 +215,19 @@ class RtpPacket:
     @property
     def wire_length(self) -> int:
         return self.header_length + len(self.payload) + self.padding_length
+
+
+#: The slot setters ``RtpPacket.__init__`` writes through.
+_set_payload_type = RtpPacket.payload_type.__set__
+_set_sequence_number = RtpPacket.sequence_number.__set__
+_set_timestamp = RtpPacket.timestamp.__set__
+_set_ssrc = RtpPacket.ssrc.__set__
+_set_payload = RtpPacket.payload.__set__
+_set_marker = RtpPacket.marker.__set__
+_set_csrcs = RtpPacket.csrcs.__set__
+_set_extension = RtpPacket.extension.__set__
+_set_padding_length = RtpPacket.padding_length.__set__
+_set_invalid_padding = RtpPacket.invalid_padding.__set__
 
 
 def looks_like_rtp(data: bytes, start: int = 0) -> bool:

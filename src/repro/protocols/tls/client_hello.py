@@ -86,7 +86,21 @@ def parse_client_hello(data: bytes) -> ClientHello:
 
 
 def extract_sni(data: bytes) -> Optional[str]:
-    """Best-effort SNI extraction; returns None for anything non-ClientHello."""
+    """Best-effort SNI extraction; returns None for anything non-ClientHello.
+
+    A payload that cannot open a ClientHello record — fewer than 6 bytes,
+    a first byte other than 22 (handshake) or a sixth byte other than 1
+    (ClientHello) — returns None without a parse.  Each of these makes
+    :func:`parse_client_hello` raise within its first six bytes, so the
+    answer is the same, and the records of a stream that carries no
+    ClientHello cost a length check and a byte compare each.
+    """
+    if (
+        len(data) < 6
+        or data[0] != RECORD_TYPE_HANDSHAKE
+        or data[5] != HANDSHAKE_TYPE_CLIENT_HELLO
+    ):
+        return None
     try:
         return parse_client_hello(data).sni
     except TlsParseError:

@@ -307,8 +307,13 @@ class ComplianceService:
         else:
             raise ServiceError(400, f"unknown source: {source_spec!r}")
 
+        def _record_error(exc: Exception) -> None:
+            handle.error = f"{type(exc).__name__}: {exc}"
+
+        # A source that fails (a watched directory deleted) records its
+        # error and closes the queue, so the session ends with it.
         producer = threading.Thread(
-            target=produce, args=(source, queue),
+            target=produce, args=(source, queue, _record_error),
             name=f"ingest-{session_id}", daemon=True,
         )
 
@@ -316,7 +321,7 @@ class ComplianceService:
             try:
                 pump(queue, handle.session.feed)
             except Exception as exc:  # pragma: no cover - defensive
-                handle.error = f"{type(exc).__name__}: {exc}"
+                _record_error(exc)
             handle.finish()
 
         feeder = threading.Thread(

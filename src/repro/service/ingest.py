@@ -220,8 +220,8 @@ class PcapDirectoryWatcher:
             # Zero or negative would spin the poll loop on listdir.
             raise ValueError("poll_interval must be positive and finite")
         if not os.path.isdir(directory):
-            # The poll loop reads a failed listdir as "no files yet", so a
-            # missing directory would otherwise be watched forever.
+            # Refused here so a service spec naming it gets a 400; one
+            # that goes away later raises from the poll loop.
             raise ValueError(f"{directory!r} is not an existing directory")
         self._directory = directory
         self._poll_interval = poll_interval
@@ -235,10 +235,9 @@ class PcapDirectoryWatcher:
         return self._stop
 
     def _ready_files(self) -> List[str]:
-        try:
-            names = sorted(os.listdir(self._directory))
-        except OSError:
-            return []
+        # A directory that cannot be listed (deleted, unmounted) raises:
+        # read as "no files yet", it would be watched forever.
+        names = sorted(os.listdir(self._directory))
         ready = []
         for name in names:
             if not name.endswith((".pcap", ".pcapng")) or name in self._done:
@@ -279,13 +278,24 @@ class PcapDirectoryWatcher:
 
 
 def produce(
-    source: Iterable[Sequence[PacketRecord]], queue: BoundedQueue
+    source: Iterable[Sequence[PacketRecord]],
+    queue: BoundedQueue,
+    on_error: Optional[Callable[[Exception], None]] = None,
 ) -> None:
-    """Push every batch of *source* into *queue*, then close it."""
+    """Push every batch of *source* into *queue*, then close it.
+
+    When *source* raises, *on_error* gets the exception before the queue
+    closes, so whoever drains the queue finds it already reported; with
+    no *on_error* the exception propagates.
+    """
     try:
         for batch in source:
             if not queue.put(batch):
                 return
+    except Exception as exc:
+        if on_error is None:
+            raise
+        on_error(exc)
     finally:
         queue.close()
 

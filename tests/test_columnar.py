@@ -29,10 +29,11 @@ from repro.dpi.engine import MIN_CONTINUITY, MIN_RTP_GROUP, _score_rtp_columns
 from repro.dpi.messages import Protocol
 from repro.filtering import TwoStageFilter
 from repro.packets.packet import PacketRecord
+from repro.protocols.quic.header import QUIC_V1, QUIC_V2
 from repro.protocols.rtcp.packets import SenderReport
 from repro.protocols.rtp.header import RtpPacket
 from repro.protocols.stun.attributes import StunAttribute
-from repro.protocols.stun.message import StunMessage
+from repro.protocols.stun.message import StunMessage, looks_like_stun
 
 #: Bytes that start (or sit inside) real anchors: RTP/RTCP version bytes,
 #: RTCP packet types, the STUN magic cookie, QUIC long/short first bytes.
@@ -152,6 +153,88 @@ class TestRtcpGateExact:
         assert stats.gate_runs["rtcp"] == sum(
             1 for payload in batch if rtcp_candidates(payload, max_offset)
         )
+
+
+_COOKIE = b"\x21\x12\xa4\x42"
+_QUIC_VERSIONS = (QUIC_V1.to_bytes(4, "big"), QUIC_V2.to_bytes(4, "big"), bytes(4))
+
+
+def _gate_opens(payload, max_offset):
+    """Whether any gate of the numpy kernel opens for *payload*, written
+    out per payload as the kernel once evaluated them in a Python loop."""
+    size = len(payload)
+    b0 = payload[0] if size else 0
+    stun = (
+        any(payload[o + 4:o + 8] == _COOKIE for o in range(max_offset + 1))
+        or (size >= 4 and 0x40 <= b0 <= 0x4F)
+        or looks_like_stun(payload, 0)
+    )
+    quic = (size >= 26 and b0 & 0xC0 == 0x40) or any(
+        payload[o] >= 0xC0 and payload[o + 1:o + 5] in _QUIC_VERSIONS
+        for o in range(min(max_offset, size - 7) + 1)
+    )
+    return stun or quic or bool(rtcp_candidates(payload, max_offset))
+
+
+_short_payloads = st.one_of(
+    st.binary(max_size=25),
+    st.lists(st.sampled_from(_ANCHOR_ALPHABET), max_size=25).map(bytes),
+    # a classic STUN header whose declared length may or may not fit
+    st.tuples(st.integers(0, 0x3FFF), st.integers(0, 8), st.binary(max_size=5))
+    .map(lambda t: t[0].to_bytes(2, "big") + (4 * t[1]).to_bytes(2, "big")
+         + bytes(16) + t[2]),
+)
+
+
+class TestGateLoop:
+    """Only the payloads a gate opens reach the scalar matchers, each
+    exactly once; every other payload's parts stay ``()``."""
+
+    @staticmethod
+    def _record_parts(monkeypatch):
+        opened = []
+        real = ColumnarScanner._parts
+
+        def parts(self, payload, *needs, gated=False):
+            if gated:
+                opened.append(payload)
+            return real(self, payload, *needs, gated=gated)
+
+        monkeypatch.setattr(ColumnarScanner, "_parts", parts)
+        return opened
+
+    @given(batch=st.lists(_short_payloads, max_size=12),
+           last=st.binary(max_size=3),
+           max_offset=st.integers(min_value=0, max_value=30))
+    def test_parts_once_per_open_gate(self, batch, last, max_offset):
+        # The last payload is shorter than 4 bytes, so the gathers of
+        # bytes 2 and 3 run off the joined buffer's end and are clipped.
+        batch = batch + [last]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            opened = self._record_parts(monkeypatch)
+            scanner = ColumnarScanner(max_offset)
+            results = scanner.scan_batch(batch)
+        assert opened == [p for p in batch if _gate_opens(p, max_offset)]
+        for payload, got in zip(batch, results):
+            assert got == scanner.scan_payload(payload)
+        assert scanner.stats.vector_errors == 0
+
+    def test_parts_once_per_open_gate_on_a_call(self, kept_records, monkeypatch):
+        scanned = []
+        real_scan = ColumnarScanner._scan_np
+
+        def scan(self, batch):
+            scanned.extend(batch)
+            return real_scan(self, batch)
+
+        monkeypatch.setattr(ColumnarScanner, "_scan_np", scan)
+        opened = self._record_parts(monkeypatch)
+        engine = DpiEngine(backend="columnar")
+        engine.analyze_records(kept_records)
+        assert opened == [p for p in scanned if _gate_opens(p, engine.max_offset)]
+        # Media dominates a call and opens no gate: 8 of the 637 payloads
+        # reach the matchers.
+        assert 0 < 20 * len(opened) < len(scanned)
 
 
 class TestScannerParity:

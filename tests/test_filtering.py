@@ -111,6 +111,75 @@ class TestSniFilter:
         assert filt.keeps(stream)
 
 
+class TestSniProbeOnTurnOverTcp:
+    """With UDP blocked, media rides TURN over TCP: long TCP streams with
+    no ClientHello.  The SNI filter may parse only records that open a
+    TLS handshake record, and must decide every stream as a full parse of
+    every record would."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        from types import SimpleNamespace
+
+        from repro.apps import CallConfig, NetworkCondition, get_simulator
+
+        # ``iter_records`` is where the impairment is applied.
+        config = CallConfig(
+            network=NetworkCondition.WIFI_RELAY, seed=1, call_duration=6.0,
+            media_scale=0.3, impairment="udp_blocked",
+        )
+        return SimpleNamespace(
+            window=config.window(),
+            records=list(get_simulator("zoom").iter_records(config)),
+        )
+
+    def test_parses_only_handshake_records(self, trace, monkeypatch):
+        from repro.protocols.tls import client_hello
+
+        parses = []
+        real_parse = client_hello.parse_client_hello
+
+        def counting_parse(data):
+            parses.append(data)
+            return real_parse(data)
+
+        monkeypatch.setattr(client_hello, "parse_client_hello", counting_parse)
+        TwoStageFilter(trace.window).apply(trace.records)
+        tcp = [r for r in trace.records if r.transport == "TCP"]
+        handshake = sum(1 for r in tcp if r.payload[:1] == b"\x16")
+        # 3 parses for 9 handshake records among 842 TCP records; parsing
+        # every record of each stream without an SNI would make 640.
+        assert len(tcp) > 50 * handshake
+        assert 0 < len(parses) <= handshake
+
+    def test_decisions_match_full_parse(self, trace, monkeypatch):
+        from repro.filtering import heuristics
+        from repro.protocols.tls.client_hello import (
+            TlsParseError,
+            parse_client_hello,
+        )
+
+        def full_parse_sni(data):
+            try:
+                return parse_client_hello(data).sni
+            except TlsParseError:
+                return None
+
+        probed = TwoStageFilter(trace.window).apply(trace.records)
+        monkeypatch.setattr(heuristics, "extract_sni", full_parse_sni)
+        parsed = TwoStageFilter(trace.window).apply(trace.records)
+        def removals(result):
+            return {
+                name: sorted(stream.key for stream in streams)
+                for name, streams in result.removed_by.items()
+            }
+
+        for counts in ("raw", "stage1_removed", "stage2_removed", "kept"):
+            assert getattr(probed, counts) == getattr(parsed, counts)
+        assert removals(probed) == removals(parsed)
+        assert probed.kept_records == parsed.kept_records
+
+
 class TestLocalIpFilter:
     # The filter gets the IP pairs seen before the call start; which
     # records count as pre-call is pinned on ``TwoStageFilter.apply`` below.

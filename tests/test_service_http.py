@@ -310,6 +310,55 @@ def test_service_pcap_dir_session(tmp_path):
     assert handle.session._eviction.mode == "idle"
 
 
+def test_pcap_dir_session_ends_with_error_when_directory_goes(tmp_path):
+    """A watched directory deleted after the session starts ends the
+    session with an error naming the path, instead of a session that
+    polls an unlistable directory forever."""
+    directory = tmp_path / "captures"
+    directory.mkdir()
+    service = ComplianceService()
+    created = service.create_session(
+        {"source": {"kind": "pcap_dir", "directory": str(directory),
+                    "poll_interval": 0.05}}
+    )
+    directory.rmdir()
+    handle = service.get(created["id"])
+    assert handle.done.wait(timeout=1.0), "session still running"
+    assert handle.state == "closed"
+    assert str(directory) in handle.error
+    assert str(directory) in handle.stats_json()["error"]
+    assert str(directory) in service.delete_session(created["id"])["error"]
+
+
+def test_watcher_raises_when_directory_goes(tmp_path):
+    directory = tmp_path / "captures"
+    directory.mkdir()
+    watcher = PcapDirectoryWatcher(
+        str(directory), poll_interval=0.05, drain_once=True
+    )
+    directory.rmdir()
+    with pytest.raises(FileNotFoundError, match="captures"):
+        next(iter(watcher))
+
+
+def test_produce_reports_source_errors_before_closing():
+    """``on_error`` sees a failing source's exception before the queue
+    closes; without it the exception propagates."""
+
+    def failing():
+        yield _RECORDS[:2]
+        raise OSError("source went away")
+
+    seen = []
+    queue = BoundedQueue(maxsize=4)
+    produce(failing(), queue,
+            on_error=lambda exc: seen.append((str(exc), queue.closed)))
+    assert seen == [("source went away", False)]
+    assert queue.closed and queue.get(timeout=0.1) == _RECORDS[:2]
+    with pytest.raises(OSError, match="went away"):
+        produce(failing(), BoundedQueue(maxsize=4))
+
+
 def test_event_stream_frame_format():
     frame = EventStream.frame("verdict", {"index": 0}).decode("utf-8")
     assert frame == 'event: verdict\ndata: {"index": 0}\n\n'

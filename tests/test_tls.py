@@ -57,3 +57,46 @@ class TestClientHello:
     @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz.-", min_size=1, max_size=40))
     def test_property_sni_round_trip(self, hostname):
         assert extract_sni(build_client_hello(hostname)) == hostname
+
+
+def _parsed_sni(data):
+    """SNI by a full parse of every payload: what ``extract_sni`` returned
+    before it probed bytes 0 and 5 first."""
+    try:
+        return parse_client_hello(data).sni
+    except TlsParseError:
+        return None
+
+
+_hello = st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyz.-", min_size=1, max_size=40
+).map(build_client_hello)
+
+
+class TestClientHelloProbe:
+    """``extract_sni`` skips the parse for payloads that cannot open a
+    ClientHello record; the skip must never change its answer."""
+
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes(self, data):
+        assert extract_sni(data) == _parsed_sni(data)
+
+    @given(_hello, st.integers(min_value=0, max_value=8))
+    def test_truncated_hello(self, hello, length):
+        data = hello[:length]
+        assert extract_sni(data) is None
+        assert _parsed_sni(data) is None
+
+    @given(_hello, st.sampled_from([0, 5]), st.integers(0, 255))
+    def test_mutated_probe_byte(self, hello, position, value):
+        data = bytearray(hello)
+        data[position] = value
+        data = bytes(data)
+        assert extract_sni(data) == _parsed_sni(data)
+        if value == hello[position]:
+            assert extract_sni(data) is not None
+
+    @given(_hello, st.data())
+    def test_any_truncation(self, hello, data):
+        cut = hello[:data.draw(st.integers(0, len(hello)))]
+        assert extract_sni(cut) == _parsed_sni(cut)
