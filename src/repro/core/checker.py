@@ -140,10 +140,12 @@ class CheckStage:
             raise RuntimeError("process_chunk() after flush()")
         checker = self._checker
         strict = checker._strict_compound
+        sequential = checker._sequential
         context = self._empty_context
         deferred = self._deferred
         index = self._index
         out: List[IndexedVerdict] = []
+        stun, rtp = Protocol.STUN_TURN, Protocol.RTP
         for analysis in analyses:
             messages = analysis.messages
             compound_head: Optional[ExtractedMessage] = None
@@ -152,8 +154,19 @@ class CheckStage:
                 if rtcp:
                     compound_head = min(rtcp, key=lambda m: m.offset)
             for extracted in messages:
-                if extracted.protocol is Protocol.STUN_TURN:
+                protocol = extracted.protocol
+                if protocol is stun:
                     deferred.append((index, extracted))
+                elif protocol is rtp:
+                    # RTP rules read neither session context nor the
+                    # compound head: the _violations hop is skipped.
+                    out.append((
+                        index,
+                        MessageVerdict(
+                            message=extracted,
+                            violations=check_rtp(extracted, sequential),
+                        ),
+                    ))
                 else:
                     violations = checker._violations(
                         extracted, context, extracted is compound_head

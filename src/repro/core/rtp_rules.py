@@ -24,8 +24,16 @@ def _profile_defined(profile: int) -> bool:
 
 
 def check_rtp(extracted: ExtractedMessage, sequential: bool = True) -> List[Violation]:
-    """Run the five criteria over one RTP message."""
+    """Run the five criteria over one RTP message.
+
+    Only the padding count (criterion 2) and a header extension
+    (criteria 3 and 4) can fail, so a packet with valid padding and no
+    extension (most media) is judged compliant before any rule state is
+    built.
+    """
     packet: RtpPacket = extracted.message
+    if not packet.invalid_padding and packet.extension is None:
+        return []
     violations: List[Violation] = []
 
     def done() -> bool:

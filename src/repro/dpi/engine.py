@@ -4,6 +4,19 @@ byte-ownership resolution → datagram classification (paper §4.1).
 The engine works per transport stream because the validation heuristics are
 inherently stream-scoped: RTP sequence continuity within an SSRC, STUN
 transaction request/response pairing, and QUIC connection-ID consistency.
+
+On the production (columnar) backend one loop per datagram turns the
+stage-one rows into analyses.  Most datagrams of a call are one RTP packet,
+bare or behind a proprietary header: no non-RTP candidate and exactly one
+RTP row whose SSRC passed stage two.  Such a datagram takes a lane that
+parses the row straight into its one :class:`ExtractedMessage` and
+classifies it by its offset (0 is standard, anything else a proprietary
+header), with no ``Candidate``, validation or overlap resolution, none of
+which could change it.  An RTP header that cannot be parsed (padding bit set
+but no payload bytes) leaves the datagram fully proprietary, as on the
+reference path.  Every other datagram (Zoom's dual-RTP continuations, RTP
+beside STUN/RTCP/QUIC candidates) gets ``Candidate`` objects and the
+reference's validation and arbitration.
 """
 
 from __future__ import annotations
@@ -199,7 +212,9 @@ class DpiEngine:
       which vectorizes the RTP pass and skips matchers a byte-class
       prefilter proves empty.  RTP candidates stay columns through SSRC
       scoring, and objects are built only for rows whose SSRC passes:
-      a row of a rejected SSRC never reaches a verdict.
+      a row of a rejected SSRC never reaches a verdict.  A lone RTP row
+      becomes its message without a ``Candidate`` (see the module
+      docstring).
 
     ``fastpath`` and ``cache_size`` are retired: the flow-sticky fast
     path and the payload-dedup cache are gone, so only their old "off"
@@ -266,17 +281,30 @@ class DpiEngine:
         return DpiResult(analyses=analyses, stats=stage.stats())
 
     def analyze_stream(self, stream: Stream) -> List[DatagramAnalysis]:
-        """Run both DPI stages over one transport stream."""
-        if self._columnar is None:
-            accepted = self._validate_stream(self._extract_stream(stream))
-        else:
-            accepted = self._columnar_stages(stream)
-        analyses: List[DatagramAnalysis] = []
-        for record, accepted_list in zip(stream.packets, accepted):
-            messages = [self._materialize(c, record) for c in accepted_list]
-            messages = [m for m in messages if m is not None]
-            analyses.append(DatagramAnalysis.classify(record, messages))
-        return analyses
+        """Run both DPI stages over one transport stream.
+
+        The columnar backend (:meth:`_columnar_analyses`) builds each
+        datagram's analysis in one pass over the stage-one rows: a
+        datagram whose only accepted candidate is one RTP row becomes its
+        message directly, without a ``Candidate``.  The scalar backend
+        validates every datagram's candidates and materializes them.
+        """
+        if self._columnar is not None:
+            return self._columnar_analyses(stream)
+        accepted = self._validate_stream(self._extract_stream(stream))
+        return [
+            self._analysis(record, accepted_list)
+            for record, accepted_list in zip(stream.packets, accepted)
+        ]
+
+    def _analysis(
+        self, record: PacketRecord, accepted: List[Candidate]
+    ) -> DatagramAnalysis:
+        """One datagram's analysis from its accepted candidates."""
+        messages = [self._materialize(c, record) for c in accepted]
+        return DatagramAnalysis.classify(
+            record, [m for m in messages if m is not None]
+        )
 
     # -- stage 1 -------------------------------------------------------------------
 
@@ -308,16 +336,23 @@ class DpiEngine:
 
     # -- both stages on columns (production) -----------------------------------------
 
-    def _columnar_stages(self, stream: Stream) -> List[List[Candidate]]:
-        """Stages one and two with RTP candidates kept as columns.
+    def _columnar_analyses(self, stream: Stream) -> List[DatagramAnalysis]:
+        """Stages one and two with RTP candidates kept as columns, then
+        each datagram's analysis in the same pass.
 
-        The same verdicts as ``_validate_stream(_extract_stream(...))``:
-        SSRC groups are scored on the stream's RTP rows
-        (:func:`_score_rtp_columns`), and ``Candidate`` objects are built
-        only for rows whose SSRC passed, because a row of a rejected SSRC
-        never reaches a verdict.  Everything else — the non-RTP
-        validation, overlap resolution and its input order — is shared
-        with the reference.
+        The same analyses as the reference path: SSRC groups are scored
+        on the stream's RTP rows (:func:`_score_rtp_columns`), and a row
+        of a rejected SSRC never reaches a verdict.  A datagram with no
+        non-RTP candidate and exactly one RTP row whose SSRC passed (the
+        common case: plain or prefixed media) needs neither validation
+        nor arbitration: its row is parsed straight into the one message,
+        which ``_materialize`` would build from a ``Candidate``.  Only the
+        rest get ``Candidate`` objects (:func:`build_rtp_candidates`) and
+        the reference's non-RTP validation, assembly in protocol order
+        and overlap resolution.  A protocol order that lists RTP twice
+        needs no exception: the reference then sees a lone row twice, and
+        the twin loses the arbitration (same offset, a sequence step of
+        0 is no continuation), so the row alone is accepted.
         """
         scanner = self._columnar
         packets = stream.packets
@@ -338,7 +373,8 @@ class DpiEngine:
                     parts[base + i] = part
                 positions = np.array(batch.fallbacks, dtype=np.int32)
                 chunks.append(_shift_rows(swept.rtp, base, positions))
-        self._count_sweeps(len(payloads))
+        count = len(payloads)
+        self._count_sweeps(count)
         if not chunks:
             return []
         rows = RtpColumns(*[np.concatenate(column) for column in zip(*chunks)])
@@ -346,28 +382,64 @@ class DpiEngine:
         # Stage two.  The reference scores every RTP candidate, so a
         # protocol order that lists RTP twice scores each row twice.
         when = np.fromiter(
-            (record.timestamp for record in packets), np.float64, len(packets)
+            (record.timestamp for record in packets), np.float64, count
         )[rows.index]
         columns = (rows.ssrc, rows.seq, when)
         if scanner.rtp_count > 1:
             columns = [np.tile(column, scanner.rtp_count) for column in columns]
         rtp_scores = _score_rtp_columns(*columns)
+        # Payloads with non-RTP candidates.
+        mixed = [i for i, part in enumerate(parts) if part]
+        # The offset of each datagram's lone RTP row, or -1.
+        lone = np.full(count, -1, dtype=np.int64)
         built: Dict[int, List[Candidate]] = {}
         if rtp_scores:
-            passed = np.isin(
+            passed = np.flatnonzero(np.isin(
                 rows.ssrc, np.fromiter(rtp_scores, np.uint32, len(rtp_scores))
-            )
+            ))
+            index = rows.index[passed]
+            single = np.bincount(index, minlength=count)[index] == 1
+            if mixed:
+                has_parts = np.zeros(count, dtype=bool)
+                has_parts[mixed] = True
+                single &= ~has_parts[index]
+            lone[index[single]] = rows.offset[passed[single]]
+            passed = passed[~single]
             built = build_rtp_candidates(
                 RtpColumns(*[column[passed] for column in rows])
             )
         valid_rtp_ssrcs = frozenset(rtp_scores)
         quic_cids = self._collect_quic_cids(
-            [(None, segment) for part in parts for segment in part]
+            [(None, segment) for i in mixed for segment in parts[i]]
         )
         validate = self._validate
-        accepted: List[List[Candidate]] = []
-        for i, (record, part) in enumerate(zip(packets, parts)):
-            rtp = built.get(i)
+        parse = RtpPacket.parse
+        rtp = Protocol.RTP
+        standard = DatagramClass.STANDARD
+        prefixed = DatagramClass.PROPRIETARY_HEADER
+        unknown = DatagramClass.FULLY_PROPRIETARY
+        analyses: List[DatagramAnalysis] = []
+        for i, (record, part, offset) in enumerate(
+            zip(packets, parts, lone.tolist())
+        ):
+            if offset >= 0:
+                payload = record.payload
+                size = len(payload)
+                try:
+                    message = parse(payload, False, offset, size)
+                except RtpParseError:
+                    # Padding bit set but no payload bytes, exactly where
+                    # _materialize drops the message.
+                    analyses.append(DatagramAnalysis(record, [], unknown))
+                    continue
+                analyses.append(DatagramAnalysis(
+                    record,
+                    [ExtractedMessage(rtp, offset, size - offset, message,
+                                      record)],
+                    prefixed if offset else standard,
+                ))
+                continue
+            candidates = built.get(i)
             if part:
                 part = [
                     [
@@ -376,17 +448,16 @@ class DpiEngine:
                     ]
                     for segment in part
                 ]
-            elif rtp is None:
-                accepted.append([])
+            elif candidates is None:
+                analyses.append(DatagramAnalysis(record, [], unknown))
                 continue
-            candidates = scanner.assemble(part, rtp or [])
+            candidates = scanner.assemble(part, candidates or [])
             # A lone candidate owns its bytes; the arbitration would
             # return it unchanged.
-            accepted.append(
-                candidates if len(candidates) == 1
-                else self._resolve_overlaps(candidates, rtp_scores)
-            )
-        return accepted
+            if len(candidates) != 1:
+                candidates = self._resolve_overlaps(candidates, rtp_scores)
+            analyses.append(self._analysis(record, candidates))
+        return analyses
 
     # -- stage 2: stream-context validation ------------------------------------------
 

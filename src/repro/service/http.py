@@ -341,7 +341,7 @@ class ComplianceService:
         payload: Dict[str, object] = {"id": handle.id, "state": handle.state}
         if handle.error:
             payload["error"] = handle.error
-        elif handle.result is not None:
+        if handle.result is not None:
             payload["verdicts"] = len(handle.result.verdicts)
         return payload
 
@@ -389,12 +389,10 @@ class EventStream:
         while not handle.done.wait(timeout=self._interval):
             yield self.frame("snapshot", handle.stats_json())
         yield self.frame("snapshot", handle.stats_json())
+        # A session that failed after analysing some input still streams
+        # what it judged; the error follows its summary.
         result = handle.result
-        if handle.error or result is None:
-            yield self.frame(
-                "error", {"error": handle.error or "session produced no result"}
-            )
-        else:
+        if result is not None:
             for index, verdict in enumerate(result.verdicts):
                 protocol, type_label = verdict.message.type_key()
                 yield self.frame(
@@ -410,6 +408,10 @@ class EventStream:
                 )
             yield self.frame(
                 "summary", _summary_json(result.summary(handle.app))
+            )
+        if handle.error or result is None:
+            yield self.frame(
+                "error", {"error": handle.error or "session produced no result"}
             )
         yield self.frame("end", {"id": handle.id})
 

@@ -330,6 +330,62 @@ def test_pcap_dir_session_ends_with_error_when_directory_goes(tmp_path):
     assert str(directory) in service.delete_session(created["id"])["error"]
 
 
+def test_failed_pcap_dir_session_still_streams_its_verdicts(tmp_path):
+    """A session whose directory goes after one capture was analysed
+    streams that capture's verdicts and summary, then the error, then
+    ``end``; its close payload reports both."""
+    directory = tmp_path / "captures"
+    directory.mkdir()
+    capture = directory / "capture-000.pcap"
+    write_pcap(capture, [r for r in _RECORDS if r.transport == "UDP"])
+    expected = len(read_pcap(capture))
+    service = ComplianceService()
+    created = service.create_session(
+        {"source": {"kind": "pcap_dir", "directory": str(directory),
+                    "poll_interval": 0.05}}
+    )
+    handle = service.get(created["id"])
+    deadline = time.monotonic() + 20.0
+    while handle.session.records_fed < expected:
+        assert time.monotonic() < deadline, "capture never analysed"
+        time.sleep(0.02)
+    capture.unlink()
+    directory.rmdir()
+    assert handle.done.wait(timeout=5.0), "session still running"
+    assert str(directory) in handle.error
+    verdicts = handle.result.verdicts
+    assert verdicts
+
+    frames = [
+        frame.decode("utf-8").split("\n")[:2]
+        for frame in service.events(created["id"], snapshot_interval=0.05)
+    ]
+    events = [
+        (event[len("event: "):], json.loads(data[len("data: "):]))
+        for event, data in frames
+    ]
+    names = [name for name, _ in events if name != "snapshot"]
+    assert names == ["verdict"] * len(verdicts) + ["summary", "error", "end"]
+    streamed = [data for name, data in events if name == "verdict"]
+    assert streamed == [
+        {
+            "index": index,
+            "timestamp": v.message.timestamp,
+            "protocol": v.message.type_key()[0],
+            "type": v.message.type_key()[1],
+            "compliant": v.compliant,
+            "violations": [
+                [int(criterion), code] for criterion, code in v.violation_keys()
+            ],
+        }
+        for index, v in enumerate(verdicts)
+    ]
+    assert str(directory) in dict(events)["error"]["error"]
+    closed = service.close_session(created["id"])
+    assert str(directory) in closed["error"]
+    assert closed["verdicts"] == len(verdicts)
+
+
 def test_watcher_raises_when_directory_goes(tmp_path):
     directory = tmp_path / "captures"
     directory.mkdir()

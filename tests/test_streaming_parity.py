@@ -24,7 +24,7 @@ from repro.conformance.golden import (
     experiment_config,
 )
 from repro.core import ComplianceChecker, ComplianceSummary, StreamingSummary
-from repro.dpi import DpiEngine
+from repro.dpi import DatagramAnalysis, DpiEngine, ExtractedMessage, Protocol
 from repro.experiments.runner import ExperimentConfig, run_cell_pipeline
 from repro.filtering import TwoStageFilter
 from repro.packets.packet import PacketRecord
@@ -36,6 +36,8 @@ from repro.pipeline import (
     merge_stage_stats,
     run_streaming,
 )
+from repro.protocols.rtp.extensions import HeaderExtension
+from repro.protocols.rtp.header import RtpPacket
 from repro.service import AnalysisSession, EvictionPolicy
 from repro.streams.timeline import CallWindow
 
@@ -420,6 +422,29 @@ class TestCheckerStreamParity:
         for got, want in zip(streamed, batch):
             assert got.message is want.message
             assert got.violation_keys() == want.violation_keys()
+
+    @pytest.mark.parametrize("sequential", [True, False])
+    def test_rtp_with_two_faults(self, sequential):
+        """The stage judges RTP through ``check_rtp`` directly; the
+        checker's ``sequential`` setting must still reach it."""
+        packet = RtpPacket(
+            payload_type=96, sequence_number=1, timestamp=2, ssrc=3,
+            payload=b"\x00", invalid_padding=True,
+            extension=HeaderExtension(profile=0x1234, data=b""),
+        )
+        message = ExtractedMessage(
+            Protocol.RTP, 0, 17, packet, record(100)
+        )
+        checker = ComplianceChecker(sequential=sequential)
+        stage = CheckStage(checker)
+        streamed = stage.process_chunk(
+            [DatagramAnalysis.classify(message.record, [message])]
+        )
+        want = checker.check([message])
+        assert [v.violation_keys() for _, v in streamed] == [
+            v.violation_keys() for v in want
+        ]
+        assert len(want[0].violations) == (1 if sequential else 2)
 
     def test_feed_after_flush_raises(self):
         stage = CheckStage(ComplianceChecker())
