@@ -111,11 +111,12 @@ def test_columnar_sweep_throughput(zoom_kept_records):
     """Stage-one sweeps/second: scalar per-payload scan vs columnar batches.
 
     Both sides run the same ``ColumnarScanner`` — ``scan_payload`` is the
-    scalar reference (the exact matcher loop ``DpiEngine._scan`` runs),
-    ``scan_batch`` the chunked columnar pass.  Rounds interleave the two
-    and take the best of each so scheduler noise cannot fake a win either
-    way, and the candidate lists must match bit for bit with zero parity
-    fallbacks before any number is recorded.
+    scalar reference (``dpi.candidates.sweep``, the reference engine's
+    matcher loop), ``scan_batch`` the chunked columnar pass.  Rounds
+    interleave the two and take the best of each so scheduler noise cannot
+    fake a win either way, and the candidate lists must match bit for bit
+    with no batch rescanned after a numpy error before any number is
+    recorded.
     """
     payloads = [record.payload for record in zoom_kept_records]
     chunks = [
@@ -165,7 +166,7 @@ def test_columnar_sweep_throughput(zoom_kept_records):
             gc.enable()
 
     assert columnar == reference, "columnar scan diverged from the scalar sweep"
-    assert scanner.stats.fallbacks == 0
+    assert scanner.stats.vector_errors == 0
 
     speedup = best_scalar / best_columnar
     RESULTS["columnar"] = {
@@ -175,7 +176,7 @@ def test_columnar_sweep_throughput(zoom_kept_records):
         "scalar_sweeps_per_second": round(len(payloads) / best_scalar, 1),
         "columnar_sweeps_per_second": round(len(payloads) / best_columnar, 1),
         "speedup": round(speedup, 3),
-        "fallback_rate": scanner.stats.fallback_rate,
+        "vector_errors": scanner.stats.vector_errors,
     }
     assert speedup >= 3.0, RESULTS["columnar"]
 

@@ -3,13 +3,13 @@ extracted message, with session context for the cross-message rules."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.core.quic_rules import check_quic
 from repro.core.rtcp_rules import check_rtcp
 from repro.core.rtp_rules import check_rtp
 from repro.core.stun_rules import StunSessionContext, check_stun
-from repro.core.verdict import Criterion, MessageVerdict, Violation
+from repro.core.verdict import MessageVerdict, Violation
 from repro.dpi.messages import DatagramAnalysis, ExtractedMessage, Protocol
 
 
@@ -20,42 +20,30 @@ class ComplianceChecker:
     criterion per message; ``sequential=False`` collects every violation,
     which the ablation benchmarks use.
 
-    ``strict_compound=True`` additionally enforces RFC 3550 §6.1's compound
-    rule that every RTCP datagram must begin with an SR or RR.  The paper
-    does not apply this rule (it would flag applications it reports as
-    RTCP-compliant, since real implementations send standalone feedback
-    packets per RFC 5506's reduced-size profile), so it defaults off.
+    RFC 3550 §6.1's rule that every RTCP compound begins with an SR or RR
+    is not applied, as in the paper: real implementations send standalone
+    feedback packets per RFC 5506's reduced-size profile, and the rule
+    would flag applications the paper reports as RTCP-compliant.
     """
 
-    def __init__(self, sequential: bool = True, strict_compound: bool = False):
+    def __init__(self, sequential: bool = True):
         self._sequential = sequential
-        self._strict_compound = strict_compound
 
     def check(self, messages: Sequence[ExtractedMessage]) -> List[MessageVerdict]:
         """Judge a whole session's messages (context rules need all of them)."""
         stun_context = StunSessionContext(
             [m for m in messages if m.protocol is Protocol.STUN_TURN]
         )
-        compound_heads = (
-            self._compound_heads(messages) if self._strict_compound else None
-        )
         return [
             MessageVerdict(
                 message=extracted,
-                violations=self._violations(
-                    extracted,
-                    stun_context,
-                    compound_heads is not None and id(extracted) in compound_heads,
-                ),
+                violations=self._violations(extracted, stun_context),
             )
             for extracted in messages
         ]
 
     def _violations(
-        self,
-        extracted: ExtractedMessage,
-        stun_context: StunSessionContext,
-        compound_head: bool,
+        self, extracted: ExtractedMessage, stun_context: StunSessionContext
     ) -> List[Violation]:
         """One message's violations (shared by batch and streaming modes)."""
         if extracted.protocol is Protocol.STUN_TURN:
@@ -63,42 +51,10 @@ class ComplianceChecker:
         if extracted.protocol is Protocol.RTP:
             return check_rtp(extracted, self._sequential)
         if extracted.protocol is Protocol.RTCP:
-            violations = check_rtcp(extracted, self._sequential)
-            if (
-                compound_head
-                and (not violations or not self._sequential)
-                and extracted.message.packet_type not in (200, 201)
-            ):
-                violations.append(
-                    Violation(
-                        Criterion.SEMANTICS,
-                        "compound-must-start-with-report",
-                        "an RTCP compound must begin with SR or RR "
-                        "(RFC 3550 §6.1); this datagram starts with "
-                        f"packet type {extracted.message.packet_type}",
-                    )
-                )
-            return violations
+            return check_rtcp(extracted, self._sequential)
         if extracted.protocol is Protocol.QUIC:
             return check_quic(extracted, self._sequential)
         return []  # pragma: no cover - exhaustive over Protocol
-
-    @staticmethod
-    def _compound_heads(messages: Sequence[ExtractedMessage]) -> set:
-        """ids of the first RTCP message of each datagram."""
-        heads = {}
-        for extracted in messages:
-            if extracted.protocol is not Protocol.RTCP:
-                continue
-            key = id(extracted.record)
-            current = heads.get(key)
-            if current is None or extracted.offset < current.offset:
-                heads[key] = extracted
-        return {id(extracted) for extracted in heads.values()}
-
-    def check_one(self, message: ExtractedMessage) -> MessageVerdict:
-        """Judge a single message (criterion-5 context rules see only it)."""
-        return self.check([message])[0]
 
 
 #: A verdict with the global index of its message in analysis order.
@@ -139,7 +95,6 @@ class CheckStage:
         if self._flushed:
             raise RuntimeError("process_chunk() after flush()")
         checker = self._checker
-        strict = checker._strict_compound
         sequential = checker._sequential
         context = self._empty_context
         deferred = self._deferred
@@ -147,19 +102,13 @@ class CheckStage:
         out: List[IndexedVerdict] = []
         stun, rtp = Protocol.STUN_TURN, Protocol.RTP
         for analysis in analyses:
-            messages = analysis.messages
-            compound_head: Optional[ExtractedMessage] = None
-            if strict:
-                rtcp = [m for m in messages if m.protocol is Protocol.RTCP]
-                if rtcp:
-                    compound_head = min(rtcp, key=lambda m: m.offset)
-            for extracted in messages:
+            for extracted in analysis.messages:
                 protocol = extracted.protocol
                 if protocol is stun:
                     deferred.append((index, extracted))
                 elif protocol is rtp:
-                    # RTP rules read neither session context nor the
-                    # compound head: the _violations hop is skipped.
+                    # RTP rules read no session context: the _violations
+                    # hop is skipped.
                     out.append((
                         index,
                         MessageVerdict(
@@ -168,9 +117,7 @@ class CheckStage:
                         ),
                     ))
                 else:
-                    violations = checker._violations(
-                        extracted, context, extracted is compound_head
-                    )
+                    violations = checker._violations(extracted, context)
                     out.append((
                         index,
                         MessageVerdict(message=extracted, violations=violations),
@@ -191,7 +138,7 @@ class CheckStage:
                 index,
                 MessageVerdict(
                     message=extracted,
-                    violations=checker._violations(extracted, context, False),
+                    violations=checker._violations(extracted, context),
                 ),
             )
             for index, extracted in self._deferred

@@ -176,17 +176,8 @@ def check_stun(
         return violations
 
     # Criterion 2: header fields.  Framing errors (length, top bits) are
-    # rejected at parse time; what remains is transaction-ID sanity.
-    if len(message.transaction_id) not in (12, 16):
-        violations.append(
-            Violation(
-                Criterion.HEADER_FIELDS,
-                "bad-transaction-id",
-                f"transaction ID of {len(message.transaction_id)} bytes",
-            )
-        )
-    if done():
-        return violations
+    # rejected at parse time, and parsing always yields a 12- or 16-byte
+    # transaction ID; what remains is transaction-ID randomness.
     if message.transaction_id in context.sequential_txids:
         violations.append(
             Violation(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
-from typing import Any, Iterable, List
+from typing import Any, List
 
 from repro.dpi.messages import Protocol
 from repro.protocols.quic.header import (
@@ -332,16 +332,14 @@ def sweep_order(candidate: Candidate):
     return (candidate.offset, -candidate.length)
 
 
-def sweep(
-    payload: bytes, protocols: Iterable[Protocol], max_offset: int
-) -> List[Candidate]:
+def sweep(payload: bytes, max_offset: int) -> List[Candidate]:
     """The reference sweep (Algorithm 1, stage one) over one payload.
 
-    Every matcher of *protocols*, in that order, at offsets 0..k, merged
-    and stable-sorted by :func:`sweep_order`.
+    Every matcher of :data:`MATCHERS`, in that order, at offsets 0..k,
+    merged and stable-sorted by :func:`sweep_order`.
     """
     candidates: List[Candidate] = []
-    for protocol in protocols:
-        candidates.extend(MATCHERS[protocol](payload, max_offset))
+    for matcher in MATCHERS.values():
+        candidates.extend(matcher(payload, max_offset))
     candidates.sort(key=sweep_order)
     return candidates

@@ -1,6 +1,6 @@
 """Columnar batch stage-one scanner: the production 0..k sweep.
 
-The reference sweep (:meth:`repro.dpi.engine.DpiEngine._scan`) runs four
+The reference sweep (:func:`repro.dpi.candidates.sweep`) runs four
 anchored matchers per payload, and per-payload Python call overhead
 dominates its cost.  This module computes the same sweep for a whole
 chunk of one stream's payloads (up to 256 at a time) at once; it is the
@@ -15,7 +15,7 @@ SSRC groups on those arrays and builds objects only for rows whose SSRC
 passes stage two; :meth:`ColumnarScanner.scan_batch` builds every row and
 returns the candidate lists the scalar sweep would.
 
-One kernel serves every batch of ``bytes`` payloads, whatever its size
+One kernel serves every batch, whatever its size
 (:meth:`ColumnarScanner._scan_np`):
 
 * the payloads are joined into one buffer with an offset index, so each
@@ -30,9 +30,8 @@ One kernel serves every batch of ``bytes`` payloads, whatever its size
   the payloads some gate opens (119 of 10,465 on a clean eight-call
   capture).
 
-Payloads that are not ``bytes``, and any batch the kernel fails on, get
-the ungated scalar sweep in the same column form
-(:meth:`ColumnarScanner.scalar_columns`).
+A batch the kernel fails on gets the ungated scalar sweep in the same
+column form (:meth:`ColumnarScanner.scalar_columns`).
 
 Every gate is a necessary condition of the corresponding matcher, so a
 skipped matcher is exactly one that would have produced zero candidates
@@ -59,12 +58,12 @@ through that returned nothing):
   and at least 26 bytes.
 
 Candidate lists come out bit-identical to the scalar sweep: a payload's
-other candidates are kept in segments split at RTP's place in the
-protocol order, so assembly (:meth:`ColumnarScanner.assemble`) follows
-the engine's protocol order before the same stable sort, and an RTP-only
-list skips the sort because anchored RTP candidates are already in
-ascending ``(offset, -length)`` order (length decreases as offset grows
-within one payload).
+other candidates are kept as its STUN candidates and its RTCP-then-QUIC
+candidates, so assembly (:meth:`ColumnarScanner.assemble`) puts them
+around the RTP candidates in ``MATCHERS`` order before the same stable
+sort, and an RTP-only list skips the sort because anchored RTP
+candidates are already in ascending ``(offset, -length)`` order (length
+decreases as offset grows within one payload).
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ import logging
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -168,10 +167,9 @@ class ColumnarStats:
     """Batch-scanner instrumentation, separate from :class:`DpiStats`.
 
     ``DpiStats`` is the golden-corpus schema and must stay bit-identical
-    across backends, so columnar-only counters live here.  ``fallbacks``
-    counts payloads the batch scanner refused (non-``bytes`` inputs) and
-    handed back for a scalar sweep; ``vector_errors`` counts whole batches
-    the numpy kernel failed on, which then got the scalar sweep.
+    across backends, so columnar-only counters live here.
+    ``vector_errors`` counts whole batches the numpy kernel failed on,
+    which then got the scalar sweep.
     ``gate_runs`` counts, per gated protocol, the scalar matcher calls the
     numpy kernel's gates let through, and ``gate_empty`` how many of those
     returned nothing (the gate's waste; always 0 for the exact RTCP gate).
@@ -179,22 +177,15 @@ class ColumnarStats:
 
     batches: int = 0
     payloads: int = 0
-    fallbacks: int = 0
     vector_errors: int = 0
     gate_runs: Dict[str, int] = field(default_factory=_gate_counts)
     gate_empty: Dict[str, int] = field(default_factory=_gate_counts)
-
-    @property
-    def fallback_rate(self) -> float:
-        return self.fallbacks / self.payloads if self.payloads else 0.0
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "batches": self.batches,
             "payloads": self.payloads,
-            "fallbacks": self.fallbacks,
             "vector_errors": self.vector_errors,
-            "fallback_rate": self.fallback_rate,
             "gate_runs": dict(self.gate_runs),
             "gate_empty": dict(self.gate_empty),
         }
@@ -202,7 +193,6 @@ class ColumnarStats:
     def merge(self, other: "ColumnarStats") -> None:
         self.batches += other.batches
         self.payloads += other.payloads
-        self.fallbacks += other.fallbacks
         self.vector_errors += other.vector_errors
         for mine, theirs in (
             (self.gate_runs, other.gate_runs),
@@ -270,18 +260,14 @@ def build_rtp_candidates(rows: RtpColumns) -> Dict[int, List[Candidate]]:
 class ColumnBatch:
     """One chunk's stage-one output in column form.
 
-    ``rtp`` holds every RTP candidate as a row.  ``parts[i]`` holds
-    payload *i*'s other candidates in protocol order, split into segments
-    at each RTP entry of the protocol order (with the default order: STUN
-    before RTP, then RTCP and QUIC), or ``()`` when it has none.
-    ``fallbacks`` lists the payloads the batch scan refused (anything not
-    ``bytes``); they have no rows and no parts, and need the scalar sweep
-    (:meth:`ColumnarScanner.scalar_columns`).
+    ``rtp`` holds every RTP candidate as a row.  ``parts[i]`` is payload
+    *i*'s ``(STUN candidates, RTCP-then-QUIC candidates)``, the matchers
+    that run before and after RTP in ``MATCHERS``, or ``()`` when it has
+    no non-RTP candidate.
     """
 
     rtp: RtpColumns
     parts: List[Tuple[List[Candidate], ...]]
-    fallbacks: List[int] = field(default_factory=list)
 
 
 class ColumnarScanner:
@@ -294,25 +280,11 @@ class ColumnarScanner:
     tests.
     """
 
-    def __init__(
-        self,
-        max_offset: int,
-        protocols: Sequence[Protocol] = tuple(Protocol),
-    ):
+    def __init__(self, max_offset: int):
         if max_offset < 0:
             raise ValueError("max_offset must be non-negative")
         self._max_offset = max_offset
-        self._protocols = tuple(protocols)
         self.stats = ColumnarStats()
-        present = set(self._protocols)
-        self._stun_on = Protocol.STUN_TURN in present
-        self._rtp_on = Protocol.RTP in present
-        self._rtcp_on = Protocol.RTCP in present
-        self._quic_on = Protocol.QUIC in present
-        # How many times the protocol order lists RTP: the engine scores
-        # every listing, and the sorted-RTP-run shortcut assumes one.
-        self._rtp_count = sum(1 for p in self._protocols if p is Protocol.RTP)
-        self._rtp_once = self._rtp_count <= 1
 
     @property
     def max_offset(self) -> int:
@@ -324,118 +296,40 @@ class ColumnarScanner:
         ``perfbench/run.py`` records it."""
         return True
 
-    @property
-    def rtp_count(self) -> int:
-        """How many times the protocol order lists RTP."""
-        return self._rtp_count
-
     # -- public API ---------------------------------------------------------------
 
     def scan_payload(self, payload: bytes) -> List[Candidate]:
         """Scalar reference scan of one payload (the parity oracle)."""
-        return sweep(payload, self._protocols, self._max_offset)
+        return sweep(payload, self._max_offset)
 
-    def scan_batch(
-        self, batch: Sequence[bytes]
-    ) -> List[Optional[List[Candidate]]]:
+    def scan_batch(self, batch: Sequence[bytes]) -> List[List[Candidate]]:
         """Candidate lists for a chunk of payloads, in input order.
 
-        A ``None`` entry flags a payload the batch scanner cannot handle
-        (anything that is not ``bytes``); the caller must fall back to the
-        scalar sweep for it.  Results are independent of how payloads are
-        grouped into batches.
+        Results are independent of how payloads are grouped into batches.
         """
         columns = self.scan_columns(batch)
         rtp = build_rtp_candidates(columns.rtp)
-        out: List[Optional[List[Candidate]]] = [
+        return [
             self.assemble(part, rtp.get(i, []))
             for i, part in enumerate(columns.parts)
         ]
-        for i in columns.fallbacks:
-            out[i] = None
-        return out
 
     def scan_columns(self, batch: Sequence[bytes]) -> ColumnBatch:
         """Stage one for a chunk of payloads, in column form.
 
-        A payload that is not ``bytes`` is refused: it gets no rows and no
-        parts and is listed in ``fallbacks``, and the caller must sweep it
-        with the scalar matchers (:meth:`scalar_columns`).
+        A payload that is not ``bytes`` (a ``bytearray``, a
+        ``memoryview``) is scanned as ``bytes(payload)``.
         """
         stats = self.stats
         stats.batches += 1
-        n = len(batch)
-        stats.payloads += n
-        # C-level homogeneity probe; the isinstance walk below still
-        # handles rarities like bytes subclasses or mixed batches.
-        if set(map(type, batch)) <= {bytes}:
-            return self._scan_regular(batch)
-        regular = [i for i, p in enumerate(batch) if isinstance(p, bytes)]
-        refused = [i for i, p in enumerate(batch) if not isinstance(p, bytes)]
-        before = stats.fallbacks
-        stats.fallbacks += len(refused)
-        if _crossed_power_of_two(before, stats.fallbacks):
-            _log.warning(
-                "columnar scan refused %d of %d payloads (%s, not bytes); "
-                "they get the scalar sweep (%d refused so far)",
-                len(refused), n,
-                ", ".join(sorted({type(batch[i]).__name__ for i in refused})),
-                stats.fallbacks,
-            )
-        scanned = self._scan_regular([batch[i] for i in regular])
-        parts: List[Tuple[List[Candidate], ...]] = [()] * n
-        for position, segments in zip(regular, scanned.parts):
-            parts[position] = segments
-        index = np.array(regular, dtype=np.int32)[scanned.rtp.index]
-        return ColumnBatch(RtpColumns(index, *scanned.rtp[1:]), parts, refused)
-
-    def scalar_columns(self, payloads: Sequence[bytes]) -> ColumnBatch:
-        """The scalar sweep in column form: every matcher, no gates.
-
-        This is the sweep for payloads :meth:`scan_columns` refused, and
-        for a batch the numpy kernel failed on; it reads payloads only
-        through the matchers, as the reference does.
-        """
-        max_offset = self._max_offset
-        needs = (self._stun_on, self._rtcp_on, self._quic_on)
-        rows = []
-        parts = []
-        for i, payload in enumerate(payloads):
-            if self._rtp_on:
-                rows.extend(
-                    (i, c.offset, c.length, c.rtp_ssrc, c.rtp_seq,
-                     c.rtp_timestamp)
-                    for c in rtp_candidates(payload, max_offset)
-                )
-            parts.append(self._parts(payload, *needs))
-        return ColumnBatch(_rtp_columns(rows), parts)
-
-    def assemble(
-        self, parts: Sequence[List[Candidate]], rtp: List[Candidate]
-    ) -> List[Candidate]:
-        """One payload's candidate list from its parts and RTP candidates.
-
-        Merges in the engine's protocol order, then stable-sorts —
-        byte-identical tie order to the scalar sweep.
-        """
-        if not parts:
-            if self._rtp_once:
-                return rtp  # anchored RTP candidates are already sorted
-            parts = ([],) * (self._rtp_count + 1)
-        out = list(parts[0])
-        for segment in parts[1:]:
-            out += rtp
-            out += segment
-        out.sort(key=sweep_order)
-        return out
-
-    # -- internals ----------------------------------------------------------------
-
-    def _scan_regular(self, batch: Sequence[bytes]) -> ColumnBatch:
+        stats.payloads += len(batch)
+        # C-level homogeneity probe: ``bytes`` of a ``bytes`` object is
+        # the object itself, so only other buffers are copied.
+        if not set(map(type, batch)) <= {bytes}:
+            batch = list(map(bytes, batch))
         try:
             return self._scan_np(batch)
         except Exception as exc:  # numpy safety net
-            stats = self.stats
             stats.vector_errors += 1
             if _crossed_power_of_two(
                 stats.vector_errors - 1, stats.vector_errors
@@ -449,6 +343,41 @@ class ColumnarScanner:
                 )
         return self.scalar_columns(batch)
 
+    def scalar_columns(self, payloads: Sequence[bytes]) -> ColumnBatch:
+        """The scalar sweep in column form: every matcher, no gates.
+
+        This is the sweep for a batch the numpy kernel failed on; it reads
+        payloads only through the matchers, as the reference does.
+        """
+        max_offset = self._max_offset
+        rows = []
+        parts = []
+        for i, payload in enumerate(payloads):
+            rows.extend(
+                (i, c.offset, c.length, c.rtp_ssrc, c.rtp_seq, c.rtp_timestamp)
+                for c in rtp_candidates(payload, max_offset)
+            )
+            parts.append(self._parts(payload, True, True, True))
+        return ColumnBatch(_rtp_columns(rows), parts)
+
+    @staticmethod
+    def assemble(
+        parts: Sequence[List[Candidate]], rtp: List[Candidate]
+    ) -> List[Candidate]:
+        """One payload's candidate list from its parts and RTP candidates.
+
+        Merges in ``MATCHERS`` order, then stable-sorts — byte-identical
+        tie order to the scalar sweep.
+        """
+        if not parts:
+            return rtp  # anchored RTP candidates are already sorted
+        stun, rest = parts
+        out = stun + rtp + rest
+        out.sort(key=sweep_order)
+        return out
+
+    # -- internals ----------------------------------------------------------------
+
     def _parts(
         self,
         payload: bytes,
@@ -457,32 +386,25 @@ class ColumnarScanner:
         need_quic: bool,
         gated: bool = False,
     ) -> Tuple[List[Candidate], ...]:
-        """The non-RTP candidates in protocol order, split into segments
-        at each RTP entry; ``()`` when there are none.
+        """The non-RTP candidates as ``(STUN, RTCP-then-QUIC)`` (see
+        :class:`ColumnBatch`); ``()`` when there are none.
 
         With *gated* (the numpy kernel's calls), each matcher run is
         counted in ``stats.gate_runs`` and, when it finds nothing, in
         ``stats.gate_empty``.
         """
-        if not (need_stun or need_rtcp or need_quic):
-            return ()
-        need = {
-            Protocol.STUN_TURN: need_stun,
-            Protocol.RTCP: need_rtcp,
-            Protocol.QUIC: need_quic,
-        }
-        segments: List[List[Candidate]] = [[]]
-        for protocol in self._protocols:
-            if protocol is Protocol.RTP:
-                segments.append([])
-            elif need[protocol]:
-                found = MATCHERS[protocol](payload, self._max_offset)
+        found: List[List[Candidate]] = []
+        for protocol, needed in zip(_GATED, (need_stun, need_rtcp, need_quic)):
+            out: List[Candidate] = []
+            if needed:
+                out = MATCHERS[protocol](payload, self._max_offset)
                 if gated:
                     self.stats.gate_runs[protocol.value] += 1
-                    if not found:
+                    if not out:
                         self.stats.gate_empty[protocol.value] += 1
-                segments[-1] += found
-        return tuple(segments) if any(segments) else ()
+            found.append(out)
+        stun, rtcp, quic = found
+        return (stun, rtcp + quic) if stun or rtcp or quic else ()
 
     def _scan_np(self, batch: Sequence[bytes]) -> ColumnBatch:
         """Vectorized batch scan over the joined buffer.
@@ -507,122 +429,113 @@ class ColumnarScanner:
 
         rtp_columns = _rtp_columns(())
         rtcp_flag: set = set()
-        if self._rtp_on or self._rtcp_on:
-            rtp_lim = np.minimum(max_offset, sizes_a - 12)
-            if self._rtcp_on:
-                scan_lim = np.minimum(max_offset, sizes_a - 4)
-            else:
-                scan_lim = rtp_lim
-            # Window mask over the joined buffer: anchors confined to each
-            # payload's own 0..limit range, so no position can read past
-            # its payload (limit <= size-4 keeps +3 lookups in bounds).
-            wmask = np.zeros(total, dtype=bool)
-            for i, limit in enumerate(scan_lim.tolist()):
-                if limit >= 0:
-                    lo = starts_l[i]
-                    wmask[lo:lo + limit + 1] = True
-            pos = np.nonzero(((arr & 0xC0) == 0x80) & wmask)[0]
-            if pos.size:
-                idx = np.searchsorted(starts, pos, side="right") - 1
-                off = pos - starts[idx]
-                b1 = arr[pos + 1]
-                # The RTP payload-type exclusion range and the RTCP packet
-                # -type range are the same byte class, so one mask routes
-                # every anchor to exactly one of the two checks.
-                rtcp_class = (b1 >= 0xC0) & (b1 <= 0xDF)
-                if self._rtcp_on and rtcp_class.any():
-                    ridx = idx[rtcp_class]
-                    rtcp_flag = _rtcp_gate(
-                        arr, pos[rtcp_class], starts[ridx + 1], ridx
-                    )
-                if self._rtp_on:
-                    # looks_like_rtp, vectorized: PT-range exclusion, CSRC
-                    # fit, and extension-length fit via masked gathers —
-                    # narrowed to the surviving subset before the wider
-                    # header checks so the heavy ops touch fewer elements.
-                    k0 = (off <= rtp_lim[idx]) & ~rtcp_class
-                    pos1 = pos[k0]
-                    idx1 = idx[k0]
-                    off1 = off[k0]
-                    psize = sizes_a[idx1]
-                    first = arr[pos1]
-                    end_ = off1 + 12 + 4 * (first & 0x0F).astype(np.int64)
-                    keep = end_ <= psize
-                    ext = (first & 0x10) != 0
-                    ext_rows = keep & ext
-                    if ext_rows.any():
-                        ok_len = end_ + 4 <= psize
-                        safe = np.where(ext_rows & ok_len, starts[idx1] + end_, 0)
-                        word_len = (
-                            arr[safe + 2].astype(np.int64) << 8
-                        ) | arr[safe + 3]
-                        keep &= ~ext | (
-                            ok_len & (end_ + 4 + 4 * word_len <= psize)
-                        )
-                    kpos = pos1[keep]
-                    kidx = idx1[keep]
-                    koff = off1[keep]
-                    # Header bytes 2..12 (sequence number, timestamp,
-                    # SSRC) in one gather, read as big-endian words.
-                    head = arr[kpos[:, None] + np.arange(2, 12)]
-                    rtp_columns = RtpColumns(
-                        kidx.astype(np.int32),
-                        koff.astype(np.int32),
-                        (sizes_a[kidx] - koff).astype(np.int32),
-                        _big_endian(head, 6, 10, "u4"),
-                        _big_endian(head, 0, 2, "u2"),
-                        _big_endian(head, 2, 6, "u4"),
-                    )
+        rtp_lim = np.minimum(max_offset, sizes_a - 12)
+        scan_lim = np.minimum(max_offset, sizes_a - 4)
+        # Window mask over the joined buffer: anchors confined to each
+        # payload's own 0..limit range, so no position can read past
+        # its payload (limit <= size-4 keeps +3 lookups in bounds).
+        wmask = np.zeros(total, dtype=bool)
+        for i, limit in enumerate(scan_lim.tolist()):
+            if limit >= 0:
+                lo = starts_l[i]
+                wmask[lo:lo + limit + 1] = True
+        pos = np.nonzero(((arr & 0xC0) == 0x80) & wmask)[0]
+        if pos.size:
+            idx = np.searchsorted(starts, pos, side="right") - 1
+            off = pos - starts[idx]
+            b1 = arr[pos + 1]
+            # The RTP payload-type exclusion range and the RTCP packet
+            # -type range are the same byte class, so one mask routes
+            # every anchor to exactly one of the two checks.
+            rtcp_class = (b1 >= 0xC0) & (b1 <= 0xDF)
+            if rtcp_class.any():
+                ridx = idx[rtcp_class]
+                rtcp_flag = _rtcp_gate(
+                    arr, pos[rtcp_class], starts[ridx + 1], ridx
+                )
+            # looks_like_rtp, vectorized: PT-range exclusion, CSRC fit,
+            # and extension-length fit via masked gathers — narrowed to
+            # the surviving subset before the wider header checks so the
+            # heavy ops touch fewer elements.
+            k0 = (off <= rtp_lim[idx]) & ~rtcp_class
+            pos1 = pos[k0]
+            idx1 = idx[k0]
+            off1 = off[k0]
+            psize = sizes_a[idx1]
+            first = arr[pos1]
+            end_ = off1 + 12 + 4 * (first & 0x0F).astype(np.int64)
+            keep = end_ <= psize
+            ext = (first & 0x10) != 0
+            ext_rows = keep & ext
+            if ext_rows.any():
+                ok_len = end_ + 4 <= psize
+                safe = np.where(ext_rows & ok_len, starts[idx1] + end_, 0)
+                word_len = (
+                    arr[safe + 2].astype(np.int64) << 8
+                ) | arr[safe + 3]
+                keep &= ~ext | (ok_len & (end_ + 4 + 4 * word_len <= psize))
+            kpos = pos1[keep]
+            kidx = idx1[keep]
+            koff = off1[keep]
+            # Header bytes 2..12 (sequence number, timestamp, SSRC) in
+            # one gather, read as big-endian words.
+            head = arr[kpos[:, None] + np.arange(2, 12)]
+            rtp_columns = RtpColumns(
+                kidx.astype(np.int32),
+                koff.astype(np.int32),
+                (sizes_a[kidx] - koff).astype(np.int32),
+                _big_endian(head, 6, 10, "u4"),
+                _big_endian(head, 0, 2, "u2"),
+                _big_endian(head, 2, 6, "u4"),
+            )
 
         stun_flag: set = set()
-        if self._stun_on:
-            search = 0
-            cookie_hi = max_offset + 4
-            while True:
-                found = joined.find(_COOKIE_BYTES, search)
-                if found < 0:
-                    break
-                search = found + 1
-                i = bisect_right(starts_l, found) - 1
-                local = found - starts_l[i]
-                # The cookie must lie wholly inside payload i (not straddle
-                # a join seam) with its offset-4 anchor inside 0..k.
-                if 4 <= local <= cookie_hi and local + 4 <= sizes[i]:
-                    stun_flag.add(i)
+        search = 0
+        cookie_hi = max_offset + 4
+        while True:
+            found = joined.find(_COOKIE_BYTES, search)
+            if found < 0:
+                break
+            search = found + 1
+            i = bisect_right(starts_l, found) - 1
+            local = found - starts_l[i]
+            # The cookie must lie wholly inside payload i (not straddle a
+            # join seam) with its offset-4 anchor inside 0..k.
+            if 4 <= local <= cookie_hi and local + 4 <= sizes[i]:
+                stun_flag.add(i)
 
         quic_flag: set = set()
-        if self._quic_on:
-            # A long-header anchor at offset ``o`` of payload ``i`` means
-            # one of the three version strings sits at ``o+1`` with a
-            # 0xC0-0xFF byte before it, and ``o <= min(k, size-7)``.  The
-            # window bound alone rejects join-seam straddles (it keeps the
-            # needle at least two bytes clear of the payload end), so
-            # C-level ``find`` calls over the joined buffer enumerate
-            # exactly the payloads whose own regex search would match.
-            for needle in _QUIC_VERSION_NEEDLES:
-                search = 0
-                while True:
-                    found = joined.find(needle, search)
-                    if found < 0:
-                        break
-                    i = bisect_right(starts_l, found) - 1
-                    local = found - starts_l[i]
-                    limit = min(max_offset, sizes[i] - 7)
-                    if i in quic_flag or local > limit + 1:
-                        # Later finds in payload i are outside its prefix
-                        # window too; resume at the next payload.
-                        search = starts_l[i + 1]
-                    elif local >= 1 and joined[found - 1] >= 0xC0:
-                        quic_flag.add(i)
-                        search = starts_l[i + 1]
-                    elif needle == _QUIC_VN_NEEDLE:
-                        # The all-zero needle matches at every position of
-                        # a zero run, but only the run's first position can
-                        # follow an anchor byte: skip the rest of the run.
-                        run_end = _NONZERO.search(joined, found + 4)
-                        search = run_end.start() if run_end else total
-                    else:
-                        search = found + 1
+        # A long-header anchor at offset ``o`` of payload ``i`` means one
+        # of the three version strings sits at ``o+1`` with a 0xC0-0xFF
+        # byte before it, and ``o <= min(k, size-7)``.  The window bound
+        # alone rejects join-seam straddles (it keeps the needle at least
+        # two bytes clear of the payload end), so C-level ``find`` calls
+        # over the joined buffer enumerate exactly the payloads whose own
+        # regex search would match.
+        for needle in _QUIC_VERSION_NEEDLES:
+            search = 0
+            while True:
+                found = joined.find(needle, search)
+                if found < 0:
+                    break
+                i = bisect_right(starts_l, found) - 1
+                local = found - starts_l[i]
+                limit = min(max_offset, sizes[i] - 7)
+                if i in quic_flag or local > limit + 1:
+                    # Later finds in payload i are outside its prefix
+                    # window too; resume at the next payload.
+                    search = starts_l[i + 1]
+                elif local >= 1 and joined[found - 1] >= 0xC0:
+                    quic_flag.add(i)
+                    search = starts_l[i + 1]
+                elif needle == _QUIC_VN_NEEDLE:
+                    # The all-zero needle matches at every position of a
+                    # zero run, but only the run's first position can
+                    # follow an anchor byte: skip the rest of the run.
+                    run_end = _NONZERO.search(joined, found + 4)
+                    search = run_end.start() if run_end else total
+                else:
+                    search = found + 1
 
         # The first-byte gates, as masks over the batch: bytes 0, 2 and 3
         # of every payload in one gather each, clipped to the joined
@@ -631,25 +544,20 @@ class ColumnarScanner:
         heads = starts[:-1]
         last = total - 1
         b0 = arr[np.minimum(heads, last)]
-        stun_open = stun_flag
-        if self._stun_on:
-            length = (
-                arr[np.minimum(heads + 2, last)].astype(np.int64) << 8
-            ) | arr[np.minimum(heads + 3, last)]
-            channel_data = (sizes_a >= 4) & (b0 >= 0x40) & (b0 <= 0x4F)
-            # looks_like_stun(payload, 0): the classic-STUN gate (the
-            # length term also requires the 20-byte header).
-            classic = (
-                ((b0 & 0xC0) == 0) & ((length & 3) == 0)
-                & (20 + length <= sizes_a)
-            )
-            stun_open = stun_flag | set(
-                np.flatnonzero(channel_data | classic).tolist()
-            )
-        quic_open = quic_flag
-        if self._quic_on:
-            short_header = (sizes_a >= 26) & ((b0 & 0xC0) == 0x40)
-            quic_open = quic_flag | set(np.flatnonzero(short_header).tolist())
+        length = (
+            arr[np.minimum(heads + 2, last)].astype(np.int64) << 8
+        ) | arr[np.minimum(heads + 3, last)]
+        channel_data = (sizes_a >= 4) & (b0 >= 0x40) & (b0 <= 0x4F)
+        # looks_like_stun(payload, 0): the classic-STUN gate (the length
+        # term also requires the 20-byte header).
+        classic = (
+            ((b0 & 0xC0) == 0) & ((length & 3) == 0) & (20 + length <= sizes_a)
+        )
+        stun_open = stun_flag | set(
+            np.flatnonzero(channel_data | classic).tolist()
+        )
+        short_header = (sizes_a >= 26) & ((b0 & 0xC0) == 0x40)
+        quic_open = quic_flag | set(np.flatnonzero(short_header).tolist())
 
         # Only the payloads some gate opens reach the scalar matchers.
         parts: List[Tuple[List[Candidate], ...]] = [()] * n

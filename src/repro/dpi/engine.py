@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dpi.candidates import Candidate, sweep
+from repro.dpi.candidates import MATCHERS, Candidate, sweep
 from repro.dpi.columnar import (
     ColumnarScanner,
     ColumnarStats,
@@ -198,8 +198,9 @@ class DpiResult:
 class DpiEngine:
     """Offset-shifting DPI with protocol-specific validation.
 
-    Stage one sweeps every matcher over offsets 0..k of every datagram
-    (Algorithm 1); stage two validates the candidates in stream context.
+    Stage one sweeps the four matchers (STUN/TURN, RTP, RTCP, QUIC) over
+    offsets 0..k of every datagram (Algorithm 1); stage two validates the
+    candidates in stream context.
     ``backend`` picks how the two stages are computed; the verdicts and
     :class:`DpiStats` are bit-identical either way:
 
@@ -214,7 +215,8 @@ class DpiEngine:
       scoring, and objects are built only for rows whose SSRC passes:
       a row of a rejected SSRC never reaches a verdict.  A lone RTP row
       becomes its message without a ``Candidate`` (see the module
-      docstring).
+      docstring).  A payload that is not ``bytes`` is scanned as
+      ``bytes(payload)``.
 
     ``fastpath`` and ``cache_size`` are retired: the flow-sticky fast
     path and the payload-dedup cache are gone, so only their old "off"
@@ -224,7 +226,6 @@ class DpiEngine:
     def __init__(
         self,
         max_offset: int = DEFAULT_MAX_OFFSET,
-        protocols: Iterable[Protocol] = tuple(Protocol),
         cache_size: int = 0,
         fastpath: bool = False,
         backend: str = "scalar",
@@ -244,12 +245,9 @@ class DpiEngine:
         if backend not in ("scalar", "columnar"):
             raise ValueError(f"unknown DPI backend: {backend!r}")
         self._max_offset = max_offset
-        self._protocols = tuple(protocols)
         self._backend = backend
         self._columnar = (
-            ColumnarScanner(max_offset, self._protocols)
-            if backend == "columnar"
-            else None
+            ColumnarScanner(max_offset) if backend == "columnar" else None
         )
         self.stats = DpiStats()
 
@@ -313,10 +311,8 @@ class DpiEngine:
     ) -> List[Tuple[PacketRecord, List[Candidate]]]:
         """Sweep every datagram of *stream*: the full 0..k scan each."""
         packets = stream.packets
-        protocols, max_offset = self._protocols, self._max_offset
-        candidates = [
-            sweep(record.payload, protocols, max_offset) for record in packets
-        ]
+        max_offset = self._max_offset
+        candidates = [sweep(record.payload, max_offset) for record in packets]
         self._count_sweeps(len(packets))
         return list(zip(packets, candidates))
 
@@ -331,7 +327,7 @@ class DpiEngine:
         stats.datagrams += count
         stats.sweeps += count
         calls = stats.matcher_calls
-        for protocol in self._protocols:
+        for protocol in MATCHERS:
             calls[protocol.value] = calls.get(protocol.value, 0) + count
 
     # -- both stages on columns (production) -----------------------------------------
@@ -348,11 +344,8 @@ class DpiEngine:
         nor arbitration: its row is parsed straight into the one message,
         which ``_materialize`` would build from a ``Candidate``.  Only the
         rest get ``Candidate`` objects (:func:`build_rtp_candidates`) and
-        the reference's non-RTP validation, assembly in protocol order
-        and overlap resolution.  A protocol order that lists RTP twice
-        needs no exception: the reference then sees a lone row twice, and
-        the twin loses the arbitration (same offset, a sequence step of
-        0 is no continuation), so the row alone is accepted.
+        the reference's non-RTP validation, assembly in sweep order and
+        overlap resolution.
         """
         scanner = self._columnar
         packets = stream.packets
@@ -361,33 +354,21 @@ class DpiEngine:
         chunks: List[RtpColumns] = []
         step = DEFAULT_CHUNK_SIZE
         for base in range(0, len(payloads), step):
-            chunk = payloads[base:base + step]
-            batch = scanner.scan_columns(chunk)
+            batch = scanner.scan_columns(payloads[base:base + step])
             parts.extend(batch.parts)
-            chunks.append(_shift_rows(batch.rtp, base))
-            if batch.fallbacks:
-                swept = scanner.scalar_columns(
-                    [chunk[i] for i in batch.fallbacks]
-                )
-                for i, part in zip(batch.fallbacks, swept.parts):
-                    parts[base + i] = part
-                positions = np.array(batch.fallbacks, dtype=np.int32)
-                chunks.append(_shift_rows(swept.rtp, base, positions))
+            # Chunk-local payload indices made stream-global.
+            chunks.append(RtpColumns(batch.rtp.index + base, *batch.rtp[1:]))
         count = len(payloads)
         self._count_sweeps(count)
         if not chunks:
             return []
         rows = RtpColumns(*[np.concatenate(column) for column in zip(*chunks)])
 
-        # Stage two.  The reference scores every RTP candidate, so a
-        # protocol order that lists RTP twice scores each row twice.
+        # Stage two.
         when = np.fromiter(
             (record.timestamp for record in packets), np.float64, count
         )[rows.index]
-        columns = (rows.ssrc, rows.seq, when)
-        if scanner.rtp_count > 1:
-            columns = [np.tile(column, scanner.rtp_count) for column in columns]
-        rtp_scores = _score_rtp_columns(*columns)
+        rtp_scores = _score_rtp_columns(rows.ssrc, rows.seq, when)
         # Payloads with non-RTP candidates.
         mixed = [i for i, part in enumerate(parts) if part]
         # The offset of each datagram's lone RTP row, or -1.
@@ -679,15 +660,6 @@ class DpiEngine:
 
 def _overlaps(a: Candidate, b: Candidate) -> bool:
     return a.offset < b.end and b.offset < a.end
-
-
-def _shift_rows(
-    rows: RtpColumns, base: int, positions: Optional[np.ndarray] = None
-) -> RtpColumns:
-    """*rows* with chunk-local payload indices made stream-global: mapped
-    through *positions* when given, then offset by *base*."""
-    index = rows.index if positions is None else positions[rows.index]
-    return RtpColumns(index + base, *rows[1:])
 
 
 def _score_rtp_columns(ssrc, seq, when) -> Dict[int, float]:

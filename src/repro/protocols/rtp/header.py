@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
 from repro.protocols.rtp.extensions import HeaderExtension
@@ -30,7 +30,7 @@ def _truncated(need: int, pos: int, end: int) -> RtpParseError:
     )
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class RtpPacket:
     """A parsed RTP packet.
 
@@ -39,14 +39,15 @@ class RtpPacket:
     judges header structure, not media content.  A packet parsed from
     ``bytes`` keeps it as a read-only ``memoryview`` into those bytes, so
     the media is never copied (``bytes(packet.payload)`` copies it); the
-    view compares equal to the same bytes and pickles and copies as
-    ``bytes``.
+    view compares equal to the same bytes, pickles and copies as
+    ``bytes``, and shows as ``bytes`` in the ``repr``.
 
     ``__init__`` writes each slot through its member descriptor; the
     dataclass-generated frozen one goes through ``object.__setattr__`` at
     about twice the cost per packet.  :meth:`parse` calls it positionally.
-    Equality, ``repr``, ``dataclasses.replace`` and the frozen
-    ``FrozenInstanceError`` are the dataclass's own.
+    Equality, ``dataclasses.replace`` and the frozen
+    ``FrozenInstanceError`` are the dataclass's own, and ``repr`` is its
+    format.
     """
 
     payload_type: int
@@ -161,6 +162,16 @@ class RtpPacket:
             payload_type, sequence_number, timestamp, ssrc, payload, marker,
             csrcs, extension, padding_length, invalid_padding,
         )
+
+    def __repr__(self) -> str:
+        # A memoryview's own repr is its address, which hides the bytes
+        # and differs from run to run.
+        shown = ", ".join(
+            f"{f.name}={bytes(self.payload)!r}" if f.name == "payload"
+            else f"{f.name}={getattr(self, f.name)!r}"
+            for f in fields(self)
+        )
+        return f"{type(self).__qualname__}({shown})"
 
     def __reduce__(self):
         # A memoryview neither pickles nor deep-copies: it travels as bytes.

@@ -8,6 +8,7 @@ contract, plus engine-level parity with the reference (verdicts *and*
 DpiStats) and the retirement of the old backend CLI flags.
 """
 
+import dataclasses
 import logging
 import random
 from types import SimpleNamespace
@@ -24,6 +25,7 @@ from repro.dpi.candidates import (
     quic_candidates,
     rtcp_candidates,
     stun_candidates,
+    sweep_order,
 )
 from repro.dpi.engine import MIN_CONTINUITY, MIN_RTP_GROUP, _score_rtp_columns
 from repro.dpi.messages import Protocol
@@ -75,8 +77,9 @@ def kept_records():
 class TestMatcherGates:
     """Each gate of the numpy kernel is a necessary condition of its
     matcher: a matcher it skips really returns nothing, at any depth
-    bound.  One matcher per scanner, so no other protocol's candidates
-    can mask a wrongly closed gate."""
+    bound.  Each gate is computed per protocol and each payload runs only
+    the matchers its gates open, so comparing one protocol's candidates
+    at a time lets no other protocol mask a wrongly closed gate."""
 
     MATCHERS = [
         (Protocol.STUN_TURN, stun_candidates),
@@ -86,14 +89,13 @@ class TestMatcherGates:
 
     @given(payload=_payloads, max_offset=st.integers(min_value=0, max_value=240))
     def test_closed_gate_means_no_candidates(self, payload, max_offset):
+        scanner = ColumnarScanner(max_offset)
+        [got] = scanner.scan_batch([payload])
         for protocol, matcher in self.MATCHERS:
-            scanner = ColumnarScanner(max_offset, protocols=(protocol,))
-            [got] = scanner.scan_batch([payload])
-            assert got == sorted(
-                matcher(payload, max_offset),
-                key=lambda c: (c.offset, -c.length),
+            assert [c for c in got if c.protocol is protocol] == sorted(
+                matcher(payload, max_offset), key=sweep_order
             ), protocol
-            assert scanner.stats.vector_errors == 0
+        assert scanner.stats.vector_errors == 0
 
 
 @st.composite
@@ -333,27 +335,27 @@ class TestScannerParity:
         assert results[0] == scanner.scan_payload(left)
         assert results[1] == scanner.scan_payload(right)
 
-    def test_non_bytes_payload_falls_back(self, scanner):
-        before = scanner.stats.fallbacks
-        results = scanner.scan_batch([b"\x80" * 16, memoryview(b"\x80" * 16)])
-        assert results[0] == scanner.scan_payload(b"\x80" * 16)
-        assert results[1] is None
-        assert scanner.stats.fallbacks == before + 1
-        assert scanner.stats.fallback_rate > 0.0
-
-    def test_protocol_subset_and_order(self):
-        # A scanner restricted to a protocol subset (and a non-default
-        # order) must still match its own scalar oracle.
-        payload = b"\x00\x01\x00\x00\x21\x12\xa4\x42" + b"\x00" * 12
-        for protocols in (
-            (Protocol.RTP,),
-            (Protocol.QUIC, Protocol.RTP),
-            (Protocol.RTCP, Protocol.STUN_TURN),
-        ):
-            scanner = ColumnarScanner(200, protocols=protocols)
-            batch = [payload, b"\x80" * 40, b"", b"\xc8\x00\x00\x01"]
-            for got, p in zip(scanner.scan_batch(batch), batch):
-                assert got == scanner.scan_payload(p)
+    def test_non_bytes_payloads_scan_as_bytes(self, kept_records):
+        # A payload that is not bytes is scanned as its bytes: the same
+        # candidate lists, and the same analyses and DpiStats as the
+        # reference engine on the bytes records.
+        payloads = [record.payload for record in kept_records]
+        reference = DpiEngine().analyze_records(kept_records)
+        scanner = ColumnarScanner(200)
+        want = [scanner.scan_payload(p) for p in payloads]
+        for kind in (bytearray, memoryview):
+            assert scanner.scan_batch([kind(p) for p in payloads]) == want
+            mixed = [kind(p) if i % 2 else p for i, p in enumerate(payloads)]
+            assert scanner.scan_batch(mixed) == want
+            engine = DpiEngine(backend="columnar")
+            production = engine.analyze_records([
+                dataclasses.replace(record, payload=kind(record.payload))
+                for record in kept_records
+            ])
+            assert production.analyses == reference.analyses, kind
+            assert production.stats.as_dict() == reference.stats.as_dict()
+            assert engine.columnar_stats.vector_errors == 0
+        assert scanner.stats.vector_errors == 0
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -365,7 +367,7 @@ class TestScannerParity:
         fresh.scan_batch([])
         assert fresh.stats.batches == 2
         assert fresh.stats.payloads == 8
-        assert fresh.stats.fallbacks == 0
+        assert fresh.stats.vector_errors == 0
         # The first payload opens the ChannelData gate (first byte 0x40)
         # and the STUN matcher finds nothing; the second opens the RTCP
         # gate and yields one packet.
@@ -380,8 +382,8 @@ class TestScannerParity:
         assert merged.gate_runs == {"stun_turn": 2, "rtcp": 2, "quic": 0}
         assert merged.gate_empty["stun_turn"] == 2
         assert set(fresh.stats.as_dict()) == {
-            "batches", "payloads", "fallbacks", "vector_errors",
-            "fallback_rate", "gate_runs", "gate_empty",
+            "batches", "payloads", "vector_errors", "gate_runs",
+            "gate_empty",
         }
 
 
@@ -395,7 +397,7 @@ class TestEngineBackendParity:
         # DpiStats — sweeps and matcher calls — must match exactly, not
         # just the verdicts.
         assert a.stats.as_dict() == b.stats.as_dict()
-        assert columnar.columnar_stats.fallbacks == 0
+        assert columnar.columnar_stats.vector_errors == 0
 
     def test_streaming_session_parity(self, kept_records):
         scalar = DpiEngine()
@@ -568,14 +570,16 @@ class TestChunkSeam:
         }
         assert {0, 255, 256, 257, 299} <= accepted
         stats = engine.columnar_stats
-        assert (stats.batches, stats.payloads, stats.fallbacks) == (2, 300, 1)
+        assert (stats.batches, stats.payloads, stats.vector_errors) == (
+            2, 300, 0
+        )
         scanner = ColumnarScanner(200)
         payloads = [record.payload for record in records]
+        assert type(payloads[256]) is bytearray
         for base in (0, 256):
             chunk = payloads[base:base + 256]
             assert scanner.scan_batch(chunk) == [
-                scanner.scan_payload(p) if type(p) is bytes else None
-                for p in chunk
+                scanner.scan_payload(bytes(p)) for p in chunk
             ]
 
 
@@ -597,13 +601,18 @@ class TestSilentFallbacksLogged:
         assert "FloatingPointError" in warnings[0].getMessage()
         assert "8-payload batch" in warnings[0].getMessage()
 
-    def test_repeats_are_rate_limited(self, caplog):
+    def test_repeats_are_rate_limited(self, caplog, monkeypatch):
         scanner = ColumnarScanner(200)
+
+        def broken(batch):
+            raise FloatingPointError("forced")
+
+        monkeypatch.setattr(scanner, "_scan_np", broken)
         with caplog.at_level(logging.WARNING, logger="repro.dpi"):
             for _ in range(5):
                 scanner.scan_batch([b"\x80" * 16, bytearray(16)])
-        assert scanner.stats.fallbacks == 5
+        assert scanner.stats.vector_errors == 5
         warnings = [r for r in caplog.records if r.name == "repro.dpi"]
-        # Logged at the 1st, 2nd and 4th refusal.
+        # Logged at the 1st, 2nd and 4th failed batch.
         assert len(warnings) == 3
-        assert "bytearray" in warnings[0].getMessage()
+        assert "(4 batches so far)" in warnings[-1].getMessage()

@@ -185,11 +185,6 @@ class TestEngineMisc:
         assert result.protocol_counts() == {Protocol.RTP: 10}
         assert result.by_class()[DatagramClass.STANDARD] == 10
 
-    def test_protocol_subset(self):
-        records = rtp_stream_records()
-        engine = DpiEngine(protocols=(Protocol.STUN_TURN,))
-        assert not engine.analyze_records(records).messages()
-
     def test_analyses_time_sorted(self):
         records = rtp_stream_records()[::-1]
         result = DpiEngine().analyze_records(records)

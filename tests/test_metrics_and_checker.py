@@ -53,7 +53,7 @@ class TestChecker:
         assert [v.compliant for v in verdicts] == [True, True, False]
 
     def test_check_one(self):
-        verdict = ComplianceChecker().check_one(stun_message(0x0801))
+        [verdict] = ComplianceChecker().check([stun_message(0x0801)])
         assert not verdict.compliant
         assert verdict.failed_criterion is Criterion.MESSAGE_TYPE
 

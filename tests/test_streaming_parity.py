@@ -403,10 +403,10 @@ class TestBufferedCounts:
 
 
 class TestCheckerStreamParity:
-    @pytest.mark.parametrize("strict_compound", [False, True])
-    def test_stream_matches_batch(self, kept_records, strict_compound):
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_stream_matches_batch(self, kept_records, sequential):
         dpi = DpiEngine().analyze_records(kept_records)
-        checker = ComplianceChecker(strict_compound=strict_compound)
+        checker = ComplianceChecker(sequential=sequential)
         batch = checker.check(dpi.messages())
 
         stage = CheckStage(checker)

@@ -1,16 +1,10 @@
-"""Tests for the optional strict compound-order rule and attribute maxima."""
+"""RTCP compounds under the default checker, and STUN attribute maxima."""
 
 from repro.core import ComplianceChecker
 from repro.core.stun_rules import StunSessionContext, check_stun
 from repro.dpi.messages import ExtractedMessage, Protocol
 from repro.packets.packet import PacketRecord
-from repro.protocols.rtcp.packets import (
-    FeedbackPacket,
-    ReceiverReport,
-    SdesChunk,
-    SdesItem,
-    SdesPacket,
-)
+from repro.protocols.rtcp.packets import FeedbackPacket
 from repro.protocols.stun.attributes import StunAttribute
 from repro.protocols.stun.constants import AttributeType
 from repro.protocols.stun.message import StunMessage
@@ -34,6 +28,8 @@ def rtcp_datagram(packets):
 
 
 class TestStrictCompound:
+    """RFC 3550's compound-head rule is not applied, as in the paper."""
+
     def test_off_by_default(self):
         messages = rtcp_datagram([
             FeedbackPacket(packet_type=205, fmt=1, sender_ssrc=1,
@@ -41,32 +37,6 @@ class TestStrictCompound:
         ])
         verdicts = ComplianceChecker().check(messages)
         assert verdicts[0].compliant
-
-    def test_standalone_feedback_flagged_when_strict(self):
-        messages = rtcp_datagram([
-            FeedbackPacket(packet_type=205, fmt=1, sender_ssrc=1,
-                           media_ssrc=2).to_packet(),
-        ])
-        verdicts = ComplianceChecker(strict_compound=True).check(messages)
-        assert not verdicts[0].compliant
-        assert verdicts[0].first_violation.code == "compound-must-start-with-report"
-
-    def test_proper_compound_passes_strict(self):
-        messages = rtcp_datagram([
-            ReceiverReport(ssrc=1).to_packet(),
-            SdesPacket(chunks=[SdesChunk(1, [SdesItem(1, b"c")])]).to_packet(),
-        ])
-        verdicts = ComplianceChecker(strict_compound=True).check(messages)
-        assert all(v.compliant for v in verdicts)
-
-    def test_only_head_is_judged(self):
-        messages = rtcp_datagram([
-            ReceiverReport(ssrc=1).to_packet(),
-            FeedbackPacket(packet_type=206, fmt=1, sender_ssrc=1,
-                           media_ssrc=2).to_packet(),
-        ])
-        verdicts = ComplianceChecker(strict_compound=True).check(messages)
-        assert all(v.compliant for v in verdicts)
 
 
 class TestAttributeMaxLengths:
