@@ -6,7 +6,6 @@ Subcommands::
     rtc-compliance matrix --duration 30 --scale 0.5      # full matrix + tables
     rtc-compliance synthesize --app discord --out d.pcap # write a pcap trace
     rtc-compliance pcap capture.pcap                     # analyze a real pcap
-    rtc-compliance dpi-stats --app zoom                  # DPI extraction counters
     rtc-compliance pipeline-stats --app zoom             # per-stage stream counters
     rtc-compliance conformance record                    # (re-)record goldens
     rtc-compliance conformance check                     # diff engines vs goldens
@@ -194,18 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     dissect_p.add_argument("--max-offset", type=int, default=200)
     dissect_p.add_argument("--limit", type=int, default=20,
                            help="datagrams to print (default 20)")
-
-    stats_p = sub.add_parser(
-        "dpi-stats", help="run experiments and print DPI extraction counters"
-    )
-    stats_p.add_argument("--app", choices=APP_NAMES,
-                         help="single app (default: full matrix)")
-    stats_p.add_argument("--network", type=_network, default=None,
-                         help="single network condition (default: all three)")
-    stats_p.add_argument("--duration", type=_positive_float, default=30.0)
-    stats_p.add_argument("--scale", type=_positive_float, default=0.5)
-    stats_p.add_argument("--seed", type=int, default=0)
-    add_execution_flags(stats_p, impairment=True)
 
     pstats_p = sub.add_parser(
         "pipeline-stats",
@@ -522,35 +509,12 @@ def cmd_dissect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_dpi_stats(label: str, stats) -> None:
-    print(f"{label}:")
-    print(f"  datagrams          {stats.datagrams}")
-    print(f"  full sweeps        {stats.sweeps}")
-    if stats.matcher_calls:
-        print("  matcher calls:")
-        for protocol, count in sorted(stats.matcher_calls.items()):
-            print(f"    {protocol:<10} {count}")
-
-
-def cmd_dpi_stats(args: argparse.Namespace) -> int:
-    from repro.dpi import DpiStats
-
-    config = config_from_args(args)
-    apps = [args.app] if args.app else list(APP_NAMES)
-    networks = [args.network] if args.network else list(NetworkCondition)
-    total = DpiStats()
-    for app in apps:
-        per_app = DpiStats()
-        for network in networks:
-            per_app.merge(run_experiment(app, network, config).dpi_stats)
-        _print_dpi_stats(app, per_app)
-        total.merge(per_app)
-    if len(apps) > 1:
-        _print_dpi_stats("total", total)
-    return 0
-
-
 def cmd_pipeline_stats(args: argparse.Namespace) -> int:
+    """Per-stage counters of each app's cells, summed over networks.
+
+    The ``dpi`` stage's records out is the number of datagrams DPI
+    analyzed (``DpiStats.datagrams``).
+    """
     import json as json_module
 
     from repro.pipeline import merge_stage_stats
@@ -801,7 +765,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "interop": cmd_interop,
         "fingerprint": cmd_fingerprint,
         "dissect": cmd_dissect,
-        "dpi-stats": cmd_dpi_stats,
         "pipeline-stats": cmd_pipeline_stats,
         "serve": cmd_serve,
         "conformance": cmd_conformance,

@@ -336,8 +336,12 @@ def sweep(payload: bytes, max_offset: int) -> List[Candidate]:
     """The reference sweep (Algorithm 1, stage one) over one payload.
 
     Every matcher of :data:`MATCHERS`, in that order, at offsets 0..k,
-    merged and stable-sorted by :func:`sweep_order`.
+    merged and stable-sorted by :func:`sweep_order`.  A payload that is
+    not ``bytes`` (a ``bytearray``, a ``memoryview``) is scanned as
+    ``bytes(payload)``, as the columnar scanner does.
     """
+    if type(payload) is not bytes:
+        payload = bytes(payload)
     candidates: List[Candidate] = []
     for matcher in MATCHERS.values():
         candidates.extend(matcher(payload, max_offset))

@@ -21,7 +21,6 @@ reference's validation and arbitration.
 
 from __future__ import annotations
 
-import copy
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -57,120 +56,58 @@ MIN_RTP_GROUP = 3
 MIN_CONTINUITY = 0.5
 _MAX_SEQ_STEP = 512
 
-#: ``DpiStats`` fields kept in the schema that always read zero.
-_RETIRED_COUNTERS = (
-    "fastpath_hits", "fastpath_fallbacks", "fastpath_redos",
-    "cache_hits", "cache_misses",
-)
-
 
 @dataclass
 class DpiStats:
-    """Instrumentation counters for the extraction layer.
+    """Extraction counters of one analysis run: the datagrams it analyzed.
 
-    Every analyzed datagram gets exactly one full 0..k sweep, so
-    ``sweeps`` equals ``datagrams``.  ``matcher_calls`` counts matcher
-    invocations per protocol; a matcher the columnar scanner proves
-    empty and skips still counts as invoked, so the counters are
-    bit-identical across backends.
-
+    Algorithm 1 gives every analyzed datagram exactly one 0..k sweep of
+    every matcher, so each other counter of the golden-corpus schema
+    (:meth:`as_dict`) is derived from ``datagrams``: ``sweeps`` equals it
+    and so does each protocol's entry in ``matcher_calls``.
     ``fastpath_hits``, ``fastpath_fallbacks``, ``fastpath_redos``,
-    ``cache_hits`` and ``cache_misses`` are retired: the engine no longer
-    has a flow-sticky fast path or a payload-dedup cache, so all five
-    always read zero.  They stay in the counter schema (:meth:`as_dict`)
+    ``cache_hits`` and ``cache_misses`` (and ``cache_lookups`` and
+    ``cache_hit_rate``) are retired: the flow-sticky fast path and the
+    payload-dedup cache are gone, so they always read zero.  They stay
     because recorded golden corpora and benchmark ledgers carry them.
     """
 
     datagrams: int = 0
-    sweeps: int = 0
-    fastpath_hits: int = 0
-    fastpath_fallbacks: int = 0
-    fastpath_redos: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    matcher_calls: Dict[str, int] = field(default_factory=dict)
 
     @property
-    def cache_hit_rate(self) -> float:
-        """Retired; always 0.0 (see the class docstring)."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
+    def sweeps(self) -> int:
+        return self.datagrams
 
     @property
-    def cache_lookups(self) -> int:
-        """Retired; always 0 (see the class docstring)."""
-        return self.cache_hits + self.cache_misses
+    def matcher_calls(self) -> Dict[str, int]:
+        if not self.datagrams:
+            return {}
+        return {protocol.value: self.datagrams for protocol in MATCHERS}
 
-    def invariant_violations(self) -> List[str]:
-        """Internal-consistency checks over the counters; empty when sound.
-
-        Every analyzed datagram is swept exactly once, and the retired
-        counters must read zero.
-        """
-        problems: List[str] = []
-        for name in ("datagrams", "sweeps"):
-            if getattr(self, name) < 0:
-                problems.append(f"{name} is negative: {getattr(self, name)}")
-        if any(count < 0 for count in self.matcher_calls.values()):
-            problems.append(f"negative matcher call count: {self.matcher_calls}")
-        for name in _RETIRED_COUNTERS:
-            if getattr(self, name):
-                problems.append(
-                    f"retired counter {name} is nonzero: {getattr(self, name)}"
-                )
-        if self.sweeps != self.datagrams:
-            problems.append(
-                f"sweeps ({self.sweeps}) must equal datagrams "
-                f"({self.datagrams}); every datagram is swept once"
-            )
-        return problems
+    fastpath_hits = fastpath_fallbacks = fastpath_redos = property(lambda self: 0)
+    cache_hits = cache_misses = cache_lookups = property(lambda self: 0)
+    cache_hit_rate = property(lambda self: 0.0)
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-serializable counter snapshot (golden-corpus schema)."""
         return {
             "datagrams": self.datagrams,
             "sweeps": self.sweeps,
-            "fastpath_hits": self.fastpath_hits,
-            "fastpath_fallbacks": self.fastpath_fallbacks,
-            "fastpath_redos": self.fastpath_redos,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
+            "fastpath_hits": 0,
+            "fastpath_fallbacks": 0,
+            "fastpath_redos": 0,
+            "cache_hits": 0,
+            "cache_misses": 0,
             "matcher_calls": dict(sorted(self.matcher_calls.items())),
         }
-
-    def copy(self) -> "DpiStats":
-        out = copy.copy(self)
-        out.matcher_calls = dict(self.matcher_calls)
-        return out
-
-    def since(self, before: "DpiStats") -> "DpiStats":
-        """Counter deltas accumulated after the ``before`` snapshot."""
-        calls = {
-            protocol: count - before.matcher_calls.get(protocol, 0)
-            for protocol, count in self.matcher_calls.items()
-            if count - before.matcher_calls.get(protocol, 0)
-        }
-        return DpiStats(
-            datagrams=self.datagrams - before.datagrams,
-            sweeps=self.sweeps - before.sweeps,
-            matcher_calls=calls,
-        )
-
-    def merge(self, other: "DpiStats") -> None:
-        self.datagrams += other.datagrams
-        self.sweeps += other.sweeps
-        for protocol, count in other.matcher_calls.items():
-            self.matcher_calls[protocol] = (
-                self.matcher_calls.get(protocol, 0) + count
-            )
 
 
 @dataclass
 class DpiResult:
     """All datagram analyses plus convenience aggregations.
 
-    ``stats`` carries the extraction counters for the ``analyze_records``
-    call that produced this result.
+    ``stats`` counts the datagrams analyzed by the ``analyze_records``
+    call (or session) that produced this result.
     """
 
     analyses: List[DatagramAnalysis] = field(default_factory=list)
@@ -200,9 +137,10 @@ class DpiEngine:
 
     Stage one sweeps the four matchers (STUN/TURN, RTP, RTCP, QUIC) over
     offsets 0..k of every datagram (Algorithm 1); stage two validates the
-    candidates in stream context.
-    ``backend`` picks how the two stages are computed; the verdicts and
-    :class:`DpiStats` are bit-identical either way:
+    candidates in stream context.  The engine keeps no counters: a
+    :class:`DpiStage` counts the datagrams it analyzes.
+    ``backend`` picks how the two stages are computed; the verdicts are
+    bit-identical either way:
 
     * ``"scalar"`` (the default) is the paper's reference: every matcher
       at every anchor, one payload at a time, and every candidate a
@@ -249,7 +187,6 @@ class DpiEngine:
         self._columnar = (
             ColumnarScanner(max_offset) if backend == "columnar" else None
         )
-        self.stats = DpiStats()
 
     @property
     def max_offset(self) -> int:
@@ -270,8 +207,8 @@ class DpiEngine:
         """Group UDP records into streams and analyze each.
 
         One chunk through a :class:`DpiStage` plus its flush, so batch
-        and session callers share the grouping, analysis order, and stats
-        accounting by construction.
+        and session callers share the grouping, analysis order, and
+        datagram count by construction.
         """
         stage = DpiStage(self)
         stage.process_chunk(records)
@@ -313,22 +250,7 @@ class DpiEngine:
         packets = stream.packets
         max_offset = self._max_offset
         candidates = [sweep(record.payload, max_offset) for record in packets]
-        self._count_sweeps(len(packets))
         return list(zip(packets, candidates))
-
-    def _count_sweeps(self, count: int) -> None:
-        """Account *count* datagrams, each swept once by every matcher.
-
-        The columnar backend counts exactly like the scalar one — a gated
-        matcher was still logically invoked — so ``DpiStats`` stays
-        bit-identical across backends.
-        """
-        stats = self.stats
-        stats.datagrams += count
-        stats.sweeps += count
-        calls = stats.matcher_calls
-        for protocol in MATCHERS:
-            calls[protocol.value] = calls.get(protocol.value, 0) + count
 
     # -- both stages on columns (production) -----------------------------------------
 
@@ -359,7 +281,6 @@ class DpiEngine:
             # Chunk-local payload indices made stream-global.
             chunks.append(RtpColumns(batch.rtp.index + base, *batch.rtp[1:]))
         count = len(payloads)
-        self._count_sweeps(count)
         if not chunks:
             return []
         rows = RtpColumns(*[np.concatenate(column) for column in zip(*chunks)])
@@ -733,7 +654,6 @@ class DpiStage:
     def __init__(self, engine: DpiEngine, idle_gap: Optional[float] = None):
         self._engine = engine
         self._idle_gap = idle_gap
-        self._before = engine.stats.copy()
         self._streams: Dict[FlowKey, Stream] = {}
         self._serials: Dict[FlowKey, int] = {}
         self._last_seen: Dict[FlowKey, float] = {}
@@ -742,6 +662,7 @@ class DpiStage:
         # finish: the session reads it after every chunk, so a re-sum over
         # open streams would make feeding quadratic in open flows.
         self._buffered = 0
+        self._analyzed = 0
         self._flushed = False
 
     def process_chunk(self, records: Iterable[PacketRecord]) -> List[DatagramAnalysis]:
@@ -773,6 +694,7 @@ class DpiStage:
         serial = self._serials.pop(key)
         del self._last_seen[key]
         self._buffered -= len(stream.packets)
+        self._analyzed += len(stream.packets)
         stream.sort()
         return [
             (analysis, (analysis.record.timestamp, serial, position,
@@ -823,9 +745,9 @@ class DpiStage:
         return self._buffered
 
     def stats(self) -> DpiStats:
-        """Extraction-counter deltas accumulated by this stage.
+        """The extraction counters of the datagrams this stage analyzed.
 
-        A stage shares its engine's lifetime stats, so the delta is only
-        meaningful while stages on one engine do not interleave.
+        The count is the stage's own, so stages sharing one engine each
+        report theirs, however their feeds interleave.
         """
-        return self._engine.stats.since(self._before)
+        return DpiStats(self._analyzed)

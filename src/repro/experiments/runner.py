@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.apps import CallConfig, NetworkCondition, get_simulator
 from repro.core import ComplianceChecker, ComplianceSummary
 from repro.core.metrics import TypeComplianceEntry, VolumeCompliance
-from repro.dpi import DatagramClass, DpiEngine, DpiStats, Protocol
+from repro.dpi import DatagramClass, DpiEngine, Protocol
 from repro.dpi.messages import ExtractedMessage
 from repro.filtering import TwoStageFilter
 from repro.filtering.pipeline import FilterResult, StageCounts
@@ -34,8 +34,8 @@ def default_engine(max_offset: int) -> DpiEngine:
     """Process-wide production ``DpiEngine`` per ``max_offset``.
 
     Cells share one engine so it and its columnar batch scanner are built
-    once per process; it carries no per-cell state besides its lifetime
-    ``DpiStats`` counters.
+    once per process; it carries no per-cell state besides its
+    scanner's lifetime ``ColumnarStats``.
     """
     return DpiEngine(max_offset=max_offset, backend="columnar")
 
@@ -88,7 +88,6 @@ class ExperimentAggregate:
     summary: Optional[ComplianceSummary] = None
     filter_precision: float = 1.0
     filter_recall: float = 1.0
-    dpi_stats: DpiStats = field(default_factory=DpiStats)
     #: Per-stage streaming instrumentation, keyed by stage name
     #: (records in/out, wall time, peak buffered); summed across cells.
     stage_stats: Dict[str, StageStats] = field(default_factory=dict)
@@ -113,7 +112,6 @@ class ExperimentAggregate:
         # Precision/recall: keep the worst observed (conservative).
         self.filter_precision = min(self.filter_precision, other.filter_precision)
         self.filter_recall = min(self.filter_recall, other.filter_recall)
-        self.dpi_stats.merge(other.dpi_stats)
         merge_stage_stats(self.stage_stats, other.stage_stats.values())
         self.cells += other.cells
 
@@ -302,7 +300,6 @@ def run_experiment(
     aggregate.class_counts = dpi.by_class()
     aggregate.protocol_counts = dpi.protocol_counts()
     aggregate.summary = ComplianceSummary.from_verdicts(app, run.verdicts)
-    aggregate.dpi_stats = dpi.stats.copy()
     aggregate.stage_stats = run.stage_stats
     if filter_result.evaluation is not None:
         aggregate.filter_precision = filter_result.evaluation.precision

@@ -156,8 +156,9 @@ class AnalysisSession:
     produces a :class:`FilterResult`; without one it assumes the caller
     feeds pre-filtered records and runs DPI → checker only.  ``engine``
     and ``checker`` default to fresh instances so sessions are isolated
-    unless a caller deliberately shares them (a shared engine also
-    accumulates lifetime ``DpiStats`` across sessions).  The default
+    unless a caller deliberately shares them (a shared engine's
+    ``columnar_stats`` then add up across sessions; each session's
+    ``DpiStats`` stay its own).  The default
     engine is the production one: batched columnar sweeps.
     """
 

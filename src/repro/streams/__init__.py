@@ -1,6 +1,6 @@
 """Transport-stream grouping and call-timeline models (paper §3.2)."""
 
-from repro.streams.flow import Stream, StreamStats, group_streams
+from repro.streams.flow import Stream, group_streams
 from repro.streams.timeline import CallWindow, Phase
 
-__all__ = ["Stream", "StreamStats", "group_streams", "CallWindow", "Phase"]
+__all__ = ["Stream", "group_streams", "CallWindow", "Phase"]

@@ -74,31 +74,6 @@ class Stream:
         return len(self.packets)
 
 
-@dataclass(frozen=True)
-class StreamStats:
-    """Summary counters used in Table 1 style reporting."""
-
-    stream_count: int
-    packet_count: int
-    byte_count: int
-
-    @classmethod
-    def of(cls, streams: Iterable[Stream]) -> "StreamStats":
-        streams = list(streams)
-        return cls(
-            stream_count=len(streams),
-            packet_count=sum(s.packet_count for s in streams),
-            byte_count=sum(s.byte_count for s in streams),
-        )
-
-    def __add__(self, other: "StreamStats") -> "StreamStats":
-        return StreamStats(
-            stream_count=self.stream_count + other.stream_count,
-            packet_count=self.packet_count + other.packet_count,
-            byte_count=self.byte_count + other.byte_count,
-        )
-
-
 def group_streams(records: Iterable[PacketRecord]) -> Dict[FlowKey, Stream]:
     """Group *records* into bidirectional streams, each time-sorted."""
     streams: Dict[FlowKey, Stream] = {}

@@ -27,14 +27,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_dpi_stats_args(self):
-        args = build_parser().parse_args(
-            ["dpi-stats", "--app", "meet", "--impairment", "lossy"]
-        )
-        assert args.app == "meet"
-        assert args.impairment == "lossy"
-        assert args.network is None
-
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     @pytest.mark.parametrize("flag", ["--duration", "--scale"])
     def test_non_positive_or_non_finite_call_size_is_a_usage_error(
@@ -47,7 +39,6 @@ class TestParser:
             ["report"],
             ["dataset", "--root", "x"],
             ["interop"],
-            ["dpi-stats"],
             ["pipeline-stats"],
             ["conformance", "record"],
         ]
@@ -163,14 +154,6 @@ class TestCommands:
         empty = tmp_path / "empty.pcap"
         write_pcap(empty, [])
         assert main(["pcap", str(empty)]) == 1
-
-    def test_dpi_stats(self, capsys):
-        code = main(["dpi-stats", "--app", "discord", "--network", "wifi_p2p",
-                     "--duration", "6", "--scale", "0.2"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "full sweeps" in out
-        assert "fast" not in out
 
     def test_pipeline_stats_json_schema(self, capsys):
         code = main(["pipeline-stats", "--app", "zoom", "--network",

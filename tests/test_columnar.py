@@ -337,23 +337,26 @@ class TestScannerParity:
 
     def test_non_bytes_payloads_scan_as_bytes(self, kept_records):
         # A payload that is not bytes is scanned as its bytes: the same
-        # candidate lists, and the same analyses and DpiStats as the
-        # reference engine on the bytes records.
+        # candidate lists, and, on both engines, the same analyses and
+        # DpiStats as the reference engine on the bytes records.
         payloads = [record.payload for record in kept_records]
         reference = DpiEngine().analyze_records(kept_records)
         scanner = ColumnarScanner(200)
         want = [scanner.scan_payload(p) for p in payloads]
         for kind in (bytearray, memoryview):
-            assert scanner.scan_batch([kind(p) for p in payloads]) == want
+            converted = [kind(p) for p in payloads]
+            assert scanner.scan_batch(converted) == want
+            assert [scanner.scan_payload(p) for p in converted] == want
             mixed = [kind(p) if i % 2 else p for i, p in enumerate(payloads)]
             assert scanner.scan_batch(mixed) == want
-            engine = DpiEngine(backend="columnar")
-            production = engine.analyze_records([
+            records = [
                 dataclasses.replace(record, payload=kind(record.payload))
                 for record in kept_records
-            ])
-            assert production.analyses == reference.analyses, kind
-            assert production.stats.as_dict() == reference.stats.as_dict()
+            ]
+            for engine in (DpiEngine(), DpiEngine(backend="columnar")):
+                result = engine.analyze_records(records)
+                assert result.analyses == reference.analyses, (kind, engine.backend)
+                assert result.stats.as_dict() == reference.stats.as_dict()
             assert engine.columnar_stats.vector_errors == 0
         assert scanner.stats.vector_errors == 0
 
@@ -423,7 +426,7 @@ class TestCliBackendFlag:
     # flags are unknown.  They are spelled upper-case and lowered here to
     # keep the retired names out of source searches.
     @pytest.mark.parametrize("command", [
-        "run --app zoom", "matrix", "report", "dpi-stats",
+        "run --app zoom", "matrix", "report",
         "pipeline-stats", "pcap x.pcap",
     ])
     @pytest.mark.parametrize("flag", [

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dpi import DatagramClass, DpiEngine, DpiStats, Protocol
+from repro.dpi import DatagramClass, DpiEngine, DpiStage, DpiStats, Protocol
 from repro.packets.packet import PacketRecord
 from repro.protocols.rtp.header import RtpPacket
 from repro.protocols.stun.attributes import StunAttribute
@@ -144,7 +144,7 @@ class TestEngineMisc:
         retired = DpiEngine(fastpath=False, cache_size=0)
         assert retired.analyze_records(records).analyses == \
             DpiEngine(fastpath=False).analyze_records(records).analyses
-        assert retired.stats.cache_lookups == 0
+        assert retired.analyze_records(records).stats.cache_lookups == 0
         with pytest.raises(ValueError):
             DpiEngine(cache_size=4096)
 
@@ -163,16 +163,6 @@ class TestEngineMisc:
             with pytest.raises(ValueError):
                 DpiEngine(fastpath=value)
 
-    def test_invariants_flag_retired_cache_counters(self):
-        sound = DpiStats(datagrams=3, sweeps=3)
-        assert sound.invariant_violations() == []
-        for retired in ("cache_hits", "fastpath_hits", "fastpath_redos"):
-            stale = DpiStats(datagrams=3, sweeps=3, **{retired: 1})
-            assert any(retired in p for p in stale.invariant_violations())
-        # Every datagram is swept exactly once.
-        assert DpiStats(datagrams=3, sweeps=2).invariant_violations()
-        assert DpiStats(datagrams=3, sweeps=4).invariant_violations()
-
     def test_tcp_records_ignored(self):
         record = PacketRecord(
             timestamp=1.0, src_ip="1.1.1.1", src_port=1, dst_ip="2.2.2.2",
@@ -190,6 +180,38 @@ class TestEngineMisc:
         result = DpiEngine().analyze_records(records)
         times = [a.record.timestamp for a in result.analyses]
         assert times == sorted(times)
+
+
+
+class TestStageStats:
+    def test_stages_sharing_an_engine_count_their_own(self):
+        # The engine keeps no counters; each stage counts the datagrams it
+        # analyzed, however the two feeds interleave.
+        engine = DpiEngine(backend="columnar")
+        first, second = DpiStage(engine), DpiStage(engine)
+        three = rtp_stream_records(count=3, ssrc=0x1111)
+        two = rtp_stream_records(count=2, ssrc=0x2222)
+        first.process_chunk(three[:2])
+        second.process_chunk(two)
+        assert len(second.flush()) == 2
+        first.process_chunk(three[2:])
+        assert len(first.flush()) == 3
+        assert first.stats() == DpiStats(datagrams=3)
+        assert second.stats() == DpiStats(datagrams=2)
+        assert not hasattr(engine, "stats")
+
+    def test_counters_derive_from_datagrams(self):
+        stats = DpiStats(datagrams=3)
+        assert stats.as_dict() == {
+            "datagrams": 3, "sweeps": 3,
+            "fastpath_hits": 0, "fastpath_fallbacks": 0, "fastpath_redos": 0,
+            "cache_hits": 0, "cache_misses": 0,
+            "matcher_calls": {"quic": 3, "rtcp": 3, "rtp": 3, "stun_turn": 3},
+        }
+        assert (stats.cache_lookups, stats.cache_hit_rate) == (0, 0.0)
+        assert DpiStats().matcher_calls == {}
+        with pytest.raises(AttributeError):
+            stats.sweeps = 4
 
 
 class TestQuicStreamContext:

@@ -1,11 +1,14 @@
-"""Memory held per analysed message, and the one-copy payload contract.
+"""Memory held per analysed message, the one-copy payload contract, and
+the streaming pipeline's flat peak.
 
 A filtered session decides only at close (the 3-tuple rule needs the
 whole capture), so what it holds per record is what bounds its memory.
 These tests pin that cost with tracemalloc and pin the sharing that keeps
 it low: an extracted RTP message's payload is a read-only view into its
 record's payload, never a second copy, and still pickles, deep-copies and
-compares like ``bytes``.
+compares like ``bytes``.  An unfiltered stream that evicts idle flows
+holds only the flows still open, so its peak stays flat as the capture
+grows while a batch run's grows with it.
 """
 
 import copy
@@ -17,7 +20,10 @@ import tracemalloc
 import pytest
 
 from repro.apps import CallConfig, NetworkCondition, get_simulator
-from repro.dpi import Protocol
+from repro.core import ComplianceChecker, ComplianceSummary, StreamingSummary
+from repro.dpi import DpiEngine, Protocol
+from repro.packets.packet import PacketRecord
+from repro.pipeline import CheckStage, DpiStage
 from repro.protocols.rtp.extensions import HeaderExtension
 from repro.protocols.rtp.header import RtpPacket
 from repro.service import AnalysisSession
@@ -146,3 +152,100 @@ def test_closed_result_analyses_and_verdicts_round_trip(closed_call):
         assert [v.violation_keys() for v in cloned_verdicts] == [
             v.violation_keys() for v in verdicts
         ]
+
+
+def _rotating_flow_records(flows, packets_per_flow):
+    """Sequential short RTP flows, one UDP source port per flow.
+
+    Each flow carries enough packets for the stream-scoped RTP validator
+    to engage, and flows never interleave, so a streaming consumer can
+    retire each flow (an idle ``DpiStage.evict``) the moment the next one
+    starts, while a batch consumer must hold the whole capture.
+    """
+    for flow in range(flows):
+        ssrc = 0x5EED0000 + flow
+        base = flow * packets_per_flow * 0.02
+        for seq in range(packets_per_flow):
+            packet = RtpPacket(
+                payload_type=96,
+                sequence_number=(1000 + seq) & 0xFFFF,
+                timestamp=(seq * 960) & 0xFFFFFFFF,
+                ssrc=ssrc,
+                payload=bytes(160),
+            )
+            yield PacketRecord(
+                timestamp=base + seq * 0.02,
+                src_ip="192.168.7.2",
+                src_port=30000 + flow,
+                dst_ip="198.51.100.9",
+                dst_port=50004,
+                transport="UDP",
+                payload=packet.build(),
+            )
+
+
+def _pipeline_peak(mode, flows, packets_per_flow=24):
+    """tracemalloc peak (bytes) and the finished summary.
+
+    The production engine on both sides; the only variable is whether the
+    run materializes the capture or streams it.
+    """
+    engine = DpiEngine(backend="columnar")
+    checker = ComplianceChecker()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        if mode == "batch":
+            records = list(_rotating_flow_records(flows, packets_per_flow))
+            dpi = engine.analyze_records(records)
+            summary = ComplianceSummary.from_verdicts(
+                "memory", checker.check(dpi.messages())
+            )
+        else:
+            # A flow's packets are 0.02 s apart and the next flow starts
+            # 0.02 s after its last one.  Evicting right after each record
+            # with a shorter idle gap retires a flow as soon as the next
+            # one starts, and never the flow just fed.
+            dpi = DpiStage(engine, idle_gap=0.01)
+            check = CheckStage(checker)
+            folding = StreamingSummary("memory")
+
+            def judge(emitted):
+                analyses = [analysis for analysis, _ in emitted]
+                for index, verdict in check.process_chunk(analyses):
+                    folding.add(verdict, index=index)
+
+            for record in _rotating_flow_records(flows, packets_per_flow):
+                dpi.process_chunk((record,))
+                judge(dpi.evict(record.timestamp))
+            judge(dpi.flush())
+            for index, verdict in check.flush():
+                folding.add(verdict, index=index)
+            summary = folding.result()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, summary
+
+
+def test_streaming_memory_bounded():
+    """Streaming peak memory is flat in call duration; batch grows with it.
+
+    Same rotating-flow workload at 1x and 4x duration: the batch path's
+    tracemalloc peak must scale roughly with the capture (> 2.5x), while
+    the streaming path, which retires each flow as the next begins, must
+    stay essentially flat (< 2x).  Both modes must agree on the
+    compliance summary, so the memory win costs no fidelity.
+    """
+    flows = 40
+    batch_1x, batch_summary = _pipeline_peak("batch", flows)
+    batch_4x, _ = _pipeline_peak("batch", flows * 4)
+    stream_1x, stream_summary = _pipeline_peak("streaming", flows)
+    stream_4x, _ = _pipeline_peak("streaming", flows * 4)
+
+    assert stream_summary == batch_summary
+    assert batch_summary.volume.total > 0
+
+    peaks = {"batch": (batch_1x, batch_4x), "streaming": (stream_1x, stream_4x)}
+    assert batch_4x / batch_1x > 2.5, peaks
+    assert stream_4x / stream_1x < 2.0, peaks

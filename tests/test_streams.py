@@ -3,7 +3,7 @@
 import pytest
 
 from repro.packets.packet import PacketRecord
-from repro.streams.flow import Stream, StreamStats, group_streams
+from repro.streams.flow import Stream, group_streams
 from repro.streams.timeline import CallWindow, Phase
 
 
@@ -48,21 +48,6 @@ class TestGrouping:
         assert set(stream.ips()) == {"10.0.0.1", "8.8.8.8"}
         assert set(stream.ports()) == {1000, 2000}
         assert len(stream) == 2
-
-
-class TestStreamStats:
-    def test_of(self):
-        streams = group_streams([record(1.0), record(2.0, dst=("9.9.9.9", 53))])
-        stats = StreamStats.of(streams.values())
-        assert stats.stream_count == 2
-        assert stats.packet_count == 2
-        assert stats.byte_count == 4
-
-    def test_add(self):
-        a = StreamStats(1, 10, 100)
-        b = StreamStats(2, 20, 200)
-        total = a + b
-        assert (total.stream_count, total.packet_count, total.byte_count) == (3, 30, 300)
 
 
 class TestCallWindow:
