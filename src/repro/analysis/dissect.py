@@ -148,7 +148,9 @@ def dissect_records(records, max_offset: int = 200,
     """End-to-end helper: DPI + compliance + dissection for a record list."""
     from repro.dpi import DpiEngine
 
-    result = DpiEngine(max_offset=max_offset).analyze_records(records)
+    result = DpiEngine(
+        max_offset=max_offset, backend="columnar"
+    ).analyze_records(records)
     verdicts = ComplianceChecker().check(result.messages())
     blocks = []
     for analysis in result.analyses[:limit]:

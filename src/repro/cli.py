@@ -20,7 +20,7 @@ import sys
 from typing import List, Optional
 
 from repro.apps import APP_NAMES, CallConfig, NetworkCondition, get_simulator
-from repro.core import ComplianceChecker, ComplianceSummary
+from repro.core import ComplianceSummary
 from repro.dpi import DpiEngine
 from repro.experiments import ExperimentConfig, run_experiment, run_matrix
 from repro.experiments.figures import figure3, figure4, figure5, render_ratio_series
@@ -39,6 +39,7 @@ from repro.experiments.tables import (
 from repro.packets.batch import IngestStats, iter_capture_chunks
 from repro.packets.packet import PacketRecord
 from repro.packets.pcap import PcapFormatError, write_pcap
+from repro.service.session import AnalysisSession
 from repro.utils.bytesview import TruncatedError
 
 #: What opening or decoding a missing, damaged or non-capture file raises.
@@ -357,8 +358,6 @@ def cmd_pcap(args: argparse.Namespace) -> int:
     """
     import time as _time
 
-    from repro.pipeline import run_streaming
-
     ingest = IngestStats()
     records = 0
     decode_seconds = 0.0
@@ -375,19 +374,19 @@ def cmd_pcap(args: argparse.Namespace) -> int:
             records += len(batch)
             yield from batch
 
-    engine = DpiEngine(max_offset=args.max_offset, backend="columnar")
+    session = AnalysisSession(
+        engine=DpiEngine(max_offset=args.max_offset, backend="columnar")
+    )
     try:
-        result, verdicts, _ = run_streaming(
-            timed_records(), engine, ComplianceChecker()
-        )
+        session.feed(timed_records())
+        result = session.close()
     except _UNREADABLE as exc:
         return _unreadable_capture(args.path, exc)
     if records == 0:
         print("no decodable packets found", file=sys.stderr)
         return 1
-    summary = ComplianceSummary.from_verdicts(args.path, verdicts)
-    _print_summary(summary)
-    by_class = result.by_class()
+    _print_summary(result.summary(args.path))
+    by_class = result.dpi.by_class()
     total = sum(by_class.values())
     if total:
         print("Datagram classes:")
@@ -484,7 +483,9 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
     records = _read_capture(args.path)
     if not records:
         return 1
-    result = DpiEngine(max_offset=args.max_offset).analyze_records(records)
+    result = DpiEngine(
+        max_offset=args.max_offset, backend="columnar"
+    ).analyze_records(records)
     scores = classify_application(result.analyses)
     if scores.best is None:
         print("no RTC application fingerprint recognized")

@@ -35,6 +35,7 @@ from repro.conformance.golden import (
     load_cell,
     load_manifest,
 )
+from repro.service.session import AnalysisSession
 
 #: Facts keys that must match the golden for *every* engine configuration.
 _VERDICT_KEYS = (
@@ -47,8 +48,8 @@ _VERDICT_KEYS = (
 class EngineSpec:
     """One engine configuration the differ exercises.
 
-    ``streaming=True`` drives the engine through the streaming pipeline
-    core (``repro.pipeline.run_streaming``: chunked DPI session feed,
+    ``streaming=True`` feeds the records to a filterless
+    :class:`~repro.service.session.AnalysisSession` (chunked DPI feed,
     incremental checker) instead of the batch
     ``analyze_records``/``check`` calls — the execution shape most likely
     to reorder or drop context.
@@ -211,11 +212,10 @@ def check_corpus(
         for spec in specs:
             engine = spec.build(config.max_offset)
             if spec.streaming:
-                from repro.pipeline import run_streaming
-
-                dpi, verdicts, _stage_stats = run_streaming(
-                    records, engine, checker
-                )
+                session = AnalysisSession(engine=engine, checker=checker)
+                session.feed(records)
+                result = session.close()
+                dpi, verdicts = result.dpi, result.verdicts
             else:
                 dpi = engine.analyze_records(records)
                 verdicts = checker.check(dpi.messages())

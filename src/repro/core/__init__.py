@@ -22,8 +22,6 @@ from repro.core.metrics import (
     ComplianceSummary,
     StreamingSummary,
     TypeComplianceEntry,
-    message_type_metric,
-    volume_metric,
 )
 from repro.core.verdict import Criterion, MessageVerdict, Violation
 
@@ -33,8 +31,6 @@ __all__ = [
     "ComplianceSummary",
     "StreamingSummary",
     "TypeComplianceEntry",
-    "message_type_metric",
-    "volume_metric",
     "Criterion",
     "MessageVerdict",
     "Violation",

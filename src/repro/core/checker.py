@@ -37,14 +37,14 @@ class ComplianceChecker:
         return [
             MessageVerdict(
                 message=extracted,
-                violations=self._violations(extracted, stun_context),
+                violations=tuple(self._violations(extracted, stun_context)),
             )
             for extracted in messages
         ]
 
     def _violations(
         self, extracted: ExtractedMessage, stun_context: StunSessionContext
-    ) -> List[Violation]:
+    ) -> Sequence[Violation]:
         """One message's violations (shared by batch and streaming modes)."""
         if extracted.protocol is Protocol.STUN_TURN:
             return check_stun(extracted, stun_context, self._sequential)
@@ -113,11 +113,11 @@ class CheckStage:
                         index,
                         MessageVerdict(
                             message=extracted,
-                            violations=check_rtp(extracted, sequential),
+                            violations=tuple(check_rtp(extracted, sequential)),
                         ),
                     ))
                 else:
-                    violations = checker._violations(extracted, context)
+                    violations = tuple(checker._violations(extracted, context))
                     out.append((
                         index,
                         MessageVerdict(message=extracted, violations=violations),
@@ -138,7 +138,7 @@ class CheckStage:
                 index,
                 MessageVerdict(
                     message=extracted,
-                    violations=checker._violations(extracted, context),
+                    violations=tuple(checker._violations(extracted, context)),
                 ),
             )
             for index, extracted in self._deferred

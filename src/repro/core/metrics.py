@@ -7,13 +7,17 @@
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.verdict import MessageVerdict
 from repro.dpi.messages import Protocol
 
 TypeKey = Tuple[str, str]  # (protocol value, message-type label)
+
+#: Example violations a summary keeps per (protocol, type) entry.
+MAX_EXAMPLE_VIOLATIONS = 3
 
 
 @dataclass(frozen=True)
@@ -49,40 +53,6 @@ class TypeComplianceEntry:
         return self.non_compliant == 0
 
 
-def volume_metric(
-    verdicts: Sequence[MessageVerdict],
-    protocol: Optional[Protocol] = None,
-) -> VolumeCompliance:
-    """Volume-based compliance, optionally restricted to one protocol."""
-    compliant = total = 0
-    for verdict in verdicts:
-        if protocol is not None and verdict.message.protocol is not protocol:
-            continue
-        total += 1
-        if verdict.compliant:
-            compliant += 1
-    return VolumeCompliance(compliant=compliant, total=total)
-
-
-def message_type_metric(
-    verdicts: Sequence[MessageVerdict],
-) -> Dict[TypeKey, TypeComplianceEntry]:
-    """Message-type-based compliance: one entry per observed type."""
-    entries: Dict[TypeKey, TypeComplianceEntry] = {}
-    for verdict in verdicts:
-        key = verdict.message.type_key()
-        entry = entries.get(key)
-        if entry is None:
-            entry = TypeComplianceEntry(protocol=key[0], type_label=key[1])
-            entries[key] = entry
-        entry.total += 1
-        if not verdict.compliant:
-            entry.non_compliant += 1
-            if len(entry.example_violations) < 3:
-                entry.example_violations.append(str(verdict.first_violation))
-    return entries
-
-
 @dataclass
 class ComplianceSummary:
     """Aggregated compliance for one application (or any message set)."""
@@ -93,18 +63,14 @@ class ComplianceSummary:
     types: Dict[TypeKey, TypeComplianceEntry]
 
     @classmethod
-    def from_verdicts(cls, app: str, verdicts: Sequence[MessageVerdict]):
-        by_protocol: Dict[str, VolumeCompliance] = {}
-        for protocol in Protocol:
-            volume = volume_metric(verdicts, protocol)
-            if volume.total:
-                by_protocol[protocol.value] = volume
-        return cls(
-            app=app,
-            volume=volume_metric(verdicts),
-            volume_by_protocol=by_protocol,
-            types=message_type_metric(verdicts),
-        )
+    def from_verdicts(
+        cls, app: str, verdicts: Iterable[MessageVerdict]
+    ) -> "ComplianceSummary":
+        """Fold *verdicts*, in message order, through :class:`StreamingSummary`."""
+        folding = StreamingSummary(app)
+        for verdict in verdicts:
+            folding.add(verdict)
+        return folding.result()
 
     def type_ratio(self, protocol: Optional[str] = None) -> Tuple[int, int]:
         """(compliant types, total types), optionally for one protocol."""
@@ -130,15 +96,12 @@ class StreamingSummary:
 
     Accepts verdicts one at a time — in any order — without ever holding
     the verdict list: pass the verdict's global message index (as emitted
-    by :class:`repro.core.checker.CheckStage`) and the finished
-    summary is *identical* to ``ComplianceSummary.from_verdicts`` over
-    the index-ordered batch, including type-entry insertion order and
-    the first-three example-violation cap, both of which are defined by
-    message order rather than arrival order.  Memory is O(distinct
-    message types), not O(messages).
+    by :class:`repro.core.checker.CheckStage`) and the finished summary
+    is the one the index-ordered fold builds, including type-entry
+    insertion order and the first :data:`MAX_EXAMPLE_VIOLATIONS` examples
+    per type, both of which are defined by message order rather than
+    arrival order.  Memory is O(distinct message types), not O(messages).
     """
-
-    _EXAMPLE_CAP = 3
 
     def __init__(self, app: str):
         self.app = app
@@ -147,12 +110,8 @@ class StreamingSummary:
         self._by_protocol: Dict[str, List[int]] = {}
         self._entries: Dict[TypeKey, TypeComplianceEntry] = {}
         self._first_seen: Dict[TypeKey, int] = {}
-        #: per type: up to three (index, text) examples, smallest indices win.
+        #: per type: the (index, text) examples with the smallest indices.
         self._examples: Dict[TypeKey, List[Tuple[int, str]]] = {}
-
-    @property
-    def added(self) -> int:
-        return self._added
 
     def add(self, verdict: MessageVerdict, index: Optional[int] = None) -> None:
         """Fold one verdict in; *index* defaults to arrival order."""
@@ -180,12 +139,14 @@ class StreamingSummary:
         if not compliant:
             entry.non_compliant += 1
             examples = self._examples.setdefault(key, [])
-            examples.append((index, str(verdict.first_violation)))
-            examples.sort(key=lambda pair: pair[0])
-            del examples[self._EXAMPLE_CAP:]
+            # Format the violation only if it is kept, so an in-order
+            # fold formats at most the cap per type.
+            if len(examples) < MAX_EXAMPLE_VIOLATIONS or index < examples[-1][0]:
+                insort(examples, (index, str(verdict.first_violation)))
+                del examples[MAX_EXAMPLE_VIOLATIONS:]
 
     def result(self) -> ComplianceSummary:
-        """The finished summary, bit-identical to the batch construction."""
+        """The finished summary, the same whatever order verdicts came in."""
         by_protocol = {
             protocol.value: VolumeCompliance(*self._by_protocol[protocol.value])
             for protocol in Protocol

@@ -6,7 +6,7 @@ Sources: RFC 3550 (header), RFC 3551 (payload types — informative only; the
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.core.verdict import Criterion, Violation
 from repro.dpi.messages import ExtractedMessage
@@ -23,7 +23,9 @@ def _profile_defined(profile: int) -> bool:
     return profile == ONE_BYTE_PROFILE or (profile & TWO_BYTE_PROFILE_MASK) == TWO_BYTE_PROFILE_BASE
 
 
-def check_rtp(extracted: ExtractedMessage, sequential: bool = True) -> List[Violation]:
+def check_rtp(
+    extracted: ExtractedMessage, sequential: bool = True
+) -> Sequence[Violation]:
     """Run the five criteria over one RTP message.
 
     Only the padding count (criterion 2) and a header extension
@@ -33,7 +35,7 @@ def check_rtp(extracted: ExtractedMessage, sequential: bool = True) -> List[Viol
     """
     packet: RtpPacket = extracted.message
     if not packet.invalid_padding and packet.extension is None:
-        return []
+        return ()
     violations: List[Violation] = []
 
     def done() -> bool:

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.dpi.messages import ExtractedMessage
 
@@ -44,7 +44,7 @@ class MessageVerdict:
     """The checker's decision for one extracted message."""
 
     message: ExtractedMessage
-    violations: List[Violation] = field(default_factory=list)
+    violations: Tuple[Violation, ...] = ()
 
     @property
     def compliant(self) -> bool:

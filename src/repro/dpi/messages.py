@@ -7,6 +7,10 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
 from repro.packets.packet import Direction, PacketRecord
+from repro.protocols.quic.header import QuicHeader
+from repro.protocols.rtcp.packets import RtcpPacket
+from repro.protocols.rtp.header import RtpPacket
+from repro.protocols.stun.message import ChannelData, StunMessage
 
 
 class Protocol(enum.Enum):
@@ -65,11 +69,6 @@ class ExtractedMessage:
 
     def type_key(self) -> Tuple[str, str]:
         """(protocol, message-type label) — the unit of Table 3's metric."""
-        from repro.protocols.quic.header import QuicHeader
-        from repro.protocols.rtcp.packets import RtcpPacket
-        from repro.protocols.rtp.header import RtpPacket
-        from repro.protocols.stun.message import ChannelData, StunMessage
-
         message = self.message
         if isinstance(message, StunMessage):
             return (self.protocol.value, f"0x{message.msg_type:04X}")

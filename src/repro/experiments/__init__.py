@@ -4,8 +4,6 @@ from repro.experiments.runner import (
     ExperimentAggregate,
     ExperimentConfig,
     MatrixResult,
-    default_checker,
-    default_engine,
     run_experiment,
 )
 from repro.experiments.parallel import matrix_cells, run_matrix
@@ -14,8 +12,6 @@ __all__ = [
     "ExperimentAggregate",
     "ExperimentConfig",
     "MatrixResult",
-    "default_checker",
-    "default_engine",
     "matrix_cells",
     "run_experiment",
     "run_matrix",

@@ -12,38 +12,20 @@ small in memory even for long calls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.apps import CallConfig, NetworkCondition, get_simulator
 from repro.core import ComplianceChecker, ComplianceSummary
-from repro.core.metrics import TypeComplianceEntry, VolumeCompliance
+from repro.core.metrics import (
+    MAX_EXAMPLE_VIOLATIONS,
+    TypeComplianceEntry,
+    VolumeCompliance,
+)
 from repro.dpi import DatagramClass, DpiEngine, Protocol
-from repro.dpi.messages import ExtractedMessage
 from repro.filtering import TwoStageFilter
 from repro.filtering.pipeline import FilterResult, StageCounts
 from repro.pipeline import StageStats, merge_stage_stats
-from repro.service.session import AnalysisSession
-
-#: Maximum example violations kept per (protocol, type) entry when merging.
-MAX_EXAMPLE_VIOLATIONS = 3
-
-
-@lru_cache(maxsize=8)
-def default_engine(max_offset: int) -> DpiEngine:
-    """Process-wide production ``DpiEngine`` per ``max_offset``.
-
-    Cells share one engine so it and its columnar batch scanner are built
-    once per process; it carries no per-cell state besides its
-    scanner's lifetime ``ColumnarStats``.
-    """
-    return DpiEngine(max_offset=max_offset, backend="columnar")
-
-
-@lru_cache(maxsize=1)
-def default_checker() -> ComplianceChecker:
-    """Process-wide checker; it keeps no state between ``check`` calls."""
-    return ComplianceChecker()
+from repro.service.session import AnalysisSession, SessionResult
 
 
 @dataclass(frozen=True)
@@ -182,23 +164,6 @@ def merge_summaries(a: ComplianceSummary, b: ComplianceSummary) -> ComplianceSum
     )
 
 
-@dataclass
-class PipelineRun:
-    """Every intermediate product of one (app, network, call) cell.
-
-    ``run_experiment`` reduces this to counter-level aggregates; the
-    conformance subsystem instead needs the raw messages and verdicts to
-    record and replay golden corpora, so the full pipeline state is kept.
-    """
-
-    app: str
-    network: NetworkCondition
-    filter_result: FilterResult
-    dpi: "DpiResult"
-    verdicts: List["MessageVerdict"]
-    stage_stats: Dict[str, StageStats] = field(default_factory=dict)
-
-
 def _cell_config(
     network: NetworkCondition, config: ExperimentConfig, call_index: int
 ) -> CallConfig:
@@ -233,45 +198,26 @@ def run_cell_pipeline(
     call_index: int = 0,
     engine: Optional[DpiEngine] = None,
     checker: Optional[ComplianceChecker] = None,
-) -> PipelineRun:
+) -> SessionResult:
     """Simulate one cell and stream it through filter → DPI → checker.
 
-    This is a thin batch adapter over the streaming pipeline core: records
-    flow from ``AppSimulator.iter_records`` through :class:`FilterStage`,
-    :class:`DpiStage` and :class:`CheckStage` in bounded chunks, and the
-    collected outputs (filter accounting, ``DpiResult``, verdict order)
-    are bit-identical to the historical batch calls by construction.
-
-    ``engine``/``checker`` default to *fresh* instances so callers that
-    need controlled engine configurations (the conformance differ) are not
-    coupled to the process-wide cached engines ``run_experiment`` uses.
-
-    The whole cell runs in one :class:`repro.service.AnalysisSession`;
-    parallelism lives one level up, across cells
+    The whole cell runs in one :class:`repro.service.AnalysisSession`:
+    records flow from ``AppSimulator.iter_records`` through the filter,
+    DPI and check stages in bounded chunks, and the session's own
+    result comes back.  ``engine`` defaults to a fresh production engine
+    at ``config.max_offset``; the conformance tooling passes its own
+    engine configurations.  Parallelism lives one level up, across cells
     (:func:`repro.experiments.parallel.run_matrix`).
     """
     simulator = get_simulator(app)
     call_config = _cell_config(network, config, call_index)
     if engine is None:
         engine = DpiEngine(max_offset=config.max_offset, backend="columnar")
-    if checker is None:
-        checker = ComplianceChecker()
     session = AnalysisSession(
-        window=call_config.window(),
-        engine=engine,
-        checker=checker,
+        window=call_config.window(), engine=engine, checker=checker
     )
     session.feed(simulator.iter_records(call_config))
-    result = session.close()
-    assert result.filter_result is not None
-    return PipelineRun(
-        app=app,
-        network=network,
-        filter_result=result.filter_result,
-        dpi=result.dpi,
-        verdicts=result.verdicts,
-        stage_stats=result.stage_stats,
-    )
+    return session.close()
 
 
 def run_experiment(
@@ -281,14 +227,7 @@ def run_experiment(
     call_index: int = 0,
 ) -> ExperimentAggregate:
     """Run one (app, network, call) cell through the full pipeline."""
-    run = run_cell_pipeline(
-        app,
-        network,
-        config,
-        call_index,
-        engine=default_engine(config.max_offset),
-        checker=default_checker(),
-    )
+    run = run_cell_pipeline(app, network, config, call_index)
     filter_result = run.filter_result
     dpi = run.dpi
 
@@ -299,7 +238,7 @@ def run_experiment(
     aggregate.kept = filter_result.kept
     aggregate.class_counts = dpi.by_class()
     aggregate.protocol_counts = dpi.protocol_counts()
-    aggregate.summary = ComplianceSummary.from_verdicts(app, run.verdicts)
+    aggregate.summary = run.summary(app)
     aggregate.stage_stats = run.stage_stats
     if filter_result.evaluation is not None:
         aggregate.filter_precision = filter_result.evaluation.precision

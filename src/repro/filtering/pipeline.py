@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
-from repro.apps.background import DEFAULT_SNI_BLOCKLIST
 from repro.filtering.heuristics import (
-    DEFAULT_EXCLUDED_PORTS,
     EndpointTuple,
     LocalIpFilter,
     PortFilter,
@@ -121,16 +119,12 @@ class TwoStageFilter:
     def __init__(
         self,
         window: CallWindow,
-        sni_blocklist: Iterable[str] = DEFAULT_SNI_BLOCKLIST,
-        excluded_ports: Iterable[int] = DEFAULT_EXCLUDED_PORTS,
         enabled_heuristics: Sequence[str] = ALL_HEURISTICS,
     ):
         unknown = set(enabled_heuristics) - set(self.ALL_HEURISTICS)
         if unknown:
             raise ValueError(f"unknown heuristics {sorted(unknown)}")
         self._window = window
-        self._sni_blocklist = frozenset(sni_blocklist)
-        self._excluded_ports = frozenset(excluded_ports)
         self._enabled = tuple(enabled_heuristics)
 
     @property
@@ -166,11 +160,11 @@ class TwoStageFilter:
         if "3tuple" in self._enabled:
             heuristics.append(ThreeTupleFilter(outside))
         if "sni" in self._enabled:
-            heuristics.append(SniFilter(self._sni_blocklist))
+            heuristics.append(SniFilter())
         if "local_ip" in self._enabled:
             heuristics.append(LocalIpFilter(precall))
         if "port" in self._enabled:
-            heuristics.append(PortFilter(self._excluded_ports))
+            heuristics.append(PortFilter())
         return heuristics
 
 

@@ -295,14 +295,13 @@ class BatchPcapReader:
 
     # -- decode -------------------------------------------------------------------
 
-    def decode_slice(
-        self, start: int, stop: int, skip_undecodable: bool = True
-    ) -> List[PacketRecord]:
+    def decode_slice(self, start: int, stop: int) -> List[PacketRecord]:
         """Decode records ``start..stop`` of the index, in capture order.
 
         Undecodable frames (``DecodeError`` from the scalar fallback) are
-        skipped by default; ``TruncatedError`` and other failures
-        propagate — exactly :meth:`PcapReader.records` semantics.
+        skipped and counted in ``stats.skipped``; ``TruncatedError`` and
+        other failures propagate — exactly :meth:`PcapReader.records`
+        semantics.
         """
         buffer = self._capture.buffer
         index = self.index
@@ -392,9 +391,7 @@ class BatchPcapReader:
                     record = decode_frame(link_type, bytes(frame), timestamps[i])
                 except DecodeError:
                     stats.skipped += 1
-                    if skip_undecodable:
-                        continue
-                    raise
+                    continue
             else:
                 stats.fast_path += 1
             stats.records += 1
@@ -402,9 +399,7 @@ class BatchPcapReader:
         return out
 
     def chunks(
-        self,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        skip_undecodable: bool = True,
+        self, chunk_size: int = DEFAULT_CHUNK_SIZE
     ) -> Iterator[List[PacketRecord]]:
         """Decoded records in capture order, ``chunk_size`` frames at a
         time (chunks may come up short where frames were skipped; empty
@@ -413,14 +408,12 @@ class BatchPcapReader:
             raise ValueError("chunk_size must be positive")
         total = len(self.index)
         for start in range(0, total, chunk_size):
-            batch = self.decode_slice(start, start + chunk_size, skip_undecodable)
+            batch = self.decode_slice(start, start + chunk_size)
             if batch:
                 yield batch
 
-    def records(
-        self, skip_undecodable: bool = True
-    ) -> Iterator[PacketRecord]:
-        for batch in self.chunks(skip_undecodable=skip_undecodable):
+    def records(self) -> Iterator[PacketRecord]:
+        for batch in self.chunks():
             yield from batch
 
 

@@ -77,14 +77,13 @@ class PcapReader:
             timestamp = ts_sec + ts_frac / self._ts_divisor
             yield RawCapture(timestamp=timestamp, link_type=self.link_type, data=data)
 
-    def records(self, skip_undecodable: bool = True) -> Iterator[PacketRecord]:
-        """Decode frames to :class:`PacketRecord`, skipping non-IP by default."""
+    def records(self) -> Iterator[PacketRecord]:
+        """Decode frames to :class:`PacketRecord`, skipping undecodable ones."""
         for capture in self:
             try:
                 yield decode_frame(capture.link_type, capture.data, capture.timestamp)
             except DecodeError:
-                if not skip_undecodable:
-                    raise
+                pass
 
 
 class PcapWriter:

@@ -117,13 +117,13 @@ class PcapngReader:
                 return float(10 ** raw)
         return 1e6
 
-    def records(self, skip_undecodable: bool = True) -> Iterator[PacketRecord]:
+    def records(self) -> Iterator[PacketRecord]:
+        """Decode frames to :class:`PacketRecord`, skipping undecodable ones."""
         for capture in self:
             try:
                 yield decode_frame(capture.link_type, capture.data, capture.timestamp)
             except DecodeError:
-                if not skip_undecodable:
-                    raise
+                pass
 
 
 def _pad4(data: bytes) -> bytes:

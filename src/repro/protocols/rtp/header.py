@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, fields
-from typing import List, Optional
+from dataclasses import dataclass, fields
+from typing import Iterable, Optional, Tuple
 
 from repro.protocols.rtp.extensions import HeaderExtension
 from repro.utils.bytesview import ByteWriter
@@ -56,7 +56,7 @@ class RtpPacket:
     ssrc: int
     payload: bytes = b""
     marker: bool = False
-    csrcs: List[int] = field(default_factory=list)
+    csrcs: Tuple[int, ...] = ()
     extension: Optional[HeaderExtension] = None
     padding_length: int = 0
     # Set by non-strict parsing when the padding bit was set but the pad
@@ -71,7 +71,7 @@ class RtpPacket:
         ssrc: int,
         payload: bytes = b"",
         marker: bool = False,
-        csrcs: Optional[List[int]] = None,
+        csrcs: Iterable[int] = (),
         extension: Optional[HeaderExtension] = None,
         padding_length: int = 0,
         invalid_padding: bool = False,
@@ -82,7 +82,7 @@ class RtpPacket:
         _set_ssrc(self, ssrc)
         _set_payload(self, payload)
         _set_marker(self, marker)
-        _set_csrcs(self, [] if csrcs is None else csrcs)
+        _set_csrcs(self, tuple(csrcs))
         _set_extension(self, extension)
         _set_padding_length(self, padding_length)
         _set_invalid_padding(self, invalid_padding)
@@ -119,10 +119,10 @@ class RtpPacket:
         if csrc_count:
             if pos + 4 * csrc_count > end:
                 raise _truncated(4 * csrc_count, pos, end)
-            csrcs = list(_CSRC_LISTS[csrc_count].unpack_from(data, pos))
+            csrcs = _CSRC_LISTS[csrc_count].unpack_from(data, pos)
             pos += 4 * csrc_count
         else:
-            csrcs = []
+            csrcs = ()
         extension = None
         if first & 0x10:
             if pos + 4 > end:

@@ -130,10 +130,10 @@ class SessionSnapshot:
 
 @dataclass
 class SessionResult:
-    """Everything a closed session produced — the ``PipelineRun`` shape.
+    """Everything a closed session produced; ``run_cell_pipeline`` returns it.
 
     ``filter_result`` is ``None`` for filterless sessions (pre-filtered
-    input, e.g. ``run_streaming``).  ``verdicts`` are in exact batch
+    input, e.g. the ``pcap`` command).  ``verdicts`` are in exact batch
     order (``ComplianceChecker.check`` over the batch DPI output), and
     ``dpi.analyses`` in exact batch flush order, whatever eviction
     interleaving actually produced them.

@@ -135,6 +135,34 @@ class TestCommands:
         assert outputs[0] == outputs[1]
         assert outputs[0]
 
+    def test_fingerprint_matches_classifier_over_reference_engine(
+        self, tmp_path, capsys
+    ):
+        from repro.analysis.classifier import classify_application
+        from repro.apps import CallConfig, NetworkCondition, get_simulator
+        from repro.dpi import DpiEngine
+        from repro.packets import write_pcap
+        from repro.packets.batch import iter_capture_chunks
+
+        path = tmp_path / "call.pcap"
+        write_pcap(path, get_simulator("discord").iter_records(CallConfig(
+            network=NetworkCondition.WIFI_RELAY, call_duration=4.0,
+            media_scale=0.2, seed=2,
+        )))
+        records = [r for chunk in iter_capture_chunks(path) for r in chunk]
+        scores = classify_application(
+            DpiEngine().analyze_records(records).analyses
+        )
+        confidence = "high" if scores.confident else "low"
+        want = [f"best match: {scores.best} (confidence: {confidence})"]
+        for app, score in sorted(scores.scores.items(), key=lambda kv: -kv[1]):
+            want.append(f"  {app:<11} score {score:.1f}")
+            want.extend(f"    - {reason}" for reason in scores.evidence.get(app, []))
+
+        assert main(["fingerprint", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == want
+        assert scores.best == "discord"
+
     @pytest.mark.parametrize("suffix", [".pcap", ".pcapng"])
     @pytest.mark.parametrize("command", ["pcap", "fingerprint", "dissect"])
     def test_capture_commands_refuse_junk(self, command, suffix, tmp_path,

@@ -2,10 +2,9 @@
 
 from repro.core import ComplianceChecker, ComplianceSummary
 from repro.core.metrics import (
+    MAX_EXAMPLE_VIOLATIONS,
     VolumeCompliance,
     merge_type_entries,
-    message_type_metric,
-    volume_metric,
 )
 from repro.core.verdict import Criterion, MessageVerdict, Violation
 from repro.dpi.messages import ExtractedMessage, Protocol
@@ -64,23 +63,26 @@ class TestChecker:
 
 
 class TestVolumeMetric:
-    def _verdicts(self):
-        return ComplianceChecker().check([
+    def _summary(self):
+        return ComplianceSummary.from_verdicts("test", ComplianceChecker().check([
             rtp_message(), rtp_message(), stun_message(0x0800),
-        ])
+        ]))
 
     def test_overall(self):
-        volume = volume_metric(self._verdicts())
+        volume = self._summary().volume
         assert (volume.compliant, volume.total) == (2, 3)
         assert abs(volume.ratio - 2 / 3) < 1e-9
 
     def test_per_protocol(self):
-        verdicts = self._verdicts()
-        assert volume_metric(verdicts, Protocol.RTP).ratio == 1.0
-        assert volume_metric(verdicts, Protocol.STUN_TURN).ratio == 0.0
+        by_protocol = self._summary().volume_by_protocol
+        assert list(by_protocol) == ["stun_turn", "rtp"]  # Protocol order
+        assert by_protocol["rtp"] == VolumeCompliance(2, 2)
+        assert by_protocol["stun_turn"] == VolumeCompliance(0, 1)
 
     def test_empty_is_fully_compliant(self):
-        assert volume_metric([]).ratio == 1.0
+        summary = ComplianceSummary.from_verdicts("test", [])
+        assert summary.volume.ratio == 1.0
+        assert summary.volume_by_protocol == {} and summary.types == {}
 
     def test_addition(self):
         total = VolumeCompliance(1, 2) + VolumeCompliance(3, 4)
@@ -95,17 +97,43 @@ class TestTypeMetric:
             rtp_message(pt=96, ext=HeaderExtension(0x8001, bytes(4))),
             rtp_message(pt=97),
         ])
-        entries = message_type_metric(verdicts)
+        entries = ComplianceSummary.from_verdicts("test", verdicts).types
+        assert list(entries) == [("rtp", "96"), ("rtp", "97")]
         assert not entries[("rtp", "96")].compliant
         assert entries[("rtp", "96")].total == 2
         assert entries[("rtp", "97")].compliant
 
     def test_examples_recorded(self):
         verdicts = ComplianceChecker().check([stun_message(0x0800)])
-        entries = message_type_metric(verdicts)
+        entries = ComplianceSummary.from_verdicts("test", verdicts).types
         entry = entries[("stun_turn", "0x0800")]
         assert entry.example_violations
         assert "undefined-message-type" in entry.example_violations[0]
+
+    def test_first_examples_kept_and_only_they_are_formatted(self, monkeypatch):
+        formatted = []
+        original = Violation.__str__
+
+        def counting(violation):
+            formatted.append(violation.detail)
+            return original(violation)
+
+        monkeypatch.setattr(Violation, "__str__", counting)
+        count = MAX_EXAMPLE_VIOLATIONS + 5
+        verdicts = [
+            MessageVerdict(
+                message=stun_message(0x0800),
+                violations=(Violation(Criterion.MESSAGE_TYPE, "x", f"m{i}"),),
+            )
+            for i in range(count)
+        ]
+        entry = ComplianceSummary.from_verdicts("test", verdicts).types[
+            ("stun_turn", "0x0800")
+        ]
+        kept = [f"m{i}" for i in range(MAX_EXAMPLE_VIOLATIONS)]
+        assert (entry.total, entry.non_compliant) == (count, count)
+        assert entry.example_violations == [f"[C1:x] {m}" for m in kept]
+        assert formatted == kept
 
 
 class TestSummary:

@@ -37,6 +37,7 @@ from repro.netem import (
     PROFILES,
     build_impairer,
 )
+from repro.service import AnalysisSession
 
 APP = "zoom"
 NETWORK = NetworkCondition.WIFI_P2P
@@ -140,8 +141,6 @@ def _reference_digest(records):
 
 def _shape_digests(records):
     """Digest of every non-reference execution shape over *records*."""
-    from repro.pipeline import run_streaming
-
     checker = ComplianceChecker()
     digests = {}
 
@@ -149,12 +148,13 @@ def _shape_digests(records):
     dpi = engine.analyze_records(records)
     digests["columnar"] = _facts_digest(dpi, checker.check(dpi.messages()))
 
-    dpi, verdicts, _stats = run_streaming(
-        records,
-        DpiEngine(max_offset=MAX_OFFSET, backend="columnar"),
-        ComplianceChecker(),
+    session = AnalysisSession(
+        engine=DpiEngine(max_offset=MAX_OFFSET, backend="columnar"),
+        checker=ComplianceChecker(),
     )
-    digests["streaming"] = _facts_digest(dpi, verdicts)
+    session.feed(records)
+    result = session.close()
+    digests["streaming"] = _facts_digest(result.dpi, result.verdicts)
     return digests
 
 

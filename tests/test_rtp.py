@@ -45,7 +45,7 @@ class TestRtpHeader:
     def test_round_trip_csrcs(self):
         packet = make_packet(csrcs=[1, 2, 3])
         parsed = RtpPacket.parse(packet.build())
-        assert parsed.csrcs == [1, 2, 3]
+        assert parsed.csrcs == (1, 2, 3)
 
     def test_too_many_csrcs_rejected(self):
         with pytest.raises(ValueError):

@@ -51,19 +51,19 @@ def rtp(**overrides):
 
 class TestRtpRules:
     def test_plain_packet_compliant(self):
-        assert check_rtp(wrap(rtp(), Protocol.RTP)) == []
+        assert not check_rtp(wrap(rtp(), Protocol.RTP))
 
     def test_any_payload_type_passes_criterion1(self):
         for pt in (0, 13, 20, 35, 63, 95, 127):
-            assert check_rtp(wrap(rtp(payload_type=pt), Protocol.RTP)) == []
+            assert not check_rtp(wrap(rtp(payload_type=pt), Protocol.RTP))
 
     def test_one_byte_extension_compliant(self):
         packet = rtp(extension=build_one_byte_extension([(1, b"\x10")]))
-        assert check_rtp(wrap(packet, Protocol.RTP)) == []
+        assert not check_rtp(wrap(packet, Protocol.RTP))
 
     def test_two_byte_extension_compliant(self):
         packet = rtp(extension=build_two_byte_extension([(9, b"ab")]))
-        assert check_rtp(wrap(packet, Protocol.RTP)) == []
+        assert not check_rtp(wrap(packet, Protocol.RTP))
 
     @pytest.mark.parametrize("profile", [0x8001, 0x8500, 0x8D00, 0x0084, 0xFBD2])
     def test_undefined_profile_fails(self, profile):

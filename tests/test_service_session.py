@@ -23,7 +23,6 @@ from repro.conformance.golden import CorpusConfig, cell_records, experiment_conf
 from repro.core import ComplianceChecker, ComplianceSummary
 from repro.dpi import DpiEngine
 from repro.experiments.runner import _cell_config, run_cell_pipeline
-from repro.pipeline import run_streaming
 from repro.service import AnalysisSession, EvictionPolicy
 
 CELLS = [(app, network) for app in APP_NAMES for network in NetworkCondition]
@@ -114,12 +113,16 @@ def test_session_matches_batch_bit_identical(app, network):
     )
 
 
-def test_filterless_session_matches_run_streaming():
-    """Pre-filtered feed (no window) reproduces the streaming adapter."""
+def test_idle_evicting_filterless_session_matches_one_without_eviction():
+    """Pre-filtered feed (no window) in random chunks with idle eviction
+    reproduces a filterless session fed at once without eviction."""
     records = cell_records("meet", NetworkCondition.WIFI_RELAY, _CORPUS)
-    dpi, verdicts, _ = run_streaming(
-        records, DpiEngine(max_offset=_CORPUS.max_offset), ComplianceChecker()
+    plain = AnalysisSession(
+        engine=DpiEngine(max_offset=_CORPUS.max_offset),
+        checker=ComplianceChecker(),
     )
+    plain.feed(records)
+    want = plain.close()
     session = AnalysisSession(
         engine=DpiEngine(max_offset=_CORPUS.max_offset),
         checker=ComplianceChecker(),
@@ -130,8 +133,10 @@ def test_filterless_session_matches_run_streaming():
     _feed_in_random_chunks(session, records, rng)
     result = session.close()
     assert result.filter_result is None
-    assert _verdict_fingerprint(result.verdicts) == _verdict_fingerprint(verdicts)
-    assert _analysis_fingerprint(result.dpi) == _analysis_fingerprint(dpi)
+    assert _verdict_fingerprint(result.verdicts) == _verdict_fingerprint(
+        want.verdicts
+    )
+    assert _analysis_fingerprint(result.dpi) == _analysis_fingerprint(want.dpi)
 
 
 def test_idle_eviction_finalizes_flows_mid_feed():

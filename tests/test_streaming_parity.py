@@ -34,7 +34,6 @@ from repro.pipeline import (
     FilterStage,
     StageStats,
     merge_stage_stats,
-    run_streaming,
 )
 from repro.protocols.rtp.extensions import HeaderExtension
 from repro.protocols.rtp.header import RtpPacket
@@ -519,13 +518,14 @@ class TestCellPipelineParity:
         # ...and the checker's buffer only ever holds deferred STUN.
         assert run.stage_stats["check"].records_out == len(run.verdicts)
 
-    def test_run_streaming_helper(self, kept_records):
-        dpi, verdicts, stats = run_streaming(
-            kept_records, DpiEngine(), ComplianceChecker()
-        )
+    def test_filterless_session_judges_every_message(self, kept_records):
+        session = AnalysisSession(engine=DpiEngine(), checker=ComplianceChecker())
+        session.feed(kept_records)
+        result = session.close()
         batch_dpi = DpiEngine().analyze_records(kept_records)
-        assert len(verdicts) == len(batch_dpi.messages())
-        assert [s.name for s in stats] == ["dpi", "check"]
+        assert result.filter_result is None
+        assert len(result.verdicts) == len(batch_dpi.messages())
+        assert list(result.stage_stats) == ["dpi", "check"]
 
 
 class TestDifferStreamingSpec:
