@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro.apps import CallConfig, NetworkCondition, get_simulator
-from repro.dpi import DpiEngine
+from repro.dpi import ColumnarEngine
 from repro.experiments import ExperimentConfig, run_matrix
 from repro.filtering import TwoStageFilter
 
@@ -46,4 +46,4 @@ def zoom_kept_records(zoom_trace):
 
 @pytest.fixture(scope="session")
 def zoom_dpi(zoom_kept_records):
-    return DpiEngine(backend="columnar").analyze_records(zoom_kept_records)
+    return ColumnarEngine().analyze_records(zoom_kept_records)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps import CallConfig, NetworkCondition, get_simulator
-from repro.dpi import DpiEngine
+from repro.dpi import ColumnarEngine
 from repro.experiments.case_studies import (
     detect_call_end_0800,
     detect_direction_byte,
@@ -32,7 +32,7 @@ def analyzed():
                            call_duration=40.0, media_scale=0.5)
             )
             kept = TwoStageFilter(trace.window).apply(trace.records).kept_records
-            engine = DpiEngine(backend="columnar")
+            engine = ColumnarEngine()
             cache[key] = (trace, engine.analyze_records(kept))
         return cache[key]
 

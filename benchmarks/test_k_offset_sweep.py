@@ -7,7 +7,7 @@ behind proprietary headers.  This bench sweeps k and times the engine.
 
 import time
 
-from repro.dpi import DpiEngine
+from repro.dpi import ColumnarEngine
 
 
 def test_k_offset_sweep(zoom_kept_records, benchmark):
@@ -15,7 +15,7 @@ def test_k_offset_sweep(zoom_kept_records, benchmark):
     print()
     for k in (0, 8, 16, 32, 64, 128, 200, 100000):
         started = time.perf_counter()
-        engine = DpiEngine(max_offset=k, backend="columnar")
+        engine = ColumnarEngine(max_offset=k)
         result = engine.analyze_records(zoom_kept_records)
         elapsed = time.perf_counter() - started
         count = len(result.messages())
@@ -34,7 +34,7 @@ def test_k_offset_sweep(zoom_kept_records, benchmark):
     # And already k=64 suffices for Zoom's headers (24-39 bytes + wrapper).
     assert sweep[64] == sweep[200]
 
-    engine = DpiEngine(max_offset=200, backend="columnar")
+    engine = ColumnarEngine(max_offset=200)
     benchmark.pedantic(
         engine.analyze_records, args=(zoom_kept_records,), rounds=2, iterations=1
     )

@@ -5,7 +5,7 @@ FaceTime {RTP 97.6%, QUIC 0.1%, no RTCP}; Discord {no STUN};
 Meet {STUN/TURN 19.8% — far above everyone else}.
 """
 
-from repro.dpi import DpiEngine
+from repro.dpi import ColumnarEngine
 from repro.experiments.tables import render_table2, table2
 
 
@@ -34,6 +34,6 @@ def test_table2(matrix, zoom_kept_records, benchmark):
     assert meet["stun_turn"] > 0.1                    # paper: 19.8%
     assert meet["stun_turn"] > max(others) * 3        # far above everyone else
 
-    engine = DpiEngine(backend="columnar")
+    engine = ColumnarEngine()
     result = benchmark(engine.analyze_records, zoom_kept_records)
     assert result.messages()

@@ -6,7 +6,6 @@ Discord 0/9; Meet 15/16, all-RTP, 0/7.
 """
 
 from repro.core import ComplianceChecker
-from repro.dpi import DpiEngine
 from repro.experiments.tables import render_table3, table3
 
 

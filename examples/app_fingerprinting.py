@@ -10,7 +10,7 @@ name the application from DPI output alone (no IPs, no ports, no SNI).
 
 from repro.analysis.classifier import classify_application
 from repro.apps import APP_NAMES, CallConfig, NetworkCondition, get_simulator
-from repro.dpi import DpiEngine
+from repro.dpi import ColumnarEngine
 from repro.filtering import TwoStageFilter
 
 
@@ -26,7 +26,7 @@ def main() -> None:
                            call_duration=15.0, media_scale=0.35)
             )
             kept = TwoStageFilter(trace.window).apply(trace.records).kept_records
-            dpi = DpiEngine().analyze_records(kept)
+            dpi = ColumnarEngine().analyze_records(kept)
             scores = classify_application(dpi.analyses)
             verdict = scores.best or "?"
             evidence = scores.evidence.get(verdict, ["-"])[0]

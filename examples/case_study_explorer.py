@@ -6,7 +6,7 @@ behaviour next to the paper's claim.
 """
 
 from repro.apps import CallConfig, NetworkCondition, get_simulator
-from repro.dpi import DpiEngine
+from repro.dpi import ColumnarEngine
 from repro.experiments.case_studies import (
     detect_direction_byte,
     detect_dual_rtp,
@@ -27,7 +27,7 @@ def analyze(app: str, network: NetworkCondition, seed: int = 3):
         CallConfig(network=network, seed=seed, call_duration=25.0, media_scale=0.4)
     )
     kept = TwoStageFilter(trace.window).apply(trace.records).kept_records
-    dpi = DpiEngine().analyze_records(kept)
+    dpi = ColumnarEngine().analyze_records(kept)
     return trace, dpi
 
 
@@ -56,7 +56,7 @@ def main() -> None:
                        call_duration=15.0, media_scale=0.3)
         )
         kept = TwoStageFilter(trace.window).apply(trace.records).kept_records
-        ssrcs.append(observed_rtp_ssrcs(DpiEngine().analyze_records(kept).messages()))
+        ssrcs.append(observed_rtp_ssrcs(ColumnarEngine().analyze_records(kept).messages()))
     print(f"  call 1: {sorted(hex(s) for s in ssrcs[0])}")
     print(f"  call 2: {sorted(hex(s) for s in ssrcs[1])}")
     print(f"  identical across calls: {ssrcs[0] == ssrcs[1]} (paper: always)")

@@ -17,7 +17,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from repro import ComplianceChecker, ComplianceSummary, DpiEngine
+from repro import ColumnarEngine, ComplianceChecker, ComplianceSummary
 from repro.apps import CallConfig, NetworkCondition, get_simulator
 from repro.packets.pcap import read_pcap, write_pcap
 
@@ -43,7 +43,7 @@ def main() -> None:
     records = read_pcap(path)
     print(f"loaded {len(records)} packets from {path}")
 
-    engine = DpiEngine()
+    engine = ColumnarEngine()
     result = engine.analyze_records(records)
     messages = result.messages()
     print(f"extracted {len(messages)} RTC protocol messages")

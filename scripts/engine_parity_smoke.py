@@ -2,11 +2,11 @@
 """Smoke check: the production DPI engine matches the reference on one cell.
 
 Runs one (app, network, impairment) cell through the full pipeline twice:
-once with the production engine every entry point builds (batched
-columnar sweeps) and once with the reference scalar sweep of Algorithm 1
-(``DpiEngine()``).  Every datagram's class and messages (protocol,
-offset, length, trailer), every verdict, the per-stage record counts and
-the extraction counters must be identical.
+once with the production engine every entry point builds
+(``ColumnarEngine``, batched columnar sweeps) and once with the reference
+scalar sweep of Algorithm 1 (``DpiEngine()``).  Every datagram's class
+and messages (protocol, offset, length, trailer), every verdict, the
+per-stage record counts and the extraction counters must be identical.
 
 Usage::
 

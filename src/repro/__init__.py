@@ -26,7 +26,7 @@ Layer by layer:
 
 from repro.apps import APP_NAMES, CallConfig, NetworkCondition, get_simulator
 from repro.core import ComplianceChecker, ComplianceSummary
-from repro.dpi import DpiEngine, Protocol
+from repro.dpi import ColumnarEngine, DpiEngine, Protocol
 from repro.experiments import ExperimentConfig, run_experiment, run_matrix
 from repro.filtering import TwoStageFilter
 
@@ -39,6 +39,7 @@ __all__ = [
     "get_simulator",
     "ComplianceChecker",
     "ComplianceSummary",
+    "ColumnarEngine",
     "DpiEngine",
     "Protocol",
     "ExperimentConfig",

@@ -146,11 +146,9 @@ def _dissect_quic(header: QuicHeader) -> List[str]:
 def dissect_records(records, max_offset: int = 200,
                     limit: Optional[int] = None) -> str:
     """End-to-end helper: DPI + compliance + dissection for a record list."""
-    from repro.dpi import DpiEngine
+    from repro.dpi import ColumnarEngine
 
-    result = DpiEngine(
-        max_offset=max_offset, backend="columnar"
-    ).analyze_records(records)
+    result = ColumnarEngine(max_offset).analyze_records(records)
     verdicts = ComplianceChecker().check(result.messages())
     blocks = []
     for analysis in result.analyses[:limit]:

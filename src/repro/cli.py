@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from repro.apps import APP_NAMES, CallConfig, NetworkCondition, get_simulator
 from repro.core import ComplianceSummary
-from repro.dpi import DpiEngine
+from repro.dpi import ColumnarEngine
 from repro.experiments import ExperimentConfig, run_experiment, run_matrix
 from repro.experiments.figures import figure3, figure4, figure5, render_ratio_series
 from repro.experiments.tables import (
@@ -374,9 +374,7 @@ def cmd_pcap(args: argparse.Namespace) -> int:
             records += len(batch)
             yield from batch
 
-    session = AnalysisSession(
-        engine=DpiEngine(max_offset=args.max_offset, backend="columnar")
-    )
+    session = AnalysisSession(engine=ColumnarEngine(args.max_offset))
     try:
         session.feed(timed_records())
         result = session.close()
@@ -483,9 +481,7 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
     records = _read_capture(args.path)
     if not records:
         return 1
-    result = DpiEngine(
-        max_offset=args.max_offset, backend="columnar"
-    ).analyze_records(records)
+    result = ColumnarEngine(args.max_offset).analyze_records(records)
     scores = classify_application(result.analyses)
     if scores.best is None:
         print("no RTC application fingerprint recognized")

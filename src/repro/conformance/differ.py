@@ -1,11 +1,12 @@
 """Differential conformance checker: replay goldens through every engine.
 
 The recorded corpus (see :mod:`repro.conformance.golden`) defines ground
-truth under the reference sweep engine.  This module replays the exact
-same filtered records through every engine configuration — the scalar
-reference sweep, the production columnar batch sweep, and the production
-engine driven through the streaming pipeline core (chunked feed,
-incremental checker) — and demands bit-identical verdicts, datagram
+truth under the reference engine, :class:`~repro.dpi.DpiEngine`.  This
+module replays the exact same filtered records through every engine
+configuration — the reference, the production
+:class:`~repro.dpi.ColumnarEngine` in batch, and the production engine
+driven through the streaming pipeline core (chunked feed, incremental
+checker) — and demands bit-identical verdicts, datagram
 classes, metrics and ``DpiStats`` from each.  On mismatch it renders a
 drift report that names the first divergent message: its index,
 timestamp, protocol, byte offset, and the ``(criterion, code)`` pairs on
@@ -16,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.apps import NetworkCondition
 from repro.core import ComplianceChecker
-from repro.dpi import DpiEngine
+from repro.dpi import ColumnarEngine, DpiEngine
 from repro.conformance.golden import (
     IMPAIRED_CORPORA,
     RERECORD_HINT,
@@ -48,6 +49,7 @@ _VERDICT_KEYS = (
 class EngineSpec:
     """One engine configuration the differ exercises.
 
+    ``engine`` is the engine class, built at the corpus's ``max_offset``.
     ``streaming=True`` feeds the records to a filterless
     :class:`~repro.service.session.AnalysisSession` (chunked DPI feed,
     incremental checker) instead of the batch
@@ -56,11 +58,8 @@ class EngineSpec:
     """
 
     name: str
+    engine: Type[DpiEngine] = DpiEngine
     streaming: bool = False
-    backend: str = "scalar"
-
-    def build(self, max_offset: int) -> DpiEngine:
-        return DpiEngine(max_offset=max_offset, backend=self.backend)
 
 
 #: ``sweep`` is the reference configuration the corpus was recorded with;
@@ -69,8 +68,8 @@ class EngineSpec:
 #: each one's DpiStats must match the golden exactly, not just its verdicts.
 ENGINE_SPECS: Tuple[EngineSpec, ...] = (
     EngineSpec("sweep"),
-    EngineSpec("columnar", backend="columnar"),
-    EngineSpec("streaming", streaming=True, backend="columnar"),
+    EngineSpec("columnar", ColumnarEngine),
+    EngineSpec("streaming", ColumnarEngine, streaming=True),
 )
 
 
@@ -210,7 +209,7 @@ def check_corpus(
         report.cells_checked += 1
         records = cell_records(app, network, config)
         for spec in specs:
-            engine = spec.build(config.max_offset)
+            engine = spec.engine(config.max_offset)
             if spec.streaming:
                 session = AnalysisSession(engine=engine, checker=checker)
                 session.feed(records)

@@ -101,6 +101,8 @@ class StreamingSummary:
     insertion order and the first :data:`MAX_EXAMPLE_VIOLATIONS` examples
     per type, both of which are defined by message order rather than
     arrival order.  Memory is O(distinct message types), not O(messages).
+    Every :meth:`result` is a snapshot: folding more verdicts in later
+    leaves a summary already handed out unchanged.
     """
 
     def __init__(self, app: str):
@@ -108,7 +110,8 @@ class StreamingSummary:
         self._added = 0
         self._volume = [0, 0]  # [compliant, total]
         self._by_protocol: Dict[str, List[int]] = {}
-        self._entries: Dict[TypeKey, TypeComplianceEntry] = {}
+        #: per type: [total, non_compliant].
+        self._types: Dict[TypeKey, List[int]] = {}
         self._first_seen: Dict[TypeKey, int] = {}
         #: per type: the (index, text) examples with the smallest indices.
         self._examples: Dict[TypeKey, List[Tuple[int, str]]] = {}
@@ -128,16 +131,15 @@ class StreamingSummary:
             proto_counts[0] += 1
 
         key = verdict.message.type_key()
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = TypeComplianceEntry(protocol=key[0], type_label=key[1])
-            self._entries[key] = entry
+        type_counts = self._types.get(key)
+        if type_counts is None:
+            type_counts = self._types[key] = [0, 0]
             self._first_seen[key] = index
         elif index < self._first_seen[key]:
             self._first_seen[key] = index
-        entry.total += 1
+        type_counts[0] += 1
         if not compliant:
-            entry.non_compliant += 1
+            type_counts[1] += 1
             examples = self._examples.setdefault(key, [])
             # Format the violation only if it is kept, so an in-order
             # fold formats at most the cap per type.
@@ -152,13 +154,13 @@ class StreamingSummary:
             for protocol in Protocol
             if self._by_protocol.get(protocol.value, (0, 0))[1]
         }
-        types: Dict[TypeKey, TypeComplianceEntry] = {}
-        for key in sorted(self._entries, key=self._first_seen.__getitem__):
-            entry = self._entries[key]
-            entry.example_violations = [
-                text for _, text in self._examples.get(key, [])
-            ]
-            types[key] = entry
+        types = {
+            key: TypeComplianceEntry(
+                *key, *self._types[key],
+                [text for _, text in self._examples.get(key, [])],
+            )
+            for key in sorted(self._types, key=self._first_seen.__getitem__)
+        }
         return ComplianceSummary(
             app=self.app,
             volume=VolumeCompliance(*self._volume),

@@ -180,9 +180,9 @@ class DpiComparison:
 
 def compare_engines(records: Sequence[PacketRecord]) -> DpiComparison:
     """Run both engines over *records* and tabulate the gap."""
-    from repro.dpi.engine import DpiEngine
+    from repro.dpi.engine import ColumnarEngine
 
-    custom = DpiEngine().analyze_records(records)
+    custom = ColumnarEngine().analyze_records(records)
     baseline = BaselineDpi().analyze_records(records)
 
     def classified(result: DpiResult) -> int:

@@ -4,7 +4,8 @@ The reference sweep (:func:`repro.dpi.candidates.sweep`) runs four
 anchored matchers per payload, and per-payload Python call overhead
 dominates its cost.  This module computes the same sweep for a whole
 chunk of one stream's payloads (up to 256 at a time) at once; it is the
-stage one the production engine (``DpiEngine(backend="columnar")``) runs.
+stage one of the production engine,
+:class:`~repro.dpi.engine.ColumnarEngine`.
 
 Its output is column-shaped (:class:`ColumnBatch`).  RTP — the only
 matcher that yields candidates in bulk, most of them one-off reads of
@@ -82,7 +83,6 @@ from repro.dpi.candidates import (
     MATCHERS,
     MAX_RTCP_TRAILER,
     rtp_candidates,
-    sweep,
     sweep_order,
 )
 from repro.dpi.messages import Protocol
@@ -167,7 +167,7 @@ class ColumnarStats:
     """Batch-scanner instrumentation, separate from :class:`DpiStats`.
 
     ``DpiStats`` is the golden-corpus schema and must stay bit-identical
-    across backends, so columnar-only counters live here.
+    between the two engines, so columnar-only counters live here.
     ``vector_errors`` counts whole batches the numpy kernel failed on,
     which then got the scalar sweep.
     ``gate_runs`` counts, per gated protocol, the scalar matcher calls the
@@ -297,10 +297,6 @@ class ColumnarScanner:
         return True
 
     # -- public API ---------------------------------------------------------------
-
-    def scan_payload(self, payload: bytes) -> List[Candidate]:
-        """Scalar reference scan of one payload (the parity oracle)."""
-        return sweep(payload, self._max_offset)
 
     def scan_batch(self, batch: Sequence[bytes]) -> List[List[Candidate]]:
         """Candidate lists for a chunk of payloads, in input order.

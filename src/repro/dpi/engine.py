@@ -1,22 +1,24 @@
-"""The DPI engine: candidate extraction → stream-context validation →
+"""The DPI engines: candidate extraction → stream-context validation →
 byte-ownership resolution → datagram classification (paper §4.1).
 
-The engine works per transport stream because the validation heuristics are
+The engines work per transport stream because the validation heuristics are
 inherently stream-scoped: RTP sequence continuity within an SSRC, STUN
 transaction request/response pairing, and QUIC connection-ID consistency.
 
-On the production (columnar) backend one loop per datagram turns the
-stage-one rows into analyses.  Most datagrams of a call are one RTP packet,
-bare or behind a proprietary header: no non-RTP candidate and exactly one
-RTP row whose SSRC passed stage two.  Such a datagram takes a lane that
-parses the row straight into its one :class:`ExtractedMessage` and
-classifies it by its offset (0 is standard, anything else a proprietary
+Two engines compute the same analyses.  :class:`DpiEngine` is the paper's
+Algorithm 1 as written, the reference every faster path is diffed against.
+:class:`ColumnarEngine` is the production engine: one loop per datagram
+turns batched stage-one rows into analyses.  Most datagrams of a call are
+one RTP packet, bare or behind a proprietary header: no non-RTP candidate
+and exactly one RTP row whose SSRC passed stage two.  Such a datagram takes
+a lane that parses the row straight into its one :class:`ExtractedMessage`
+and classifies it by its offset (0 is standard, anything else a proprietary
 header), with no ``Candidate``, validation or overlap resolution, none of
 which could change it.  An RTP header that cannot be parsed (padding bit set
-but no payload bytes) leaves the datagram fully proprietary, as on the
-reference path.  Every other datagram (Zoom's dual-RTP continuations, RTP
-beside STUN/RTCP/QUIC candidates) gets ``Candidate`` objects and the
-reference's validation and arbitration.
+but no payload bytes) leaves the datagram fully proprietary, as in the
+reference.  Every other datagram (Zoom's dual-RTP continuations, RTP beside
+STUN/RTCP/QUIC candidates) gets ``Candidate`` objects and the reference's
+validation and arbitration.
 """
 
 from __future__ import annotations
@@ -133,28 +135,15 @@ class DpiResult:
 
 
 class DpiEngine:
-    """Offset-shifting DPI with protocol-specific validation.
+    """Offset-shifting DPI with protocol-specific validation: the reference.
 
     Stage one sweeps the four matchers (STUN/TURN, RTP, RTCP, QUIC) over
-    offsets 0..k of every datagram (Algorithm 1); stage two validates the
-    candidates in stream context.  The engine keeps no counters: a
-    :class:`DpiStage` counts the datagrams it analyzes.
-    ``backend`` picks how the two stages are computed; the verdicts are
-    bit-identical either way:
-
-    * ``"scalar"`` (the default) is the paper's reference: every matcher
-      at every anchor, one payload at a time, and every candidate a
-      :class:`Candidate` object.  Golden corpora are recorded with it and
-      every other configuration is diffed against it.
-    * ``"columnar"`` is the production path: a stream's payloads go
-      through :class:`~repro.dpi.columnar.ColumnarScanner` in chunks,
-      which vectorizes the RTP pass and skips matchers a byte-class
-      prefilter proves empty.  RTP candidates stay columns through SSRC
-      scoring, and objects are built only for rows whose SSRC passes:
-      a row of a rejected SSRC never reaches a verdict.  A lone RTP row
-      becomes its message without a ``Candidate`` (see the module
-      docstring).  A payload that is not ``bytes`` is scanned as
-      ``bytes(payload)``.
+    offsets 0..k of every datagram (Algorithm 1), one payload at a time,
+    and every candidate is a :class:`Candidate` object; stage two
+    validates the candidates in stream context.  Golden corpora are
+    recorded with this engine and :class:`ColumnarEngine` is diffed
+    against it.  The engine keeps no counters: a :class:`DpiStage` counts
+    the datagrams it analyzes.
 
     ``fastpath`` and ``cache_size`` are retired: the flow-sticky fast
     path and the payload-dedup cache are gone, so only their old "off"
@@ -166,7 +155,6 @@ class DpiEngine:
         max_offset: int = DEFAULT_MAX_OFFSET,
         cache_size: int = 0,
         fastpath: bool = False,
-        backend: str = "scalar",
     ):
         if max_offset < 0:
             raise ValueError("max_offset must be non-negative")
@@ -180,26 +168,11 @@ class DpiEngine:
                 "fastpath is retired (the flow-sticky fast path was "
                 "removed); omit it or pass False"
             )
-        if backend not in ("scalar", "columnar"):
-            raise ValueError(f"unknown DPI backend: {backend!r}")
         self._max_offset = max_offset
-        self._backend = backend
-        self._columnar = (
-            ColumnarScanner(max_offset) if backend == "columnar" else None
-        )
 
     @property
     def max_offset(self) -> int:
         return self._max_offset
-
-    @property
-    def backend(self) -> str:
-        return self._backend
-
-    @property
-    def columnar_stats(self) -> Optional[ColumnarStats]:
-        """Batch-scanner counters, or None on the scalar backend."""
-        return self._columnar.stats if self._columnar is not None else None
 
     # -- public API --------------------------------------------------------------
 
@@ -216,20 +189,16 @@ class DpiEngine:
         return DpiResult(analyses=analyses, stats=stage.stats())
 
     def analyze_stream(self, stream: Stream) -> List[DatagramAnalysis]:
-        """Run both DPI stages over one transport stream.
-
-        The columnar backend (:meth:`_columnar_analyses`) builds each
-        datagram's analysis in one pass over the stage-one rows: a
-        datagram whose only accepted candidate is one RTP row becomes its
-        message directly, without a ``Candidate``.  The scalar backend
-        validates every datagram's candidates and materializes them.
-        """
-        if self._columnar is not None:
-            return self._columnar_analyses(stream)
-        accepted = self._validate_stream(self._extract_stream(stream))
+        """Run both DPI stages over one transport stream: sweep every
+        datagram, validate its candidates and materialize them."""
+        packets = stream.packets
+        max_offset = self._max_offset
+        accepted = self._validate_stream(
+            [(record, sweep(record.payload, max_offset)) for record in packets]
+        )
         return [
             self._analysis(record, accepted_list)
-            for record, accepted_list in zip(stream.packets, accepted)
+            for record, accepted_list in zip(packets, accepted)
         ]
 
     def _analysis(
@@ -240,126 +209,6 @@ class DpiEngine:
         return DatagramAnalysis.classify(
             record, [m for m in messages if m is not None]
         )
-
-    # -- stage 1 -------------------------------------------------------------------
-
-    def _extract_stream(
-        self, stream: Stream
-    ) -> List[Tuple[PacketRecord, List[Candidate]]]:
-        """Sweep every datagram of *stream*: the full 0..k scan each."""
-        packets = stream.packets
-        max_offset = self._max_offset
-        candidates = [sweep(record.payload, max_offset) for record in packets]
-        return list(zip(packets, candidates))
-
-    # -- both stages on columns (production) -----------------------------------------
-
-    def _columnar_analyses(self, stream: Stream) -> List[DatagramAnalysis]:
-        """Stages one and two with RTP candidates kept as columns, then
-        each datagram's analysis in the same pass.
-
-        The same analyses as the reference path: SSRC groups are scored
-        on the stream's RTP rows (:func:`_score_rtp_columns`), and a row
-        of a rejected SSRC never reaches a verdict.  A datagram with no
-        non-RTP candidate and exactly one RTP row whose SSRC passed (the
-        common case: plain or prefixed media) needs neither validation
-        nor arbitration: its row is parsed straight into the one message,
-        which ``_materialize`` would build from a ``Candidate``.  Only the
-        rest get ``Candidate`` objects (:func:`build_rtp_candidates`) and
-        the reference's non-RTP validation, assembly in sweep order and
-        overlap resolution.
-        """
-        scanner = self._columnar
-        packets = stream.packets
-        payloads = [record.payload for record in packets]
-        parts: List[Tuple[List[Candidate], ...]] = []
-        chunks: List[RtpColumns] = []
-        step = DEFAULT_CHUNK_SIZE
-        for base in range(0, len(payloads), step):
-            batch = scanner.scan_columns(payloads[base:base + step])
-            parts.extend(batch.parts)
-            # Chunk-local payload indices made stream-global.
-            chunks.append(RtpColumns(batch.rtp.index + base, *batch.rtp[1:]))
-        count = len(payloads)
-        if not chunks:
-            return []
-        rows = RtpColumns(*[np.concatenate(column) for column in zip(*chunks)])
-
-        # Stage two.
-        when = np.fromiter(
-            (record.timestamp for record in packets), np.float64, count
-        )[rows.index]
-        rtp_scores = _score_rtp_columns(rows.ssrc, rows.seq, when)
-        # Payloads with non-RTP candidates.
-        mixed = [i for i, part in enumerate(parts) if part]
-        # The offset of each datagram's lone RTP row, or -1.
-        lone = np.full(count, -1, dtype=np.int64)
-        built: Dict[int, List[Candidate]] = {}
-        if rtp_scores:
-            passed = np.flatnonzero(np.isin(
-                rows.ssrc, np.fromiter(rtp_scores, np.uint32, len(rtp_scores))
-            ))
-            index = rows.index[passed]
-            single = np.bincount(index, minlength=count)[index] == 1
-            if mixed:
-                has_parts = np.zeros(count, dtype=bool)
-                has_parts[mixed] = True
-                single &= ~has_parts[index]
-            lone[index[single]] = rows.offset[passed[single]]
-            passed = passed[~single]
-            built = build_rtp_candidates(
-                RtpColumns(*[column[passed] for column in rows])
-            )
-        valid_rtp_ssrcs = frozenset(rtp_scores)
-        quic_cids = self._collect_quic_cids(
-            [(None, segment) for i in mixed for segment in parts[i]]
-        )
-        validate = self._validate
-        parse = RtpPacket.parse
-        rtp = Protocol.RTP
-        standard = DatagramClass.STANDARD
-        prefixed = DatagramClass.PROPRIETARY_HEADER
-        unknown = DatagramClass.FULLY_PROPRIETARY
-        analyses: List[DatagramAnalysis] = []
-        for i, (record, part, offset) in enumerate(
-            zip(packets, parts, lone.tolist())
-        ):
-            if offset >= 0:
-                payload = record.payload
-                size = len(payload)
-                try:
-                    message = parse(payload, False, offset, size)
-                except RtpParseError:
-                    # Padding bit set but no payload bytes, exactly where
-                    # _materialize drops the message.
-                    analyses.append(DatagramAnalysis(record, [], unknown))
-                    continue
-                analyses.append(DatagramAnalysis(
-                    record,
-                    [ExtractedMessage(rtp, offset, size - offset, message,
-                                      record)],
-                    prefixed if offset else standard,
-                ))
-                continue
-            candidates = built.get(i)
-            if part:
-                part = [
-                    [
-                        c for c in segment
-                        if validate(c, record, valid_rtp_ssrcs, quic_cids)
-                    ]
-                    for segment in part
-                ]
-            elif candidates is None:
-                analyses.append(DatagramAnalysis(record, [], unknown))
-                continue
-            candidates = scanner.assemble(part, candidates or [])
-            # A lone candidate owns its bytes; the arbitration would
-            # return it unchanged.
-            if len(candidates) != 1:
-                candidates = self._resolve_overlaps(candidates, rtp_scores)
-            analyses.append(self._analysis(record, candidates))
-        return analyses
 
     # -- stage 2: stream-context validation ------------------------------------------
 
@@ -577,6 +426,139 @@ class DpiEngine:
             record=record,
             trailer=candidate.trailer,
         )
+
+
+class ColumnarEngine(DpiEngine):
+    """The production DPI engine: the reference's analyses, computed on
+    columns.
+
+    A stream's payloads go through a
+    :class:`~repro.dpi.columnar.ColumnarScanner` in chunks, which
+    vectorizes the RTP pass and skips matchers a byte-class prefilter
+    proves empty.  RTP candidates stay columns through SSRC scoring, and
+    objects are built only for rows whose SSRC passes: a row of a
+    rejected SSRC never reaches a verdict.  A lone RTP row becomes its
+    message without a ``Candidate`` (see the module docstring).  A
+    payload that is not ``bytes`` is scanned as ``bytes(payload)``.
+    Stage two's validation, arbitration and materialization are the
+    reference's own methods.
+    """
+
+    def __init__(self, max_offset: int = DEFAULT_MAX_OFFSET):
+        super().__init__(max_offset)
+        self._scanner = ColumnarScanner(max_offset)
+
+    @property
+    def columnar_stats(self) -> ColumnarStats:
+        """The batch scanner's counters."""
+        return self._scanner.stats
+
+    def analyze_stream(self, stream: Stream) -> List[DatagramAnalysis]:
+        """Stages one and two with RTP candidates kept as columns, then
+        each datagram's analysis in the same pass.
+
+        The same analyses as the reference: SSRC groups are scored on the
+        stream's RTP rows (:func:`_score_rtp_columns`), and a row of a
+        rejected SSRC never reaches a verdict.  A datagram with no non-RTP
+        candidate and exactly one RTP row whose SSRC passed (the common
+        case: plain or prefixed media) needs neither validation nor
+        arbitration: its row is parsed straight into the one message,
+        which ``_materialize`` would build from a ``Candidate``.  Only the
+        rest get ``Candidate`` objects (:func:`build_rtp_candidates`) and
+        the reference's non-RTP validation, assembly in sweep order and
+        overlap resolution.
+        """
+        scanner = self._scanner
+        packets = stream.packets
+        payloads = [record.payload for record in packets]
+        parts: List[Tuple[List[Candidate], ...]] = []
+        chunks: List[RtpColumns] = []
+        step = DEFAULT_CHUNK_SIZE
+        for base in range(0, len(payloads), step):
+            batch = scanner.scan_columns(payloads[base:base + step])
+            parts.extend(batch.parts)
+            # Chunk-local payload indices made stream-global.
+            chunks.append(RtpColumns(batch.rtp.index + base, *batch.rtp[1:]))
+        count = len(payloads)
+        if not chunks:
+            return []
+        rows = RtpColumns(*[np.concatenate(column) for column in zip(*chunks)])
+
+        # Stage two.
+        when = np.fromiter(
+            (record.timestamp for record in packets), np.float64, count
+        )[rows.index]
+        rtp_scores = _score_rtp_columns(rows.ssrc, rows.seq, when)
+        # Payloads with non-RTP candidates.
+        mixed = [i for i, part in enumerate(parts) if part]
+        # The offset of each datagram's lone RTP row, or -1.
+        lone = np.full(count, -1, dtype=np.int64)
+        built: Dict[int, List[Candidate]] = {}
+        if rtp_scores:
+            passed = np.flatnonzero(np.isin(
+                rows.ssrc, np.fromiter(rtp_scores, np.uint32, len(rtp_scores))
+            ))
+            index = rows.index[passed]
+            single = np.bincount(index, minlength=count)[index] == 1
+            if mixed:
+                has_parts = np.zeros(count, dtype=bool)
+                has_parts[mixed] = True
+                single &= ~has_parts[index]
+            lone[index[single]] = rows.offset[passed[single]]
+            passed = passed[~single]
+            built = build_rtp_candidates(
+                RtpColumns(*[column[passed] for column in rows])
+            )
+        valid_rtp_ssrcs = frozenset(rtp_scores)
+        quic_cids = self._collect_quic_cids(
+            [(None, segment) for i in mixed for segment in parts[i]]
+        )
+        validate = self._validate
+        parse = RtpPacket.parse
+        rtp = Protocol.RTP
+        standard = DatagramClass.STANDARD
+        prefixed = DatagramClass.PROPRIETARY_HEADER
+        unknown = DatagramClass.FULLY_PROPRIETARY
+        analyses: List[DatagramAnalysis] = []
+        for i, (record, part, offset) in enumerate(
+            zip(packets, parts, lone.tolist())
+        ):
+            if offset >= 0:
+                payload = record.payload
+                size = len(payload)
+                try:
+                    message = parse(payload, False, offset, size)
+                except RtpParseError:
+                    # Padding bit set but no payload bytes, exactly where
+                    # _materialize drops the message.
+                    analyses.append(DatagramAnalysis(record, [], unknown))
+                    continue
+                analyses.append(DatagramAnalysis(
+                    record,
+                    [ExtractedMessage(rtp, offset, size - offset, message,
+                                      record)],
+                    prefixed if offset else standard,
+                ))
+                continue
+            candidates = built.get(i)
+            if part:
+                part = [
+                    [
+                        c for c in segment
+                        if validate(c, record, valid_rtp_ssrcs, quic_cids)
+                    ]
+                    for segment in part
+                ]
+            elif candidates is None:
+                analyses.append(DatagramAnalysis(record, [], unknown))
+                continue
+            candidates = scanner.assemble(part, candidates or [])
+            # A lone candidate owns its bytes; the arbitration would
+            # return it unchanged.
+            if len(candidates) != 1:
+                candidates = self._resolve_overlaps(candidates, rtp_scores)
+            analyses.append(self._analysis(record, candidates))
+        return analyses
 
 
 def _overlaps(a: Candidate, b: Candidate) -> bool:

@@ -21,7 +21,7 @@ from repro.core.metrics import (
     TypeComplianceEntry,
     VolumeCompliance,
 )
-from repro.dpi import DatagramClass, DpiEngine, Protocol
+from repro.dpi import ColumnarEngine, DatagramClass, DpiEngine, Protocol
 from repro.filtering import TwoStageFilter
 from repro.filtering.pipeline import FilterResult, StageCounts
 from repro.pipeline import StageStats, merge_stage_stats
@@ -212,7 +212,7 @@ def run_cell_pipeline(
     simulator = get_simulator(app)
     call_config = _cell_config(network, config, call_index)
     if engine is None:
-        engine = DpiEngine(max_offset=config.max_offset, backend="columnar")
+        engine = ColumnarEngine(config.max_offset)
     session = AnalysisSession(
         window=call_config.window(), engine=engine, checker=checker
     )

@@ -56,7 +56,7 @@ import numpy as np
 from repro.core.checker import ComplianceChecker, IndexedVerdict
 from repro.core.metrics import ComplianceSummary
 from repro.core.verdict import MessageVerdict
-from repro.dpi.engine import DpiEngine, DpiResult, OrderKey
+from repro.dpi.engine import ColumnarEngine, DpiEngine, DpiResult, OrderKey
 from repro.dpi.messages import DatagramAnalysis
 from repro.filtering.pipeline import FilterResult, TwoStageFilter
 from repro.packets.batch import DEFAULT_CHUNK_SIZE
@@ -155,11 +155,11 @@ class AnalysisSession:
     With a ``window`` the session runs the full filtered pipeline and
     produces a :class:`FilterResult`; without one it assumes the caller
     feeds pre-filtered records and runs DPI → checker only.  ``engine``
-    and ``checker`` default to fresh instances so sessions are isolated
-    unless a caller deliberately shares them (a shared engine's
-    ``columnar_stats`` then add up across sessions; each session's
-    ``DpiStats`` stay its own).  The default
-    engine is the production one: batched columnar sweeps.
+    defaults to a fresh production :class:`ColumnarEngine` and
+    ``checker`` to a fresh checker, so sessions are isolated unless a
+    caller deliberately shares them (a shared engine's ``columnar_stats``
+    then add up across sessions; each session's ``DpiStats`` stay its
+    own).  Pass a :class:`DpiEngine` to run the reference instead.
     """
 
     def __init__(
@@ -170,7 +170,7 @@ class AnalysisSession:
         eviction: EvictionPolicy = EvictionPolicy(),
     ):
         if engine is None:
-            engine = DpiEngine(backend="columnar")
+            engine = ColumnarEngine()
         if checker is None:
             checker = ComplianceChecker()
         self._eviction = eviction

@@ -1,11 +1,12 @@
-"""Columnar batch DPI backend: bit-exact parity with the scalar sweep.
+"""Columnar batch DPI engine: bit-exact parity with the scalar sweep.
 
 The columnar scanner is the production stage one, and its whole contract
 is that its candidate lists are bit-identical to the scalar matchers for
 every payload — golden traffic, adversarial edge cases, any batch size
 or split — with the numpy kernel serving every batch.  These tests pin that
 contract, plus engine-level parity with the reference (verdicts *and*
-DpiStats) and the retirement of the old backend CLI flags.
+DpiStats), the two engines' constructors and the retirement of the old
+engine-selection CLI flags.
 """
 
 import dataclasses
@@ -19,12 +20,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import CallConfig, NetworkCondition, get_simulator
-from repro.dpi import ColumnarScanner, DpiEngine, DpiStage
+from repro.dpi import (
+    ColumnarEngine,
+    ColumnarScanner,
+    ColumnarStats,
+    DpiEngine,
+    DpiStage,
+)
 from repro.dpi.candidates import (
     Candidate,
     quic_candidates,
     rtcp_candidates,
     stun_candidates,
+    sweep,
     sweep_order,
 )
 from repro.dpi.engine import MIN_CONTINUITY, MIN_RTP_GROUP, _score_rtp_columns
@@ -148,7 +156,7 @@ class TestRtcpGateExact:
         # never run on across a seam into the next payload.
         results = scanner.scan_batch(batch)
         for payload, got in zip(batch, results):
-            assert got == scanner.scan_payload(payload)
+            assert got == sweep(payload, max_offset)
         stats = scanner.stats
         assert stats.vector_errors == 0
         assert stats.gate_empty["rtcp"] == 0
@@ -218,7 +226,7 @@ class TestGateLoop:
             results = scanner.scan_batch(batch)
         assert opened == [p for p in batch if _gate_opens(p, max_offset)]
         for payload, got in zip(batch, results):
-            assert got == scanner.scan_payload(payload)
+            assert got == sweep(payload, max_offset)
         assert scanner.stats.vector_errors == 0
 
     def test_parts_once_per_open_gate_on_a_call(self, kept_records, monkeypatch):
@@ -231,7 +239,7 @@ class TestGateLoop:
 
         monkeypatch.setattr(ColumnarScanner, "_scan_np", scan)
         opened = self._record_parts(monkeypatch)
-        engine = DpiEngine(backend="columnar")
+        engine = ColumnarEngine()
         engine.analyze_records(kept_records)
         assert opened == [p for p in scanned if _gate_opens(p, engine.max_offset)]
         # Media dominates a call and opens no gate: 8 of the 637 payloads
@@ -245,7 +253,7 @@ class TestScannerParity:
         results = scanner.scan_batch(batch)
         assert len(results) == len(batch)
         for payload, got in zip(batch, results):
-            assert got == scanner.scan_payload(payload)
+            assert got == sweep(payload, 200)
         # Every batch size went through the numpy kernel, not its
         # safety net.
         assert scanner.stats.vector_errors == 0
@@ -321,7 +329,7 @@ class TestScannerParity:
         empty_before = scanner.stats.gate_empty["rtcp"]
         for batch in [edges] + small:
             for got, payload in zip(scanner.scan_batch(batch), batch):
-                assert got == scanner.scan_payload(payload)
+                assert got == sweep(payload, 200)
         assert scanner.stats.batches == before + 1 + len(small)
         assert scanner.stats.vector_errors == 0
         assert scanner.stats.gate_empty["rtcp"] == empty_before
@@ -332,8 +340,8 @@ class TestScannerParity:
         left = b"\x00" * 8 + b"\x21\x12"
         right = b"\xa4\x42" + b"\x00" * 8
         results = scanner.scan_batch([left, right])
-        assert results[0] == scanner.scan_payload(left)
-        assert results[1] == scanner.scan_payload(right)
+        assert results[0] == sweep(left, 200)
+        assert results[1] == sweep(right, 200)
 
     def test_non_bytes_payloads_scan_as_bytes(self, kept_records):
         # A payload that is not bytes is scanned as its bytes: the same
@@ -342,20 +350,22 @@ class TestScannerParity:
         payloads = [record.payload for record in kept_records]
         reference = DpiEngine().analyze_records(kept_records)
         scanner = ColumnarScanner(200)
-        want = [scanner.scan_payload(p) for p in payloads]
+        want = [sweep(p, 200) for p in payloads]
         for kind in (bytearray, memoryview):
             converted = [kind(p) for p in payloads]
             assert scanner.scan_batch(converted) == want
-            assert [scanner.scan_payload(p) for p in converted] == want
+            assert [sweep(p, 200) for p in converted] == want
             mixed = [kind(p) if i % 2 else p for i, p in enumerate(payloads)]
             assert scanner.scan_batch(mixed) == want
             records = [
                 dataclasses.replace(record, payload=kind(record.payload))
                 for record in kept_records
             ]
-            for engine in (DpiEngine(), DpiEngine(backend="columnar")):
+            for engine in (DpiEngine(), ColumnarEngine()):
                 result = engine.analyze_records(records)
-                assert result.analyses == reference.analyses, (kind, engine.backend)
+                assert result.analyses == reference.analyses, (
+                    kind, type(engine).__name__
+                )
                 assert result.stats.as_dict() == reference.stats.as_dict()
             assert engine.columnar_stats.vector_errors == 0
         assert scanner.stats.vector_errors == 0
@@ -390,10 +400,10 @@ class TestScannerParity:
         }
 
 
-class TestEngineBackendParity:
-    def test_backend_bit_identical(self, kept_records):
+class TestColumnarEngineParity:
+    def test_bit_identical_to_reference(self, kept_records):
         scalar = DpiEngine()
-        columnar = DpiEngine(backend="columnar")
+        columnar = ColumnarEngine()
         a = scalar.analyze_records(kept_records)
         b = columnar.analyze_records(kept_records)
         assert a.analyses == b.analyses
@@ -404,21 +414,28 @@ class TestEngineBackendParity:
 
     def test_streaming_session_parity(self, kept_records):
         scalar = DpiEngine()
-        columnar = DpiEngine(backend="columnar")
+        columnar = ColumnarEngine()
         batch = scalar.analyze_records(kept_records)
         stage = DpiStage(columnar)
         stage.process_chunk(kept_records)
         assert batch.analyses == [analysis for analysis, _ in stage.flush()]
         assert batch.stats.as_dict() == stage.stats().as_dict()
 
-    def test_backend_property_and_validation(self):
-        assert DpiEngine().backend == "scalar"
-        assert DpiEngine().columnar_stats is None
-        engine = DpiEngine(backend="columnar")
-        assert engine.backend == "columnar"
-        assert engine.columnar_stats is not None
+    def test_engine_constructors(self):
+        # Each engine has one name and no selector: the production engine
+        # takes only ``max_offset``, and the reference has no batch scanner.
+        for option in ({"backend": "columnar"}, {"cache_size": 0},
+                       {"fastpath": False}):
+            with pytest.raises(TypeError):
+                ColumnarEngine(**option)
         with pytest.raises(ValueError):
-            DpiEngine(backend="simd")
+            ColumnarEngine(-1)
+        with pytest.raises(TypeError):
+            DpiEngine(backend="columnar")
+        assert not hasattr(DpiEngine(), "columnar_stats")
+        engine = ColumnarEngine(40)
+        assert engine.max_offset == 40
+        assert isinstance(engine.columnar_stats, ColumnarStats)
 
 
 class TestCliBackendFlag:
@@ -562,7 +579,7 @@ class TestChunkSeam:
     def test_group_across_chunks_with_fallback_payload(self):
         records = _seam_stream()
         reference = DpiEngine().analyze_records(records)
-        engine = DpiEngine(backend="columnar")
+        engine = ColumnarEngine()
         production = engine.analyze_records(records)
         assert _datagram_facts(production) == _datagram_facts(reference)
         assert production.stats.as_dict() == reference.stats.as_dict()
@@ -582,7 +599,7 @@ class TestChunkSeam:
         for base in (0, 256):
             chunk = payloads[base:base + 256]
             assert scanner.scan_batch(chunk) == [
-                scanner.scan_payload(bytes(p)) for p in chunk
+                sweep(bytes(p), 200) for p in chunk
             ]
 
 
@@ -597,7 +614,7 @@ class TestSilentFallbacksLogged:
         batch = [b"\x80" * 16] * 8
         with caplog.at_level(logging.WARNING, logger="repro.dpi"):
             results = scanner.scan_batch(batch)
-        assert results == [scanner.scan_payload(p) for p in batch]
+        assert results == [sweep(p, 200) for p in batch]
         assert scanner.stats.vector_errors == 1
         warnings = [r for r in caplog.records if r.name == "repro.dpi"]
         assert len(warnings) == 1

@@ -24,7 +24,7 @@ from repro.conformance import (
     load_manifest,
 )
 from repro.conformance.golden import cell_records, corpus_cells
-from repro.dpi import DpiEngine
+from repro.dpi import ColumnarEngine, DpiEngine
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +51,10 @@ class TestDifferentialCheck:
         assert corpus_report.cells_checked == 18
         assert corpus_report.engines == tuple(s.name for s in ENGINE_SPECS)
         assert {"sweep", "columnar", "streaming"} == set(corpus_report.engines)
+        # The recorded reference first, then the production engine twice.
+        assert [type(s.engine(200)) for s in ENGINE_SPECS] == [
+            DpiEngine, ColumnarEngine, ColumnarEngine,
+        ]
 
 
 class TestSchemaStability:
@@ -108,7 +112,7 @@ class TestDpiStatsInvariants:
         config = CorpusConfig.from_dict(manifest["config"])
         cells = corpus_cells(manifest)
         assert len(cells) == 18
-        engine = DpiEngine(max_offset=config.max_offset, backend="columnar")
+        engine = ColumnarEngine(max_offset=config.max_offset)
         for app, network in cells:
             dpi = engine.analyze_records(cell_records(app, network, config))
             assert dpi.stats.datagrams == len(dpi.analyses), (app, network)

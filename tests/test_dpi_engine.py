@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.dpi import DatagramClass, DpiEngine, DpiStage, DpiStats, Protocol
+from repro.dpi import (
+    ColumnarEngine,
+    DatagramClass,
+    DpiEngine,
+    DpiStage,
+    DpiStats,
+    Protocol,
+)
 from repro.packets.packet import PacketRecord
 from repro.protocols.rtp.header import RtpPacket
 from repro.protocols.stun.attributes import StunAttribute
@@ -150,11 +157,11 @@ class TestEngineMisc:
 
     def test_retired_fastpath(self):
         # ``fastpath=False`` is the old "sweep only" spelling and still
-        # builds the reference engine; asking for the removed fast path
-        # is an error.
+        # builds exactly the reference engine (the benchmark's oracle is
+        # spelled this way); asking for the removed fast path is an error.
         records = rtp_stream_records()
         retired = DpiEngine(fastpath=False, cache_size=0)
-        assert retired.backend == "scalar"
+        assert type(retired) is DpiEngine
         result = retired.analyze_records(records)
         assert result.analyses == DpiEngine().analyze_records(records).analyses
         assert result.stats.fastpath_hits == 0
@@ -187,7 +194,7 @@ class TestStageStats:
     def test_stages_sharing_an_engine_count_their_own(self):
         # The engine keeps no counters; each stage counts the datagrams it
         # analyzed, however the two feeds interleave.
-        engine = DpiEngine(backend="columnar")
+        engine = ColumnarEngine()
         first, second = DpiStage(engine), DpiStage(engine)
         three = rtp_stream_records(count=3, ssrc=0x1111)
         two = rtp_stream_records(count=2, ssrc=0x2222)

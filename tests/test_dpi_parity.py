@@ -1,8 +1,8 @@
 """Production DPI engine vs the Algorithm 1 reference, datagram by datagram.
 
-Every production entry point runs ``DpiEngine(backend="columnar")``: the
-batched columnar sweep.  The reference is the scalar sweep the golden
-corpora are recorded with.  The conformance differ compares the two on
+Every production entry point runs ``ColumnarEngine``: the batched
+columnar sweep.  The reference, ``DpiEngine``, is the scalar sweep the
+golden corpora are recorded with.  The conformance differ compares the two on
 the fixture-scale golden cells; these tests compare them on full-scale
 calls and on a seeded grid of cells the corpus does not cover.
 """
@@ -11,7 +11,8 @@ import pytest
 
 from repro.apps import APP_NAMES, CallConfig, NetworkCondition, get_simulator
 from repro.conformance.golden import CorpusConfig, reference_engine
-from repro.dpi import ColumnarScanner, DpiEngine
+from repro.dpi import ColumnarEngine, ColumnarScanner, DpiEngine
+from repro.dpi.candidates import sweep
 from repro.filtering import TwoStageFilter
 from repro.service import AnalysisSession
 
@@ -70,7 +71,7 @@ def test_seeded_cells_match_reference(app, network, call_index):
     ))
     kept = TwoStageFilter(trace.window).apply(trace.records).kept_records
     reference = DpiEngine().analyze_records(kept)
-    production = DpiEngine(backend="columnar").analyze_records(kept)
+    production = ColumnarEngine().analyze_records(kept)
 
     want = [_datagram_facts(a) for a in reference.analyses]
     got = [_datagram_facts(a) for a in production.analyses]
@@ -83,6 +84,6 @@ def test_seeded_cells_match_reference(app, network, call_index):
                 if record.transport == "UDP"]
     batches = scanner.scan_batch(payloads)
     for index, (payload, got) in enumerate(zip(payloads, batches)):
-        assert got == scanner.scan_payload(payload), (
+        assert got == sweep(payload, 200), (
             f"batch scan differs from the scalar matchers on payload {index}"
         )

@@ -21,7 +21,7 @@ import pytest
 
 from repro.apps import CallConfig, NetworkCondition, get_simulator
 from repro.core import ComplianceChecker, ComplianceSummary, StreamingSummary
-from repro.dpi import DpiEngine, Protocol
+from repro.dpi import ColumnarEngine, Protocol
 from repro.packets.packet import PacketRecord
 from repro.pipeline import CheckStage, DpiStage
 from repro.protocols.rtp.extensions import HeaderExtension
@@ -191,7 +191,7 @@ def _pipeline_peak(mode, flows, packets_per_flow=24):
     The production engine on both sides; the only variable is whether the
     run materializes the capture or streams it.
     """
-    engine = DpiEngine(backend="columnar")
+    engine = ColumnarEngine()
     checker = ComplianceChecker()
     gc.collect()
     tracemalloc.start()

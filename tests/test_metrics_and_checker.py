@@ -3,6 +3,7 @@
 from repro.core import ComplianceChecker, ComplianceSummary
 from repro.core.metrics import (
     MAX_EXAMPLE_VIOLATIONS,
+    StreamingSummary,
     VolumeCompliance,
     merge_type_entries,
 )
@@ -160,6 +161,22 @@ class TestSummary:
         b = self._summary("b")
         compliant, total = merge_type_entries([a, b], "stun_turn")
         assert (compliant, total) == (2, 4)  # same types, counted per app
+
+    def test_streaming_result_is_a_snapshot(self):
+        # A summary taken mid-fold must not change when more verdicts are
+        # folded in later: its type entries agree with its volume.
+        [verdict] = ComplianceChecker().check([stun_message(0x0800)])
+        folding = StreamingSummary("test")
+        folding.add(verdict)
+        first = folding.result()
+        folding.add(verdict)
+        second = folding.result()
+        key = ("stun_turn", "0x0800")
+        assert first.volume.total == first.types[key].total == 1
+        assert first.types[key].non_compliant == 1
+        assert len(first.types[key].example_violations) == 1
+        assert second.volume.total == second.types[key].total == 2
+        assert len(second.types[key].example_violations) == 2
 
 
 class TestVerdictModel:

@@ -23,7 +23,7 @@ from repro.conformance.fuzzer import (
     run_oracle,
 )
 from repro.core import ComplianceChecker
-from repro.dpi import DpiEngine
+from repro.dpi import ColumnarEngine, DpiEngine
 from repro.netem import (
     GilbertElliott,
     Impairer,
@@ -187,7 +187,7 @@ class TestCollideRebindMidLock:
 
     def test_production_output_matches_sweep_across_rebind(self):
         _records, impaired = self._collision_records()
-        production = DpiEngine(max_offset=200, backend="columnar")
+        production = ColumnarEngine(max_offset=200)
         reference = DpiEngine(max_offset=200)
         checker = ComplianceChecker()
 

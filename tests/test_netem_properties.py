@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps import CallConfig, NetworkCondition, get_simulator
 from repro.conformance.golden import build_facts, facts_digest
 from repro.core import ComplianceChecker
-from repro.dpi import DpiEngine
+from repro.dpi import ColumnarEngine, DpiEngine
 from repro.netem import (
     GilbertElliott,
     Impairer,
@@ -144,12 +144,12 @@ def _shape_digests(records):
     checker = ComplianceChecker()
     digests = {}
 
-    engine = DpiEngine(max_offset=MAX_OFFSET, backend="columnar")
+    engine = ColumnarEngine(max_offset=MAX_OFFSET)
     dpi = engine.analyze_records(records)
     digests["columnar"] = _facts_digest(dpi, checker.check(dpi.messages()))
 
     session = AnalysisSession(
-        engine=DpiEngine(max_offset=MAX_OFFSET, backend="columnar"),
+        engine=ColumnarEngine(max_offset=MAX_OFFSET),
         checker=ComplianceChecker(),
     )
     session.feed(records)

@@ -1,6 +1,6 @@
 """The production engine's lone-RTP lane against the reference engine.
 
-On the columnar backend a datagram with no non-RTP candidate and exactly
+In ``ColumnarEngine`` a datagram with no non-RTP candidate and exactly
 one RTP row whose SSRC passed stage two is parsed straight into its one
 message, with no ``Candidate`` and no arbitration; every other datagram
 takes the reference's validation and overlap resolution.  These tests
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import repro.dpi.engine as engine_module
 from repro.apps import NetworkCondition
-from repro.dpi import DatagramClass, DpiEngine, Protocol
+from repro.dpi import ColumnarEngine, DatagramClass, DpiEngine, Protocol
 from repro.experiments.runner import ExperimentConfig, run_cell_pipeline
 from repro.packets.packet import PacketRecord
 from repro.protocols.rtcp.packets import SenderReport
@@ -128,7 +128,7 @@ def _facts(result):
 def test_lane_matches_reference(payloads):
     records = _records(payloads)
     reference = DpiEngine(MAX_OFFSET).analyze_records(records)
-    production = DpiEngine(MAX_OFFSET, backend="columnar").analyze_records(
+    production = ColumnarEngine(MAX_OFFSET).analyze_records(
         records
     )
     assert _facts(production) == _facts(reference)
@@ -175,7 +175,7 @@ def test_lane_shapes(monkeypatch):
     records = _records(payloads)
     reference = DpiEngine(MAX_OFFSET).analyze_records(records)
     counts = _Counts(monkeypatch)
-    production = DpiEngine(MAX_OFFSET, backend="columnar").analyze_records(
+    production = ColumnarEngine(MAX_OFFSET).analyze_records(
         records
     )
     assert _facts(production) == _facts(reference)

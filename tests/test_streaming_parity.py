@@ -24,7 +24,13 @@ from repro.conformance.golden import (
     experiment_config,
 )
 from repro.core import ComplianceChecker, ComplianceSummary, StreamingSummary
-from repro.dpi import DatagramAnalysis, DpiEngine, ExtractedMessage, Protocol
+from repro.dpi import (
+    ColumnarEngine,
+    DatagramAnalysis,
+    DpiEngine,
+    ExtractedMessage,
+    Protocol,
+)
 from repro.experiments.runner import ExperimentConfig, run_cell_pipeline
 from repro.filtering import TwoStageFilter
 from repro.packets.packet import PacketRecord
@@ -356,7 +362,7 @@ class TestBufferedCounts:
     @settings(max_examples=60)
     @given(ops=_session_ops, idle_gap=st.floats(0.5, 100.0))
     def test_dpi_session_count_equals_sum(self, ops, idle_gap):
-        stage = DpiStage(DpiEngine(backend="columnar"), idle_gap=idle_gap)
+        stage = DpiStage(ColumnarEngine(), idle_gap=idle_gap)
         for op in ops:
             if op[0] == "feed":
                 _, flow, t, transport = op
