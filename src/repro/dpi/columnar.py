@@ -19,11 +19,18 @@ returns the candidate lists the scalar sweep would.
 One kernel serves every batch, whatever its size
 (:meth:`ColumnarScanner._scan_np`):
 
-* the payloads are joined into one buffer with an offset index, so each
-  anchor pass is a single C-level scan whose global match positions are
+* the payloads are joined into one buffer with an offset index, and
+  each payload's first ``k+8`` bytes into a second one, so each anchor
+  pass is a single C-level scan whose global match positions are
   translated back to ``(payload, offset)`` pairs;
-* the RTP pass is fully vectorized with numpy (byte-class masks, one
-  gather of the header fields);
+* the RTP/RTCP anchors and the STUN-cookie and QUIC-version needles are
+  found in the prefix buffer: an anchor starts at offset ``k`` at most
+  and a flagged needle ends by byte ``k+8``;
+* the RTP pass is fully vectorized with numpy and reads each anchor's
+  bytes once: one lookup of its first two bytes in :data:`_ANCHOR_CODE`
+  routes it to RTP or RTCP and gives its header length and X bit, and
+  the header fields are single gathers from big-endian u16/u32 views of
+  the full joined buffer;
 * the STUN/RTCP/QUIC matchers are *gated*: a cheap prefilter proves the
   matcher would return nothing for a payload, so it is simply skipped.
   The first-byte gates are numpy masks over the whole chunk, every
@@ -40,7 +47,8 @@ skipped matcher is exactly one that would have produced zero candidates
 through that returned nothing):
 
 * STUN — a modern candidate needs the magic cookie at bytes ``o+4..o+8``
-  with ``0 <= o <= max_offset``; a classic candidate needs
+  with ``0 <= o <= max_offset``, which lie inside the first ``k+8``
+  bytes; a classic candidate needs
   ``looks_like_stun(payload, 0)`` (a mask over bytes 0, 2 and 3 and the
   size, term for term); a ChannelData candidate needs at least 4 bytes
   and ``0x40 <= payload[0] <= 0x4F``.
@@ -55,8 +63,8 @@ through that returned nothing):
   is exactly when the matcher returns candidates: this gate is
   sufficient as well as necessary.
 * QUIC — long headers need an anchor match inside the matcher's own
-  ``finditer`` window; short headers need ``payload[0] & 0xC0 == 0x40``
-  and at least 26 bytes.
+  ``finditer`` window, whose version needle ends by byte ``k+5``; short
+  headers need ``payload[0] & 0xC0 == 0x40`` and at least 26 bytes.
 
 Candidate lists come out bit-identical to the scalar sweep: a payload's
 other candidates are kept as its STUN candidates and its RTCP-then-QUIC
@@ -87,6 +95,7 @@ from repro.dpi.candidates import (
 )
 from repro.dpi.messages import Protocol
 from repro.protocols.quic.header import QUIC_V1, QUIC_V2
+from repro.utils.ratelimit import crossed_power_of_two
 
 _log = logging.getLogger("repro.dpi")
 
@@ -101,48 +110,52 @@ _QUIC_VERSION_NEEDLES = (
 )
 #: Finds the end of a zero run.
 _NONZERO = re.compile(rb"[^\x00]")
+#: Tiled and repeated into a run-length mask: inside, then outside.
+_IN_OUT = np.array([True, False])
 
 
-def _big_endian(head, lo: int, hi: int, dtype: str):
-    """Bytes ``lo:hi`` of each row of a uint8 matrix as big-endian ints."""
-    return (
-        np.ascontiguousarray(head[:, lo:hi]).view(">" + dtype)[:, 0]
-        .astype(dtype)
-    )
+def _anchor_codes() -> np.ndarray:
+    """The :data:`_ANCHOR_CODE` table."""
+    pair = np.arange(1 << 16)
+    first, second = pair >> 8, pair & 0xFF
+    code = (12 + 4 * (first & 0x0F)) | ((first >> 4) & 1)
+    code[(second >= 0xC0) & (second <= 0xDF)] = 0
+    return code.astype(np.uint8)
 
 
-def _crossed_power_of_two(before: int, after: int) -> bool:
-    """Whether a counter moving from *before* to *after* passed 1, 2, 4,
-    8, ... — the rate limit for repeated warnings."""
-    return after.bit_length() > before.bit_length()
+#: ``looks_like_rtp``'s header terms for a version-2 anchor, indexed by
+#: the big-endian u16 of its bytes 0-1: 0 when byte 1 is in the RTCP
+#: packet-type class 0xC0-0xDF (the RTP payload-type exclusion), else the
+#: fixed header plus CSRC list length ``12 + 4*CC`` with the low bit set
+#: when the X (extension) bit is.  uint8, so the table is 64 KiB.
+_ANCHOR_CODE = _anchor_codes()
 
 
-def _rtcp_gate(arr, cur, end, idx) -> set:
+def _rtcp_gate(words, cur, end, idx) -> set:
     """Payload indices whose RTCP matcher returns candidates.
 
-    *cur* holds the absolute positions of a batch's RTCP anchors in the
-    joined buffer *arr*, *end* the absolute end of each anchor's payload
-    and *idx* its payload index.  Each round takes one compound step for
-    every chain still live, with ``rtcp_candidates``' own stop rules; a
-    chain that stopped after at least one packet flags its payload when
-    at most ``MAX_RTCP_TRAILER`` bytes are left.  Gathers read at
-    ``min(cur, len(arr) - 4)``: a chain at its payload's last bytes would
-    otherwise read past the buffer, and the ``cur + 4 <= end`` term
-    already stops it.
+    *words* is the big-endian u32 at every position of a batch's joined
+    buffer, *cur* holds the absolute positions of its RTCP anchors, *end*
+    the absolute end of each anchor's payload and *idx* its payload
+    index.  Each round takes one compound step for every chain still
+    live, with ``rtcp_candidates``' own stop rules, reading each step's
+    header as one word: version 2 and a packet type in 192-223 are
+    ``word >> 16 & 0xC0E0 == 0x80C0``, and the length is its low half.
+    A chain that stopped after at least one packet flags its payload when
+    at most ``MAX_RTCP_TRAILER`` bytes are left.  Reads are clipped to
+    the last word (``len(buffer) - 4``): a chain at its payload's last
+    bytes would otherwise read past the buffer, and the
+    ``cur + 4 <= end`` term already stops it.
     """
-    hi = arr.size - 4
+    hi = words.size - 1
     hits = []
     first = True
     while cur.size:
-        safe = np.minimum(cur, hi)
-        b0 = arr[safe]
-        b1 = arr[safe + 1]
-        nxt = cur + (
-            ((arr[safe + 2].astype(np.int64) << 8) | arr[safe + 3]) + 1
-        ) * 4
+        word = words[np.minimum(cur, hi)].astype(np.int64)
+        nxt = cur + ((word & 0xFFFF) + 1) * 4
         step = (
-            (cur + 4 <= end) & ((b0 & 0xC0) == 0x80)
-            & (b1 >= 0xC0) & (b1 <= 0xDF) & (nxt <= end)
+            (cur + 4 <= end) & (((word >> 16) & 0xC0E0) == 0x80C0)
+            & (nxt <= end)
         )
         if not first:
             flag = ~step & (end - cur <= MAX_RTCP_TRAILER)
@@ -327,7 +340,7 @@ class ColumnarScanner:
             return self._scan_np(batch)
         except Exception as exc:  # numpy safety net
             stats.vector_errors += 1
-            if _crossed_power_of_two(
+            if crossed_power_of_two(
                 stats.vector_errors - 1, stats.vector_errors
             ):
                 _log.warning(
@@ -403,12 +416,18 @@ class ColumnarScanner:
         return (stun, rtcp + quic) if stun or rtcp or quic else ()
 
     def _scan_np(self, batch: Sequence[bytes]) -> ColumnBatch:
-        """Vectorized batch scan over the joined buffer.
+        """Vectorized batch scan; each anchor's bytes are read once.
 
-        One anchor pass serves both RTP and RTCP: every version-2 first
-        byte inside the wider RTCP window ``min(k, size-4)`` is gathered
-        once, and one byte-class mask routes each anchor to the RTP header
-        checks or the RTCP compound-chain walk (:func:`_rtcp_gate`).
+        Stage one looks for anchors and needles only in each payload's
+        first ``k+8`` bytes, joined into a second buffer.  One anchor
+        pass serves both RTP and RTCP: every version-2 first byte inside
+        the wider RTCP window ``min(k, size-4)`` is found once, and one
+        lookup of its first two bytes in :data:`_ANCHOR_CODE` routes it
+        to the RTCP compound-chain walk (:func:`_rtcp_gate`) or gives
+        its RTP header length and X bit.  Header fields are single
+        gathers from big-endian u16 and u32 views at every byte of the
+        full joined buffer.  The STUN-cookie and QUIC-version finds scan
+        the prefixes: no match that ends later can be flagged.
         """
         n = len(batch)
         sizes = [len(p) for p in batch]
@@ -416,120 +435,129 @@ class ColumnarScanner:
         total = len(joined)
         if not total:
             return ColumnBatch(_rtp_columns(()), [()] * n)
-        arr = np.frombuffer(joined, dtype=np.uint8)
         starts = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(sizes, out=starts[1:])
         sizes_a = starts[1:] - starts[:-1]
-        starts_l = starts.tolist()
         max_offset = self._max_offset
 
-        rtp_columns = _rtp_columns(())
+        # Each payload's first k+8 bytes, joined: the only bytes an
+        # anchor (offset <= k) or a flagged needle can start in.
+        cut = max_offset + 8
+        prefix = b"".join([p[:cut] for p in batch])
+        window_sizes_a = np.minimum(sizes_a, cut)
+        window_starts_a = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(window_sizes_a, out=window_starts_a[1:])
+
         rtcp_flag: set = set()
-        rtp_lim = np.minimum(max_offset, sizes_a - 12)
-        scan_lim = np.minimum(max_offset, sizes_a - 4)
-        # Window mask over the joined buffer: anchors confined to each
-        # payload's own 0..limit range, so no position can read past
-        # its payload (limit <= size-4 keeps +3 lookups in bounds).
-        wmask = np.zeros(total, dtype=bool)
-        for i, limit in enumerate(scan_lim.tolist()):
-            if limit >= 0:
-                lo = starts_l[i]
-                wmask[lo:lo + limit + 1] = True
-        pos = np.nonzero(((arr & 0xC0) == 0x80) & wmask)[0]
-        if pos.size:
-            idx = np.searchsorted(starts, pos, side="right") - 1
-            off = pos - starts[idx]
-            b1 = arr[pos + 1]
+        # Anchors: version-2 bytes at offsets 0..min(k, size-4) of each
+        # payload, so a +3 read never leaves it.  The window mask is one
+        # run of min(k+1, size-3) true bytes at the start of each prefix.
+        inside = np.maximum(np.minimum(sizes_a - 3, max_offset + 1), 0)
+        runs = np.empty(2 * n, dtype=np.int64)
+        runs[0::2] = inside
+        runs[1::2] = window_sizes_a - inside
+        anchors = (np.frombuffer(prefix, dtype=np.uint8) & 0xC0) == 0x80
+        anchors &= np.repeat(np.tile(_IN_OUT, n), runs)
+        wpos = np.flatnonzero(anchors)
+        if wpos.size:
+            bounds = np.searchsorted(wpos, window_starts_a)
+            counts = bounds[1:] - bounds[:-1]
+            pos = wpos + np.repeat(starts[:-1] - window_starts_a[:-1], counts)
+            # An anchor exists only in a payload of at least 4 bytes, so
+            # both views of the full buffer are non-empty; every read
+            # below stays inside the anchor's payload or is clipped.
+            u16 = np.ndarray((total - 1,), ">u2", joined, 0, (1,))
+            u32 = np.ndarray((total - 3,), ">u4", joined, 0, (1,))
+            idx = np.repeat(np.arange(n, dtype=np.int32), counts)
+            pend = np.repeat(starts[1:], counts)
+            code = _ANCHOR_CODE[u16[pos]]
             # The RTP payload-type exclusion range and the RTCP packet
-            # -type range are the same byte class, so one mask routes
+            # -type range are the same byte class, so code 0 routes
             # every anchor to exactly one of the two checks.
-            rtcp_class = (b1 >= 0xC0) & (b1 <= 0xDF)
+            rtcp_class = code == 0
             if rtcp_class.any():
-                ridx = idx[rtcp_class]
                 rtcp_flag = _rtcp_gate(
-                    arr, pos[rtcp_class], starts[ridx + 1], ridx
+                    u32, pos[rtcp_class], pend[rtcp_class], idx[rtcp_class]
                 )
-            # looks_like_rtp, vectorized: PT-range exclusion, CSRC fit,
-            # and extension-length fit via masked gathers — narrowed to
-            # the surviving subset before the wider header checks so the
-            # heavy ops touch fewer elements.
-            k0 = (off <= rtp_lim[idx]) & ~rtcp_class
-            pos1 = pos[k0]
-            idx1 = idx[k0]
-            off1 = off[k0]
-            psize = sizes_a[idx1]
-            first = arr[pos1]
-            end_ = off1 + 12 + 4 * (first & 0x0F).astype(np.int64)
-            keep = end_ <= psize
-            ext = (first & 0x10) != 0
-            ext_rows = keep & ext
-            if ext_rows.any():
-                ok_len = end_ + 4 <= psize
-                safe = np.where(ext_rows & ok_len, starts[idx1] + end_, 0)
-                word_len = (
-                    arr[safe + 2].astype(np.int64) << 8
-                ) | arr[safe + 3]
-                keep &= ~ext | (ok_len & (end_ + 4 + 4 * word_len <= psize))
-            kpos = pos1[keep]
-            kidx = idx1[keep]
-            koff = off1[keep]
-            # Header bytes 2..12 (sequence number, timestamp, SSRC) in
-            # one gather, read as big-endian words.
-            head = arr[kpos[:, None] + np.arange(2, 12)]
+            # looks_like_rtp, term for term: the CSRC list fits (which
+            # implies ``off <= size-12``; the window gives ``off <= k``)
+            # and, with X set, the extension header and its declared
+            # words fit.  The word-length read is clipped to index 0
+            # where the extension header itself does not fit.
+            hend = pos + (code & 0xFE)
+            keep = ~rtcp_class & (hend <= pend)
+            ext = (code & 1).astype(bool)
+            if (keep & ext).any():
+                ext_fits = hend + 4 <= pend
+                words = u16[np.where(ext_fits, hend + 2, 0)].astype(np.int64)
+                keep &= ~ext | (ext_fits & (hend + 4 + 4 * words <= pend))
+            kpos = pos[keep]
+            kidx = idx[keep]
             rtp_columns = RtpColumns(
-                kidx.astype(np.int32),
-                koff.astype(np.int32),
-                (sizes_a[kidx] - koff).astype(np.int32),
-                _big_endian(head, 6, 10, "u4"),
-                _big_endian(head, 0, 2, "u2"),
-                _big_endian(head, 2, 6, "u4"),
+                kidx,
+                (kpos - starts[kidx]).astype(np.int32),
+                (pend[keep] - kpos).astype(np.int32),
+                u32[kpos + 8].astype(np.uint32),
+                u16[kpos + 2].astype(np.uint16),
+                u32[kpos + 4].astype(np.uint32),
             )
+        else:
+            rtp_columns = _rtp_columns(())
+
+        # The needle finds run over the prefixes too: a flagged cookie
+        # ends by byte k+8 and a flagged QUIC needle by byte k+5, and a
+        # find straddling a prefix seam fails the same tests that reject
+        # a payload-seam straddle.
+        window_sizes = window_sizes_a.tolist()
+        window_starts = window_starts_a.tolist()
 
         stun_flag: set = set()
         search = 0
         cookie_hi = max_offset + 4
         while True:
-            found = joined.find(_COOKIE_BYTES, search)
+            found = prefix.find(_COOKIE_BYTES, search)
             if found < 0:
                 break
             search = found + 1
-            i = bisect_right(starts_l, found) - 1
-            local = found - starts_l[i]
+            i = bisect_right(window_starts, found) - 1
+            local = found - window_starts[i]
             # The cookie must lie wholly inside payload i (not straddle a
-            # join seam) with its offset-4 anchor inside 0..k.
-            if 4 <= local <= cookie_hi and local + 4 <= sizes[i]:
+            # seam) with its offset-4 anchor inside 0..k.
+            if 4 <= local <= cookie_hi and local + 4 <= window_sizes[i]:
                 stun_flag.add(i)
 
         quic_flag: set = set()
         # A long-header anchor at offset ``o`` of payload ``i`` means one
         # of the three version strings sits at ``o+1`` with a 0xC0-0xFF
         # byte before it, and ``o <= min(k, size-7)``.  The window bound
-        # alone rejects join-seam straddles (it keeps the needle at least
-        # two bytes clear of the payload end), so C-level ``find`` calls
-        # over the joined buffer enumerate exactly the payloads whose own
-        # regex search would match.
+        # alone rejects seam straddles (it keeps the needle at least two
+        # bytes clear of the payload end and three clear of the prefix
+        # end), so C-level ``find`` calls over the joined prefixes
+        # enumerate exactly the payloads whose own regex search would
+        # match.
+        prefix_total = len(prefix)
         for needle in _QUIC_VERSION_NEEDLES:
             search = 0
             while True:
-                found = joined.find(needle, search)
+                found = prefix.find(needle, search)
                 if found < 0:
                     break
-                i = bisect_right(starts_l, found) - 1
-                local = found - starts_l[i]
+                i = bisect_right(window_starts, found) - 1
+                local = found - window_starts[i]
                 limit = min(max_offset, sizes[i] - 7)
                 if i in quic_flag or local > limit + 1:
-                    # Later finds in payload i are outside its prefix
-                    # window too; resume at the next payload.
-                    search = starts_l[i + 1]
-                elif local >= 1 and joined[found - 1] >= 0xC0:
+                    # Later finds in payload i are outside its window
+                    # too; resume at the next payload.
+                    search = window_starts[i + 1]
+                elif local >= 1 and prefix[found - 1] >= 0xC0:
                     quic_flag.add(i)
-                    search = starts_l[i + 1]
+                    search = window_starts[i + 1]
                 elif needle == _QUIC_VN_NEEDLE:
                     # The all-zero needle matches at every position of a
                     # zero run, but only the run's first position can
                     # follow an anchor byte: skip the rest of the run.
-                    run_end = _NONZERO.search(joined, found + 4)
-                    search = run_end.start() if run_end else total
+                    run_end = _NONZERO.search(prefix, found + 4)
+                    search = run_end.start() if run_end else prefix_total
                 else:
                     search = found + 1
 
@@ -537,6 +565,7 @@ class ColumnarScanner:
         # of every payload in one gather each, clipped to the joined
         # buffer; a read past a short payload lands in the next one (or
         # on the last byte) and the size terms mask it out.
+        arr = np.frombuffer(joined, dtype=np.uint8)
         heads = starts[:-1]
         last = total - 1
         b0 = arr[np.minimum(heads, last)]

@@ -611,11 +611,13 @@ OrderKey = Tuple[float, int, int, int]
 class DpiStage:
     """Per-datagram two-stage DPI (§4.1) over an interleaved record feed.
 
-    :meth:`process_chunk` groups UDP records into streams as they arrive
-    (first-seen order, exactly like ``group_streams``) and emits nothing:
-    every validation heuristic — RTP sequence continuity, QUIC
+    :meth:`process_chunk` groups records into streams by flow key as
+    they arrive and emits nothing.  Only UDP records are kept (the
+    paper's DPI is UDP-only), each stream gets a serial when it opens
+    (first-seen order), and its records are time-sorted when it
+    finishes: every validation heuristic — RTP sequence continuity, QUIC
     connection-ID learning, STUN transaction pairing — needs the whole
-    stream as context, so a stream is analyzed only when it finishes.
+    stream as context, so a stream is analyzed only then.
     :meth:`flush` finishes every open stream and returns its analyses in
     global timestamp order, so one chunk plus a flush is
     ``DpiEngine.analyze_records``.  With ``idle_gap`` set,

@@ -16,7 +16,8 @@ This module removes both:
   columns are then gathered and combined **vectorized** with numpy, for
   captures of any size.  Should the gather fail, the column is
   recomputed in pure Python (:func:`_python_timestamps`, counted in
-  ``IngestStats.vector_errors``).  Both give bit-identical floats:
+  ``IngestStats.vector_errors`` and logged as a rate-limited warning on
+  the ``repro.packets`` logger).  Both give bit-identical floats:
   ``ts_sec`` and ``ts_frac`` are exactly representable in float64, and
   ``sec + frac / divisor`` is the same IEEE expression either way.
 
@@ -46,6 +47,7 @@ code path the scalar reader uses.
 
 from __future__ import annotations
 
+import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,6 +64,9 @@ from repro.packets.decode import (
 from repro.packets.mmapio import MappedCapture
 from repro.packets.packet import PacketRecord
 from repro.packets.pcap import MAGIC_MICROS, MAGIC_NANOS, PcapFormatError
+from repro.utils.ratelimit import crossed_power_of_two
+
+_log = logging.getLogger("repro.packets")
 
 #: The chunk unit of the whole pipeline: frames decoded per chunk, records
 #: per session stage call, payloads per columnar scan and records per
@@ -225,8 +230,15 @@ def _scan_index(buffer, size: int, stats: IngestStats) -> PcapIndex:
     if offsets:
         try:
             timestamps = _vector_timestamps(buffer, offsets, endian, divisor)
-        except Exception:  # pragma: no cover - numpy safety net
+        except Exception as exc:  # numpy safety net
             stats.vector_errors += 1
+            if crossed_power_of_two(stats.vector_errors - 1, stats.vector_errors):
+                _log.warning(
+                    "numpy timestamp gather failed on a %d-record index "
+                    "(%s: %s); recomputing it in Python (%d scans so far)",
+                    len(offsets), type(exc).__name__, exc,
+                    stats.vector_errors, exc_info=True,
+                )
             vector = False
             timestamps = _python_timestamps(buffer, offsets, endian, divisor)
     return PcapIndex(

@@ -11,6 +11,7 @@ layers on that guarantee.
 
 from __future__ import annotations
 
+import logging
 import struct
 
 import pytest
@@ -512,3 +513,50 @@ class TestPcapCli:
         assert "Ingest:" in out
         assert "fallback rate" in out
         assert "plan:" not in out
+
+
+# --------------------------------------------------------------------------
+# The index scan's timestamp safety net is logged
+# --------------------------------------------------------------------------
+
+
+class TestTimestampFallbackLogged:
+    """A failed numpy timestamp gather is recomputed in Python, counted
+    in ``IngestStats.vector_errors`` and logged on ``repro.packets`` at
+    the 1st, 2nd, 4th, ... failure."""
+
+    @staticmethod
+    def _capture(tmp_path, monkeypatch):
+        path = tmp_path / "capture.pcap"
+        write_pcap(path, TestTimestampAndContainerParity()._sample_records())
+
+        def broken(*args):
+            raise FloatingPointError("forced")
+
+        monkeypatch.setattr("repro.packets.batch._vector_timestamps", broken)
+        return path
+
+    def test_fallback_warns_once(self, tmp_path, caplog, monkeypatch):
+        path = self._capture(tmp_path, monkeypatch)
+        stats = IngestStats()
+        with caplog.at_level(logging.WARNING, logger="repro.packets"):
+            records = list(iter_pcap(path, stats=stats))
+        assert_bit_identical(scalar_records(path), records)
+        assert stats.vector_errors == 1
+        warnings = [r for r in caplog.records if r.name == "repro.packets"]
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        assert "FloatingPointError" in message
+        assert "32-record index" in message
+
+    def test_repeats_are_rate_limited(self, tmp_path, caplog, monkeypatch):
+        path = self._capture(tmp_path, monkeypatch)
+        stats = IngestStats()
+        with caplog.at_level(logging.WARNING, logger="repro.packets"):
+            for _ in range(5):
+                with BatchPcapReader(path, stats=stats) as reader:
+                    assert not reader.index.vectorized
+        assert stats.vector_errors == 5
+        warnings = [r for r in caplog.records if r.name == "repro.packets"]
+        assert len(warnings) == 3
+        assert "(4 scans so far)" in warnings[-1].getMessage()

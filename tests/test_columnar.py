@@ -20,6 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import CallConfig, NetworkCondition, get_simulator
+from repro.conformance.golden import (
+    CorpusConfig,
+    cell_records,
+    corpus_cells,
+    default_corpus_dir,
+    load_manifest,
+)
 from repro.dpi import (
     ColumnarEngine,
     ColumnarScanner,
@@ -35,13 +42,14 @@ from repro.dpi.candidates import (
     sweep,
     sweep_order,
 )
+from repro.dpi.columnar import _ANCHOR_CODE
 from repro.dpi.engine import MIN_CONTINUITY, MIN_RTP_GROUP, _score_rtp_columns
 from repro.dpi.messages import Protocol
 from repro.filtering import TwoStageFilter
 from repro.packets.packet import PacketRecord
 from repro.protocols.quic.header import QUIC_V1, QUIC_V2
 from repro.protocols.rtcp.packets import SenderReport
-from repro.protocols.rtp.header import RtpPacket
+from repro.protocols.rtp.header import RtpPacket, looks_like_rtp
 from repro.protocols.stun.attributes import StunAttribute
 from repro.protocols.stun.message import StunMessage, looks_like_stun
 
@@ -95,14 +103,19 @@ class TestMatcherGates:
         (Protocol.QUIC, quic_candidates),
     ]
 
+    @classmethod
+    def check(cls, got, payload, max_offset):
+        """Each gated protocol's candidates in *got* are its matcher's."""
+        for protocol, matcher in cls.MATCHERS:
+            assert [c for c in got if c.protocol is protocol] == sorted(
+                matcher(payload, max_offset), key=sweep_order
+            ), protocol
+
     @given(payload=_payloads, max_offset=st.integers(min_value=0, max_value=240))
     def test_closed_gate_means_no_candidates(self, payload, max_offset):
         scanner = ColumnarScanner(max_offset)
         [got] = scanner.scan_batch([payload])
-        for protocol, matcher in self.MATCHERS:
-            assert [c for c in got if c.protocol is protocol] == sorted(
-                matcher(payload, max_offset), key=sweep_order
-            ), protocol
+        self.check(got, payload, max_offset)
         assert scanner.stats.vector_errors == 0
 
 
@@ -169,9 +182,10 @@ _COOKIE = b"\x21\x12\xa4\x42"
 _QUIC_VERSIONS = (QUIC_V1.to_bytes(4, "big"), QUIC_V2.to_bytes(4, "big"), bytes(4))
 
 
-def _gate_opens(payload, max_offset):
-    """Whether any gate of the numpy kernel opens for *payload*, written
-    out per payload as the kernel once evaluated them in a Python loop."""
+def _gate_needs(payload, max_offset):
+    """Which gates of the numpy kernel open for *payload*, as
+    ``(STUN, RTCP, QUIC)``, written out per payload as the kernel once
+    evaluated them in a Python loop."""
     size = len(payload)
     b0 = payload[0] if size else 0
     stun = (
@@ -183,7 +197,12 @@ def _gate_opens(payload, max_offset):
         payload[o] >= 0xC0 and payload[o + 1:o + 5] in _QUIC_VERSIONS
         for o in range(min(max_offset, size - 7) + 1)
     )
-    return stun or quic or bool(rtcp_candidates(payload, max_offset))
+    return stun, bool(rtcp_candidates(payload, max_offset)), quic
+
+
+def _gate_opens(payload, max_offset):
+    """Whether any gate of the numpy kernel opens for *payload*."""
+    return any(_gate_needs(payload, max_offset))
 
 
 _short_payloads = st.one_of(
@@ -202,12 +221,13 @@ class TestGateLoop:
 
     @staticmethod
     def _record_parts(monkeypatch):
+        """The ``(payload, needs)`` of every gated ``_parts`` call."""
         opened = []
         real = ColumnarScanner._parts
 
         def parts(self, payload, *needs, gated=False):
             if gated:
-                opened.append(payload)
+                opened.append((payload, needs))
             return real(self, payload, *needs, gated=gated)
 
         monkeypatch.setattr(ColumnarScanner, "_parts", parts)
@@ -224,7 +244,9 @@ class TestGateLoop:
             opened = self._record_parts(monkeypatch)
             scanner = ColumnarScanner(max_offset)
             results = scanner.scan_batch(batch)
-        assert opened == [p for p in batch if _gate_opens(p, max_offset)]
+        assert [p for p, _ in opened] == [
+            p for p in batch if _gate_opens(p, max_offset)
+        ]
         for payload, got in zip(batch, results):
             assert got == sweep(payload, max_offset)
         assert scanner.stats.vector_errors == 0
@@ -241,10 +263,131 @@ class TestGateLoop:
         opened = self._record_parts(monkeypatch)
         engine = ColumnarEngine()
         engine.analyze_records(kept_records)
-        assert opened == [p for p in scanned if _gate_opens(p, engine.max_offset)]
+        assert [p for p, _ in opened] == [
+            p for p in scanned if _gate_opens(p, engine.max_offset)
+        ]
         # Media dominates a call and opens no gate: 8 of the 637 payloads
         # reach the matchers.
         assert 0 < 20 * len(opened) < len(scanned)
+
+
+_NEEDLES = (_COOKIE,) + _QUIC_VERSIONS
+
+
+@st.composite
+def _window_edge_batch(draw):
+    """``(max_offset, batch)``: payloads longer than k+8 (some longer
+    than k+76, some shorter), each with a STUN cookie or a QUIC version
+    needle ending at byte k+2..k+10.  That spans the last end either can
+    be flagged at (k+5 for a QUIC needle, k+8 for the cookie) and the
+    k+8 cut of the needle finds.  A zero filler makes zero runs that
+    cross the cut and the payload seams; a 0xC0 filler puts a
+    long-header byte everywhere.  Some needles are split across a seam:
+    their head ends a payload's window, their tail starts the next
+    payload."""
+    max_offset = draw(st.integers(min_value=0, max_value=240))
+    cut = max_offset + 8
+    batch = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        size = draw(st.one_of(
+            st.integers(min_value=cut + 1, max_value=cut + 68),
+            st.integers(min_value=cut + 69, max_value=cut + 112),
+            st.integers(min_value=0, max_value=cut),
+        ))
+        filler = draw(st.sampled_from([b"\x00", b"\xc0", None]))
+        payload = bytearray(
+            filler * size if filler
+            else draw(st.binary(min_size=size, max_size=size))
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            end = draw(st.integers(min_value=max(4, max_offset + 2),
+                                   max_value=max_offset + 10))
+            if end <= size:
+                payload[end - 4:end] = draw(st.sampled_from(_NEEDLES))
+                if end > 4:
+                    payload[end - 5] = draw(
+                        st.sampled_from([0x00, 0xBF, 0xC0, 0xFF])
+                    )
+        batch.append(payload)
+    for left, right in zip(batch, batch[1:]):
+        split = draw(st.integers(min_value=0, max_value=3))
+        needle = draw(st.sampled_from(_NEEDLES))
+        edge = min(len(left), cut)
+        if split and edge >= split and len(right) >= 4 - split:
+            left[edge - split:edge] = needle[:split]
+            right[:4 - split] = needle[split:]
+    return max_offset, [bytes(payload) for payload in batch]
+
+
+class TestNeedleWindow:
+    """The needle finds read only each payload's first k+8 bytes.  A
+    needle at the edge of the window or past it, or a zero run across
+    the cut or a seam, opens exactly the gates the per-payload loop
+    opens, and the candidates stay the scalar sweep's."""
+
+    @settings(max_examples=300)
+    @given(case=_window_edge_batch())
+    def test_window_edges(self, case):
+        max_offset, batch = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            opened = TestGateLoop._record_parts(monkeypatch)
+            scanner = ColumnarScanner(max_offset)
+            results = scanner.scan_batch(batch)
+        needs = [(p, _gate_needs(p, max_offset)) for p in batch]
+        assert opened == [(p, need) for p, need in needs if any(need)]
+        for payload, got in zip(batch, results):
+            assert got == sweep(payload, max_offset)
+            TestMatcherGates.check(got, payload, max_offset)
+        assert scanner.stats.vector_errors == 0
+
+
+class TestAnchorCode:
+    """``_ANCHOR_CODE`` holds looks_like_rtp's RTCP-class, CSRC and X
+    terms for every version-2 byte pair."""
+
+    def test_table_is_uint8(self):
+        assert _ANCHOR_CODE.dtype == np.uint8
+        assert _ANCHOR_CODE.shape == (1 << 16,)
+
+    def test_agrees_with_looks_like_rtp(self):
+        for first in range(0x80, 0xC0):
+            for second in range(256):
+                code = int(_ANCHOR_CODE[first << 8 | second])
+                head = bytes([first, second])
+                # With room for any header only the RTCP class fails.
+                assert (code == 0) == (not looks_like_rtp(head + bytes(200)))
+                if not code:
+                    continue
+                length, extension = code & 0xFE, code & 1
+                # The header and CSRC list take exactly ``length`` bytes,
+                # and X asks for 4 more.
+                assert not looks_like_rtp(head + bytes(length - 3))
+                assert looks_like_rtp(head + bytes(length - 2)) == (
+                    not extension
+                )
+                assert looks_like_rtp(head + bytes(length + 2))
+
+
+class TestGoldenGateCounts:
+    """The gates' work on the 18 golden cells, as exact counts.  Parity
+    alone would let a gate open more payloads, each extra matcher run
+    finding nothing, without failing anything."""
+
+    def test_columnar_stats_totals(self):
+        manifest = load_manifest(default_corpus_dir())
+        config = CorpusConfig.from_dict(manifest["config"])
+        total = ColumnarStats()
+        for app, network in corpus_cells(manifest):
+            engine = ColumnarEngine(config.max_offset)
+            engine.analyze_records(cell_records(app, network, config))
+            total.merge(engine.columnar_stats)
+        assert total.as_dict() == {
+            "batches": 70,
+            "payloads": 14050,
+            "vector_errors": 0,
+            "gate_runs": {"stun_turn": 1319, "rtcp": 467, "quic": 1376},
+            "gate_empty": {"stun_turn": 9, "rtcp": 0, "quic": 132},
+        }
 
 
 class TestScannerParity:

@@ -1,7 +1,11 @@
 """Tests for stream grouping and the call timeline."""
 
+import random
+
 import pytest
 
+from repro.apps import CallConfig, NetworkCondition, get_simulator
+from repro.dpi import DpiEngine
 from repro.packets.packet import PacketRecord
 from repro.streams.flow import Stream, group_streams
 from repro.streams.timeline import CallWindow, Phase
@@ -48,6 +52,35 @@ class TestGrouping:
         assert set(stream.ips()) == {"10.0.0.1", "8.8.8.8"}
         assert set(stream.ports()) == {1000, 2000}
         assert len(stream) == 2
+
+    def test_dpi_stage_groups_like_group_streams(self):
+        # DpiStage groups streams itself: UDP only, one serial per stream
+        # in first-seen order, each stream time-sorted when it finishes,
+        # and a stable timestamp sort at flush.  That is group_streams
+        # over the UDP records, analysed stream by stream.
+        trace = get_simulator("zoom").simulate(CallConfig(
+            network=NetworkCondition.WIFI_P2P, seed=2, call_duration=3.0,
+            media_scale=0.2,
+        ))
+        records = list(trace.records)
+        # Out-of-order arrivals inside streams, and TCP records to drop.
+        rng = random.Random(7)
+        for i in rng.sample(range(len(records) - 1), len(records) // 10):
+            records[i], records[i + 1] = records[i + 1], records[i]
+        records += [record(t, transport="TCP", payload=b"\x80" * 40)
+                    for t in (0.5, 1.5)]
+        engine = DpiEngine()
+        udp = [r for r in records if r.transport == "UDP"]
+        want = [
+            analysis
+            for stream in group_streams(udp).values()
+            for analysis in engine.analyze_stream(stream)
+        ]
+        want.sort(key=lambda analysis: analysis.record.timestamp)
+        got = engine.analyze_records(records).analyses
+        assert len(group_streams(udp)) > 1
+        assert len(got) == len(udp) < len(records)
+        assert got == want
 
 
 class TestCallWindow:
